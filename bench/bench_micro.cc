@@ -73,7 +73,7 @@ struct CaseResult {
   double speedup = 0.0;
   const char* speedup_key = "speedup_vs_1t";
   /// Extra `"key": value` JSON fields for this case (pre-rendered,
-  /// comma-prefixed on emit), e.g. scan_skip's skipped-segment counts.
+  /// comma-prefixed on emit), e.g. scan_counter_arena's grow events.
   std::string extra_json;
 };
 
@@ -323,136 +323,6 @@ void BenchTrieCounting(std::vector<CaseResult>* results) {
   }
 }
 
-/// Flat SoA trie (packed/galloping probes + prefilter) vs the legacy
-/// AoS layer trie on quest-shaped counting workloads — stationary and
-/// temporally skewed (the two scenarios the scan paths care about).
-/// Candidates are 3-subsets drawn from real transactions so supports
-/// are non-trivial. The flat cases report speedup_vs_legacy.
-void BenchTrieLayouts(std::vector<CaseResult>* results) {
-  ItemDictionary dict;
-  auto taxonomy = GenerateBalancedTaxonomy(TaxonomyGenParams(), &dict);
-  if (!taxonomy.ok()) std::abort();
-  struct Scenario {
-    const char* tag;
-    uint32_t phases;
-  };
-  for (const Scenario scenario :
-       {Scenario{"quest", 0}, Scenario{"skewed_quest", 50}}) {
-    QuestParams params;
-    params.num_transactions =
-        static_cast<uint32_t>(20'000 * std::max(0.25, BenchScale()));
-    params.phases = scenario.phases;
-    params.seed = 7;
-    auto db = GenerateQuest(params, *taxonomy);
-    if (!db.ok()) std::abort();
-
-    Rng rng(5);
-    std::unordered_set<Itemset, ItemsetHash> seen;
-    std::vector<Itemset> candidates;
-    for (int attempts = 0;
-         candidates.size() < 4000 && attempts < 200'000; ++attempts) {
-      const auto txn = db->Get(static_cast<TxnId>(rng.Below(db->size())));
-      if (txn.size() < 3) continue;
-      Itemset s;
-      while (s.size() < 3) {
-        s.Insert(txn[rng.Below(txn.size())]);
-      }
-      if (seen.insert(s).second) candidates.push_back(s);
-    }
-    if (candidates.empty()) std::abort();
-    std::vector<uint32_t> supports(candidates.size());
-
-    CountBatchOptions legacy_options;
-    legacy_options.trie.flat = false;
-    legacy_options.trie.prefilter = false;
-    const CaseResult legacy = RunCase(
-        std::string("trie_legacy_") + scenario.tag, 1, db->size(), [&] {
-          CountBatchWithTrie(*db, candidates, nullptr, supports, nullptr,
-                             nullptr, legacy_options);
-        });
-    results->push_back(legacy);
-
-    CountBatchOptions flat_options;  // pure layout A/B: prefilter has
-    flat_options.trie.prefilter = false;  // its own bench cases
-    CaseResult flat = RunCase(
-        std::string("trie_flat_vs_legacy_") + scenario.tag, 1,
-        db->size(), [&] {
-          CountBatchWithTrie(*db, candidates, nullptr, supports, nullptr,
-                             nullptr, flat_options);
-        });
-    if (legacy.median_ms > 0.0 && flat.median_ms > 0.0) {
-      flat.speedup = legacy.median_ms / flat.median_ms;
-      flat.speedup_key = "speedup_vs_legacy";
-    }
-    flat.extra_json = std::string("\"packed_kernel\": \"") +
-                      trie_probe::PackedKernelName() + "\"";
-    results->push_back(flat);
-  }
-}
-
-/// Transaction prefilter on a workload where it has bite: candidates
-/// concentrated on a narrow item band, transactions spread over the
-/// whole alphabet — most transactions keep fewer than k candidate
-/// items and skip the walk entirely. The on-case records the rejected
-/// transaction count in the JSON.
-void BenchTxnPrefilter(std::vector<CaseResult>* results) {
-  Rng rng(23);
-  const auto num_txns =
-      static_cast<uint32_t>(30'000 * std::max(0.25, BenchScale()));
-  const ItemId alphabet = 4000;
-  const ItemId band = 150;  // candidate items live in [0, band)
-  TransactionDb db;
-  std::vector<ItemId> txn;
-  for (uint32_t t = 0; t < num_txns; ++t) {
-    txn.clear();
-    for (int i = 0; i < 10; ++i) {
-      txn.push_back(static_cast<ItemId>(rng.Below(alphabet)));
-    }
-    db.Add(txn);
-  }
-  std::unordered_set<Itemset, ItemsetHash> seen;
-  std::vector<Itemset> candidates;
-  while (candidates.size() < 2000) {
-    Itemset s;
-    while (s.size() < 3) {
-      s.Insert(static_cast<ItemId>(rng.Below(band)));
-    }
-    if (seen.insert(s).second) candidates.push_back(s);
-  }
-  std::vector<uint32_t> supports(candidates.size());
-
-  uint64_t prefiltered = 0;
-  double off_ms = 0.0;
-  for (const bool prefilter : {false, true}) {
-    CountBatchOptions options;
-    options.trie.prefilter = prefilter;
-    prefiltered = 0;
-    options.txns_prefiltered = &prefiltered;
-    CaseResult r = RunCase(
-        prefilter ? "txn_prefilter_on" : "txn_prefilter_off", 1,
-        db.size(), [&] {
-          prefiltered = 0;
-          CountBatchWithTrie(db, candidates, nullptr, supports, nullptr,
-                             nullptr, options);
-        });
-    if (!prefilter) {
-      off_ms = r.median_ms;
-      if (prefiltered != 0) std::abort();  // disabled must never reject
-    } else {
-      if (off_ms > 0.0 && r.median_ms > 0.0) {
-        r.speedup = off_ms / r.median_ms;
-        r.speedup_key = "speedup_vs_no_prefilter";
-      }
-      r.extra_json =
-          "\"txns_prefiltered\": " + std::to_string(prefiltered) +
-          ", \"txns_total\": " + std::to_string(db.size());
-      std::cout << "txn_prefilter: " << prefiltered << " of " << db.size()
-                << " transactions rejected before the walk\n";
-    }
-    results->push_back(r);
-  }
-}
-
 /// Probe-kernel shoot-out on synthetic sibling fanouts: scalar linear
 /// scan vs the packed compare (SSE2/AVX2/portable word mask) vs
 /// galloping, each resolving the same lower-bound queries.
@@ -537,12 +407,10 @@ void BenchRowTrieReuse(std::vector<CaseResult>* results) {
         reuse ? "row_trie_reuse_on" : "row_trie_reuse_off", 1,
         rows_per_rep, [&] {
           for (size_t b = 0; b < kBatches; ++b) {
-            CountBatchOptions options;
-            if (reuse) options.scratch = &scratch;
             const std::span<const Itemset> batch(
                 w.candidates.data() + b * per_batch, per_batch);
-            CountBatchWithTrie(w.db, batch, nullptr, supports, nullptr,
-                               nullptr, options);
+            CountBatchWithTrie(w.db, batch, nullptr, supports,
+                               reuse ? &scratch : nullptr);
           }
         });
     if (!reuse) {
@@ -555,13 +423,12 @@ void BenchRowTrieReuse(std::vector<CaseResult>* results) {
   }
 }
 
-/// Scan-cell counter shoot-out: the exact hot loop of the scan-driven
-/// cell (every 3-subset of each filtered transaction bumped into a
-/// counter) against the unordered_map baseline and the open-addressed
-/// bump-arena table, both warm across reps as in the pipeline's steady
-/// state. The arena case reports speedup_vs_map plus its warm-rep grow
-/// events — which must be zero: a warm table recounting the same data
-/// performs no allocation at all.
+/// Scan-cell counter: the exact hot loop of the scan-driven cell (every
+/// 3-subset of each filtered transaction bumped into the open-addressed
+/// bump-arena table), warm across reps as in the pipeline's steady
+/// state. The case reports its warm-rep grow events — which must be
+/// zero: a warm table recounting the same data performs no allocation
+/// at all.
 void BenchScanCounters(std::vector<CaseResult>* results) {
   Rng rng(17);
   const auto num_txns =
@@ -588,14 +455,6 @@ void BenchScanCounters(std::vector<CaseResult>* results) {
     }
   };
 
-  ScanCellScratch::CountMap map_counts;
-  const CaseResult map_case =
-      RunCase("scan_counter_map", 1, db.size(), [&] {
-        map_counts.clear();
-        scan_into([&](const Itemset& c) { ++map_counts[c]; });
-      });
-  results->push_back(map_case);
-
   ScanCounterTable table;
   uint64_t warm_grow_events = 0;
   CaseResult arena_case =
@@ -609,11 +468,6 @@ void BenchScanCounters(std::vector<CaseResult>* results) {
   // capacity was already sized for this workload: any growth here
   // means the warm path allocates, which it must not.
   if (warm_grow_events != 0) std::abort();
-  if (table.size() != map_counts.size()) std::abort();
-  if (map_case.median_ms > 0.0 && arena_case.median_ms > 0.0) {
-    arena_case.speedup = map_case.median_ms / arena_case.median_ms;
-    arena_case.speedup_key = "speedup_vs_map";
-  }
   arena_case.extra_json =
       "\"warm_grow_events\": " + std::to_string(warm_grow_events) +
       ", \"distinct_combos\": " + std::to_string(table.size()) +
@@ -1005,82 +859,6 @@ std::string BenchStoreSizes() {
   return json;
 }
 
-/// Scan skipping on the skewed quest scenario (phased pattern pool:
-/// item populations drift across the file, so whole segments hold no
-/// live candidate). Mines the same v2 store with the segment catalog
-/// consulted and force-disabled; the JSON records the skipped-segment
-/// count so the skip fraction is tracked across PRs. Patterns are
-/// identical either way — skipping is exact.
-void BenchScanSkip(std::vector<CaseResult>* results) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  const fs::path dir = UniqueScratchDir("flipper_bench_skip", ec);
-  fs::create_directories(dir, ec);
-  if (ec) {
-    std::cout << "[scan_skip] skipped: cannot create " << dir << "\n";
-    return;
-  }
-  ItemDictionary dict;
-  auto taxonomy = GenerateBalancedTaxonomy(TaxonomyGenParams(), &dict);
-  if (!taxonomy.ok()) std::abort();
-  QuestParams quest;
-  quest.num_transactions =
-      static_cast<uint32_t>(20'000 * std::max(1.0, BenchScale()));
-  quest.phases = 50;
-  quest.seed = 11;
-  auto db = GenerateQuest(quest, *taxonomy);
-  if (!db.ok()) std::abort();
-
-  const std::string store = (dir / "skew.fdb").string();
-  storage::StoreWriter::Options write_options;
-  write_options.version = storage::kFormatVersionV2;
-  write_options.segment_txns = 512;
-  if (!storage::WriteStoreFile(store, *db, dict, *taxonomy,
-                               write_options)
-           .ok()) {
-    std::abort();
-  }
-  auto reader = storage::StoreReader::Open(store);
-  if (!reader.ok()) std::abort();
-  const uint64_t segments_total = reader->segments().size() - 1;
-
-  MiningConfig config;
-  config.gamma = 0.3;
-  config.epsilon = 0.1;
-  config.min_support = {0.01, 0.006, 0.004, 0.002};
-  config.num_threads = 0;
-  uint64_t skipped = 0;
-  double off_ms = 0.0;
-  for (const bool skipping : {false, true}) {
-    config.enable_segment_skipping = skipping;
-    CaseResult r = RunCase(
-        skipping ? "scan_skip" : "scan_skip_off",
-        ThreadPool::ResolveThreadCount(0), reader->db().size(), [&] {
-          auto result = FlipperMiner::Run(reader->db(),
-                                          reader->taxonomy(), config);
-          if (!result.ok()) std::abort();
-          skipped = result->stats.segments_skipped;
-        });
-    if (!skipping) {
-      off_ms = r.median_ms;
-      if (skipped != 0) std::abort();  // disabled must never skip
-    } else {
-      if (off_ms > 0.0 && r.median_ms > 0.0) {
-        r.speedup = off_ms / r.median_ms;
-        r.speedup_key = "speedup_vs_no_skip";
-      }
-      r.extra_json = "\"segments_skipped\": " + std::to_string(skipped) +
-                     ", \"segments_total\": " +
-                     std::to_string(segments_total);
-      std::cout << "scan_skip: " << skipped
-                << " segment-scans skipped (catalog of "
-                << segments_total << " segments)\n";
-    }
-    results->push_back(r);
-  }
-  fs::remove_all(dir, ec);
-}
-
 }  // namespace
 }  // namespace flipper
 
@@ -1095,15 +873,12 @@ int main() {
   BenchTidSetIntersect(&results);
   BenchItemsetOps(&results);
   BenchTrieCounting(&results);
-  BenchTrieLayouts(&results);
-  BenchTxnPrefilter(&results);
   BenchProbeKernels(&results);
   BenchRowTrieReuse(&results);
   BenchScanCounters(&results);
   BenchThreadScaling(&results);
   BenchMinerPipeline(&results);
   BenchStorage(&results);
-  BenchScanSkip(&results);
   const std::string store_sizes = BenchStoreSizes();
   EmitResults(results, store_sizes);
   return 0;

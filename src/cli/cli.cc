@@ -163,27 +163,6 @@ int MineCommand(const std::vector<const char*>& argv, std::ostream& out,
                "default on; only effective with --pipeline on; results "
                "are identical either way)",
                "MODE");
-  args.AddFlag("arena-counters",
-               "on|off — count scan-driven cells in the open-addressed "
-               "bump-arena counter table instead of the hash-map "
-               "baseline (default on; results are identical either "
-               "way)",
-               "MODE");
-  args.AddFlag("segment-skipping",
-               "on|off — let segment catalogs skip candidate-free "
-               "segments during counting scans (default on; results "
-               "are identical either way)",
-               "MODE");
-  args.AddFlag("flat-trie",
-               "on|off — flat SoA candidate-trie layout with packed/"
-               "galloping probe kernels (default on; off = legacy "
-               "layer layout; results are identical either way)",
-               "MODE");
-  args.AddFlag("txn-prefilter",
-               "on|off — reject/compact transactions through the "
-               "candidate-item prefilter before the trie walk "
-               "(default on; results are identical either way)",
-               "MODE");
   args.AddFlag("topk", "keep only the K widest flips", "K");
   args.AddFlag("format", "text|csv|json (default text)", "NAME");
   args.AddFlag("out", "write patterns to a file instead of stdout",
@@ -1180,10 +1159,6 @@ int QueryCommand(const std::vector<const char*>& argv, std::ostream& out,
   args.AddFlag("threads", "worker threads for counting", "N");
   args.AddFlag("pipeline", "on|off", "MODE");
   args.AddFlag("row-overlap", "on|off", "MODE");
-  args.AddFlag("arena-counters", "on|off", "MODE");
-  args.AddFlag("segment-skipping", "on|off", "MODE");
-  args.AddFlag("flat-trie", "on|off", "MODE");
-  args.AddFlag("txn-prefilter", "on|off", "MODE");
   args.AddFlag("topk", "keep only the K widest flips", "K");
   args.AddFlag("format", "text|csv|json (default text)", "NAME");
 

@@ -247,27 +247,17 @@ inline bool UseGallop(uint32_t run, size_t txn_remaining) {
 
 }  // namespace
 
-void CandidateTrie::Build(std::span<const Itemset> candidates,
-                          const Options& options) {
-  options_ = options;
+void CandidateTrie::Build(std::span<const Itemset> candidates) {
   k_ = 0;
   counts_.assign(candidates.size(), 0);
-  layers_.clear();
   items_.clear();
   child_begin_.clear();
   child_end_.clear();
   leaf_index_.clear();
   layer_begin_.clear();
-  prefilter_.Clear();
   if (candidates.empty()) return;
   k_ = candidates[0].size();
   assert(k_ >= 1);
-
-  if (options_.prefilter) {
-    for (const Itemset& candidate : candidates) {
-      for (ItemId item : candidate) prefilter_.Add(item);
-    }
-  }
 
   // Sort candidate indices lexicographically so that each trie layer
   // can be laid out with contiguous child ranges.
@@ -278,10 +268,10 @@ void CandidateTrie::Build(std::span<const Itemset> candidates,
   });
 
   // Exact per-layer node counts — the number of distinct depth-d
-  // prefixes of the sorted candidate list — so both builders can
-  // reserve precisely and MemoryBytes() stays exact (capacity == size
-  // on a fresh trie).
-  std::vector<uint32_t> layer_sizes(static_cast<size_t>(k_), 0);
+  // prefixes of the sorted candidate list — so every column is sized
+  // precisely and MemoryBytes() stays exact (capacity == size on a
+  // fresh trie).
+  layer_begin_.assign(static_cast<size_t>(k_) + 1, 0);
   for (size_t i = 0; i < order.size(); ++i) {
     int first_new = 0;
     if (i > 0) {
@@ -293,83 +283,12 @@ void CandidateTrie::Build(std::span<const Itemset> candidates,
       assert(first_new < k_ && "duplicate candidate itemsets");
     }
     for (int d = first_new; d < k_; ++d) {
-      ++layer_sizes[static_cast<size_t>(d)];
+      ++layer_begin_[static_cast<size_t>(d) + 1];
     }
   }
-
-  if (options_.flat) {
-    BuildFlat(candidates, order, layer_sizes);
-  } else {
-    BuildLegacy(candidates, order, layer_sizes);
-  }
-}
-
-void CandidateTrie::BuildLegacy(std::span<const Itemset> candidates,
-                                std::span<const uint32_t> order,
-                                std::span<const uint32_t> layer_sizes) {
-  layers_.resize(static_cast<size_t>(k_));
   for (int d = 0; d < k_; ++d) {
-    layers_[static_cast<size_t>(d)].reserve(
-        layer_sizes[static_cast<size_t>(d)]);
-  }
-
-  // Layer-by-layer construction. Each pending range is a slice of the
-  // sorted candidate list that shares a (depth)-prefix; grouping it by
-  // the item at `depth` yields the sibling nodes of one parent.
-  struct Range {
-    uint32_t lo;
-    uint32_t hi;  // exclusive
-  };
-  std::vector<Range> cur = {{0, static_cast<uint32_t>(order.size())}};
-  std::vector<Range> nxt;
-  std::vector<uint32_t> parent_of_range = {0};  // unused at depth 0
-  std::vector<uint32_t> next_parent_of_range;
-
-  for (int depth = 0; depth < k_; ++depth) {
-    auto& layer = layers_[static_cast<size_t>(depth)];
-    nxt.clear();
-    next_parent_of_range.clear();
-    for (size_t ri = 0; ri < cur.size(); ++ri) {
-      const Range r = cur[ri];
-      const auto first_child = static_cast<uint32_t>(layer.size());
-      uint32_t i = r.lo;
-      while (i < r.hi) {
-        const ItemId item = candidates[order[i]][depth];
-        uint32_t j = i;
-        while (j < r.hi && candidates[order[j]][depth] == item) ++j;
-        Node node;
-        node.item = item;
-        if (depth == k_ - 1) {
-          assert(j - i == 1 && "duplicate candidate itemsets");
-          node.leaf_index = order[i];
-        } else {
-          nxt.push_back({i, j});
-          next_parent_of_range.push_back(
-              static_cast<uint32_t>(layer.size()));
-        }
-        layer.push_back(node);
-        i = j;
-      }
-      if (depth > 0) {
-        Node& parent =
-            layers_[static_cast<size_t>(depth - 1)][parent_of_range[ri]];
-        parent.child_begin = first_child;
-        parent.child_end = static_cast<uint32_t>(layer.size());
-      }
-    }
-    cur = nxt;
-    parent_of_range = next_parent_of_range;
-  }
-}
-
-void CandidateTrie::BuildFlat(std::span<const Itemset> candidates,
-                              std::span<const uint32_t> order,
-                              std::span<const uint32_t> layer_sizes) {
-  layer_begin_.assign(static_cast<size_t>(k_) + 1, 0);
-  for (int d = 0; d < k_; ++d) {
-    layer_begin_[static_cast<size_t>(d) + 1] =
-        layer_begin_[static_cast<size_t>(d)] +
-        layer_sizes[static_cast<size_t>(d)];
+    layer_begin_[static_cast<size_t>(d) + 1] +=
+        layer_begin_[static_cast<size_t>(d)];
   }
   const uint32_t num_nodes = layer_begin_[static_cast<size_t>(k_)];
   const uint32_t num_internal =
@@ -379,10 +298,12 @@ void CandidateTrie::BuildFlat(std::span<const Itemset> candidates,
   child_end_.resize(num_internal);
   leaf_index_.resize(num_nodes - num_internal);
 
-  // Same range-grouping walk as the legacy builder, writing straight
-  // into the SoA columns at per-layer cursors. Node ids are global
-  // (child ranges live in the next layer's id interval); leaf slots
-  // are relative to the leaf layer.
+  // Layer-by-layer construction, writing straight into the SoA columns
+  // at per-layer cursors. Each pending range is a slice of the sorted
+  // candidate list that shares a (depth)-prefix; grouping it by the
+  // item at `depth` yields the sibling nodes of one parent. Node ids
+  // are global (child ranges live in the next layer's id interval);
+  // leaf slots are relative to the leaf layer.
   struct Range {
     uint32_t lo;
     uint32_t hi;  // exclusive
@@ -428,12 +349,7 @@ void CandidateTrie::BuildFlat(std::span<const Itemset> candidates,
 }
 
 size_t CandidateTrie::num_nodes() const {
-  if (options_.flat) {
-    return layer_begin_.empty() ? 0 : layer_begin_.back();
-  }
-  size_t total = 0;
-  for (const auto& layer : layers_) total += layer.size();
-  return total;
+  return layer_begin_.empty() ? 0 : layer_begin_.back();
 }
 
 void CandidateTrie::CountTransaction(std::span<const ItemId> txn) {
@@ -442,77 +358,13 @@ void CandidateTrie::CountTransaction(std::span<const ItemId> txn) {
 
 void CandidateTrie::CountTransaction(std::span<const ItemId> txn,
                                      std::span<uint32_t> counts) const {
-  // Compatibility entry point (tests, ad-hoc callers): a throwaway
-  // scratch keeps the semantics of the scratch-reusing path. The
-  // batch scans hold per-shard scratches instead.
-  CountScratch scratch;
-  CountTransaction(txn, counts, &scratch);
-}
-
-void CandidateTrie::CountTransaction(std::span<const ItemId> txn,
-                                     std::span<uint32_t> counts,
-                                     CountScratch* scratch) const {
   if (counts_.empty() || static_cast<int>(txn.size()) < k_) return;
   assert(counts.size() == counts_.size());
-  if (options_.prefilter) {
-    // Drop items that provably occur in no candidate; the walk then
-    // runs on the compacted stream, and a transaction left with fewer
-    // than k items cannot contain any candidate at all.
-    const size_t capacity_before = scratch->filtered.capacity();
-    scratch->filtered.clear();
-    for (ItemId item : txn) {
-      if (prefilter_.MayContain(item)) scratch->filtered.push_back(item);
-    }
-    if (scratch->filtered.capacity() != capacity_before) {
-      ++scratch->grow_events;
-    }
-    if (static_cast<int>(scratch->filtered.size()) < k_) {
-      ++scratch->txns_prefiltered;
-      return;
-    }
-    txn = scratch->filtered;
-  }
-  if (options_.flat) {
-    CountFlat(txn, counts.data());
-  } else {
-    CountLegacy(txn, 0, 0, 0,
-                static_cast<uint32_t>(layers_[0].size()), counts.data());
-  }
+  Walk(txn, counts.data());
 }
 
-void CandidateTrie::CountLegacy(std::span<const ItemId> txn,
-                                size_t txn_pos, int depth,
-                                uint32_t node_begin, uint32_t node_end,
-                                uint32_t* counts) const {
-  const auto& layer = layers_[static_cast<size_t>(depth)];
-  // Merge-walk: both the sibling nodes and the transaction are sorted
-  // by item id. Stop when fewer transaction items remain than levels
-  // still needed to reach a leaf.
-  uint32_t ni = node_begin;
-  size_t ti = txn_pos;
-  const size_t needed = static_cast<size_t>(k_ - depth);
-  while (ni < node_end && txn.size() - ti >= needed) {
-    const ItemId node_item = layer[ni].item;
-    const ItemId txn_item = txn[ti];
-    if (node_item < txn_item) {
-      ++ni;
-    } else if (node_item > txn_item) {
-      ++ti;
-    } else {
-      if (depth == k_ - 1) {
-        ++counts[layer[ni].leaf_index];
-      } else {
-        CountLegacy(txn, ti + 1, depth + 1, layer[ni].child_begin,
-                    layer[ni].child_end, counts);
-      }
-      ++ni;
-      ++ti;
-    }
-  }
-}
-
-void CandidateTrie::CountFlat(std::span<const ItemId> txn,
-                              uint32_t* counts) const {
+void CandidateTrie::Walk(std::span<const ItemId> txn,
+                         uint32_t* counts) const {
   // Iterative DFS with one frame per depth. Each frame is a sibling
   // range paired with a transaction cursor; resuming a frame continues
   // its merge-walk right after the previous match.
@@ -583,25 +435,12 @@ void CandidateTrie::CountFlat(std::span<const ItemId> txn,
 }
 
 int64_t CandidateTrie::MemoryBytes() const {
-  int64_t total =
-      static_cast<int64_t>(counts_.capacity() * sizeof(uint32_t));
-  if (options_.flat) {
-    total += static_cast<int64_t>(items_.capacity() * sizeof(ItemId));
-    total +=
-        static_cast<int64_t>(child_begin_.capacity() * sizeof(uint32_t));
-    total +=
-        static_cast<int64_t>(child_end_.capacity() * sizeof(uint32_t));
-    total +=
-        static_cast<int64_t>(leaf_index_.capacity() * sizeof(uint32_t));
-    total +=
-        static_cast<int64_t>(layer_begin_.capacity() * sizeof(uint32_t));
-  } else {
-    for (const auto& layer : layers_) {
-      total += static_cast<int64_t>(layer.capacity() * sizeof(Node));
-    }
-  }
-  if (options_.prefilter) total += PrefilterMemoryBytes();
-  return total;
+  return static_cast<int64_t>(
+      (counts_.capacity() + child_begin_.capacity() +
+       child_end_.capacity() + leaf_index_.capacity() +
+       layer_begin_.capacity()) *
+          sizeof(uint32_t) +
+      items_.capacity() * sizeof(ItemId));
 }
 
 }  // namespace flipper

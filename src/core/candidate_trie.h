@@ -3,37 +3,18 @@
 // a transaction can increment exactly the candidates it contains
 // without enumerating all of its k-subsets blindly.
 //
-// Two layouts are maintained behind one API:
-//
-//   flat (default) — a single arena with SoA columns per node
-//     (items[] / child_begin[] / child_end[] / leaf_index[]), walked
-//     iteratively with an explicit frame stack. The txn∩children
-//     merge-walk runs over the dense items[] stream with a packed
-//     lower-bound probe — selected at *runtime* from one binary:
-//     AVX2 when cpuid reports it, SSE2 on x86-64, a 64-bit mask +
-//     std::countr_zero word kernel otherwise — and switches to a
-//     galloping probe when the sibling list is long relative to the
-//     remaining transaction suffix;
-//   legacy — the original per-layer vector<Node> AoS layout with the
-//     recursive merge-walk, kept behind Options::flat = false as the
-//     A/B baseline for benchmarks and differential tests.
-//
-// In front of either walk an optional per-trie prefilter (min/max
-// candidate item + a 512-bit presence bitset, sharing
-// SegmentCatalog::HashBit) drops transaction items that provably occur
-// in no candidate and rejects transactions left with fewer than k
-// items. The filter is one-sided — a hash collision only keeps an item
-// that the walk then ignores — so counts are bit-identical with it on
-// or off.
-//
-// Both layouts produce identical counts for identical candidate sets;
-// MiningConfig::enable_flat_trie / enable_txn_prefilter select them at
-// run time.
+// The trie is a single arena with SoA columns per node (items[] /
+// child_begin[] / child_end[] / leaf_index[]), walked iteratively with
+// an explicit frame stack. The txn∩children merge-walk runs over the
+// dense items[] stream with a packed lower-bound probe — selected at
+// *runtime* from one binary: AVX2 when cpuid reports it, SSE2 on
+// x86-64, a 64-bit mask + std::countr_zero word kernel otherwise — and
+// switches to a galloping probe when the sibling list is long relative
+// to the remaining transaction suffix.
 
 #ifndef FLIPPER_CORE_CANDIDATE_TRIE_H_
 #define FLIPPER_CORE_CANDIDATE_TRIE_H_
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -41,7 +22,6 @@
 
 #include "common/status.h"
 #include "data/itemset.h"
-#include "data/segment_catalog.h"
 #include "data/types.h"
 
 namespace flipper {
@@ -108,72 +88,8 @@ void ResetPackedKernel();
 
 }  // namespace trie_probe
 
-/// Small exact-reject item filter: min/max id plus a fixed 512-bit
-/// presence bitset hashed with SegmentCatalog::HashBit. MayContain is
-/// one-sided: false proves the item was never added, true may be a
-/// collision. Shared by the candidate trie's transaction prefilter and
-/// the scan-driven cell's participating-item filter.
-class ItemPrefilter {
- public:
-  static constexpr uint32_t kBits = 512;
-
-  void Add(ItemId item) {
-    if (item < min_) min_ = item;
-    if (item > max_) max_ = item;
-    const uint32_t bit = SegmentCatalog::HashBit(item, kBits);
-    bits_[bit / 64] |= uint64_t{1} << (bit % 64);
-  }
-
-  bool MayContain(ItemId item) const {
-    if (item < min_ || item > max_) return false;
-    const uint32_t bit = SegmentCatalog::HashBit(item, kBits);
-    return (bits_[bit / 64] >> (bit % 64)) & 1;
-  }
-
-  void Clear() {
-    min_ = kInvalidItem;
-    max_ = 0;
-    bits_.fill(0);
-  }
-
- private:
-  ItemId min_ = kInvalidItem;
-  ItemId max_ = 0;
-  std::array<uint64_t, kBits / 64> bits_{};
-};
-
 class CandidateTrie {
  public:
-  struct Options {
-    /// Flat SoA arena + iterative probe walk (false: legacy AoS
-    /// layers + recursion). Counts are identical either way.
-    bool flat = true;
-    /// Reject/compact transactions through the candidate-item
-    /// prefilter before the walk. Exact: results are identical.
-    bool prefilter = true;
-  };
-
-  /// Reusable per-caller counting scratch. One instance per thread
-  /// (shards each own one); Reserve() up front so the per-transaction
-  /// loop never allocates — grow_events counts the reallocation the
-  /// debug assertions require to stay at zero.
-  struct CountScratch {
-    /// Prefilter-compacted transaction buffer.
-    std::vector<ItemId> filtered;
-    /// Times `filtered` had to grow inside CountTransaction. With a
-    /// correct Reserve this stays 0 — asserted by the batch scan.
-    uint64_t grow_events = 0;
-    /// Transactions of length >= k rejected by the prefilter before
-    /// any walk (informational; reset by each batch scan).
-    uint64_t txns_prefiltered = 0;
-
-    void Reserve(size_t max_txn_width) {
-      if (max_txn_width > filtered.capacity()) {
-        filtered.reserve(max_txn_width);
-      }
-    }
-  };
-
   /// An empty trie (no candidates); fill with Build().
   CandidateTrie() = default;
 
@@ -182,23 +98,16 @@ class CandidateTrie {
   explicit CandidateTrie(std::span<const Itemset> candidates) {
     Build(candidates);
   }
-  CandidateTrie(std::span<const Itemset> candidates,
-                const Options& options) {
-    Build(candidates, options);
-  }
 
   /// Rebuilds over a new candidate batch, reusing the arena and
   /// counter allocations of previous builds (the row-level trie-reuse
   /// seam: one trie object serves every cell of a row).
-  void Build(std::span<const Itemset> candidates,
-             const Options& options);
-  inline void Build(std::span<const Itemset> candidates);
+  void Build(std::span<const Itemset> candidates);
 
   int k() const { return k_; }
   size_t num_candidates() const { return counts_.size(); }
-  const Options& options() const { return options_; }
 
-  /// Total trie nodes across all layers (either layout).
+  /// Total trie nodes across all layers.
   size_t num_nodes() const;
 
   /// Feeds one (sorted, deduped) transaction through the trie,
@@ -212,61 +121,23 @@ class CandidateTrie {
   void CountTransaction(std::span<const ItemId> txn,
                         std::span<uint32_t> counts) const;
 
-  /// Scratch-reusing variant: `scratch` provides the prefilter
-  /// compaction buffer, so a warmed-up caller performs no
-  /// per-transaction allocation (the hot-path entry point).
-  void CountTransaction(std::span<const ItemId> txn,
-                        std::span<uint32_t> counts,
-                        CountScratch* scratch) const;
-
   /// Counter of candidate `i` (input order).
   uint32_t CountOf(size_t i) const { return counts_[i]; }
 
   std::span<const uint32_t> counts() const { return counts_; }
 
-  /// Heap bytes of the active layout (nodes + SoA columns + counters)
-  /// plus the prefilter bitset when enabled. Exact for a freshly
-  /// constructed trie: the flat builder sizes every column ahead of
-  /// time, so capacity == size.
+  /// Heap bytes of the SoA columns plus counters. Exact for a freshly
+  /// constructed trie: the builder sizes every column ahead of time, so
+  /// capacity == size.
   int64_t MemoryBytes() const;
 
-  /// Bytes the prefilter contributes to MemoryBytes() when enabled.
-  static constexpr int64_t PrefilterMemoryBytes() {
-    return static_cast<int64_t>(sizeof(ItemPrefilter));
-  }
-
  private:
-  struct Node {
-    ItemId item;
-    // Children are stored contiguously: [child_begin, child_end) in
-    // nodes_ of the next depth layer; for depth k-1 nodes, leaf_index
-    // points into counts_.
-    uint32_t child_begin = 0;
-    uint32_t child_end = 0;
-    uint32_t leaf_index = 0;
-  };
-
-  void BuildLegacy(std::span<const Itemset> candidates,
-                   std::span<const uint32_t> order,
-                   std::span<const uint32_t> layer_sizes);
-  void BuildFlat(std::span<const Itemset> candidates,
-                 std::span<const uint32_t> order,
-                 std::span<const uint32_t> layer_sizes);
-
-  void CountLegacy(std::span<const ItemId> txn, size_t txn_pos, int depth,
-                   uint32_t node_begin, uint32_t node_end,
-                   uint32_t* counts) const;
-  void CountFlat(std::span<const ItemId> txn, uint32_t* counts) const;
+  void Walk(std::span<const ItemId> txn, uint32_t* counts) const;
 
   int k_ = 0;
-  Options options_;
 
-  // --- legacy layout: nodes per depth layer (layer d holds the d-th
-  // items of candidates), recursive merge-walk.
-  std::vector<std::vector<Node>> layers_;
-
-  // --- flat layout: one arena in layer-major order. Node ids are
-  // global; layer d occupies [layer_begin_[d], layer_begin_[d + 1]).
+  // One arena in layer-major order. Node ids are global; layer d
+  // occupies [layer_begin_[d], layer_begin_[d + 1]).
   // Internal nodes (depth < k-1, global id < layer_begin_[k_-1]) carry
   // child ranges of global ids in the next layer; leaf-layer nodes
   // carry leaf_index_[id - layer_begin_[k_-1]] into counts_.
@@ -275,14 +146,9 @@ class CandidateTrie {
   std::vector<uint32_t> child_end_;
   std::vector<uint32_t> leaf_index_;
   std::vector<uint32_t> layer_begin_;
-  ItemPrefilter prefilter_;
 
   std::vector<uint32_t> counts_;
 };
-
-inline void CandidateTrie::Build(std::span<const Itemset> candidates) {
-  Build(candidates, Options{});
-}
 
 }  // namespace flipper
 

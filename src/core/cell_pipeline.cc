@@ -49,32 +49,16 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
   }
   if (shared_views != nullptr) {
     // Borrowed store views (the serving path): read-only, possibly
-    // shared with concurrent pipelines. Extra catalogs they may carry
-    // are inert unless this config enables skipping, so results match
-    // the owned build bit for bit.
+    // shared with concurrent pipelines. Any catalogs they carry are
+    // never read, so results match the owned build bit for bit.
     views_ = shared_views;
   } else {
     StageScope stage(metrics_, "views_build");
-    LevelViews::BuildOptions view_options;
-    // Catalogs have exactly two consumers — the horizontal counting
-    // scan and the scan-driven cell — so skip the per-level build pass
-    // when neither can run.
-    view_options.build_catalogs =
-        config_.enable_segment_skipping &&
-        (config_.counter == CounterKind::kHorizontal ||
-         config_.enable_scan_cells);
-    FLIPPER_ASSIGN_OR_RETURN(
-        owned_views_,
-        LevelViews::Build(db, tax_, pool_.get(), view_options));
+    FLIPPER_ASSIGN_OR_RETURN(owned_views_,
+                             LevelViews::Build(db, tax_, pool_.get()));
     views_ = &owned_views_;
   }
-  CounterOptions counter_options;
-  counter_options.enable_segment_skipping =
-      config_.enable_segment_skipping;
-  counter_options.trie.flat = config_.enable_flat_trie;
-  counter_options.trie.prefilter = config_.enable_txn_prefilter;
-  counter_options.cancel = config_.cancel;
-  counter_ = MakeCounter(config_.counter, pool_.get(), counter_options);
+  counter_ = MakeCounter(config_.counter, pool_.get(), config_.cancel);
   pipelining_ = config_.enable_pipelining;
   row_overlap_ = pipelining_ && config_.enable_row_overlap;
 
@@ -298,8 +282,6 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
     // Counter scans + scan-driven cell scans + the initial singleton
     // scan.
     stats_.db_scans += counter_->num_db_scans() + 1;
-    stats_.segments_skipped += counter_->segments_skipped();
-    stats_.txns_prefiltered += counter_->txns_prefiltered();
     stats_.peak_candidate_bytes = tracker_.peak_bytes();
     stats_.total_seconds = run_timer_.ElapsedSeconds();
     result.stats = std::move(stats_);
@@ -334,10 +316,6 @@ void CellPipeline::RecordRunMetrics(const MiningStats& stats,
   m.AddCounter("mine.db_scans", static_cast<int64_t>(stats.db_scans));
   m.AddCounter("mine.scan_cell_scans",
                static_cast<int64_t>(stats.scan_cell_scans));
-  m.AddCounter("mine.segments_skipped",
-               static_cast<int64_t>(stats.segments_skipped));
-  m.AddCounter("mine.txns_prefiltered",
-               static_cast<int64_t>(stats.txns_prefiltered));
   m.AddCounter("mine.positive_itemsets",
                static_cast<int64_t>(stats.num_positive));
   m.AddCounter("mine.negative_itemsets",

@@ -75,8 +75,8 @@ CellPlan CellPlanner::PlanVertical(
     // The scan cell enumerates k-subsets of *filtered* transactions
     // (participating items only), so the raw width histogram
     // overestimates its cost. Scale widths by the participating
-    // fraction of the level's occurring vocabulary — the prefilter /
-    // ok[] hit rate — before the C(w, k) estimate. Strategy selection
+    // fraction of the level's occurring vocabulary — the ok[] hit
+    // rate — before the C(w, k) estimate. Strategy selection
     // never changes mined output (both routes are exact), only cost.
     size_t vocab = 0;
     size_t live = 0;

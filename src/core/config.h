@@ -103,38 +103,6 @@ struct MiningConfig {
   /// enable_pipelining.
   bool enable_row_overlap = true;
 
-  /// Count the scan-driven cell's k-subsets in the open-addressed
-  /// bump-arena counter table (core/scan_counter.h) instead of the
-  /// unordered_map baseline. Counts and emission order are exact and
-  /// sorted either way, so mining output is bit-identical; off keeps
-  /// the map path for A/B benchmarks and differential tests.
-  bool enable_arena_scan_counters = true;
-
-  /// Consult per-segment catalogs (min/max item, presence bitset,
-  /// tracked supports) in the horizontal counting scan and the
-  /// scan-driven cell, skipping segments that provably contain no
-  /// live candidate. Skipping is exact — a skipped segment contributes
-  /// zero to every candidate by construction — so supports and mining
-  /// output are bit-identical with it on or off. Off also disables
-  /// catalog construction in LevelViews (MiningStats::segments_skipped
-  /// stays 0).
-  bool enable_segment_skipping = true;
-
-  /// Use the flat SoA candidate-trie layout (single arena, packed /
-  /// galloping probe kernels, iterative walk) in the horizontal
-  /// counting scans. Off falls back to the legacy per-layer AoS trie.
-  /// Supports and mining output are bit-identical either way — the
-  /// layouts only differ in memory traversal order.
-  bool enable_flat_trie = true;
-
-  /// Reject/compact transactions through a per-batch candidate-item
-  /// prefilter (min/max id + 512-bit presence bitset) before the trie
-  /// walk, and pre-screen the scan-driven cell's per-transaction item
-  /// filter the same way. The filter is one-sided (a collision only
-  /// costs a missed reject), so supports and mining output are
-  /// bit-identical with it on or off.
-  bool enable_txn_prefilter = true;
-
   /// Optional metrics sink (core/pipeline_metrics.h). When set, the
   /// pipeline records per-stage wall/CPU histograms, pool utilization
   /// and the MiningStats counters into it; null (the default) records

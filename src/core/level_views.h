@@ -33,19 +33,20 @@ struct LevelData {
   /// the re-entrant miner borrows. Guarded by LevelViews::vertical_mu_.
   mutable std::unique_ptr<VerticalIndex> vertical;
   /// Per-segment presence metadata of this level's generalized
-  /// database (scan skipping); null when catalogs are disabled.
+  /// database; null unless BuildOptions::build_catalogs asked for it.
+  /// No mining path reads it.
   std::shared_ptr<const SegmentCatalog> catalog;
 };
 
 class LevelViews {
  public:
   struct BuildOptions {
-    /// Build a per-level SegmentCatalog so the scan paths can skip
-    /// segments that cannot contain a live candidate
-    /// (MiningConfig::enable_segment_skipping). Levels reuse the leaf
-    /// database's attached catalog boundaries (a segmented store's
-    /// shard layout) when present, and fall back to uniform
-    /// `segment_txns`-sized ranges otherwise.
+    /// Build a per-level SegmentCatalog (LevelData::catalog). Levels
+    /// reuse the leaf database's attached catalog boundaries (a
+    /// segmented store's shard layout) when present, and fall back to
+    /// uniform `segment_txns`-sized ranges otherwise. The miners do not
+    /// read catalogs; this exists for callers that time the catalog
+    /// pass.
     bool build_catalogs = true;
     uint64_t segment_txns = SegmentCatalog::kDefaultSegmentTxns;
   };
@@ -64,10 +65,8 @@ class LevelViews {
                                   const Taxonomy& taxonomy,
                                   ThreadPool* pool,
                                   const BuildOptions& options);
-  /// Convenience overload without catalogs: direct callers (tests,
-  /// ad-hoc tools) rarely run the skipping scan paths, so they should
-  /// not pay the per-level catalog pass; the miners opt in through
-  /// BuildOptions.
+  /// The views every miner builds: no per-level catalogs, since no
+  /// mining path reads them.
   static Result<LevelViews> Build(const TransactionDb& leaf_db,
                                   const Taxonomy& taxonomy,
                                   ThreadPool* pool = nullptr) {

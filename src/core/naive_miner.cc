@@ -28,20 +28,10 @@ Result<MiningResult> NaiveMiner::Run(const TransactionDb& db,
                                      const MiningConfig& config) {
   FLIPPER_RETURN_IF_ERROR(config.Validate());
   ThreadPool pool(config.num_threads);
-  LevelViews::BuildOptions view_options;
-  // The naive miner never runs scan-driven cells, so only the
-  // horizontal counter can consume catalogs.
-  view_options.build_catalogs = config.enable_segment_skipping &&
-                                config.counter == CounterKind::kHorizontal;
-  FLIPPER_ASSIGN_OR_RETURN(
-      LevelViews views, LevelViews::Build(db, taxonomy, &pool,
-                                          view_options));
-  CounterOptions counter_options;
-  counter_options.enable_segment_skipping = config.enable_segment_skipping;
-  counter_options.trie.flat = config.enable_flat_trie;
-  counter_options.trie.prefilter = config.enable_txn_prefilter;
+  FLIPPER_ASSIGN_OR_RETURN(LevelViews views,
+                           LevelViews::Build(db, taxonomy, &pool));
   std::unique_ptr<SupportCounter> counter =
-      MakeCounter(config.counter, &pool, counter_options);
+      MakeCounter(config.counter, &pool);
 
   MiningResult result;
   MemoryTracker tracker;
@@ -174,8 +164,6 @@ Result<MiningResult> NaiveMiner::Run(const TransactionDb& db,
   SortPatterns(&result.patterns);
 
   result.stats.db_scans = counter->num_db_scans();
-  result.stats.segments_skipped = counter->segments_skipped();
-  result.stats.txns_prefiltered = counter->txns_prefiltered();
   result.stats.peak_candidate_bytes = tracker.peak_bytes();
   result.stats.total_seconds = total_timer.ElapsedSeconds();
   return result;

@@ -6,8 +6,9 @@
 // frequent.
 //
 // The counting scan is sharded over contiguous transaction ranges via
-// LevelViews::ScanShards — each shard fills a private hash counter,
-// and the shard maps are merged deterministically in shard order.
+// LevelViews::ScanShards — each shard fills a private counter table
+// (core/scan_counter.h), and the shard tables are merged
+// deterministically in shard order.
 // Candidates are emitted in sorted itemset order, so cell contents are
 // reproducible across thread counts and platforms.
 
@@ -16,7 +17,6 @@
 
 #include <array>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -42,22 +42,15 @@ namespace flipper {
 double ScanEnumerationCost(const LevelViews& views, int h, int k,
                            double live_fraction = 1.0);
 
-/// Reusable state of the scan-driven cell: per-shard counters and
-/// item buffers, plus the flag vectors of the filtering passes. The
-/// pipeline keeps one instance alive across a run's scan cells, so a
-/// warm cell re-counts without reallocating — unordered_map clear()
-/// keeps the bucket arrays, and the arena tables' Reset() keeps their
-/// slot/entry/key storage. Which counter family a scan fills is
-/// MiningConfig::enable_arena_scan_counters; both live here so an A/B
-/// flip mid-run reuses whichever is warm.
+/// Reusable state of the scan-driven cell: per-shard counter tables
+/// and item buffers, plus the participating-item flags. The pipeline
+/// keeps one instance alive across a run's scan cells, so a warm cell
+/// re-counts without reallocating — the tables' Reset() keeps their
+/// slot/entry/key storage.
 struct ScanCellScratch {
-  using CountMap = std::unordered_map<Itemset, uint32_t, ItemsetHash>;
-  std::vector<CountMap> shard_counts;
   std::vector<ScanCounterTable> shard_tables;
   std::vector<std::vector<ItemId>> shard_buf;
   std::vector<char> ok;
-  std::vector<char> scan_flags;
-  std::vector<ItemId> live_items;
 };
 
 /// Calls `fn(itemset)` for every k-combination of `items` (sorted
@@ -108,10 +101,7 @@ void ForEachCombination(std::span<const ItemId> items, int k,
 /// (sorted) with their exact `supports`; sets cs->generated and
 /// increments stats->db_scans / stats->scan_cell_scans — even when the
 /// scan bails mid-way with ResourceExhausted, since the I/O happened
-/// either way. With config.enable_txn_prefilter the per-item filter is
-/// pre-screened through an ItemPrefilter over the participating items
-/// (exact: the bitset pass only rejects items the ok[] confirm pass
-/// would reject too). `scratch` (may be null for a one-shot call)
+/// either way. `scratch` (may be null for a one-shot call)
 /// carries the reusable shard buffers across cells. The scan is
 /// sharded over `pool` (null runs it inline); the views are only
 /// read, so concurrent queries may share them, each with its own pool.

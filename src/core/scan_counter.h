@@ -1,6 +1,6 @@
-// ScanCounterTable: the scan-driven cell's hash counter, rebuilt as an
-// open-addressed table whose keys live in a bump arena instead of an
-// std::unordered_map<Itemset, uint32_t> of per-node allocations.
+// ScanCounterTable: the scan-driven cell's hash counter, an
+// open-addressed table whose keys live in a bump arena instead of
+// per-node allocations.
 //
 // Layout: a power-of-two slot array of entry references (linear
 // probing), an insertion-ordered entry column {key_pos, count}, and a
@@ -9,11 +9,10 @@
 // scan with zero heap allocations inside Increment(); any growth that
 // does happen (cold table, or a cell with more distinct combinations
 // than ever seen) is counted in grow_events() for the debug
-// zero-allocation assertions, mirroring CandidateTrie::CountScratch.
+// zero-allocation assertions.
 //
 // Counts are exact and emission order is derived by sorting the
-// entries, so cell contents are bit-identical to the unordered_map
-// path (MiningConfig::enable_arena_scan_counters selects them).
+// entries, so cell contents are reproducible across thread counts.
 
 #ifndef FLIPPER_CORE_SCAN_COUNTER_H_
 #define FLIPPER_CORE_SCAN_COUNTER_H_

@@ -22,10 +22,6 @@ std::string MiningStats::ToString() const {
   out += "db scans:          " +
          FormatCount(static_cast<int64_t>(db_scans)) + " (scan-cell: " +
          FormatCount(static_cast<int64_t>(scan_cell_scans)) + ")\n";
-  out += "segments skipped:  " +
-         FormatCount(static_cast<int64_t>(segments_skipped)) + "\n";
-  out += "txns prefiltered:  " +
-         FormatCount(static_cast<int64_t>(txns_prefiltered)) + "\n";
   out += "positive itemsets: " +
          FormatCount(static_cast<int64_t>(num_positive)) + "\n";
   out += "negative itemsets: " +

@@ -32,16 +32,6 @@ struct MiningStats {
   /// (already included in db_scans; counted even when a scan bails
   /// mid-way with ResourceExhausted).
   uint64_t scan_cell_scans = 0;
-  /// Segments proven candidate-free by the segment catalogs and
-  /// skipped by the counting/scan paths (0 when
-  /// MiningConfig::enable_segment_skipping is off). Each skipped
-  /// segment is counted once per scan that would have touched it.
-  uint64_t segments_skipped = 0;
-  /// Transactions the per-batch candidate prefilter rejected before
-  /// any trie walk across the horizontal counting scans (0 when
-  /// MiningConfig::enable_txn_prefilter is off). Independent of the
-  /// thread count: each transaction is screened once per scan.
-  uint64_t txns_prefiltered = 0;
   double total_seconds = 0.0;
   int64_t peak_candidate_bytes = 0;
   /// Column at which TPG terminated growth (0 = never fired).

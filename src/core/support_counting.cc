@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <memory>
 #include <string>
-#include <unordered_set>
 
 #include "common/trace.h"
 #include "core/candidate_trie.h"
@@ -27,42 +25,103 @@ constexpr size_t kMinCandidatesPerShard = 64;
 constexpr size_t kCancelCheckStride = 512;
 constexpr size_t kCancelCheckStrideVertical = 64;
 
+bool UniformArity(std::span<const Itemset> candidates) {
+  return std::all_of(candidates.begin(), candidates.end(),
+                     [&](const Itemset& c) {
+                       return c.size() == candidates.front().size();
+                     });
+}
+
+/// The horizontal engine's one scan body: a sharded trie-counting scan
+/// of `db` for a non-empty uniform-arity batch. Each shard counts a
+/// contiguous transaction range into a private buffer; the join sums
+/// the buffers into `supports` in shard order, so supports are
+/// bit-identical for any shard count. The trie and the shard buffers
+/// are moved out of `pooled` into state the tasks share, and handed
+/// back by the join, so consecutive scans rebuild into warm arenas.
+/// Both moves run on the calling thread, so the pooling needs no
+/// synchronization. With a pool the shards run as one batch and the
+/// caller is free until it joins; without one they run inline before
+/// this returns. `supports` and `pooled` must outlive the join, and
+/// `pooled` must not back two scans in flight. `h` only labels spans.
+CountFuture StartTrieScan(const TransactionDb& db,
+                          std::span<const Itemset> candidates,
+                          ThreadPool* pool, std::span<uint32_t> supports,
+                          CountBatchScratch* pooled,
+                          const CancelToken* cancel, int h) {
+  const int arity = candidates.front().size();
+  auto state = std::make_shared<CountBatchScratch>(std::move(*pooled));
+  {
+    FLIPPER_TRACE_SPAN_HK("trie_build", "detail", h, arity);
+    state->trie.Build(candidates);
+  }
+  const int num_shards = ShardCount(db.size(), pool, kMinTxnsPerShard);
+  if (state->partial.size() < static_cast<size_t>(num_shards)) {
+    state->partial.resize(static_cast<size_t>(num_shards));
+  }
+
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(static_cast<size_t>(num_shards));
+  const size_t num_candidates = candidates.size();
+  for (int s = 0; s < num_shards; ++s) {
+    const auto [lo, hi] = ShardRange(0, db.size(), num_shards, s);
+    tasks.push_back([state, &db, s, lo = lo, hi = hi, num_candidates,
+                     cancel, h, arity] {
+      FLIPPER_TRACE_SPAN_HK("count_shard", "task", h, arity);
+      auto& counts = state->partial[static_cast<size_t>(s)];
+      counts.assign(num_candidates, 0);
+      // Cancellation poll every kCancelCheckStride transactions; a
+      // fired token abandons the shard (partial counts — the driver
+      // re-checks the token before ever evaluating supports).
+      size_t until_check = kCancelCheckStride;
+      for (size_t t = lo; t < hi; ++t) {
+        if (cancel != nullptr && --until_check == 0) {
+          until_check = kCancelCheckStride;
+          if (cancel->Fired()) return;
+        }
+        state->trie.CountTransaction(db.Get(static_cast<TxnId>(t)),
+                                     counts);
+      }
+    });
+  }
+  ThreadPool::Completion completion;
+  if (pool != nullptr) {
+    completion = pool->SubmitBatch(std::move(tasks));
+  } else {
+    for (const auto& task : tasks) task();
+  }
+  return CountFuture(
+      std::move(completion),
+      [state, supports, pooled, num_shards, h, arity] {
+        FLIPPER_TRACE_SPAN_HK("shard_merge", "detail", h, arity);
+        std::fill(supports.begin(), supports.end(), 0u);
+        for (int s = 0; s < num_shards; ++s) {
+          const auto& counts = state->partial[static_cast<size_t>(s)];
+          for (size_t i = 0; i < supports.size(); ++i) {
+            supports[i] += counts[i];
+          }
+        }
+        *pooled = std::move(*state);
+        return Status::OK();
+      });
+}
+
 class HorizontalCounter final : public SupportCounter {
  public:
-  HorizontalCounter(ThreadPool* pool, const CounterOptions& options)
-      : pool_(pool), options_(options) {}
+  HorizontalCounter(ThreadPool* pool, const CancelToken* cancel)
+      : pool_(pool), cancel_(cancel) {}
 
   Status Count(const LevelViews* views, int h,
                std::span<const Itemset> candidates,
                std::vector<uint32_t>* supports) override {
-    supports->resize(candidates.size());
-    if (candidates.empty()) return Status::OK();
-    const LevelData& level = views->Level(h);
-    const SegmentCatalog* catalog =
-        options_.enable_segment_skipping
-            ? UsableCatalog(level.catalog.get(), level.db)
-            : nullptr;
-    CountBatchOptions batch_options;
-    batch_options.trie = options_.trie;
-    batch_options.scratch = &scratch_;
-    batch_options.txns_prefiltered = &txns_prefiltered_;
-    batch_options.cancel = options_.cancel;
-
-    // The trie requires uniform arity. The mining engines always send
-    // one arity, so the common path feeds the candidate span straight
-    // to the trie with no batch copy; mixed batches group by size.
-    const bool uniform =
-        std::all_of(candidates.begin(), candidates.end(),
-                    [&](const Itemset& c) {
-                      return c.size() == candidates.front().size();
-                    });
-    if (uniform) {
-      CountBatchWithTrie(level.db, candidates, pool_, *supports, catalog,
-                         &segments_skipped_, batch_options);
-      ++num_db_scans_;
-      return Status::OK();
+    if (UniformArity(candidates)) {
+      return StartCount(views, h, candidates, supports).Join();
     }
-
+    // The trie requires uniform arity. The mining engines always send
+    // one arity; mixed batches (tests, ad-hoc callers) group by size,
+    // one scan per group.
+    supports->resize(candidates.size());
+    const TransactionDb& db = views->Level(h).db;
     std::array<std::vector<uint32_t>, kMaxItemsetSize + 1> by_size;
     for (size_t i = 0; i < candidates.size(); ++i) {
       by_size[static_cast<size_t>(candidates[i].size())].push_back(
@@ -73,11 +132,12 @@ class HorizontalCounter final : public SupportCounter {
     for (const auto& group : by_size) {
       if (group.empty()) continue;
       batch.clear();
-      batch.reserve(group.size());
       for (uint32_t idx : group) batch.push_back(candidates[idx]);
       batch_supports.resize(batch.size());
-      CountBatchWithTrie(level.db, batch, pool_, batch_supports, catalog,
-                         &segments_skipped_, batch_options);
+      FLIPPER_RETURN_IF_ERROR(StartTrieScan(db, batch, pool_,
+                                            batch_supports, &scratch_,
+                                            cancel_, h)
+                                  .Join());
       ++num_db_scans_;
       for (size_t j = 0; j < group.size(); ++j) {
         (*supports)[group[j]] = batch_supports[j];
@@ -91,136 +151,19 @@ class HorizontalCounter final : public SupportCounter {
                          std::vector<uint32_t>* supports) override {
     supports->resize(candidates.size());
     if (candidates.empty()) return CountFuture(Status::OK());
-    const bool uniform =
-        std::all_of(candidates.begin(), candidates.end(),
-                    [&](const Itemset& c) {
-                      return c.size() == candidates.front().size();
-                    });
-    if (pool_ == nullptr || !uniform) {
-      // Mixed-arity batches (never sent by the mining engines) and
-      // pool-less counters take the synchronous path.
+    if (!UniformArity(candidates)) {
       return CountFuture(Count(views, h, candidates, supports));
     }
-    const LevelData& level = views->Level(h);
-    const TransactionDb& db = level.db;
     ++num_db_scans_;
-
-    // Segment-skip flags are computed on the driver thread before the
-    // shards launch (the accounting stays single-threaded; the shards
-    // only read the flags).
-    const SegmentCatalog* catalog =
-        options_.enable_segment_skipping
-            ? UsableCatalog(level.catalog.get(), db)
-            : nullptr;
-    std::vector<char> scan_flags;
-    std::span<const uint64_t> boundaries;
-    if (catalog != nullptr) {
-      scan_flags =
-          SegmentScanFlags(*catalog, candidates, &segments_skipped_);
-      boundaries = catalog->boundaries();
-    }
-
-    // Shared shard state: the trie is built here (read-only for the
-    // shards), each shard owns one private counter buffer and one
-    // counting scratch. The buffers are drawn from the counter's
-    // pooled scratch and returned by the finalize step, so
-    // consecutive counts of a row rebuild into warm arenas instead of
-    // allocating. Both moves run on the caller thread (StartCount /
-    // Join), so the pooling itself needs no synchronization; the
-    // workers only ever touch the state while SubmitBatch..Wait
-    // brackets them.
-    struct ScanState {
-      CandidateTrie trie;
-      std::vector<std::vector<uint32_t>> partial;
-      std::vector<CandidateTrie::CountScratch> per_shard;
-      std::vector<char> scan_flags;
-    };
-    auto state = std::make_shared<ScanState>();
-    state->trie = std::move(scratch_.trie);
-    state->partial = std::move(scratch_.partial);
-    state->per_shard = std::move(scratch_.per_shard);
-    {
-      FLIPPER_TRACE_SPAN_HK("trie_build", "detail", h,
-                            static_cast<int>(candidates.front().size()));
-      state->trie.Build(candidates, options_.trie);
-    }
-    state->scan_flags = std::move(scan_flags);
-    const int num_shards = ShardCount(db.size(), pool_, kMinTxnsPerShard);
-    if (state->partial.size() < static_cast<size_t>(num_shards)) {
-      state->partial.resize(static_cast<size_t>(num_shards));
-    }
-    if (state->per_shard.size() < static_cast<size_t>(num_shards)) {
-      state->per_shard.resize(static_cast<size_t>(num_shards));
-    }
-    for (int s = 0; s < num_shards; ++s) {
-      state->per_shard[static_cast<size_t>(s)].Reserve(db.max_width());
-    }
-
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(static_cast<size_t>(num_shards));
-    const size_t num_candidates = candidates.size();
-    const int arity = static_cast<int>(candidates.front().size());
-    const CancelToken* cancel = options_.cancel;
-    for (int s = 0; s < num_shards; ++s) {
-      const auto [lo, hi] = ShardRange(0, db.size(), num_shards, s);
-      tasks.push_back([state, &db, s, lo = lo, hi = hi, boundaries,
-                       num_candidates, h, arity, cancel] {
-        FLIPPER_TRACE_SPAN_HK("count_shard", "task", h, arity);
-        auto& counts = state->partial[static_cast<size_t>(s)];
-        auto& cs = state->per_shard[static_cast<size_t>(s)];
-        counts.assign(num_candidates, 0);
-        cs.txns_prefiltered = 0;
-        // Cancellation poll every kCancelCheckStride transactions; a
-        // fired token abandons the shard (partial counts — the driver
-        // re-checks the token before ever evaluating supports).
-        size_t until_check = kCancelCheckStride;
-        bool bail = false;
-        ForEachScannableRange(
-            boundaries, state->scan_flags, lo, hi,
-            [&](size_t range_lo, size_t range_hi) {
-              if (bail) return;
-              for (size_t t = range_lo; t < range_hi; ++t) {
-                if (cancel != nullptr && --until_check == 0) {
-                  until_check = kCancelCheckStride;
-                  if (cancel->Fired()) {
-                    bail = true;
-                    return;
-                  }
-                }
-                state->trie.CountTransaction(
-                    db.Get(static_cast<TxnId>(t)), counts, &cs);
-              }
-            });
-        assert(cs.grow_events == 0 &&
-               "per-transaction allocation in the counting hot loop");
-      });
-    }
-    ThreadPool::Completion completion = pool_->SubmitBatch(std::move(tasks));
-    return CountFuture(
-        std::move(completion), [this, state, supports, num_shards, h, arity] {
-          FLIPPER_TRACE_SPAN_HK("shard_merge", "detail", h, arity);
-          std::fill(supports->begin(), supports->end(), 0u);
-          for (int s = 0; s < num_shards; ++s) {
-            const auto& counts = state->partial[static_cast<size_t>(s)];
-            for (size_t i = 0; i < supports->size(); ++i) {
-              (*supports)[i] += counts[i];
-            }
-            txns_prefiltered_ +=
-                state->per_shard[static_cast<size_t>(s)].txns_prefiltered;
-          }
-          // Return the warm buffers to the pool for the next count.
-          scratch_.trie = std::move(state->trie);
-          scratch_.partial = std::move(state->partial);
-          scratch_.per_shard = std::move(state->per_shard);
-          return Status::OK();
-        });
+    return StartTrieScan(views->Level(h).db, candidates, pool_, *supports,
+                         &scratch_, cancel_, h);
   }
 
   const char* name() const override { return "horizontal"; }
 
  private:
   ThreadPool* pool_;
-  CounterOptions options_;
+  const CancelToken* cancel_;
   /// Pooled trie arena + shard buffers, reused across counts (the
   /// row-level reuse seam). Only touched from the thread driving
   /// Count/StartCount/Join.
@@ -229,8 +172,8 @@ class HorizontalCounter final : public SupportCounter {
 
 class VerticalCounter final : public SupportCounter {
  public:
-  VerticalCounter(ThreadPool* pool, const CounterOptions& options)
-      : pool_(pool), cancel_(options.cancel) {}
+  VerticalCounter(ThreadPool* pool, const CancelToken* cancel)
+      : pool_(pool), cancel_(cancel) {}
 
   Status Count(const LevelViews* views, int h,
                std::span<const Itemset> candidates,
@@ -304,15 +247,6 @@ class VerticalCounter final : public SupportCounter {
 
 }  // namespace
 
-const SegmentCatalog* UsableCatalog(const SegmentCatalog* catalog,
-                                    const TransactionDb& db) {
-  if (catalog == nullptr || catalog->empty() ||
-      catalog->boundaries().back() != db.size()) {
-    return nullptr;
-  }
-  return catalog;
-}
-
 Status CountFuture::Join() {
   if (joined_) return status_;
   joined_ = true;
@@ -327,151 +261,26 @@ Status CountFuture::Join() {
   return status_;
 }
 
-std::vector<char> SegmentScanFlags(const SegmentCatalog& catalog,
-                                   std::span<const Itemset> candidates,
-                                   uint64_t* skipped) {
-  const size_t num_segments = catalog.num_segments();
-  std::vector<char> scan(num_segments, 1);
-
-  // Distinct items across the batch — the level vocabulary, which is
-  // tiny next to the batch itself.
-  std::unordered_set<ItemId> distinct;
-  for (const Itemset& candidate : candidates) {
-    distinct.insert(candidate.begin(), candidate.end());
-  }
-
-  std::unordered_set<ItemId> absent;
-  for (size_t seg = 0; seg < num_segments; ++seg) {
-    absent.clear();
-    for (ItemId item : distinct) {
-      if (!catalog.MayContain(seg, item)) absent.insert(item);
-    }
-    if (absent.empty()) continue;  // every candidate may occur — scan
-    // The segment is skippable iff every candidate carries at least
-    // one provably absent item; bail on the first survivor.
-    bool any_viable = false;
-    for (const Itemset& candidate : candidates) {
-      bool viable = true;
-      for (ItemId item : candidate) {
-        if (absent.find(item) != absent.end()) {
-          viable = false;
-          break;
-        }
-      }
-      if (viable) {
-        any_viable = true;
-        break;
-      }
-    }
-    if (!any_viable) {
-      scan[seg] = 0;
-      if (skipped != nullptr) ++*skipped;
-    }
-  }
-  return scan;
-}
-
-void CountBatchWithTrie(const TransactionDb& db,
-                        std::span<const Itemset> candidates,
-                        ThreadPool* pool,
-                        std::span<uint32_t> supports,
-                        const SegmentCatalog* catalog,
-                        uint64_t* segments_skipped,
-                        const CountBatchOptions& options) {
-  std::fill(supports.begin(), supports.end(), 0u);
-  catalog = UsableCatalog(catalog, db);
-  std::vector<char> scan_flags;
-  std::span<const uint64_t> boundaries;
-  if (catalog != nullptr) {
-    scan_flags = SegmentScanFlags(*catalog, candidates, segments_skipped);
-    boundaries = catalog->boundaries();
-  }
-
+Status CountBatchWithTrie(const TransactionDb& db,
+                          std::span<const Itemset> candidates,
+                          ThreadPool* pool, std::span<uint32_t> supports,
+                          CountBatchScratch* scratch) {
+  if (candidates.empty()) return Status::OK();
   CountBatchScratch local;
-  CountBatchScratch* s =
-      options.scratch != nullptr ? options.scratch : &local;
-  {
-    FLIPPER_TRACE_SPAN("trie_build", "detail");
-    s->trie.Build(candidates, options.trie);
-  }
-  const int num_shards = ShardCount(db.size(), pool, kMinTxnsPerShard);
-  if (s->per_shard.size() < static_cast<size_t>(num_shards)) {
-    s->per_shard.resize(static_cast<size_t>(num_shards));
-  }
-  for (int i = 0; i < num_shards; ++i) {
-    auto& cs = s->per_shard[static_cast<size_t>(i)];
-    cs.Reserve(db.max_width());
-    cs.txns_prefiltered = 0;
-  }
-  const CandidateTrie& trie = s->trie;
-  const CancelToken* cancel = options.cancel;
-  const auto count_range = [&](std::span<uint32_t> counts,
-                               CandidateTrie::CountScratch* cs, size_t lo,
-                               size_t hi) {
-    size_t until_check = kCancelCheckStride;
-    bool bail = false;
-    ForEachScannableRange(
-        boundaries, scan_flags, lo, hi,
-        [&](size_t range_lo, size_t range_hi) {
-          if (bail) return;
-          for (size_t t = range_lo; t < range_hi; ++t) {
-            if (cancel != nullptr && --until_check == 0) {
-              until_check = kCancelCheckStride;
-              if (cancel->Fired()) {
-                bail = true;
-                return;
-              }
-            }
-            trie.CountTransaction(db.Get(static_cast<TxnId>(t)), counts,
-                                  cs);
-          }
-        });
-  };
-
-  if (num_shards <= 1) {
-    count_range(supports, &s->per_shard[0], 0, db.size());
-  } else {
-    // Private per-shard counters, merged in shard order. Addition is
-    // commutative, so the merge order only matters for determinism of
-    // overflow behaviour — cheap insurance either way.
-    if (s->partial.size() < static_cast<size_t>(num_shards)) {
-      s->partial.resize(static_cast<size_t>(num_shards));
-    }
-    ParallelFor(pool, 0, db.size(), num_shards,
-                [&](int shard, size_t lo, size_t hi) {
-                  FLIPPER_TRACE_SPAN("count_shard", "task");
-                  auto& counts = s->partial[static_cast<size_t>(shard)];
-                  counts.assign(candidates.size(), 0);
-                  count_range(counts,
-                              &s->per_shard[static_cast<size_t>(shard)],
-                              lo, hi);
-                });
-    FLIPPER_TRACE_SPAN("shard_merge", "detail");
-    for (int shard = 0; shard < num_shards; ++shard) {
-      const auto& counts = s->partial[static_cast<size_t>(shard)];
-      for (size_t i = 0; i < supports.size(); ++i) {
-        supports[i] += counts[i];
-      }
-    }
-  }
-  for (int i = 0; i < num_shards; ++i) {
-    const auto& cs = s->per_shard[static_cast<size_t>(i)];
-    assert(cs.grow_events == 0 &&
-           "per-transaction allocation in the counting hot loop");
-    if (options.txns_prefiltered != nullptr) {
-      *options.txns_prefiltered += cs.txns_prefiltered;
-    }
-  }
+  return StartTrieScan(db, candidates, pool, supports,
+                       scratch != nullptr ? scratch : &local,
+                       /*cancel=*/nullptr, /*h=*/0)
+      .Join();
 }
 
 std::unique_ptr<SupportCounter> MakeCounter(CounterKind kind,
                                             ThreadPool* pool,
-                                            const CounterOptions& options) {
+                                            const CancelToken* cancel) {
   switch (kind) {
     case CounterKind::kHorizontal:
-      return std::make_unique<HorizontalCounter>(pool, options);
+      return std::make_unique<HorizontalCounter>(pool, cancel);
     case CounterKind::kVertical:
-      return std::make_unique<VerticalCounter>(pool, options);
+      return std::make_unique<VerticalCounter>(pool, cancel);
   }
   return nullptr;
 }

@@ -91,118 +91,44 @@ class SupportCounter {
   /// counting only; vertical reports 0).
   uint64_t num_db_scans() const { return num_db_scans_; }
 
-  /// Segments the level catalogs proved candidate-free and the scans
-  /// skipped so far (horizontal counting with segment skipping enabled
-  /// only; always 0 otherwise).
-  uint64_t segments_skipped() const { return segments_skipped_; }
-
-  /// Transactions the candidate prefilter rejected before any trie
-  /// walk (horizontal counting with the txn prefilter enabled only;
-  /// always 0 otherwise). Sharding-independent: every transaction is
-  /// evaluated exactly once per scan.
-  uint64_t txns_prefiltered() const { return txns_prefiltered_; }
-
  protected:
   uint64_t num_db_scans_ = 0;
-  uint64_t segments_skipped_ = 0;
-  uint64_t txns_prefiltered_ = 0;
-};
-
-/// Engine knobs beyond the kind itself.
-struct CounterOptions {
-  /// Consult level SegmentCatalogs to skip candidate-free segments
-  /// (horizontal only; exact either way).
-  bool enable_segment_skipping = false;
-  /// Trie layout / prefilter selection for the horizontal scans.
-  CandidateTrie::Options trie;
-  /// Optional cooperative-cancellation token. Shard tasks poll it
-  /// every few hundred transactions (horizontal) / candidates
-  /// (vertical) and bail early once it fires, leaving the supports
-  /// partial — the driver must discard them (CellPipeline re-checks
-  /// the token before evaluating). An un-fired token changes nothing.
-  const CancelToken* cancel = nullptr;
 };
 
 /// `pool` (optional, not owned, must outlive the counter) parallelizes
-/// each Count() call. With `options.enable_segment_skipping` the
-/// horizontal engine consults each level's SegmentCatalog to skip
-/// segments that cannot contain any candidate of the batch; supports
-/// are identical either way (the skip rule is exact). The horizontal
-/// engine keeps one trie arena plus per-shard counter/scratch buffers
-/// alive across calls (the row-level reuse seam), which requires its
-/// StartCount futures to be joined one at a time — exactly the cell
-/// pipeline's sequential begin/finish discipline.
+/// each Count() call. `cancel` (optional) is a cooperative-cancellation
+/// token: shard tasks poll it every few hundred transactions
+/// (horizontal) / candidates (vertical) and bail early once it fires,
+/// leaving the supports partial — the driver must discard them
+/// (CellPipeline re-checks the token before evaluating). An un-fired
+/// token changes nothing. The horizontal engine keeps one trie arena
+/// plus per-shard counter buffers alive across calls (the row-level
+/// reuse seam), which requires its StartCount futures to be joined one
+/// at a time — exactly the cell pipeline's sequential begin/finish
+/// discipline.
 std::unique_ptr<SupportCounter> MakeCounter(
-    CounterKind kind, ThreadPool* pool, const CounterOptions& options);
-
-/// Back-compat convenience overload.
-inline std::unique_ptr<SupportCounter> MakeCounter(
     CounterKind kind, ThreadPool* pool = nullptr,
-    bool enable_segment_skipping = false) {
-  CounterOptions options;
-  options.enable_segment_skipping = enable_segment_skipping;
-  return MakeCounter(kind, pool, options);
-}
+    const CancelToken* cancel = nullptr);
 
-/// `catalog` when it is usable for skipping over `db` — non-empty and
-/// with boundaries spanning exactly db.size() transactions — else
-/// nullptr. Every scan path (horizontal counting and the scan-driven
-/// cell) must route through this guard: a stale or foreign catalog
-/// steering a scan could skip live segments.
-const SegmentCatalog* UsableCatalog(const SegmentCatalog* catalog,
-                                    const TransactionDb& db);
-
-/// Per-segment scan flags for one uniform batch against `catalog`:
-/// flags[seg] is 0 iff every candidate contains an item provably
-/// absent from segment `seg` (the segment cannot change any support).
-/// Adds the number of cleared flags to *skipped when non-null.
-std::vector<char> SegmentScanFlags(const SegmentCatalog& catalog,
-                                   std::span<const Itemset> candidates,
-                                   uint64_t* skipped);
-
-/// Reusable state of one batch scan: the trie arena, the per-shard
-/// private counter buffers, and the per-shard counting scratches. A
-/// caller that keeps one instance across CountBatchWithTrie calls
-/// (e.g. across a row's cells) re-counts with zero hot-loop
-/// allocations once the buffers are warm.
+/// Reusable state of one batch scan: the trie arena and the per-shard
+/// private counter buffers. A caller that keeps one instance across
+/// CountBatchWithTrie calls (e.g. across a row's cells) re-counts into
+/// warm buffers.
 struct CountBatchScratch {
   CandidateTrie trie;
-  /// Per-shard private counters (sharded scans only).
   std::vector<std::vector<uint32_t>> partial;
-  /// Per-shard counting scratch (prefilter compaction buffers).
-  std::vector<CandidateTrie::CountScratch> per_shard;
-};
-
-/// Per-call knobs of CountBatchWithTrie beyond the positional
-/// arguments.
-struct CountBatchOptions {
-  /// Trie layout / prefilter selection for this scan.
-  CandidateTrie::Options trie;
-  /// Reused across calls when non-null (row-level trie reuse); a
-  /// private scratch is used otherwise. Must not be shared between
-  /// concurrent scans.
-  CountBatchScratch* scratch = nullptr;
-  /// Adds the number of prefilter-rejected transactions when non-null.
-  uint64_t* txns_prefiltered = nullptr;
-  /// Optional cancellation token; a fired token makes the scan bail
-  /// early with partial counts (see CounterOptions::cancel).
-  const CancelToken* cancel = nullptr;
 };
 
 /// One sharded trie-counting scan of `db` for a uniform-arity batch
 /// (all candidates the same size, distinct). Fills `supports[i]` with
-/// sup(candidates[i]). This is the horizontal engine's inner scan,
-/// exposed for the thread-scaling bench and the equivalence tests.
-/// A non-null `catalog` (whose boundaries must span db.size()) lets
-/// the scan skip segments per SegmentScanFlags, adding the skip count
-/// to *segments_skipped when non-null.
-void CountBatchWithTrie(const TransactionDb& db,
-                        std::span<const Itemset> candidates,
-                        ThreadPool* pool,
-                        std::span<uint32_t> supports,
-                        const SegmentCatalog* catalog = nullptr,
-                        uint64_t* segments_skipped = nullptr,
-                        const CountBatchOptions& options = {});
+/// sup(candidates[i]). This is the horizontal engine's scan, exposed
+/// for the thread-scaling bench and the equivalence tests. `scratch`
+/// is reused across calls when non-null (row-level trie reuse) and
+/// must not be shared between concurrent scans.
+Status CountBatchWithTrie(const TransactionDb& db,
+                          std::span<const Itemset> candidates,
+                          ThreadPool* pool, std::span<uint32_t> supports,
+                          CountBatchScratch* scratch = nullptr);
 
 }  // namespace flipper
 

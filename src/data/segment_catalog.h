@@ -1,4 +1,4 @@
-// SegmentCatalog: per-segment item metadata for scan skipping. The
+// SegmentCatalog: per-segment item metadata of a segmented store. The
 // transactions of a database are partitioned into contiguous segments
 // (the .fdb shard segments, or synthesized fixed-size ranges for
 // in-memory databases); for each segment the catalog records
@@ -9,22 +9,19 @@
 //   - exact support counts for a tracked set of globally
 //     top-frequency items.
 //
-// The skip rule is one-sided and therefore exact: an unset bit, an id
-// outside [min, max], or a tracked count of zero *proves* the item is
-// absent from the segment, so a candidate itemset containing such an
-// item has zero support there and the segment contributes nothing to
-// its count. A set bit may be a hash collision, which only costs a
-// missed skip, never a wrong support.
+// MayContain() is one-sided: an unset bit, an id outside [min, max],
+// or a tracked count of zero *proves* the item is absent from the
+// segment; a set bit may be a hash collision.
 //
 // The catalog is persisted as the kSegCatalog section of a v2
-// FlipperStore file and rebuilt per abstraction level by LevelViews
-// for the generalized databases (same transaction boundaries, level-h
-// vocabulary).
+// FlipperStore file (the reader validates it against the payload), and
+// LevelViews can rebuild it per abstraction level for the generalized
+// databases (same transaction boundaries, level-h vocabulary) when
+// asked to through LevelViews::BuildOptions.
 
 #ifndef FLIPPER_DATA_SEGMENT_CATALOG_H_
 #define FLIPPER_DATA_SEGMENT_CATALOG_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -99,8 +96,7 @@ class SegmentCatalog {
   /// Bit index of `item` in a `num_bits`-wide segment bitset. This is
   /// the single definition of the catalog hash: the store writer, the
   /// reader's validation rebuild and every MayContain probe go through
-  /// it, so they can never diverge (a divergent hash would silently
-  /// mis-skip live segments).
+  /// it, so they can never diverge.
   static uint32_t HashBit(ItemId item, uint32_t num_bits) {
     // Fibonacci hash; any fixed mixing works as long as every party
     // agrees.
@@ -155,40 +151,6 @@ class SegmentCatalog {
   std::vector<uint64_t> bits_;            // num_segments x bitset_words
   std::vector<uint32_t> tracked_supports_;  // num_segments x tracked
 };
-
-/// Invokes fn(lo, hi) for the maximal sub-ranges of [lo, hi) that lie
-/// in segments whose `scan_segment[seg]` flag is true. `boundaries`
-/// are the catalog's transaction boundaries; empty flags mean "no
-/// catalog consulted" and scan the whole range. The scan paths use
-/// this to walk only non-skipped segments while preserving
-/// transaction order (determinism is unaffected: skipped segments
-/// contribute nothing by construction).
-template <typename Fn>
-void ForEachScannableRange(std::span<const uint64_t> boundaries,
-                           std::span<const char> scan_segment, size_t lo,
-                           size_t hi, const Fn& fn) {
-  if (lo >= hi) return;
-  if (scan_segment.empty()) {
-    fn(lo, hi);
-    return;
-  }
-  // First segment whose end is past lo.
-  size_t seg = 0;
-  {
-    const auto it = std::upper_bound(boundaries.begin(), boundaries.end(),
-                                     static_cast<uint64_t>(lo));
-    seg = static_cast<size_t>(it - boundaries.begin());
-    seg = seg == 0 ? 0 : seg - 1;
-  }
-  size_t t = lo;
-  while (t < hi && seg < scan_segment.size()) {
-    const size_t seg_end =
-        std::min<size_t>(hi, static_cast<size_t>(boundaries[seg + 1]));
-    if (scan_segment[seg]) fn(t, seg_end);
-    t = seg_end;
-    ++seg;
-  }
-}
 
 }  // namespace flipper
 

@@ -124,8 +124,8 @@ class TransactionDb {
   }
 
   /// Attaches a segment catalog describing this database (its
-  /// boundaries must end at size()). The catalog is advisory metadata
-  /// for scan skipping; it is shared by copies and dropped by any
+  /// boundaries must end at size()). The catalog is advisory metadata;
+  /// it is shared by copies and dropped by any
   /// mutation that could invalidate it (Add/Append).
   void AttachSegmentCatalog(std::shared_ptr<const SegmentCatalog> catalog) {
     catalog_ = std::move(catalog);
@@ -155,7 +155,7 @@ class TransactionDb {
   bool borrowed_ = false;
   ItemId alphabet_size_ = 0;
   uint32_t max_width_ = 0;
-  /// Optional scan-skipping metadata (see AttachSegmentCatalog).
+  /// Optional per-segment metadata (see AttachSegmentCatalog).
   std::shared_ptr<const SegmentCatalog> catalog_;
 };
 

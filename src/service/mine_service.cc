@@ -62,11 +62,8 @@ std::string KeyDouble(double v) {
 
 const std::vector<std::string>& MineOptionKeys() {
   static const std::vector<std::string> kKeys = {
-      "gamma",        "epsilon",       "minsup",
-      "measure",      "pruning",       "counter",
-      "threads",      "pipeline",      "row-overlap",
-      "arena-counters", "segment-skipping", "flat-trie",
-      "txn-prefilter", "topk",         "format"};
+      "gamma",   "epsilon",  "minsup",      "measure", "pruning", "counter",
+      "threads", "pipeline", "row-overlap", "topk",    "format"};
   return kKeys;
 }
 
@@ -140,19 +137,6 @@ Status ApplyMineOption(MineRequest* request, std::string_view key,
   if (key == "row-overlap") {
     return ParseOnOff(key, value, &request->enable_row_overlap);
   }
-  if (key == "arena-counters") {
-    return ParseOnOff(key, value,
-                      &request->enable_arena_scan_counters);
-  }
-  if (key == "segment-skipping") {
-    return ParseOnOff(key, value, &request->enable_segment_skipping);
-  }
-  if (key == "flat-trie") {
-    return ParseOnOff(key, value, &request->enable_flat_trie);
-  }
-  if (key == "txn-prefilter") {
-    return ParseOnOff(key, value, &request->enable_txn_prefilter);
-  }
   if (key == "topk") {
     auto parsed = ParseInt(value);
     if (!parsed.ok() || *parsed < 0) {
@@ -192,11 +176,6 @@ MiningConfig ToMiningConfig(const MineRequest& request) {
   config.num_threads = request.num_threads;
   config.enable_pipelining = request.enable_pipelining;
   config.enable_row_overlap = request.enable_row_overlap;
-  config.enable_arena_scan_counters =
-      request.enable_arena_scan_counters;
-  config.enable_segment_skipping = request.enable_segment_skipping;
-  config.enable_flat_trie = request.enable_flat_trie;
-  config.enable_txn_prefilter = request.enable_txn_prefilter;
   config.cancel = request.cancel;
   return config;
 }

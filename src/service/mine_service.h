@@ -56,10 +56,6 @@ struct MineRequest {
   int num_threads = 0;
   bool enable_pipelining = true;
   bool enable_row_overlap = true;
-  bool enable_arena_scan_counters = true;
-  bool enable_segment_skipping = true;
-  bool enable_flat_trie = true;
-  bool enable_txn_prefilter = true;
 
   /// Optional cooperative-cancellation token plumbed into the run
   /// (common/cancellation.h). Not an option key and — like the other
@@ -71,9 +67,8 @@ struct MineRequest {
 
 /// The option keys ApplyMineOption understands, in CLI flag spelling
 /// (gamma, epsilon, minsup, measure, pruning, counter, threads,
-/// pipeline, row-overlap, arena-counters, segment-skipping, flat-trie,
-/// txn-prefilter, topk, format). The CLI iterates this list to route
-/// every present flag through the checked parser.
+/// pipeline, row-overlap, topk, format). The CLI iterates this list to
+/// route every present flag through the checked parser.
 const std::vector<std::string>& MineOptionKeys();
 
 /// Parses and validates one option value into `request`. Unknown keys,

@@ -124,13 +124,11 @@ Result<std::shared_ptr<const StoreEntry>> StoreRegistry::Load(
   open_options.validate = options_.validate;
   FLIPPER_ASSIGN_OR_RETURN(storage::StoreReader reader,
                            storage::StoreReader::Open(path, open_options));
-  // Build the shared views once, catalogs included, with a build-only
-  // pool; the views keep no reference to it (LevelViews::Build).
+  // Build the shared views once with a build-only pool; the views keep
+  // no reference to it (LevelViews::Build).
   ThreadPool build_pool(options_.build_threads);
-  LevelViews::BuildOptions view_options;
-  view_options.build_catalogs = true;
-  auto views = LevelViews::Build(reader.db(), reader.taxonomy(),
-                                 &build_pool, view_options);
+  auto views =
+      LevelViews::Build(reader.db(), reader.taxonomy(), &build_pool);
   if (!views.ok()) return views.status();
   auto entry = std::make_shared<StoreEntry>(std::move(reader),
                                             std::move(views).value());

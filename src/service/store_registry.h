@@ -1,7 +1,7 @@
 // StoreRegistry: the daemon's set of long-lived, shared FlipperStore
 // mappings. Each named store is opened (mmapped) once into a
-// StoreEntry — the StoreReader plus level views pre-built with
-// catalogs and a content fingerprint — and every concurrent query
+// StoreEntry — the StoreReader plus pre-built level views and a
+// content fingerprint — and every concurrent query
 // borrows the same immutable entry via shared_ptr, so admission never
 // re-reads or re-generalizes the dataset.
 //
@@ -39,9 +39,8 @@ struct StoreEntry {
   /// of every result-cache key derived from this entry.
   std::string fingerprint;
   storage::StoreReader reader;
-  /// Pre-built with catalogs over all levels. Queries whose config
-  /// disables skipping simply never consult them — results stay
-  /// byte-identical to a solo run either way (see
+  /// Pre-built once over all levels; every query borrows them, and
+  /// results stay byte-identical to a solo run (see
   /// CellPipeline::Execute's borrowed-views contract).
   LevelViews views;
   uint64_t file_size = 0;

@@ -31,7 +31,7 @@
 //                                                of the CSR boundary)
 //   kTxnItems     per txn: varint first item,    sorted items as gaps
 //                 then varint gaps (>= 1)
-//   kSegCatalog   fixed-width catalog (below)    scan-skipping metadata
+//   kSegCatalog   fixed-width catalog (below)    per-segment item metadata
 //
 // kSegCatalog payload:
 //

@@ -310,8 +310,8 @@ Status StoreReader::DecodeCatalogV2(const std::byte* base,
 
   if (validate) {
     // Rebuild the catalog from the decoded transactions; any
-    // disagreement means the section could mislead scan skipping into
-    // wrong supports, so it is rejected outright. (Bitwise equality
+    // disagreement means the section misdescribes the payload, so it
+    // is rejected outright. (Bitwise equality
     // holds because writer and rebuild share the top-K selection and
     // the bit hash.)
     const SegmentCatalog reference = SegmentCatalog::Build(
@@ -739,7 +739,7 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
       offsets, items, h.alphabet_size, h.max_width);
 
   // --- The v2 segment catalog (validated against the decoded items,
-  // then attached to the database for scan skipping). ---
+  // then attached to the database). ---
   if (v2) {
     FLIPPER_RETURN_IF_ERROR(reader.DecodeCatalogV2(
         base, section(SectionId::kSegCatalog), options.validate));

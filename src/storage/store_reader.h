@@ -9,8 +9,8 @@
 // v2 files carry delta+varint columns, so Open() runs one
 // bounds-checked decode pass into reader-owned buffers (the spans the
 // TransactionDb borrows then point at those buffers) and additionally
-// decodes the segment catalog, which it attaches to the database for
-// scan skipping and exposes through catalog().
+// decodes the segment catalog, which it attaches to the database and
+// exposes through catalog().
 //
 // On platforms without mmap (or with OpenOptions::force_heap) the file
 // is read into one aligned heap buffer instead, with identical

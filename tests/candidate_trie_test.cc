@@ -1,11 +1,8 @@
-// CandidateTrie layouts and probe kernels: the flat SoA arena must
-// count exactly like the legacy layer layout (and like brute force)
-// for every option combination, including adversarial shapes — k = 1,
-// a single candidate, transactions shorter than k, duplicate-free
-// max-width transactions, and item ids >= 512 that alias in the
-// prefilter bitset. Plus: probe-kernel agreement with std::lower_bound,
-// exact memory accounting across layouts, scratch growth accounting,
-// and Build() arena reuse.
+// CandidateTrie and its probe kernels: the trie must count exactly
+// like brute force, including adversarial shapes — k = 1, a single
+// candidate, transactions shorter than k, duplicate-free max-width
+// transactions. Plus: probe-kernel agreement with std::lower_bound,
+// exact memory accounting, and Build() arena reuse.
 
 #include <gtest/gtest.h>
 
@@ -17,54 +14,34 @@
 
 #include "common/rng.h"
 #include "core/candidate_trie.h"
-#include "core/support_counting.h"
 #include "data/transaction_db.h"
 #include "test_util.h"
 
 namespace flipper {
 namespace {
 
-const CandidateTrie::Options kOptionGrid[] = {
-    {/*flat=*/true, /*prefilter=*/true},
-    {/*flat=*/true, /*prefilter=*/false},
-    {/*flat=*/false, /*prefilter=*/true},
-    {/*flat=*/false, /*prefilter=*/false},
-};
-
-std::string OptionTag(const CandidateTrie::Options& options) {
-  return std::string(options.flat ? "flat" : "legacy") +
-         (options.prefilter ? "+prefilter" : "");
-}
-
-/// Counts `db` through a trie built with `options` and compares every
-/// candidate's support against the brute-force scan.
-void ExpectCountsMatchBruteForce(
-    const TransactionDb& db, const std::vector<Itemset>& candidates,
-    const CandidateTrie::Options& options) {
-  CandidateTrie trie(candidates, options);
-  CandidateTrie::CountScratch scratch;
-  scratch.Reserve(db.max_width());
+/// Counts `db` through the trie and compares every candidate's
+/// support against the brute-force scan.
+void ExpectCountsMatchBruteForce(const TransactionDb& db,
+                                 const std::vector<Itemset>& candidates) {
+  const CandidateTrie trie(candidates);
   std::vector<uint32_t> counts(candidates.size(), 0);
   for (TxnId t = 0; t < db.size(); ++t) {
-    trie.CountTransaction(db.Get(t), counts, &scratch);
+    trie.CountTransaction(db.Get(t), counts);
   }
   for (size_t i = 0; i < candidates.size(); ++i) {
     EXPECT_EQ(counts[i], db.CountSupport(candidates[i]))
-        << OptionTag(options) << " diverged on " << candidates[i].ToString();
+        << "diverged on " << candidates[i].ToString();
   }
-  EXPECT_EQ(scratch.grow_events, 0u);
 }
 
-class TrieLayoutProperty : public ::testing::TestWithParam<uint64_t> {};
+class TrieProperty : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(TrieLayoutProperty, AllLayoutsMatchBruteForce) {
+TEST_P(TrieProperty, MatchesBruteForce) {
   Rng rng(GetParam());
   for (int trial = 0; trial < 12; ++trial) {
     TransactionDb db;
     std::vector<ItemId> txn;
-    // Alphabet beyond the 512-bit prefilter width so bitset aliasing
-    // (ids that differ by a multiple of 512 share a bit) is routinely
-    // in play.
     const ItemId alphabet = 700 + static_cast<ItemId>(rng.Below(600));
     for (int t = 0; t < 250; ++t) {
       txn.clear();
@@ -80,8 +57,8 @@ TEST_P(TrieLayoutProperty, AllLayoutsMatchBruteForce) {
     for (int c = 0; c < 80; ++c) {
       Itemset s;
       while (s.size() < k) {
-        // Half the candidates cluster on a narrow band so the
-        // prefilter actually rejects transactions.
+        // Half the candidates cluster on a narrow band, so many
+        // transactions miss every candidate.
         const ItemId item =
             c % 2 == 0 ? static_cast<ItemId>(rng.Below(alphabet))
                        : static_cast<ItemId>(rng.Below(64));
@@ -89,23 +66,19 @@ TEST_P(TrieLayoutProperty, AllLayoutsMatchBruteForce) {
       }
       if (seen.insert(s).second) candidates.push_back(s);
     }
-    for (const CandidateTrie::Options& options : kOptionGrid) {
-      ExpectCountsMatchBruteForce(db, candidates, options);
-    }
+    ExpectCountsMatchBruteForce(db, candidates);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, TrieLayoutProperty,
+INSTANTIATE_TEST_SUITE_P(Seeds, TrieProperty,
                          ::testing::Values(11, 22, 33));
 
-TEST(CandidateTrie, EmptyCandidatesAllLayouts) {
-  for (const CandidateTrie::Options& options : kOptionGrid) {
-    CandidateTrie trie(std::span<const Itemset>{}, options);
-    EXPECT_EQ(trie.num_candidates(), 0u);
-    EXPECT_EQ(trie.num_nodes(), 0u);
-    const ItemId txn[] = {1, 2, 3};
-    trie.CountTransaction(txn);  // must not crash
-  }
+TEST(CandidateTrie, EmptyCandidates) {
+  CandidateTrie trie(std::span<const Itemset>{});
+  EXPECT_EQ(trie.num_candidates(), 0u);
+  EXPECT_EQ(trie.num_nodes(), 0u);
+  const ItemId txn[] = {1, 2, 3};
+  trie.CountTransaction(txn);  // must not crash
 }
 
 TEST(CandidateTrie, SingleItemCandidates) {
@@ -114,33 +87,29 @@ TEST(CandidateTrie, SingleItemCandidates) {
                                      Itemset{600}};
   const ItemId txn[] = {1, 2, 3, 600};
   const ItemId missing[] = {0, 2, 4};
-  for (const CandidateTrie::Options& options : kOptionGrid) {
-    CandidateTrie trie(candidates, options);
-    EXPECT_EQ(trie.k(), 1);
-    EXPECT_EQ(trie.num_nodes(), 3u);
-    trie.CountTransaction(txn);
-    trie.CountTransaction(missing);
-    EXPECT_EQ(trie.CountOf(0), 1u) << OptionTag(options);
-    EXPECT_EQ(trie.CountOf(1), 1u) << OptionTag(options);
-    EXPECT_EQ(trie.CountOf(2), 1u) << OptionTag(options);
-  }
+  CandidateTrie trie(candidates);
+  EXPECT_EQ(trie.k(), 1);
+  EXPECT_EQ(trie.num_nodes(), 3u);
+  trie.CountTransaction(txn);
+  trie.CountTransaction(missing);
+  EXPECT_EQ(trie.CountOf(0), 1u);
+  EXPECT_EQ(trie.CountOf(1), 1u);
+  EXPECT_EQ(trie.CountOf(2), 1u);
 }
 
 TEST(CandidateTrie, SingleCandidateAndShortTransactions) {
   std::vector<Itemset> candidates = {Itemset{4, 9, 17}};
-  for (const CandidateTrie::Options& options : kOptionGrid) {
-    CandidateTrie trie(candidates, options);
-    const ItemId shorter[] = {4, 9};     // txn.size() < k
-    const ItemId exact[] = {4, 9, 17};   // the candidate itself
-    const ItemId super[] = {1, 4, 9, 12, 17, 30};
-    const ItemId wrong[] = {4, 9, 18};
-    trie.CountTransaction(shorter);
-    EXPECT_EQ(trie.CountOf(0), 0u) << OptionTag(options);
-    trie.CountTransaction(exact);
-    trie.CountTransaction(super);
-    trie.CountTransaction(wrong);
-    EXPECT_EQ(trie.CountOf(0), 2u) << OptionTag(options);
-  }
+  CandidateTrie trie(candidates);
+  const ItemId shorter[] = {4, 9};     // txn.size() < k
+  const ItemId exact[] = {4, 9, 17};   // the candidate itself
+  const ItemId super[] = {1, 4, 9, 12, 17, 30};
+  const ItemId wrong[] = {4, 9, 18};
+  trie.CountTransaction(shorter);
+  EXPECT_EQ(trie.CountOf(0), 0u);
+  trie.CountTransaction(exact);
+  trie.CountTransaction(super);
+  trie.CountTransaction(wrong);
+  EXPECT_EQ(trie.CountOf(0), 2u);
 }
 
 TEST(CandidateTrie, MaxWidthDuplicateFreeTransactions) {
@@ -156,80 +125,13 @@ TEST(CandidateTrie, MaxWidthDuplicateFreeTransactions) {
   for (ItemId item = 0; item < 1200; ++item) wide.push_back(item);
   // `wide` contains every multiple of 7 below 1200 plus 1000, so it
   // covers both candidates.
-  for (const CandidateTrie::Options& options : kOptionGrid) {
-    CandidateTrie trie(candidates, options);
-    trie.CountTransaction(wide);
-    EXPECT_EQ(trie.CountOf(0), 1u) << OptionTag(options);
-    EXPECT_EQ(trie.CountOf(1), 1u) << OptionTag(options);
-  }
-}
-
-TEST(CandidateTrie, PrefilterBitsetAliasingIsExact) {
-  // Ids that differ by a multiple of 512 hash to the same prefilter
-  // bit (the multiplier is odd): 1000 = 488 + 512 aliases 488. A
-  // colliding non-candidate transaction item survives the bitset, is
-  // inside [min, max], and must then be rejected by the walk — never
-  // miscounted, never crashing.
-  std::vector<Itemset> candidates = {Itemset{488}, Itemset{2000}};
-  CandidateTrie::Options options;  // flat + prefilter
-  CandidateTrie trie(candidates, options);
-  ASSERT_TRUE(trie.options().prefilter);
-
-  const ItemId both[] = {488, 2000};
-  const ItemId collider[] = {1000};       // aliases 488, not a candidate
-  const ItemId out_of_range[] = {2512};   // aliases 2000, above max
-  trie.CountTransaction(both);
-  trie.CountTransaction(collider);
-  trie.CountTransaction(out_of_range);
+  CandidateTrie trie(candidates);
+  trie.CountTransaction(wide);
   EXPECT_EQ(trie.CountOf(0), 1u);
   EXPECT_EQ(trie.CountOf(1), 1u);
-
-  // The same inputs through the unfiltered legacy trie agree.
-  CandidateTrie legacy(candidates, {/*flat=*/false, /*prefilter=*/false});
-  legacy.CountTransaction(both);
-  legacy.CountTransaction(collider);
-  legacy.CountTransaction(out_of_range);
-  EXPECT_EQ(legacy.CountOf(0), 1u);
-  EXPECT_EQ(legacy.CountOf(1), 1u);
 }
 
-TEST(CandidateTrie, PrefilterRejectionIsCountedAndExact) {
-  // Candidates on a narrow band; transactions mostly outside it.
-  std::vector<Itemset> candidates = {Itemset{10, 11}, Itemset{12, 13}};
-  CandidateTrie trie(candidates, {/*flat=*/true, /*prefilter=*/true});
-  CandidateTrie::CountScratch scratch;
-  scratch.Reserve(8);
-  std::vector<uint32_t> counts(candidates.size(), 0);
-  const ItemId far_away[] = {900, 901, 902};  // all outside [10, 13]
-  const ItemId partial[] = {10, 900, 901};    // 1 live item < k
-  const ItemId hit[] = {10, 11, 900};
-  trie.CountTransaction(far_away, counts, &scratch);
-  trie.CountTransaction(partial, counts, &scratch);
-  trie.CountTransaction(hit, counts, &scratch);
-  EXPECT_EQ(scratch.txns_prefiltered, 2u);
-  EXPECT_EQ(counts[0], 1u);
-  EXPECT_EQ(counts[1], 0u);
-  EXPECT_EQ(scratch.grow_events, 0u);
-}
-
-TEST(CandidateTrie, ScratchGrowthIsCountedOnce) {
-  std::vector<Itemset> candidates = {Itemset{1, 2}};
-  CandidateTrie trie(candidates, {/*flat=*/true, /*prefilter=*/true});
-  CandidateTrie::CountScratch scratch;  // deliberately not reserved
-  std::vector<uint32_t> counts(1, 0);
-  std::vector<ItemId> wide;
-  for (ItemId i = 0; i < 64; ++i) wide.push_back(i);
-  trie.CountTransaction(wide, counts, &scratch);
-  EXPECT_GT(scratch.grow_events, 0u);  // the un-warmed call grew
-  const uint64_t after_first = scratch.grow_events;
-  for (int round = 0; round < 100; ++round) {
-    trie.CountTransaction(wide, counts, &scratch);
-  }
-  // Warm scratch: no further per-transaction allocation.
-  EXPECT_EQ(scratch.grow_events, after_first);
-}
-
-TEST(CandidateTrie, MemoryAccountingIsExactAcrossLayouts) {
+TEST(CandidateTrie, MemoryAccountingIsExact) {
   Rng rng(77);
   std::vector<Itemset> candidates;
   std::unordered_set<Itemset, ItemsetHash> seen;
@@ -241,32 +143,17 @@ TEST(CandidateTrie, MemoryAccountingIsExactAcrossLayouts) {
     if (seen.insert(s).second) candidates.push_back(s);
   }
 
-  const CandidateTrie flat(candidates, {true, false});
-  const CandidateTrie flat_pf(candidates, {true, true});
-  const CandidateTrie legacy(candidates, {false, false});
-  ASSERT_EQ(flat.num_nodes(), legacy.num_nodes());
-  const auto nodes = static_cast<int64_t>(flat.num_nodes());
+  const CandidateTrie trie(candidates);
+  const auto nodes = static_cast<int64_t>(trie.num_nodes());
   const auto leaves = static_cast<int64_t>(candidates.size());
   const auto internal = nodes - leaves;
   const int64_t counters = leaves * static_cast<int64_t>(sizeof(uint32_t));
 
-  // Flat: items column (4B/node) + child ranges (8B/internal) +
-  // leaf indexes (4B/leaf) + k+1 layer offsets + counters. Exact —
-  // the builder reserves precise sizes.
-  const int64_t expected_flat =
-      counters + nodes * 4 + internal * 8 + leaves * 4 + (3 + 1) * 4;
-  EXPECT_EQ(flat.MemoryBytes(), expected_flat);
-
-  // The prefilter adds exactly its bitset block.
-  EXPECT_EQ(flat_pf.MemoryBytes(),
-            expected_flat + CandidateTrie::PrefilterMemoryBytes());
-
-  // Legacy: 16B AoS nodes + counters, also reserved exactly; the two
-  // accountings must agree modulo the per-node layout delta.
-  const int64_t expected_legacy = counters + nodes * 16;
-  EXPECT_EQ(legacy.MemoryBytes(), expected_legacy);
-  EXPECT_EQ(legacy.MemoryBytes() - flat.MemoryBytes(),
-            nodes * 16 - (nodes * 4 + internal * 8 + leaves * 4 + 16));
+  // Items column (4B/node) + child ranges (8B/internal) + leaf
+  // indexes (4B/leaf) + k+1 layer offsets + counters. Exact — the
+  // builder sizes every column precisely.
+  EXPECT_EQ(trie.MemoryBytes(),
+            counters + nodes * 4 + internal * 8 + leaves * 4 + (3 + 1) * 4);
 }
 
 TEST(CandidateTrie, BuildReusesArenaAndStaysCorrect) {
@@ -296,14 +183,12 @@ TEST(CandidateTrie, BuildReusesArenaAndStaysCorrect) {
       db.Add(txn);
     }
 
-    reused.Build(candidates, CandidateTrie::Options{});
+    reused.Build(candidates);
     const CandidateTrie fresh(candidates);
     std::vector<uint32_t> reused_counts(candidates.size(), 0);
     std::vector<uint32_t> fresh_counts(candidates.size(), 0);
-    CandidateTrie::CountScratch scratch;
-    scratch.Reserve(db.max_width());
     for (TxnId t = 0; t < db.size(); ++t) {
-      reused.CountTransaction(db.Get(t), reused_counts, &scratch);
+      reused.CountTransaction(db.Get(t), reused_counts);
       fresh.CountTransaction(db.Get(t), fresh_counts);
     }
     EXPECT_EQ(reused_counts, fresh_counts) << "round " << round;

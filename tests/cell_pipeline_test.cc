@@ -1,8 +1,7 @@
 // Pipeline equivalence: the staged cell pipeline must produce a
 // bit-identical MiningResult — patterns (with chain supports and
 // correlations), per-cell stats and run-level counters — with
-// cross-cell pipelining on or off, cross-row overlap on or off, the
-// scan-cell counter on the hash-map or the bump-arena table, at
+// cross-cell pipelining on or off, cross-row overlap on or off, at
 // 1/2/4/hardware threads, on the datagen scenarios (groceries,
 // census, quest), including a quest profile that pushes cells into
 // the scan-driven strategy.
@@ -140,28 +139,24 @@ void RunScenario(Scenario s) {
   }
 
   // Execution modes × thread counts the suite sweeps: serial,
-  // intra-row pipelining only, the full cross-row overlap, and the
-  // overlap with the hash-map scan counter instead of the arena table
-  // — at 1/2/4 threads plus whatever the hardware reports (0
-  // resolves to it). Every combination must be byte-identical.
+  // intra-row pipelining only and the full cross-row overlap — at
+  // 1/2/4 threads plus whatever the hardware reports (0 resolves to
+  // it). Every combination must be byte-identical.
   struct Mode {
     const char* tag;
     bool pipelining;
     bool row_overlap;
-    bool arena_counters;
   };
   constexpr Mode kModes[] = {
-      {"serial", false, false, true},
-      {"pipelined", true, false, true},
-      {"pipelined+row_overlap", true, true, true},
-      {"pipelined+row_overlap+map_counters", true, true, false},
+      {"serial", false, false},
+      {"pipelined", true, false},
+      {"pipelined+row_overlap", true, true},
   };
   for (int threads : {1, 2, 4, 0}) {
     for (const Mode& mode : kModes) {
       config.num_threads = threads;
       config.enable_pipelining = mode.pipelining;
       config.enable_row_overlap = mode.row_overlap;
-      config.enable_arena_scan_counters = mode.arena_counters;
       auto run = FlipperMiner::Run(s.db, s.taxonomy, config);
       ASSERT_TRUE(run.ok()) << run.status();
       EXPECT_EQ(Fingerprint(*run), reference_fp)
@@ -169,12 +164,10 @@ void RunScenario(Scenario s) {
     }
   }
   config.enable_row_overlap = true;
-  config.enable_arena_scan_counters = true;
 
   // The same scenario through both FlipperStore round trips: a v1
   // store (raw columns, no catalog) and a v2 store (varint columns +
-  // segment catalog, small segments so skipping decisions are in
-  // play) must reproduce the reference fingerprint at 1 and 4
+  // segment catalog, small segments) must reproduce the reference fingerprint at 1 and 4
   // threads.
   for (uint32_t version :
        {storage::kFormatVersionV1, storage::kFormatVersionV2}) {
@@ -220,23 +213,18 @@ TEST(PipelineEquivalence, ScanCellExhaustionIsDeterministic) {
   std::string reference_error;
   for (int threads : {1, 2, 4, 0}) {
     for (bool pipelining : {false, true}) {
-      for (bool arena : {false, true}) {
-        s.config.num_threads = threads;
-        s.config.enable_pipelining = pipelining;
-        s.config.enable_arena_scan_counters = arena;
-        auto run = FlipperMiner::Run(s.db, s.taxonomy, s.config);
-        ASSERT_FALSE(run.ok());
-        EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
-        if (reference_error.empty()) {
-          reference_error = run.status().ToString();
-          EXPECT_NE(reference_error.find("scan-driven"),
-                    std::string::npos)
-              << reference_error;
-        } else {
-          EXPECT_EQ(run.status().ToString(), reference_error)
-              << "threads=" << threads << " pipelining=" << pipelining
-              << " arena=" << arena;
-        }
+      s.config.num_threads = threads;
+      s.config.enable_pipelining = pipelining;
+      auto run = FlipperMiner::Run(s.db, s.taxonomy, s.config);
+      ASSERT_FALSE(run.ok());
+      EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
+      if (reference_error.empty()) {
+        reference_error = run.status().ToString();
+        EXPECT_NE(reference_error.find("scan-driven"), std::string::npos)
+            << reference_error;
+      } else {
+        EXPECT_EQ(run.status().ToString(), reference_error)
+            << "threads=" << threads << " pipelining=" << pipelining;
       }
     }
   }

@@ -2,22 +2,21 @@
 // input-to-patterns pipeline. Every round draws a random dataset
 // (taxonomy shape, transaction count/width) and a random mining
 // configuration (thresholds, measure, counter, pruning stack, scan
-// cells, pipelining, segment skipping), then requires that
+// cells, pipelining, row overlap), then requires that
 //
 //   - FlipperMiner over the text-loaded inputs,
 //   - FlipperMiner over a v1 FlipperStore round trip,
 //   - FlipperMiner over a v2 FlipperStore round trip (varint columns
-//     + segment catalog, small segments so skipping has bite), and
+//     + segment catalog, small shard-misaligned segments), and
 //   - FlipperMiner over a v2 store grown with 1-3 random append
 //     sessions (base prefix + OpenAppend batches, commit trailer in
 //     play)
 //
 // are all byte-identical to the NaiveMiner oracle's CSV export, at 1
-// and 4 threads. This is the guard rail for the v2 scan-skipping
-// machinery: a single wrongly skipped segment shows up as a support
-// (and usually a pattern-set) difference against the oracle — and for
-// the append path, where a mis-encoded block pair or stale catalog
-// would diverge the same way.
+// and 4 threads. This is the guard rail for the v2 decode and append
+// paths: a mis-encoded block pair or a wrongly decoded transaction
+// shows up as a support (and usually a pattern-set) difference against
+// the oracle.
 //
 // Reproducing a failure: every round prints its seed into the assert
 // message; rerun that exact round with
@@ -160,10 +159,6 @@ MiningConfig RandomConfig(Rng* rng) {
   config.enable_scan_cells = rng->Bernoulli(0.7);
   config.enable_pipelining = rng->Bernoulli(0.7);
   config.enable_row_overlap = rng->Bernoulli(0.7);
-  config.enable_arena_scan_counters = rng->Bernoulli(0.7);
-  config.enable_segment_skipping = rng->Bernoulli(0.75);
-  config.enable_flat_trie = rng->Bernoulli(0.7);
-  config.enable_txn_prefilter = rng->Bernoulli(0.7);
   return config;
 }
 
@@ -183,13 +178,7 @@ std::string DescribeConfig(const MiningConfig& config) {
          " pruning=" + config.pruning.ToString() +
          " scan_cells=" + std::to_string(config.enable_scan_cells) +
          " pipelining=" + std::to_string(config.enable_pipelining) +
-         " row_overlap=" + std::to_string(config.enable_row_overlap) +
-         " arena_counters=" +
-         std::to_string(config.enable_arena_scan_counters) +
-         " skipping=" +
-         std::to_string(config.enable_segment_skipping) +
-         " flat_trie=" + std::to_string(config.enable_flat_trie) +
-         " prefilter=" + std::to_string(config.enable_txn_prefilter);
+         " row_overlap=" + std::to_string(config.enable_row_overlap);
 }
 
 /// Runs one round; returns the oracle's pattern count so the suite
@@ -203,8 +192,7 @@ size_t RunRound(uint64_t seed) {
   const auto depth = static_cast<uint32_t>(2 + rng.Below(3));
   const auto num_txns = static_cast<uint32_t>(200 + rng.Below(600));
   const auto max_width = static_cast<uint32_t>(4 + rng.Below(7));
-  // Small, shard-misaligned segments so v2 skipping decisions differ
-  // from the scan sharding.
+  // Small segments, misaligned with the scan sharding.
   const auto segment_txns = static_cast<uint32_t>(24 + rng.Below(80));
 
   const testutil::Dataset data = testutil::RandomDataset(
@@ -290,27 +278,15 @@ size_t RunRound(uint64_t seed) {
       EXPECT_EQ(ToCsv(run->patterns, *source.dict), expected)
           << source.name << " diverged from the naive oracle at "
           << threads << " thread(s)";
-      if (!run_config.enable_segment_skipping) {
-        EXPECT_EQ(run->stats.segments_skipped, 0u)
-            << source.name << " skipped segments with skipping disabled";
-      }
-      if (!run_config.enable_txn_prefilter) {
-        EXPECT_EQ(run->stats.txns_prefiltered, 0u)
-            << source.name
-            << " prefiltered transactions with the prefilter disabled";
-      }
     }
   }
 
   // Concurrency dimension: the daemon's serving shape. Several miners
-  // run AT ONCE over one shared, catalog-bearing LevelViews instance
-  // of the v2 store (each run brings its own pool), and every one must
-  // still match the oracle byte for byte.
+  // run AT ONCE over one shared LevelViews instance of the v2 store
+  // (each run brings its own pool), and every one must still match the
+  // oracle byte for byte.
   {
-    LevelViews::BuildOptions view_options;
-    view_options.build_catalogs = true;
-    auto shared_views = LevelViews::Build(v2->db(), v2->taxonomy(),
-                                          nullptr, view_options);
+    auto shared_views = LevelViews::Build(v2->db(), v2->taxonomy());
     EXPECT_TRUE(shared_views.ok()) << shared_views.status();
     if (!shared_views.ok()) return 0;
     constexpr int kConcurrent = 4;

@@ -226,10 +226,6 @@ TEST(MetricsRegistry, MiningPopulatesTheRegistryWithoutChangingOutput) {
             static_cast<int64_t>(stats.db_scans));
   EXPECT_EQ(m.counter("mine.scan_cell_scans"),
             static_cast<int64_t>(stats.scan_cell_scans));
-  EXPECT_EQ(m.counter("mine.segments_skipped"),
-            static_cast<int64_t>(stats.segments_skipped));
-  EXPECT_EQ(m.counter("mine.txns_prefiltered"),
-            static_cast<int64_t>(stats.txns_prefiltered));
   EXPECT_EQ(m.counter("mine.positive_itemsets"),
             static_cast<int64_t>(stats.num_positive));
   EXPECT_EQ(m.counter("mine.negative_itemsets"),

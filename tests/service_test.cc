@@ -194,7 +194,6 @@ TEST(CanonicalCacheKeyTest, ExcludesExecutionKnobs) {
   b.counter = CounterKind::kVertical;
   b.num_threads = 3;
   b.enable_pipelining = false;
-  b.enable_flat_trie = false;
   EXPECT_EQ(CanonicalCacheKey(a), CanonicalCacheKey(b));
   b.gamma = 0.5;
   EXPECT_NE(CanonicalCacheKey(a), CanonicalCacheKey(b));
@@ -471,6 +470,25 @@ TEST(ServerTest, UnknownStoreAndBadOptionAreCleanErrors) {
   ASSERT_TRUE(bad.ok()) << bad.status();
   EXPECT_FALSE(bad->ok);
   EXPECT_NE(bad->error.find("'2.5'"), std::string::npos) << bad->error;
+
+  // A removed option key is an unknown option: a clean error naming it,
+  // and the same connection keeps serving.
+  auto client = Client::ConnectWithRetry(options.socket_path, 10000);
+  ASSERT_TRUE(client.ok()) << client.status();
+  Request removed;
+  removed.verb = "mine";
+  removed.params = {{"store", "d"}, {"txn-prefilter", "off"}};
+  auto rejected = client->Call(removed);
+  ASSERT_TRUE(rejected.ok()) << rejected.status();
+  EXPECT_FALSE(rejected->ok);
+  EXPECT_NE(rejected->error.find("unknown mine option 'txn-prefilter'"),
+            std::string::npos)
+      << rejected->error;
+  Request ping;
+  ping.verb = "ping";
+  auto pong = client->Call(ping);
+  ASSERT_TRUE(pong.ok()) << pong.status();
+  EXPECT_TRUE(pong->ok) << pong->error;
 
   server.Stop();
   std::remove(store_path.c_str());

@@ -54,9 +54,7 @@ TEST(MiningStats, ToStringCoversEveryCounter) {
   stats.AddCell(cell);
   stats.db_scans = 42;
   stats.scan_cell_scans = 7;
-  stats.segments_skipped = 99;
-  stats.txns_prefiltered = 12345;
-  stats.num_positive = 11;
+  stats.num_positive = 12345;
   stats.num_negative = 22;
   stats.peak_candidate_bytes = 4096;
   stats.tpg_stopped_at = 3;
@@ -67,8 +65,7 @@ TEST(MiningStats, ToStringCoversEveryCounter) {
   // the human-readable summary too (satellite of the same contract).
   for (const char* label :
        {"cells computed:", "candidates gen:", "candidates cnt:",
-        "db scans:", "scan-cell:", "segments skipped:",
-        "txns prefiltered:", "positive itemsets:",
+        "db scans:", "scan-cell:", "positive itemsets:",
         "negative itemsets:", "peak cand. memory:",
         "tpg stop column:", "sibp banned items:", "total time:"}) {
     EXPECT_NE(s.find(label), std::string::npos)
@@ -77,8 +74,7 @@ TEST(MiningStats, ToStringCoversEveryCounter) {
   }
   // Values land next to their labels.
   EXPECT_NE(s.find("1,234"), std::string::npos) << s;  // generated
-  EXPECT_NE(s.find("12,345"), std::string::npos) << s;  // prefiltered
-  EXPECT_NE(s.find("99"), std::string::npos) << s;  // segments skipped
+  EXPECT_NE(s.find("12,345"), std::string::npos) << s;  // positive
 }
 
 TEST(MiningStats, TpgColumnPrintsDashWhenNeverFired) {
@@ -123,8 +119,7 @@ TEST(MiningStats, CliMineStatsPrintsTheFullSummary) {
   // --stats prints the complete summary to stderr.
   for (const char* label :
        {"cells computed:", "candidates gen:", "candidates cnt:",
-        "db scans:", "scan-cell:", "segments skipped:",
-        "txns prefiltered:", "positive itemsets:",
+        "db scans:", "scan-cell:", "positive itemsets:",
         "negative itemsets:", "peak cand. memory:",
         "tpg stop column:", "sibp banned items:", "total time:"}) {
     EXPECT_NE(err.find(label), std::string::npos)

@@ -229,14 +229,15 @@ TEST_F(FlipperCliEndToEnd, ConvertInspectAndMineAreBitIdentical) {
   ASSERT_EQ(RunCli(legacy, &legacy_csv, &err_), 0) << err_;
   EXPECT_EQ(text_csv, legacy_csv);
 
-  // Skipping toggle does not change the output.
-  std::vector<std::string> no_skip = {"mine", "--input", store_,
-                                      "--segment-skipping=off"};
-  no_skip.insert(no_skip.end(), mining_flags.begin(),
-                 mining_flags.end());
-  std::string no_skip_csv;
-  ASSERT_EQ(RunCli(no_skip, &no_skip_csv, &err_), 0) << err_;
-  EXPECT_EQ(text_csv, no_skip_csv);
+  // A removed execution knob is an unknown flag: usage error (exit 2)
+  // quoting the flag, followed by the usage text.
+  std::vector<std::string> removed = {"mine", "--input", store_,
+                                      "--flat-trie=off"};
+  removed.insert(removed.end(), mining_flags.begin(), mining_flags.end());
+  EXPECT_EQ(RunCli(removed, &out_, &err_), 2);
+  EXPECT_NE(err_.find("unknown flag --flat-trie"), std::string::npos)
+      << err_;
+  EXPECT_NE(err_.find("[flags]"), std::string::npos) << err_;
 }
 
 TEST_F(FlipperCliEndToEnd, ConvertStoreVersionsAndDowngrade) {

@@ -1,7 +1,7 @@
 // Dedicated invariance grid for the counting fast paths: mined output
-// must be byte-identical across {flat trie, txn prefilter, row
-// overlap} × {on, off} × {1, 4 threads} × {text, v1 store, v2 store}
-// inputs, across every probe kernel the host can force
+// must be byte-identical across row overlap {on, off} × {1, 4 threads}
+// × {text, v1 store, v2 store} inputs, across every probe kernel the
+// host can force
 // (avx2/sse2/portable/scalar), and the horizontal counter's
 // trie/buffer reuse across consecutive counts (the row seam) must
 // reproduce fresh-counter supports exactly.
@@ -98,31 +98,18 @@ TEST(TrieInvariance, MinedOutputIdenticalAcrossTrieModes) {
       {"v1-store", &v1->db(), &v1->taxonomy(), &v1->dict()},
       {"v2-store", &v2->db(), &v2->taxonomy(), &v2->dict()},
   };
-  for (const bool flat : {true, false}) {
-    for (const bool prefilter : {true, false}) {
-      for (const bool row_overlap : {true, false}) {
-        for (const int threads : {1, 4}) {
-          for (const Source& source : sources) {
-            MiningConfig run_config = config;
-            run_config.enable_flat_trie = flat;
-            run_config.enable_txn_prefilter = prefilter;
-            run_config.enable_row_overlap = row_overlap;
-            run_config.num_threads = threads;
-            auto run = FlipperMiner::Run(*source.db, *source.taxonomy,
-                                         run_config);
-            ASSERT_TRUE(run.ok()) << run.status();
-            EXPECT_EQ(ToCsv(run->patterns, *source.dict), expected)
-                << source.name << " flat=" << flat
-                << " prefilter=" << prefilter
-                << " row_overlap=" << row_overlap
-                << " threads=" << threads;
-            if (!prefilter) {
-              EXPECT_EQ(run->stats.txns_prefiltered, 0u)
-                  << "prefilter disabled but transactions were "
-                     "rejected";
-            }
-          }
-        }
+  for (const bool row_overlap : {true, false}) {
+    for (const int threads : {1, 4}) {
+      for (const Source& source : sources) {
+        MiningConfig run_config = config;
+        run_config.enable_row_overlap = row_overlap;
+        run_config.num_threads = threads;
+        auto run =
+            FlipperMiner::Run(*source.db, *source.taxonomy, run_config);
+        ASSERT_TRUE(run.ok()) << run.status();
+        EXPECT_EQ(ToCsv(run->patterns, *source.dict), expected)
+            << source.name << " row_overlap=" << row_overlap
+            << " threads=" << threads;
       }
     }
   }
@@ -196,7 +183,7 @@ TEST(TrieInvariance, CounterReuseMatchesFreshCounters) {
 
 TEST(TrieInvariance, SharedBatchScratchMatchesFreshScratch) {
   // CountBatchWithTrie with one warm CountBatchScratch across batches
-  // (and across layout options) equals scratch-free calls.
+  // of changing arity equals scratch-free calls.
   const testutil::Dataset data = testutil::RandomDataset(717);
   Rng rng(717);
   const auto& leaves = data.taxonomy.Leaves();
@@ -213,14 +200,12 @@ TEST(TrieInvariance, SharedBatchScratchMatchesFreshScratch) {
       if (seen.insert(s).second) candidates.push_back(s);
     }
     std::vector<uint32_t> plain(candidates.size());
-    CountBatchWithTrie(data.db, candidates, nullptr, plain);
+    ASSERT_TRUE(CountBatchWithTrie(data.db, candidates, nullptr, plain).ok());
 
-    CountBatchOptions options;
-    options.scratch = &scratch;
-    options.trie.flat = round % 2 == 0;  // alternate layouts in place
     std::vector<uint32_t> warm(candidates.size());
-    CountBatchWithTrie(data.db, candidates, nullptr, warm, nullptr,
-                       nullptr, options);
+    ASSERT_TRUE(
+        CountBatchWithTrie(data.db, candidates, nullptr, warm, &scratch)
+            .ok());
     EXPECT_EQ(warm, plain) << "round " << round;
   }
 }

@@ -3,8 +3,8 @@
 # --bench, as the `bench_smoke` CTest does), run bench_micro at a small
 # scale, and validate that bench_results/bench_micro.json parses and
 # contains the perf-trajectory cases this repo tracks — in particular
-# the trie_flat_vs_legacy, txn_prefilter, trie_probe_kernels,
-# row_trie_reuse and scan_counter series with non-zero measurements.
+# the trie_probe_kernels, row_trie_reuse and scan_counter_arena series
+# with non-zero measurements.
 #
 # With --record the validated run is additionally distilled into a
 # committed trajectory snapshot (median/p95 wall + peak RSS per case,
@@ -97,11 +97,8 @@ with open(sys.argv[1]) as f:
 
 cases = {c["name"]: c for c in doc["cases"]}
 required_prefixes = [
-    "trie_flat_vs_legacy",
-    "txn_prefilter",
     "trie_probe_kernels",
     "row_trie_reuse",
-    "scan_counter_map",
     "scan_counter_arena",
     "miner_pipelined",
     "horizontal_scan_threads_1",
@@ -118,10 +115,6 @@ for prefix in required_prefixes:
     if any("p95_ms" not in c or "peak_rss_bytes" not in c for c in hits):
         failures.append(f"{prefix}*: missing p95_ms/peak_rss_bytes")
 
-pf = [c for name, c in cases.items() if name == "txn_prefilter_on"]
-if pf and pf[0].get("txns_prefiltered", 0) <= 0:
-    failures.append("txn_prefilter_on: txns_prefiltered is zero")
-
 arena = cases.get("scan_counter_arena")
 if arena is not None and arena.get("warm_grow_events", -1) != 0:
     failures.append("scan_counter_arena: warm reps allocated")
@@ -135,8 +128,7 @@ print(f"bench smoke OK: {len(cases)} cases validated")
 EOF
 else
   echo "python3 unavailable; falling back to grep validation" >&2
-  for prefix in trie_flat_vs_legacy txn_prefilter trie_probe_kernels \
-                row_trie_reuse scan_counter; do
+  for prefix in trie_probe_kernels row_trie_reuse scan_counter_arena; do
     if ! grep -q "\"name\": \"$prefix" "$JSON"; then
       echo "bench smoke FAILED: no case named $prefix*" >&2
       exit 1

@@ -11,11 +11,10 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=build-tsan
 
 # The parallel suites (cell_pipeline_test sweeps serial/pipelined/
-# row-overlap/map-counter modes at 1/2/4/hw threads — row overlap and
-# arena counters are on by default everywhere else too; storage_test
-# mines borrowed mmap views at 4 threads; segment_skipping_test and
-# the fuzz harness drive the catalog-guided sharded scans;
-# trie_invariance_test exercises the flat-trie/prefilter/row-overlap
+# row-overlap modes at 1/2/4/hw threads — row overlap is on by default
+# everywhere else too; storage_test mines borrowed mmap views at 4
+# threads; the fuzz harness drives the sharded scans over text, v1, v2
+# and appended stores; trie_invariance_test exercises the row-overlap
 # grid, every forced probe kernel, and the counter's pooled trie
 # reuse across async counts; trace_test and pipeline_metrics_test
 # hammer the observability layer's concurrent span recording and the
@@ -29,12 +28,12 @@ BUILD_DIR=build-tsan
 # through TSan); everything else is single-threaded and only slows
 # the instrumented run down.
 SUITES=(thread_pool_test parallel_counting_test cell_pipeline_test
-        storage_test segment_skipping_test fuzz_differential_test
+        storage_test fuzz_differential_test
         trie_invariance_test trace_test pipeline_metrics_test
         service_test service_robustness_test)
 
 # Instrumented fuzz rounds are ~20x slower; a few are enough to race-
-# check the catalog paths (override by exporting FLIPPER_FUZZ_ITERS).
+# check the sharded scans (override by exporting FLIPPER_FUZZ_ITERS).
 export FLIPPER_FUZZ_ITERS="${FLIPPER_FUZZ_ITERS:-3}"
 
 if cmake --preset tsan >/dev/null 2>&1; then
