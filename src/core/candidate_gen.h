@@ -15,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "core/cell.h"
 #include "data/itemset.h"
 #include "taxonomy/taxonomy.h"
@@ -52,9 +53,11 @@ void VerticalExpand(const Itemset& parent, const Taxonomy& taxonomy,
 /// Known-infrequent subset filter for rows >= 2 (where cells are not
 /// complete): drops candidates having a (k-1)-subset that was counted
 /// in `prev_in_row` and found infrequent. Absent subsets are unknown
-/// and do NOT prune. Returns the filtered list.
+/// and do NOT prune. Returns the filtered list, or a partial one once
+/// `cancel` (when non-null) fires.
 std::vector<Itemset> FilterKnownInfrequentSubsets(
-    std::vector<Itemset> candidates, const Cell& prev_in_row);
+    std::vector<Itemset> candidates, const Cell& prev_in_row,
+    const CancelToken* cancel = nullptr);
 
 }  // namespace flipper
 

@@ -3,12 +3,20 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/cancellation.h"
 #include "common/logging.h"
 #include "core/label.h"
 #include "core/pattern.h"
 #include "measures/measure.h"
 
 namespace flipper {
+namespace {
+
+/// Candidates between cancellation polls in Evaluate: a large cell's
+/// evaluation runs for hundreds of milliseconds on the driver thread.
+constexpr size_t kCancelCheckStride = 1024;
+
+}  // namespace
 
 CellEvaluator::CellEvaluator(
     const Taxonomy& taxonomy, const MiningConfig& config,
@@ -47,6 +55,10 @@ Cell CellEvaluator::Evaluate(int h, int k,
       chains_[static_cast<size_t>(h > 1 ? h - 1 : h)];
   std::vector<uint32_t> item_sups;
   for (size_t i = 0; i < candidates.size(); ++i) {
+    if (i % kCancelCheckStride == 0 && config_.cancel != nullptr &&
+        config_.cancel->Fired()) {
+      break;
+    }
     const Itemset& itemset = candidates[i];
     const uint32_t sup = supports[i];
     ItemsetRecord record;

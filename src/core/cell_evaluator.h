@@ -39,7 +39,9 @@ class CellEvaluator {
   /// Builds cell Q(h,k) from the counted batch: support/correlation/
   /// label per record, the flip check against `parent_cell` (null for
   /// row 1), chain extension for alive itemsets. Updates cs->frequent/
-  /// labeled/alive and stats->num_positive/num_negative.
+  /// labeled/alive and stats->num_positive/num_negative. Stops early
+  /// when config.cancel fires, leaving the cell (and the chains and
+  /// counts above) partial: callers check the token before using it.
   Cell Evaluate(int h, int k, std::span<const Itemset> candidates,
                 std::span<const uint32_t> supports,
                 const Cell* parent_cell, CellStats* cs,

@@ -426,8 +426,11 @@ Status CellPipeline::BeginVerticalCell(int h, int k, const Cell* parent,
   if (prev_in_row != nullptr) {
     StageScope stage(metrics_, "subset_filter", h, k);
     work->candidates = FilterKnownInfrequentSubsets(
-        std::move(work->candidates), *prev_in_row);
+        std::move(work->candidates), *prev_in_row, config_.cancel);
   }
+  // The filter stops early on a fired token: never count its partial
+  // output.
+  FLIPPER_RETURN_IF_ERROR(CheckCancel());
   if (plan.truncated) return TruncatedError(h, k);
   work->cs.counted = work->candidates.size();
   StageScope stage(metrics_, "count_start", h, k);
@@ -454,6 +457,8 @@ Result<Cell> CellPipeline::EvaluateCell(CellWork* work,
   Cell cell =
       evaluator_->Evaluate(work->cs.h, work->cs.k, work->candidates,
                            work->supports, parent, &work->cs, &stats_);
+  // Evaluate stops early on a fired token; the partial cell is dropped.
+  FLIPPER_RETURN_IF_ERROR(CheckCancel());
   work->cs.seconds = work->timer.ElapsedSeconds();
   stats_.AddCell(work->cs);
   return cell;

@@ -54,13 +54,20 @@ class LevelViews {
   /// Creates an empty view (no levels); assign from Build().
   LevelViews() = default;
 
-  /// Materializes levels 1..taxonomy.height(). Fails if a transaction
-  /// contains an item that is not a taxonomy node (every transaction
-  /// item must map to a node at every level). A non-null `pool`
-  /// parallelizes the per-level generalization scans; it is used only
-  /// for the duration of the call — the views keep no reference to it,
-  /// so they can outlive the build pool and be shared (read-only)
-  /// across concurrent queries that each bring their own pool.
+  /// Materializes levels 1..taxonomy.height() in one sharded pass over
+  /// `leaf_db`. Fails if a transaction contains an item that is not a
+  /// taxonomy leaf, naming the lowest such transaction. A non-null
+  /// `pool` parallelizes the pass; it is used only for the duration of
+  /// the call — the views keep no reference to it, so they can outlive
+  /// the build pool and be shared (read-only) across concurrent
+  /// queries that each bring their own pool. The result does not
+  /// depend on the pool's size.
+  ///
+  /// The deepest level's view is `leaf_db` itself (every leaf is its
+  /// own level-height generalization): Level(height()).db borrows
+  /// `leaf_db`'s storage instead of copying it. That storage must
+  /// outlive the views and stay unmodified — the rule FromBorrowed
+  /// already sets for store-backed databases.
   static Result<LevelViews> Build(const TransactionDb& leaf_db,
                                   const Taxonomy& taxonomy,
                                   ThreadPool* pool,

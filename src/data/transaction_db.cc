@@ -106,6 +106,25 @@ TransactionDb TransactionDb::FromBorrowed(std::span<const uint64_t> offsets,
   return db;
 }
 
+TransactionDb TransactionDb::FromOwned(Offsets offsets, Items items,
+                                       ItemId alphabet_size,
+                                       uint32_t max_width) {
+  TransactionDb db;
+  db.offsets_ = std::move(offsets);
+  db.items_ = std::move(items);
+  db.alphabet_size_ = alphabet_size;
+  db.max_width_ = max_width;
+  db.SyncViews();
+  return db;
+}
+
+TransactionDb TransactionDb::Borrow() const {
+  TransactionDb db = FromBorrowed(offsets_view_, items_view_,
+                                  alphabet_size_, max_width_);
+  db.catalog_ = catalog_;
+  return db;
+}
+
 void TransactionDb::EnsureOwned() {
   if (!borrowed_) return;
   items_.assign(items_view_.begin(), items_view_.end());
@@ -151,56 +170,21 @@ std::vector<uint32_t> TransactionDb::ItemFrequencies() const {
   return freq;
 }
 
-TransactionDb TransactionDb::Generalize(std::span<const ItemId> ancestor_of,
-                                        ThreadPool* pool) const {
-  const auto generalize_range = [&](TransactionDb* out, size_t lo,
-                                    size_t hi) {
-    std::vector<ItemId> buffer;
-    for (size_t t = lo; t < hi; ++t) {
-      buffer.clear();
-      for (ItemId it : Get(static_cast<TxnId>(t))) {
-        const ItemId anc = it < ancestor_of.size() ? ancestor_of[it]
-                                                   : kInvalidItem;
-        if (anc != kInvalidItem) buffer.push_back(anc);
-      }
-      out->Add(buffer);
-    }
-  };
-
-  const int num_shards = ShardCount(size(), pool, 1024);
-  if (num_shards <= 1) {
-    TransactionDb out;
-    out.Reserve(size(), total_items());
-    generalize_range(&out, 0, size());
-    return out;
-  }
-
-  std::vector<TransactionDb> parts(static_cast<size_t>(num_shards));
-  ParallelFor(pool, 0, size(), num_shards,
-              [&](int shard, size_t lo, size_t hi) {
-                TransactionDb& part = parts[static_cast<size_t>(shard)];
-                part.Reserve(static_cast<uint32_t>(hi - lo),
-                             offsets_view_[hi] - offsets_view_[lo]);
-                generalize_range(&part, lo, hi);
-              });
+TransactionDb TransactionDb::Generalize(
+    std::span<const ItemId> ancestor_of) const {
   TransactionDb out;
   out.Reserve(size(), total_items());
-  for (const TransactionDb& part : parts) out.Append(part);
-  return out;
-}
-
-void TransactionDb::Append(const TransactionDb& other) {
-  EnsureOwned();
-  catalog_.reset();
-  const uint64_t base = items_.size();
-  items_.insert(items_.end(), other.items_view_.begin(),
-                other.items_view_.end());
-  for (size_t i = 1; i < other.offsets_view_.size(); ++i) {
-    offsets_.push_back(base + other.offsets_view_[i]);
+  std::vector<ItemId> buffer;
+  for (TxnId t = 0; t < size(); ++t) {
+    buffer.clear();
+    for (ItemId it : Get(t)) {
+      const ItemId anc =
+          it < ancestor_of.size() ? ancestor_of[it] : kInvalidItem;
+      if (anc != kInvalidItem) buffer.push_back(anc);
+    }
+    out.Add(buffer);
   }
-  alphabet_size_ = std::max(alphabet_size_, other.alphabet_size_);
-  max_width_ = std::max(max_width_, other.max_width_);
-  SyncViews();
+  return out;
 }
 
 }  // namespace flipper

@@ -5,8 +5,9 @@
 // of the input data" (§5).
 //
 // The CSR arrays either live in owned vectors (the default, grown via
-// Add/Append) or borrow externally owned memory — e.g. sections of a
-// memory-mapped FlipperStore file — via FromBorrowed(). Reads are
+// Add, or adopted whole via FromOwned) or borrow externally owned
+// memory — e.g. sections of a memory-mapped FlipperStore file, or
+// another db's storage — via FromBorrowed()/Borrow(). Reads are
 // identical either way; a mutating call on a borrowed db first copies
 // the borrowed data into owned storage.
 
@@ -16,10 +17,10 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "data/itemset.h"
 #include "data/types.h"
 
@@ -27,8 +28,29 @@ namespace flipper {
 
 class SegmentCatalog;
 
+/// std::allocator whose value-less construct() default-initializes, so
+/// resize() leaves new trivial elements unwritten instead of zeroing
+/// them. A builder that then writes every element itself touches each
+/// fresh page once, from whichever thread writes it.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using std::allocator<T>::allocator;
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    if constexpr (sizeof...(Args) == 0) {
+      ::new (static_cast<void*>(p)) U;
+    } else {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  }
+};
+
 class TransactionDb {
  public:
+  /// Owned CSR storage.
+  using Items = std::vector<ItemId, DefaultInitAllocator<ItemId>>;
+  using Offsets = std::vector<uint64_t, DefaultInitAllocator<uint64_t>>;
+
   TransactionDb() {
     offsets_.push_back(0);
     SyncViews();
@@ -51,6 +73,17 @@ class TransactionDb {
                                     ItemId alphabet_size,
                                     uint32_t max_width);
 
+  /// Adopts CSR vectors built elsewhere, without copying. Same
+  /// invariants as FromBorrowed; `alphabet_size` and `max_width` must
+  /// describe the items exactly.
+  static TransactionDb FromOwned(Offsets offsets, Items items,
+                                 ItemId alphabet_size, uint32_t max_width);
+
+  /// A borrowed db over this db's storage, without copying (the
+  /// segment catalog is shared). This db's storage must outlive the
+  /// result and every copy of it, and stay unmodified.
+  TransactionDb Borrow() const;
+
   /// True while the CSR arrays point at external memory.
   bool borrowed() const { return borrowed_; }
 
@@ -66,6 +99,10 @@ class TransactionDb {
     return static_cast<uint32_t>(offsets_view_.size() - 1);
   }
   bool empty() const { return size() == 0; }
+
+  /// Position of transaction `t`'s first item in the flattened item
+  /// array (t <= size(); offset(size()) == total_items()).
+  uint64_t offset(TxnId t) const { return offsets_view_[t]; }
 
   /// Sorted, duplicate-free view of transaction `t`.
   std::span<const ItemId> Get(TxnId t) const {
@@ -99,15 +136,9 @@ class TransactionDb {
   /// Rewrites every item through `ancestor_of` (size >= alphabet_size())
   /// and returns the generalized database; duplicates collapse, so
   /// generalized transactions can be narrower. Items mapped to
-  /// kInvalidItem are dropped. With a pool the rewrite is sharded over
-  /// contiguous transaction ranges and stitched back in shard order, so
-  /// the result is identical to the serial rewrite.
-  TransactionDb Generalize(std::span<const ItemId> ancestor_of,
-                           ThreadPool* pool = nullptr) const;
-
-  /// Appends every transaction of `other` (already sorted/deduped),
-  /// preserving order.
-  void Append(const TransactionDb& other);
+  /// kInvalidItem are dropped. A serial, one-level reference rewrite:
+  /// LevelViews::Build generalizes every level in one sharded pass.
+  TransactionDb Generalize(std::span<const ItemId> ancestor_of) const;
 
   /// Approximate heap footprint in bytes (borrowed storage counts as
   /// zero — it belongs to the backing file/mapping).
@@ -126,7 +157,7 @@ class TransactionDb {
   /// Attaches a segment catalog describing this database (its
   /// boundaries must end at size()). The catalog is advisory metadata;
   /// it is shared by copies and dropped by any
-  /// mutation that could invalidate it (Add/Append).
+  /// mutation that could invalidate it (Add).
   void AttachSegmentCatalog(std::shared_ptr<const SegmentCatalog> catalog) {
     catalog_ = std::move(catalog);
   }
@@ -146,8 +177,8 @@ class TransactionDb {
     items_view_ = items_;
   }
 
-  std::vector<ItemId> items_;      // flattened transactions (owned)
-  std::vector<uint64_t> offsets_;  // size() + 1 boundaries (owned)
+  Items items_;      // flattened transactions (owned)
+  Offsets offsets_;  // size() + 1 boundaries (owned)
   /// Read views: aliases of the owned vectors, or external memory when
   /// borrowed_ is set. Every accessor goes through these.
   std::span<const ItemId> items_view_;

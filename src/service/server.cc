@@ -454,11 +454,13 @@ Response Server::HandleMine(const Request& request, int fd) {
 
   mine.cancel = &token;
 
-  // The query's own observability context: spans land in a session
-  // attached for the duration (concurrent traced queries stay
-  // isolated), metrics in a per-query registry folded into the
-  // daemon's aggregate afterwards. The hangup watcher cancels the
-  // token — and thereby the run — the moment the client disconnects.
+  // The query's own observability context: a trace session attached
+  // for the duration (so concurrent queries' span sites stay isolated)
+  // and a per-query registry the miner fills. Neither is read: the
+  // session is never enabled, and the registry is dropped when the
+  // query returns, so only the daemon counters and `query.latency_ms`
+  // below reach `stats`. The hangup watcher cancels the token — and
+  // thereby the run — the moment the client disconnects.
   trace::Session session;
   MetricsRegistry query_metrics;
   bool disconnected = false;

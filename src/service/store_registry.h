@@ -41,7 +41,9 @@ struct StoreEntry {
   storage::StoreReader reader;
   /// Pre-built once over all levels; every query borrows them, and
   /// results stay byte-identical to a solo run (see
-  /// CellPipeline::Execute's borrowed-views contract).
+  /// CellPipeline::Execute's borrowed-views contract). The deepest
+  /// level borrows `reader`'s storage, so `views` is declared after
+  /// `reader` and dies first.
   LevelViews views;
   uint64_t file_size = 0;
   uint64_t mtime_ns = 0;

@@ -39,8 +39,8 @@ const std::vector<ItemId>& Taxonomy::NodesAtLevel(int h) const {
   return levels_[static_cast<size_t>(h - 1)];
 }
 
-std::vector<ItemId> Taxonomy::LevelMap(int h, size_t min_size) const {
-  std::vector<ItemId> lut(std::max(id_space(), min_size), kInvalidItem);
+std::vector<ItemId> Taxonomy::LevelMap(int h) const {
+  std::vector<ItemId> lut(id_space(), kInvalidItem);
   for (size_t id = 0; id < id_space(); ++id) {
     if (IsNode(static_cast<ItemId>(id))) {
       lut[id] = AncestorAtLevel(static_cast<ItemId>(id), h);

@@ -75,9 +75,9 @@ class Taxonomy {
   const std::vector<ItemId>& Level1() const { return levels_[0]; }
 
   /// Lookup table `lut` with lut[id] = AncestorAtLevel(id, h) for every
-  /// id in [0, id_space), kInvalidItem for non-nodes; sized to at least
-  /// `min_size`. Feed it to TransactionDb::Generalize.
-  std::vector<ItemId> LevelMap(int h, size_t min_size = 0) const;
+  /// id in [0, id_space), kInvalidItem for non-nodes. Feed it to
+  /// TransactionDb::Generalize.
+  std::vector<ItemId> LevelMap(int h) const;
 
   /// Returns a new taxonomy using only the given levels of this one
   /// (Def. 2's truncated-taxonomy queries; also Figure-3[A] when called

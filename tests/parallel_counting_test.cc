@@ -1,7 +1,7 @@
 // Parallel-vs-serial equivalence: the sharded counting engine must
 // produce bit-identical supports and identical mining output for every
-// thread count, both counter kinds, and the parallelized view
-// materialization paths.
+// thread count, both counter kinds, and the parallelized vertical
+// index build (level_views_test covers the sharded view build).
 
 #include <gtest/gtest.h>
 
@@ -70,43 +70,6 @@ TEST(ParallelCounting, TrieScanMatchesSerialAndBruteForce) {
       CountBatchWithTrie(db, candidates, &pool, parallel);
       EXPECT_EQ(parallel, serial)
           << "trial " << trial << ", threads " << pool.num_threads();
-    }
-  }
-}
-
-TEST(ParallelCounting, GeneralizeMatchesSerial) {
-  Rng rng(99);
-  TransactionDb db;
-  std::vector<ItemId> txn;
-  const ItemId alphabet = 50;
-  for (int t = 0; t < 5000; ++t) {
-    txn.clear();
-    const int width = 1 + static_cast<int>(rng.Below(7));
-    for (int i = 0; i < width; ++i) {
-      txn.push_back(static_cast<ItemId>(rng.Below(alphabet)));
-    }
-    db.Add(txn);
-  }
-  // A random many-to-one map with some dropped items.
-  std::vector<ItemId> lut(alphabet);
-  for (ItemId i = 0; i < alphabet; ++i) {
-    lut[i] = rng.Bernoulli(0.1) ? kInvalidItem
-                                : static_cast<ItemId>(rng.Below(12));
-  }
-
-  const TransactionDb serial = db.Generalize(lut);
-  for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    const TransactionDb parallel = db.Generalize(lut, &pool);
-    ASSERT_EQ(parallel.size(), serial.size());
-    EXPECT_EQ(parallel.alphabet_size(), serial.alphabet_size());
-    EXPECT_EQ(parallel.max_width(), serial.max_width());
-    EXPECT_EQ(parallel.total_items(), serial.total_items());
-    for (TxnId t = 0; t < serial.size(); ++t) {
-      const auto a = serial.Get(t);
-      const auto b = parallel.Get(t);
-      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-          << "txn " << t << ", threads " << pool.num_threads();
     }
   }
 }

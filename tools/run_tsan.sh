@@ -10,7 +10,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR=build-tsan
 
-# The parallel suites (cell_pipeline_test sweeps serial/pipelined/
+# The parallel suites (level_views_test runs the sharded one-pass
+# view build and its per-level compaction at 1/2/4/hw threads;
+# cell_pipeline_test sweeps serial/pipelined/
 # row-overlap modes at 1/2/4/hw threads — row overlap is on by default
 # everywhere else too; storage_test mines borrowed mmap views at 4
 # threads; the fuzz harness drives the sharded scans over text, v1, v2
@@ -27,7 +29,8 @@ BUILD_DIR=build-tsan
 # queries — the cancellation plumbing's relaxed atomics MUST go
 # through TSan); everything else is single-threaded and only slows
 # the instrumented run down.
-SUITES=(thread_pool_test parallel_counting_test cell_pipeline_test
+SUITES=(thread_pool_test parallel_counting_test level_views_test
+        cell_pipeline_test
         storage_test fuzz_differential_test
         trie_invariance_test trace_test pipeline_metrics_test
         service_test service_robustness_test)
