@@ -1,6 +1,6 @@
-// Micro-benchmarks: correlation measure evaluation, TID-set
-// intersections, candidate-trie counting, itemset operations, and the
-// thread-scaling series for the sharded counting engine.
+// Micro-benchmarks: correlation measure evaluation, candidate-trie
+// counting, itemset operations, and the thread-scaling series for the
+// sharded counting engine.
 //
 // Self-contained harness (no external benchmark dependency): every case
 // runs a warm-up pass plus FLIPPER_BENCH_REPS timed repetitions and
@@ -36,9 +36,7 @@
 #include "data/db_io.h"
 #include "data/item_dictionary.h"
 #include "data/itemset.h"
-#include "data/tidset.h"
 #include "data/transaction_db.h"
-#include "data/vertical_index.h"
 #include "datagen/census_sim.h"
 #include "datagen/groceries_sim.h"
 #include "datagen/medline_sim.h"
@@ -165,16 +163,6 @@ void EmitResults(const std::vector<CaseResult>& results,
   }
 }
 
-TidSet MakeRandomTidSet(Rng* rng, uint32_t universe, double density,
-                        bool dense) {
-  std::vector<TxnId> tids;
-  for (TxnId t = 0; t < universe; ++t) {
-    if (rng->Bernoulli(density)) tids.push_back(t);
-  }
-  return dense ? TidSet::BuildDense(tids, universe)
-               : TidSet::BuildSparse(tids, universe);
-}
-
 void BenchCorrelation(std::vector<CaseResult>* results) {
   for (const auto& [kind, kind_name] :
        {std::pair{MeasureKind::kKulczynski, "kulc"},
@@ -198,61 +186,6 @@ void BenchCorrelation(std::vector<CaseResult>* results) {
           }));
     }
   }
-}
-
-void BenchTidSetIntersect(std::vector<CaseResult>* results) {
-  Rng rng(7);
-  const auto universe = static_cast<uint32_t>(1'000'000 * BenchScale());
-  TidSet dense_a = MakeRandomTidSet(&rng, universe, 0.2, true);
-  TidSet dense_b = MakeRandomTidSet(&rng, universe, 0.2, true);
-  TidSet sparse_a = MakeRandomTidSet(&rng, universe, 0.01, false);
-  TidSet sparse_b = MakeRandomTidSet(&rng, universe, 0.01, false);
-  constexpr int kIters = 200;
-  results->push_back(
-      RunCase("tidset_intersect_dense", 1,
-              static_cast<double>(universe) * kIters, [&] {
-                uint32_t acc = 0;
-                for (int i = 0; i < kIters; ++i) {
-                  acc += TidSet::IntersectCount(dense_a, dense_b);
-                }
-                if (acc == 0) std::abort();
-              }));
-  results->push_back(
-      RunCase("tidset_intersect_sparse", 1,
-              static_cast<double>(sparse_a.cardinality()) * kIters, [&] {
-                uint32_t acc = 0;
-                for (int i = 0; i < kIters; ++i) {
-                  acc += TidSet::IntersectCount(sparse_a, sparse_b);
-                }
-                // The sparse intersection can legitimately be empty at
-                // small scales; keep the loop observable without an
-                // abort guard that could misfire.
-                volatile uint32_t sink = acc;
-                (void)sink;
-              }));
-
-  // Many-way intersection with the reusable scratch (the vertical
-  // engine's hot path).
-  std::vector<TidSet> sets;
-  for (int i = 0; i < 4; ++i) {
-    sets.push_back(MakeRandomTidSet(&rng, universe, 0.05, false));
-  }
-  std::vector<const TidSet*> ptrs;
-  for (const TidSet& s : sets) ptrs.push_back(&s);
-  results->push_back(RunCase(
-      "tidset_intersect_4way_scratch", 1,
-      static_cast<double>(sets[0].cardinality()) * kIters, [&] {
-        TidSet::IntersectScratch scratch;
-        uint32_t acc = 0;
-        for (int i = 0; i < kIters; ++i) {
-          acc += TidSet::IntersectCountMany(ptrs, &scratch);
-        }
-        // A 4-way sparse intersection can legitimately be empty, so an
-        // abort guard would misfire; a volatile sink keeps the loop
-        // observable instead.
-        volatile uint32_t sink = acc;
-        (void)sink;
-      }));
 }
 
 void BenchItemsetOps(std::vector<CaseResult>* results) {
@@ -475,7 +408,7 @@ void BenchScanCounters(std::vector<CaseResult>* results) {
   results->push_back(arena_case);
 }
 
-/// Thread-scaling series: the sharded horizontal counting scan on a
+/// Thread-scaling series: the sharded trie-counting scan on a
 /// fixed synthetic DB at 1..N threads. The JSON records speedup_vs_1t
 /// so cross-PR runs can track the scaling curve.
 void BenchThreadScaling(std::vector<CaseResult>* results) {
@@ -501,31 +434,6 @@ void BenchThreadScaling(std::vector<CaseResult>* results) {
     if (threads == 1) ms_1t = r.median_ms;
     if (ms_1t > 0.0 && r.median_ms > 0.0) {
       r.speedup = ms_1t / r.median_ms;
-    }
-    results->push_back(r);
-  }
-
-  // The vertical engine's candidate sharding on the same workload.
-  VerticalIndex index(w.db);
-  double vert_ms_1t = 0.0;
-  for (int threads : thread_counts) {
-    ThreadPool pool(threads);
-    ThreadPool* pool_ptr = threads == 1 ? nullptr : &pool;
-    CaseResult r = RunCase(
-        "vertical_intersect_threads_" + std::to_string(threads), threads,
-        w.candidates.size(), [&] {
-          ParallelFor(pool_ptr, 0, w.candidates.size(), threads,
-                      [&](int, size_t lo, size_t hi) {
-                        TidSet::IntersectScratch scratch;
-                        for (size_t i = lo; i < hi; ++i) {
-                          supports[i] =
-                              index.Support(w.candidates[i], &scratch);
-                        }
-                      });
-        });
-    if (threads == 1) vert_ms_1t = r.median_ms;
-    if (vert_ms_1t > 0.0 && r.median_ms > 0.0) {
-      r.speedup = vert_ms_1t / r.median_ms;
     }
     results->push_back(r);
   }
@@ -870,7 +778,6 @@ int main() {
             << ThreadPool::ResolveThreadCount(0) << "\n\n";
   std::vector<CaseResult> results;
   BenchCorrelation(&results);
-  BenchTidSetIntersect(&results);
   BenchItemsetOps(&results);
   BenchTrieCounting(&results);
   BenchProbeKernels(&results);

@@ -145,8 +145,6 @@ int MineCommand(const std::vector<const char*>& argv, std::ostream& out,
                "NAME");
   args.AddFlag("pruning", "full|tpg|flipping|support (default full)",
                "NAME");
-  args.AddFlag("counter", "horizontal|vertical (default horizontal)",
-               "NAME");
   args.AddFlag("threads",
                "worker threads for counting (default 0 = all hardware "
                "threads)",
@@ -1155,7 +1153,6 @@ int QueryCommand(const std::vector<const char*>& argv, std::ostream& out,
                "F1,F2,...");
   args.AddFlag("measure", "correlation measure name", "NAME");
   args.AddFlag("pruning", "full|tpg|flipping|support", "NAME");
-  args.AddFlag("counter", "horizontal|vertical", "NAME");
   args.AddFlag("threads", "worker threads for counting", "N");
   args.AddFlag("pipeline", "on|off", "MODE");
   args.AddFlag("row-overlap", "on|off", "MODE");
@@ -1270,7 +1267,7 @@ LoadgenVariants() {
       std::vector<std::pair<std::string, std::string>>>
       kVariants = {
           {{"format", "csv"}},
-          {{"format", "csv"}, {"counter", "vertical"}, {"topk", "5"}},
+          {{"format", "csv"}, {"threads", "2"}, {"topk", "5"}},
           {{"format", "csv"}, {"gamma", "0.5"}, {"pipeline", "off"}},
           {{"format", "json"}, {"epsilon", "0.05"}},
       };
@@ -1443,7 +1440,7 @@ int LoadgenCommand(const std::vector<const char*>& argv,
           response = client->Call(request, io_timeout_ms);
         }
         retry_backoff.Reset();
-        const double ms = timer.ElapsedMillis();
+        const double ms = timer.ElapsedSeconds() * 1e3;
         if (!response.ok() || !response->ok) {
           failures.fetch_add(1);
           record_error("request " + std::to_string(r) + ": " +
@@ -1550,15 +1547,7 @@ int LoadgenCommand(const std::vector<const char*>& argv,
   }
 #endif  // !_WIN32
 
-  // Nearest-rank percentiles over the client-observed latencies.
   std::sort(latencies_ms.begin(), latencies_ms.end());
-  const auto percentile = [&latencies_ms](double p) {
-    if (latencies_ms.empty()) return 0.0;
-    size_t rank = static_cast<size_t>(
-        p * static_cast<double>(latencies_ms.size()) / 100.0);
-    if (rank >= latencies_ms.size()) rank = latencies_ms.size() - 1;
-    return latencies_ms[rank];
-  };
   out << "loadgen: " << total << " requests over " << *connections
       << " connections in " << FormatDouble(elapsed_s, 2) << " s: "
       << failures.load() << " failed, " << mismatches.load()
@@ -1566,10 +1555,11 @@ int LoadgenCommand(const std::vector<const char*>& argv,
       << (expected.empty() ? " (no --expect-from; bodies unverified)"
                            : "")
       << "\n"
-      << "latency ms: p50 " << FormatDouble(percentile(50), 2)
-      << ", p95 " << FormatDouble(percentile(95), 2) << ", max "
+      << "latency ms: p50 "
+      << FormatDouble(NearestRank(latencies_ms, 0.50), 3) << ", p95 "
+      << FormatDouble(NearestRank(latencies_ms, 0.95), 3) << ", max "
       << FormatDouble(latencies_ms.empty() ? 0.0 : latencies_ms.back(),
-                      2)
+                      3)
       << "\n";
   if (chaos_run > 0) {
     out << "chaos: " << chaos_run << " fault-injected requests, daemon "

@@ -58,7 +58,7 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
                              LevelViews::Build(db, tax_, pool_.get()));
     views_ = &owned_views_;
   }
-  counter_ = MakeCounter(config_.counter, pool_.get(), config_.cancel);
+  counter_.emplace(pool_.get(), config_.cancel);
   pipelining_ = config_.enable_pipelining;
   row_overlap_ = pipelining_ && config_.enable_row_overlap;
 

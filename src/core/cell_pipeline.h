@@ -3,8 +3,10 @@
 // explicit stages —
 //
 //   plan     (CellPlanner)   candidate generation, strategy selection
-//   count    (SupportCounter) one sharded database scan on the pool,
-//                             or the scan-driven route (scan_cell.h)
+//   count    (SupportCounter) one sharded database scan of the
+//                             cell's same-size candidates on the
+//                             pool, or the scan-driven route
+//                             (scan_cell.h)
 //   evaluate (CellEvaluator)  correlation, labels, chains, SIBP
 //
 // — and the driver overlaps stages across cells: while Q(h,k)'s
@@ -77,12 +79,12 @@ class CellPipeline {
 
   /// Same run over pre-built (shared, read-only) level views of `db`.
   /// A non-null `shared_views` skips the per-run views build: the
-  /// pipeline only reads them (their lazy vertical index goes through
-  /// its thread-safe seam), so any number of concurrent pipelines may
-  /// borrow one LevelViews instance, each with its own pool. Results
-  /// are bit-identical to the owned-views path — shard counts derive
-  /// from this run's pool, never from whoever built the views. The
-  /// views must describe exactly `db` and outlive the call.
+  /// pipeline only reads them (they are immutable after Build), so any
+  /// number of concurrent pipelines may borrow one LevelViews
+  /// instance, each with its own pool. Results are bit-identical to
+  /// the owned-views path — shard counts derive from this run's pool,
+  /// never from whoever built the views. The views must describe
+  /// exactly `db` and outlive the call.
   Result<MiningResult> Execute(const TransactionDb& db,
                                const LevelViews* shared_views);
 
@@ -191,7 +193,7 @@ class CellPipeline {
   LevelViews owned_views_;
   /// The views this run reads: &owned_views_ or the borrowed instance.
   const LevelViews* views_ = nullptr;
-  std::unique_ptr<SupportCounter> counter_;
+  std::optional<SupportCounter> counter_;
   std::unique_ptr<CellPlanner> planner_;
   std::unique_ptr<CellEvaluator> evaluator_;
   MemoryTracker tracker_;

@@ -4,16 +4,6 @@
 
 namespace flipper {
 
-const char* CounterKindToString(CounterKind kind) {
-  switch (kind) {
-    case CounterKind::kHorizontal:
-      return "horizontal";
-    case CounterKind::kVertical:
-      return "vertical";
-  }
-  return "?";
-}
-
 std::string PruningOptions::ToString() const {
   if (!flipping && !tpg && !sibp) return "support-only";
   std::string out = "flipping";

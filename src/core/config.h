@@ -1,5 +1,5 @@
-// Mining configuration: thresholds, measure, pruning stack, counting
-// engine.
+// Mining configuration: thresholds, measure, pruning stack, execution
+// knobs.
 
 #ifndef FLIPPER_CORE_CONFIG_H_
 #define FLIPPER_CORE_CONFIG_H_
@@ -15,14 +15,6 @@ namespace flipper {
 
 class CancelToken;
 class MetricsRegistry;
-
-/// Which support-counting engine evaluates candidates.
-enum class CounterKind {
-  kHorizontal,  // database scan + candidate prefix trie (paper's model)
-  kVertical,    // per-item TID-set intersection
-};
-
-const char* CounterKindToString(CounterKind kind);
 
 /// Pruning layers on top of support-based pruning. The paper's
 /// evaluation series map to:
@@ -62,8 +54,6 @@ struct MiningConfig {
   MeasureKind measure = MeasureKind::kKulczynski;
 
   PruningOptions pruning = PruningOptions::Full();
-
-  CounterKind counter = CounterKind::kHorizontal;
 
   /// Worker threads for support counting and view materialization;
   /// 0 means "all hardware threads". Results are identical for any

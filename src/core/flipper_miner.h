@@ -6,7 +6,7 @@
 //   cell_planner.h    — candidate generation + strategy selection
 //                       (pairs / apriori-join / vertical-expand /
 //                       scan-driven);
-//   support_counting.h — the sharded counting engines, with an
+//   support_counting.h — the sharded counting engine, with an
 //                       asynchronous StartCount seam;
 //   scan_cell.h       — the scan-driven cell (sharded hash counting
 //                       over transaction ranges);

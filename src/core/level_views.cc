@@ -288,19 +288,6 @@ Result<LevelViews> LevelViews::Build(const TransactionDb& leaf_db,
   return views;
 }
 
-const VerticalIndex& LevelViews::EnsureVertical(int h,
-                                                ThreadPool* pool) const {
-  const LevelData& data = levels_[static_cast<size_t>(h - 1)];
-  // Serialize the lazy build; losers of the race reuse the winner's
-  // index (whichever pool built it — the index content is
-  // pool-independent).
-  std::lock_guard<std::mutex> lock(*vertical_mu_);
-  if (data.vertical == nullptr) {
-    data.vertical = std::make_unique<VerticalIndex>(data.db, pool);
-  }
-  return *data.vertical;
-}
-
 int LevelViews::NumScanShards(int h, size_t min_txns_per_shard,
                               const ThreadPool* pool) const {
   return ShardCount(Level(h).db.size(), pool, min_txns_per_shard);

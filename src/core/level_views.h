@@ -1,21 +1,21 @@
 // LevelViews: per-abstraction-level generalized databases plus the
-// derived structures the counting engines need (single-item supports,
-// optional vertical indexes). Level h's view is the input database with
-// every item replaced by its level-h generalization (paper Figure 4).
+// derived structures the miners need (single-item supports, width
+// histograms). Level h's view is the input database with every item
+// replaced by its level-h generalization (paper Figure 4). Everything
+// is materialized by Build; afterwards the views are immutable, so one
+// instance can be shared read-only across concurrent queries.
 
 #ifndef FLIPPER_CORE_LEVEL_VIEWS_H_
 #define FLIPPER_CORE_LEVEL_VIEWS_H_
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "data/segment_catalog.h"
 #include "data/transaction_db.h"
-#include "data/vertical_index.h"
 #include "taxonomy/taxonomy.h"
 
 namespace flipper {
@@ -28,10 +28,6 @@ struct LevelData {
   std::vector<uint32_t> item_support;
   /// width_hist[w] = number of transactions of generalized width w.
   std::vector<uint32_t> width_hist;
-  /// Built on demand (vertical counting only); mutable so the lazy
-  /// build stays available through the const (shared, read-only) view
-  /// the re-entrant miner borrows. Guarded by LevelViews::vertical_mu_.
-  mutable std::unique_ptr<VerticalIndex> vertical;
   /// Per-segment presence metadata of this level's generalized
   /// database; null unless BuildOptions::build_catalogs asked for it.
   /// No mining path reads it.
@@ -93,12 +89,6 @@ class LevelViews {
     return item < sup.size() ? sup[item] : 0;
   }
 
-  /// Ensures Level(h).vertical is built (parallelized over `pool` when
-  /// non-null). Thread-safe: concurrent callers serialize on the build
-  /// and all observe the same index, so shared views stay usable from
-  /// concurrent queries (each passing its own pool).
-  const VerticalIndex& EnsureVertical(int h, ThreadPool* pool) const;
-
   /// Deterministic shard count for a sharded scan of level h's
   /// generalized database on `pool`: one shard per pool thread,
   /// reduced so every shard keeps `min_txns_per_shard` transactions
@@ -125,10 +115,6 @@ class LevelViews {
  private:
   uint32_t num_txns_ = 0;
   std::vector<LevelData> levels_;
-  /// Serializes lazy vertical-index builds across sharing queries
-  /// (heap-held so the views stay movable while being built).
-  std::unique_ptr<std::mutex> vertical_mu_ =
-      std::make_unique<std::mutex>();
 };
 
 }  // namespace flipper

@@ -1,7 +1,6 @@
 #include "core/naive_miner.h"
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "common/memory_tracker.h"
@@ -30,8 +29,7 @@ Result<MiningResult> NaiveMiner::Run(const TransactionDb& db,
   ThreadPool pool(config.num_threads);
   FLIPPER_ASSIGN_OR_RETURN(LevelViews views,
                            LevelViews::Build(db, taxonomy, &pool));
-  std::unique_ptr<SupportCounter> counter =
-      MakeCounter(config.counter, &pool);
+  SupportCounter counter(&pool);
 
   MiningResult result;
   MemoryTracker tracker;
@@ -85,7 +83,7 @@ Result<MiningResult> NaiveMiner::Run(const TransactionDb& db,
 
       std::vector<uint32_t> supports;
       FLIPPER_RETURN_IF_ERROR(
-          counter->Count(&views, h, candidates, &supports));
+          counter.Count(&views, h, candidates, &supports));
 
       Cell cell(h, k, &tracker);
       CellStats cs;
@@ -163,7 +161,7 @@ Result<MiningResult> NaiveMiner::Run(const TransactionDb& db,
   }
   SortPatterns(&result.patterns);
 
-  result.stats.db_scans = counter->num_db_scans();
+  result.stats.db_scans = counter.num_db_scans();
   result.stats.peak_candidate_bytes = tracker.peak_bytes();
   result.stats.total_seconds = total_timer.ElapsedSeconds();
   return result;

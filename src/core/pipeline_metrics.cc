@@ -29,13 +29,6 @@ double BucketMid(int i) {
   return std::exp2(i - kBucketOffset + 0.5);
 }
 
-double NearestRank(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0;
-  const size_t rank = static_cast<size_t>(
-      std::ceil(q * static_cast<double>(sorted.size())));
-  return sorted[std::min(sorted.size() - 1, rank == 0 ? 0 : rank - 1)];
-}
-
 double BucketRank(const std::vector<uint64_t>& buckets, uint64_t count,
                   double q) {
   const auto rank = static_cast<uint64_t>(
@@ -54,6 +47,13 @@ void WriteJsonNumber(std::ostream& out, double v) {
 }
 
 }  // namespace
+
+double NearestRank(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0;
+  const size_t rank = static_cast<size_t>(
+      std::ceil(q * static_cast<double>(sorted.size())));
+  return sorted[std::min(sorted.size() - 1, rank == 0 ? 0 : rank - 1)];
+}
 
 uint64_t ThreadCpuNowNanos() {
 #if defined(CLOCK_THREAD_CPUTIME_ID)

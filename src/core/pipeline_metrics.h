@@ -154,6 +154,10 @@ class ScopedStageTimer {
 /// unsupported).
 uint64_t ThreadCpuNowNanos();
 
+/// Nearest-rank `q`-quantile (q in [0, 1]) of ascending `sorted`: the
+/// ceil(q * n)-th smallest value, or 0 when empty.
+double NearestRank(const std::vector<double>& sorted, double q);
+
 }  // namespace flipper
 
 #endif  // FLIPPER_CORE_PIPELINE_METRICS_H_

@@ -115,9 +115,10 @@ class TransactionDb {
   /// (merge-style subset test over the sorted layouts).
   bool Contains(TxnId t, const Itemset& itemset) const;
 
-  /// Number of transactions containing `itemset` (full scan).
-  /// This is the reference counting path; the mining engines use the
-  /// SupportCounter implementations instead.
+  /// Number of transactions containing `itemset` (full scan, one
+  /// Contains test per transaction). This is the brute-force reference
+  /// the counting tests compare SupportCounter against; the miners
+  /// count through SupportCounter instead.
   uint32_t CountSupport(const Itemset& itemset) const;
 
   /// Largest ItemId present plus one (0 for an empty database).

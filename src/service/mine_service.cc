@@ -62,7 +62,7 @@ std::string KeyDouble(double v) {
 
 const std::vector<std::string>& MineOptionKeys() {
   static const std::vector<std::string> kKeys = {
-      "gamma",   "epsilon",  "minsup",      "measure", "pruning", "counter",
+      "gamma",   "epsilon",  "minsup",      "measure", "pruning",
       "threads", "pipeline", "row-overlap", "topk",    "format"};
   return kKeys;
 }
@@ -109,16 +109,6 @@ Status ApplyMineOption(MineRequest* request, std::string_view key,
       request->pruning = PruningOptions::Basic();
     } else {
       return BadValue(key, value, "one of full|tpg|flipping|support");
-    }
-    return Status::OK();
-  }
-  if (key == "counter") {
-    if (value == "horizontal") {
-      request->counter = CounterKind::kHorizontal;
-    } else if (value == "vertical") {
-      request->counter = CounterKind::kVertical;
-    } else {
-      return BadValue(key, value, "horizontal|vertical");
     }
     return Status::OK();
   }
@@ -172,7 +162,6 @@ MiningConfig ToMiningConfig(const MineRequest& request) {
   config.min_support = request.min_support;
   config.measure = request.measure;
   config.pruning = request.pruning;
-  config.counter = request.counter;
   config.num_threads = request.num_threads;
   config.enable_pipelining = request.enable_pipelining;
   config.enable_row_overlap = request.enable_row_overlap;

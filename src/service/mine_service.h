@@ -52,7 +52,6 @@ struct MineRequest {
   // suites prove bit-identical results across all of them), so
   // CanonicalCacheKey() deliberately excludes them: a cached body
   // computed under any knob combination answers them all.
-  CounterKind counter = CounterKind::kHorizontal;
   int num_threads = 0;
   bool enable_pipelining = true;
   bool enable_row_overlap = true;
@@ -66,8 +65,8 @@ struct MineRequest {
 };
 
 /// The option keys ApplyMineOption understands, in CLI flag spelling
-/// (gamma, epsilon, minsup, measure, pruning, counter, threads,
-/// pipeline, row-overlap, topk, format). The CLI iterates this list to
+/// (gamma, epsilon, minsup, measure, pruning, threads, pipeline,
+/// row-overlap, topk, format). The CLI iterates this list to
 /// route every present flag through the checked parser.
 const std::vector<std::string>& MineOptionKeys();
 

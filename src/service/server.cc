@@ -298,10 +298,14 @@ void Server::ServeConnection(uint64_t conn_id, int fd) {
     }
     if (!wrote) break;
   }
-  ::close(fd);
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
+    // Unregister before closing: once closed, accept() may hand the
+    // same fd number to a new connection, whose registration an erase
+    // after the close would drop — and Stop() could then never
+    // shut that connection down.
     conn_fds_.erase(fd);
+    ::close(fd);
     metrics_.AddCounter("connections.closed", 1);
     // Registering as finished is this thread's last touch of server
     // state; the accept loop (or Stop) joins the thread object later.

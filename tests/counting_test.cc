@@ -1,13 +1,15 @@
-// Support-counting engines: CandidateTrie against brute force, and the
-// horizontal vs. vertical SupportCounter agreement property.
+// Support counting: CandidateTrie against brute force, and
+// SupportCounter against the reference scan at every level, with and
+// without a pool.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
-
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/candidate_trie.h"
 #include "core/level_views.h"
 #include "core/support_counting.h"
@@ -78,45 +80,75 @@ TEST(Trie, SingletonCandidates) {
   EXPECT_EQ(trie.CountOf(1), 1u);
 }
 
+/// Distinct random k-itemsets over level h's nodes.
+std::vector<Itemset> RandomCandidates(const Taxonomy& taxonomy, int h,
+                                      int k, Rng* rng) {
+  const auto& nodes = taxonomy.NodesAtLevel(h);
+  std::vector<Itemset> candidates;
+  std::unordered_set<Itemset, ItemsetHash> seen;
+  const int arity = std::min(k, static_cast<int>(nodes.size()));
+  for (int c = 0; c < 40; ++c) {
+    Itemset s;
+    while (s.size() < arity) {
+      s.Insert(nodes[rng->Below(nodes.size())]);
+    }
+    if (seen.insert(s).second) candidates.push_back(s);
+  }
+  return candidates;
+}
+
 class CounterAgreement : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(CounterAgreement, HorizontalEqualsVerticalAcrossLevels) {
-  testutil::Dataset data = testutil::RandomDataset(GetParam());
+TEST_P(CounterAgreement, MatchesReferenceScanAtEveryLevel) {
+  // Large enough that a 4-thread pool really shards the scan.
+  testutil::Dataset data = testutil::RandomDataset(
+      GetParam(), /*num_roots=*/4, /*fanout=*/2, /*depth=*/3,
+      /*num_txns=*/2500);
   auto views_or = LevelViews::Build(data.db, data.taxonomy);
   ASSERT_TRUE(views_or.ok()) << views_or.status();
-  LevelViews views = std::move(views_or).value();
+  const LevelViews views = std::move(views_or).value();
 
-  Rng rng(GetParam() ^ 0x1234);
-  auto horizontal = MakeCounter(CounterKind::kHorizontal);
-  auto vertical = MakeCounter(CounterKind::kVertical);
-  for (int h = 1; h <= views.height(); ++h) {
-    const auto& nodes = data.taxonomy.NodesAtLevel(h);
-    std::vector<Itemset> candidates;
-    std::unordered_set<Itemset, ItemsetHash> seen;
-    for (int c = 0; c < 40; ++c) {
-      Itemset s;
-      const int k = 2 + static_cast<int>(rng.Below(2));
-      while (s.size() < k) {
-        s.Insert(nodes[rng.Below(nodes.size())]);
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "no pool" : "4-thread pool");
+    Rng rng(GetParam() ^ 0x1234);
+    SupportCounter counter(p);
+    uint64_t batches = 0;
+    for (int h = 1; h <= views.height(); ++h) {
+      for (int k = 2; k <= 3; ++k) {
+        const std::vector<Itemset> candidates =
+            RandomCandidates(data.taxonomy, h, k, &rng);
+        std::vector<uint32_t> supports;
+        ASSERT_TRUE(counter.Count(&views, h, candidates, &supports).ok());
+        ASSERT_EQ(supports.size(), candidates.size());
+        for (size_t i = 0; i < candidates.size(); ++i) {
+          EXPECT_EQ(supports[i],
+                    views.Level(h).db.CountSupport(candidates[i]))
+              << "level " << h << ", " << candidates[i].ToString();
+        }
+        batches += candidates.empty() ? 0 : 1;
       }
-      if (seen.insert(s).second) candidates.push_back(s);
     }
-    std::vector<uint32_t> sup_h;
-    std::vector<uint32_t> sup_v;
-    ASSERT_TRUE(horizontal->Count(&views, h, candidates, &sup_h).ok());
-    ASSERT_TRUE(vertical->Count(&views, h, candidates, &sup_v).ok());
-    EXPECT_EQ(sup_h, sup_v) << "level " << h;
-    // And both match the naive scan.
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      EXPECT_EQ(sup_h[i], views.Level(h).db.CountSupport(candidates[i]));
-    }
+    EXPECT_EQ(counter.num_db_scans(), batches);
   }
-  EXPECT_GT(horizontal->num_db_scans(), 0u);
-  EXPECT_EQ(vertical->num_db_scans(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CounterAgreement,
                          ::testing::Values(7, 8, 9));
+
+TEST(CounterAgreement, MixedArityBatchIsRejected) {
+  testutil::Dataset data = testutil::PaperToyDataset();
+  auto views = LevelViews::Build(data.db, data.taxonomy);
+  ASSERT_TRUE(views.ok()) << views.status();
+  const ItemId a = *data.dict.Find("a");
+  const ItemId b = *data.dict.Find("b");
+  const std::vector<Itemset> mixed = {Itemset{a}, Itemset::Pair(a, b)};
+  SupportCounter counter;
+  std::vector<uint32_t> supports;
+  EXPECT_EQ(counter.Count(&*views, 1, mixed, &supports).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(counter.num_db_scans(), 0u);
+}
 
 TEST(LevelViews, RejectsNonLeafAndUnknownItems) {
   testutil::Dataset data = testutil::PaperToyDataset();

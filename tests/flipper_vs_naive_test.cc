@@ -77,19 +77,6 @@ TEST_P(FlipperVsNaive, AllConfigsMatchOracle) {
   }
 }
 
-TEST_P(FlipperVsNaive, CountersAgree) {
-  const DiffCase c = GetParam();
-  Dataset data = RandomDataset(c.seed ^ 0x9e3779b9u);
-  MiningConfig config = MakeConfig(c, data.taxonomy.height());
-  config.counter = CounterKind::kHorizontal;
-  auto horizontal = FlipperMiner::Run(data.db, data.taxonomy, config);
-  ASSERT_TRUE(horizontal.ok()) << horizontal.status();
-  config.counter = CounterKind::kVertical;
-  auto vertical = FlipperMiner::Run(data.db, data.taxonomy, config);
-  ASSERT_TRUE(vertical.ok()) << vertical.status();
-  EXPECT_TRUE(SamePatterns(horizontal->patterns, vertical->patterns));
-}
-
 std::vector<DiffCase> MakeCases() {
   std::vector<DiffCase> cases;
   uint64_t seed = 1;

@@ -1,8 +1,8 @@
 // Seed-driven randomized differential harness for the whole
 // input-to-patterns pipeline. Every round draws a random dataset
 // (taxonomy shape, transaction count/width) and a random mining
-// configuration (thresholds, measure, counter, pruning stack, scan
-// cells, pipelining, row overlap), then requires that
+// configuration (thresholds, measure, pruning stack, scan cells,
+// pipelining, row overlap), then requires that
 //
 //   - FlipperMiner over the text-loaded inputs,
 //   - FlipperMiner over a v1 FlipperStore round trip,
@@ -136,9 +136,8 @@ std::string WriteAppendedStore(const RoundInputs& inputs,
   return path;
 }
 
-/// Random but valid mining configuration; the whole pruning stack and
-/// both counters are in play because every layer must preserve the
-/// answer set.
+/// Random but valid mining configuration; the whole pruning stack is
+/// in play because every layer must preserve the answer set.
 MiningConfig RandomConfig(Rng* rng) {
   MiningConfig config;
   config.gamma = 0.4 + 0.25 * rng->NextDouble();
@@ -150,8 +149,6 @@ MiningConfig RandomConfig(Rng* rng) {
       MeasureKind::kKulczynski, MeasureKind::kCosine,
       MeasureKind::kAllConfidence};
   config.measure = kMeasures[rng->Below(3)];
-  config.counter = rng->Bernoulli(0.5) ? CounterKind::kHorizontal
-                                       : CounterKind::kVertical;
   static const PruningOptions kPruning[] = {
       PruningOptions::Full(), PruningOptions::FlippingTpg(),
       PruningOptions::FlippingOnly(), PruningOptions::Basic()};
@@ -174,7 +171,6 @@ std::string DescribeConfig(const MiningConfig& config) {
          " epsilon=" + std::to_string(config.epsilon) +
          " minsup0=" + std::to_string(config.min_support[0]) +
          " measure=" + std::to_string(static_cast<int>(config.measure)) +
-         " counter=" + std::string(CounterKindToString(config.counter)) +
          " pruning=" + config.pruning.ToString() +
          " scan_cells=" + std::to_string(config.enable_scan_cells) +
          " pipelining=" + std::to_string(config.enable_pipelining) +

@@ -1,11 +1,9 @@
 // Parallel-vs-serial equivalence: the sharded counting engine must
 // produce bit-identical supports and identical mining output for every
-// thread count, both counter kinds, and the parallelized vertical
-// index build (level_views_test covers the sharded view build).
+// thread count (level_views_test covers the sharded view build).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -15,7 +13,6 @@
 #include "core/flipper_miner.h"
 #include "core/naive_miner.h"
 #include "core/support_counting.h"
-#include "data/vertical_index.h"
 #include "test_util.h"
 
 namespace flipper {
@@ -74,89 +71,18 @@ TEST(ParallelCounting, TrieScanMatchesSerialAndBruteForce) {
   }
 }
 
-TEST(ParallelCounting, VerticalIndexBuildMatchesSerial) {
-  Rng rng(4242);
-  TransactionDb db;
-  std::vector<ItemId> txn;
-  const ItemId alphabet = 40;
-  for (int t = 0; t < 5000; ++t) {
-    txn.clear();
-    const int width = 1 + static_cast<int>(rng.Below(6));
-    for (int i = 0; i < width; ++i) {
-      txn.push_back(static_cast<ItemId>(rng.Below(alphabet)));
-    }
-    db.Add(txn);
-  }
-  const VerticalIndex serial(db);
-  for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    const VerticalIndex parallel(db, &pool);
-    ASSERT_EQ(parallel.alphabet_size(), serial.alphabet_size());
-    EXPECT_EQ(parallel.universe(), serial.universe());
-    for (ItemId i = 0; i < serial.alphabet_size(); ++i) {
-      EXPECT_EQ(parallel.Get(i).mode(), serial.Get(i).mode());
-      EXPECT_EQ(parallel.Get(i).ToVector(), serial.Get(i).ToVector())
-          << "item " << i << ", threads " << pool.num_threads();
-    }
-  }
-}
-
-TEST(ParallelCounting, VerticalCounterShardedMatchesSerial) {
-  // Wide-alphabet dataset so one batch exceeds the vertical engine's
-  // 64-candidates-per-shard floor and the sharded path really runs.
-  testutil::Dataset data = testutil::RandomDataset(
-      31, /*num_roots=*/8, /*fanout=*/3, /*depth=*/3,
-      /*num_txns=*/3000, /*max_width=*/8);
-  const int h = data.taxonomy.height();
-  std::vector<ItemId> items = data.taxonomy.NodesAtLevel(h);
-  ASSERT_GE(items.size(), 20u);
-  std::vector<Itemset> candidates;
-  for (size_t i = 0; i < 20; ++i) {
-    for (size_t j = i + 1; j < 20; ++j) {
-      candidates.push_back(Itemset::Pair(items[i], items[j]));
-    }
-  }
-  ASSERT_GE(candidates.size(), 128u);  // >= 2 shards per pool thread
-
-  auto serial_views = LevelViews::Build(data.db, data.taxonomy);
-  ASSERT_TRUE(serial_views.ok());
-  std::vector<uint32_t> serial;
-  ASSERT_TRUE(MakeCounter(CounterKind::kVertical)
-                  ->Count(&*serial_views, h, candidates, &serial)
-                  .ok());
-  // Sanity: the batch is not trivially all-zero.
-  EXPECT_NE(*std::max_element(serial.begin(), serial.end()), 0u);
-  for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    auto views = LevelViews::Build(data.db, data.taxonomy, &pool);
-    ASSERT_TRUE(views.ok());
-    std::vector<uint32_t> parallel;
-    ASSERT_TRUE(MakeCounter(CounterKind::kVertical, &pool)
-                    ->Count(&*views, h, candidates, &parallel)
-                    .ok());
-    EXPECT_EQ(parallel, serial) << "threads " << pool.num_threads();
-  }
-}
-
-struct MinerCase {
-  uint64_t seed;
-  CounterKind counter;
-};
-
-class MinerEquivalence : public ::testing::TestWithParam<MinerCase> {};
+class MinerEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(MinerEquivalence, SameSupportsAndPatternsForAnyThreadCount) {
-  const MinerCase param = GetParam();
   // Large enough to shard (>= 512 txns/shard at 4 threads).
   testutil::Dataset data = testutil::RandomDataset(
-      param.seed, /*num_roots=*/4, /*fanout=*/2, /*depth=*/3,
+      GetParam(), /*num_roots=*/4, /*fanout=*/2, /*depth=*/3,
       /*num_txns=*/3000, /*max_width=*/6);
 
   MiningConfig config;
   config.gamma = 0.4;
   config.epsilon = 0.2;
   config.min_support = {0.05, 0.02, 0.01};
-  config.counter = param.counter;
 
   config.num_threads = 1;
   auto serial = FlipperMiner::Run(data.db, data.taxonomy, config);
@@ -182,14 +108,8 @@ TEST_P(MinerEquivalence, SameSupportsAndPatternsForAnyThreadCount) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SeedsAndCounters, MinerEquivalence,
-    ::testing::Values(MinerCase{7, CounterKind::kHorizontal},
-                      MinerCase{7, CounterKind::kVertical},
-                      MinerCase{21, CounterKind::kHorizontal},
-                      MinerCase{21, CounterKind::kVertical},
-                      MinerCase{77, CounterKind::kHorizontal},
-                      MinerCase{77, CounterKind::kVertical}));
+INSTANTIATE_TEST_SUITE_P(Seeds, MinerEquivalence,
+                         ::testing::Values(7, 21, 77));
 
 }  // namespace
 }  // namespace flipper

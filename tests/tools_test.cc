@@ -231,13 +231,17 @@ TEST_F(FlipperCliEndToEnd, ConvertInspectAndMineAreBitIdentical) {
 
   // A removed execution knob is an unknown flag: usage error (exit 2)
   // quoting the flag, followed by the usage text.
-  std::vector<std::string> removed = {"mine", "--input", store_,
-                                      "--flat-trie=off"};
-  removed.insert(removed.end(), mining_flags.begin(), mining_flags.end());
-  EXPECT_EQ(RunCli(removed, &out_, &err_), 2);
-  EXPECT_NE(err_.find("unknown flag --flat-trie"), std::string::npos)
-      << err_;
-  EXPECT_NE(err_.find("[flags]"), std::string::npos) << err_;
+  for (const std::string flag : {"flat-trie=off", "counter=vertical"}) {
+    std::vector<std::string> removed = {"mine", "--input", store_,
+                                        "--" + flag};
+    removed.insert(removed.end(), mining_flags.begin(),
+                   mining_flags.end());
+    EXPECT_EQ(RunCli(removed, &out_, &err_), 2) << flag;
+    EXPECT_NE(err_.find("unknown flag --" + flag.substr(0, flag.find('='))),
+              std::string::npos)
+        << err_;
+    EXPECT_NE(err_.find("[flags]"), std::string::npos) << err_;
+  }
 }
 
 TEST_F(FlipperCliEndToEnd, ConvertStoreVersionsAndDowngrade) {

@@ -112,17 +112,6 @@ TEST(ToyExample, AllPruningConfigsAgree) {
   }
 }
 
-TEST(ToyExample, VerticalCounterAgrees) {
-  Dataset data = PaperToyDataset();
-  MiningConfig config = ToyConfig();
-  config.counter = CounterKind::kVertical;
-  auto result = FlipperMiner::Run(data.db, data.taxonomy, config);
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->patterns.size(), 1u);
-  EXPECT_EQ(data.dict.Render(result->patterns[0].leaf_itemset),
-            "{a11, b11}");
-}
-
 // Raising gamma above 1.0's reach or tightening epsilon kills the
 // pattern: threshold sensitivity sanity.
 TEST(ToyExample, ThresholdSensitivity) {

@@ -1,10 +1,8 @@
-// TransactionDb storage, generalization and the vertical index.
+// TransactionDb storage and generalization.
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "data/transaction_db.h"
-#include "data/vertical_index.h"
 #include "test_util.h"
 
 namespace flipper {
@@ -79,43 +77,6 @@ TEST(TransactionDb, GeneralizeMatchesPaperFigure4) {
   const ItemId b = *data.dict.Find("b");
   EXPECT_EQ(db1.Get(0).size(), 2u);
   EXPECT_EQ(db1.CountSupport(Itemset::Pair(a, b)), 7u);
-}
-
-TEST(VerticalIndex, MatchesScanCounting) {
-  Rng rng(99);
-  TransactionDb db;
-  std::vector<ItemId> txn;
-  for (int t = 0; t < 500; ++t) {
-    txn.clear();
-    const int width = 1 + static_cast<int>(rng.Below(8));
-    for (int i = 0; i < width; ++i) {
-      txn.push_back(static_cast<ItemId>(rng.Below(30)));
-    }
-    db.Add(txn);
-  }
-  VerticalIndex index(db);
-  EXPECT_EQ(index.universe(), db.size());
-  const std::vector<uint32_t> freq = db.ItemFrequencies();
-  for (ItemId item = 0; item < db.alphabet_size(); ++item) {
-    EXPECT_EQ(index.Support(item), freq[item]);
-  }
-  for (int trial = 0; trial < 100; ++trial) {
-    Itemset candidate;
-    const int k = 1 + static_cast<int>(rng.Below(4));
-    for (int i = 0; i < k; ++i) {
-      candidate.Insert(static_cast<ItemId>(rng.Below(30)));
-    }
-    EXPECT_EQ(index.Support(candidate), db.CountSupport(candidate))
-        << candidate.ToString();
-  }
-}
-
-TEST(VerticalIndex, UnknownItemsHaveZeroSupport) {
-  TransactionDb db;
-  db.Add({0, 1});
-  VerticalIndex index(db);
-  EXPECT_EQ(index.Support(ItemId{7}), 0u);
-  EXPECT_EQ(index.Support(Itemset{0, 7}), 0u);
 }
 
 }  // namespace

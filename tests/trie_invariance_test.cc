@@ -1,8 +1,7 @@
 // Dedicated invariance grid for the counting fast paths: mined output
 // must be byte-identical across row overlap {on, off} × {1, 4 threads}
 // × {text, v1 store, v2 store} inputs, across every probe kernel the
-// host can force
-// (avx2/sse2/portable/scalar), and the horizontal counter's
+// host can force (avx2/sse2/portable/scalar), and the counter's
 // trie/buffer reuse across consecutive counts (the row seam) must
 // reproduce fresh-counter supports exactly.
 
@@ -133,10 +132,10 @@ TEST(TrieInvariance, MinedOutputIdenticalAcrossTrieModes) {
 }
 
 TEST(TrieInvariance, CounterReuseMatchesFreshCounters) {
-  // The horizontal counter keeps one trie arena + shard buffers across
-  // counts; feeding it several different batches in sequence (a row's
-  // cells) must reproduce what fresh counters compute, at 1 and 4
-  // threads, sync and async.
+  // The counter keeps one trie arena + shard buffers across counts;
+  // feeding it several different batches in sequence (a row's cells)
+  // must reproduce what fresh counters compute, at 1 and 4 threads,
+  // sync and async.
   const testutil::Dataset data = testutil::RandomDataset(
       616, /*num_roots=*/6, /*fanout=*/3, /*depth=*/3,
       /*num_txns=*/3000, /*max_width=*/7);
@@ -146,7 +145,7 @@ TEST(TrieInvariance, CounterReuseMatchesFreshCounters) {
     ASSERT_TRUE(views.ok()) << views.status();
 
     Rng rng(616);
-    auto reused = MakeCounter(CounterKind::kHorizontal, &pool);
+    SupportCounter reused(&pool);
     const int h = data.taxonomy.height();
     const auto& nodes = data.taxonomy.NodesAtLevel(h);
     for (int round = 0; round < 5; ++round) {
@@ -161,19 +160,19 @@ TEST(TrieInvariance, CounterReuseMatchesFreshCounters) {
         if (seen.insert(s).second) candidates.push_back(s);
       }
       std::vector<uint32_t> fresh_supports;
-      ASSERT_TRUE(MakeCounter(CounterKind::kHorizontal, &pool)
-                      ->Count(&*views, h, candidates, &fresh_supports)
+      ASSERT_TRUE(SupportCounter(&pool)
+                      .Count(&*views, h, candidates, &fresh_supports)
                       .ok());
 
       std::vector<uint32_t> reused_sync;
       ASSERT_TRUE(
-          reused->Count(&*views, h, candidates, &reused_sync).ok());
+          reused.Count(&*views, h, candidates, &reused_sync).ok());
       EXPECT_EQ(reused_sync, fresh_supports)
           << "sync round " << round << " threads " << threads;
 
       std::vector<uint32_t> reused_async;
       CountFuture future =
-          reused->StartCount(&*views, h, candidates, &reused_async);
+          reused.StartCount(&*views, h, candidates, &reused_async);
       ASSERT_TRUE(future.Join().ok());
       EXPECT_EQ(reused_async, fresh_supports)
           << "async round " << round << " threads " << threads;

@@ -4,7 +4,8 @@
 # for readiness via `query --op ping` and asserts the daemon speaks
 # the expected protocol schema, drives `loadgen` with
 # byte-verification against solo in-process mines (--expect-from),
-# requires at least one verified cache hit, storms the socket with
+# requires at least one verified cache hit and a non-zero client
+# latency median, storms the socket with
 # fault-injected connections (`loadgen --chaos`) and requires the
 # daemon to stay healthy, parses the daemon's `stats` JSON (latency
 # percentiles included), asks for `shutdown` over the protocol and
@@ -97,6 +98,15 @@ CACHE_HITS="$(sed -n 's/.*mismatched, \([0-9]*\) cache hits.*/\1/p' \
 if [[ -z "$CACHE_HITS" || "$CACHE_HITS" -lt 1 ]]; then
   echo "FAIL: expected at least one verified cache hit, got" \
     "'${CACHE_HITS:-none}'" >&2
+  exit 1
+fi
+# Client latencies are sub-millisecond-resolved: a cache-hit-heavy run
+# must still report a non-zero median.
+LOADGEN_P50="$(sed -n 's/^latency ms: p50 \([0-9.]*\),.*/\1/p' \
+  <<<"$LOADGEN_OUT")"
+if ! awk -v p50="${LOADGEN_P50:-0}" 'BEGIN { exit !(p50 > 0) }'; then
+  echo "FAIL: expected loadgen latency p50 > 0, got" \
+    "'${LOADGEN_P50:-none}'" >&2
   exit 1
 fi
 

@@ -10,7 +10,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR=build-tsan
 
-# The parallel suites (level_views_test runs the sharded one-pass
+# The parallel suites (counting_test compares the counter with and
+# without a 4-thread pool; level_views_test runs the sharded one-pass
 # view build and its per-level compaction at 1/2/4/hw threads;
 # cell_pipeline_test sweeps serial/pipelined/
 # row-overlap modes at 1/2/4/hw threads — row overlap is on by default
@@ -29,7 +30,8 @@ BUILD_DIR=build-tsan
 # queries — the cancellation plumbing's relaxed atomics MUST go
 # through TSan); everything else is single-threaded and only slows
 # the instrumented run down.
-SUITES=(thread_pool_test parallel_counting_test level_views_test
+SUITES=(thread_pool_test counting_test parallel_counting_test
+        level_views_test
         cell_pipeline_test
         storage_test fuzz_differential_test
         trie_invariance_test trace_test pipeline_metrics_test
