@@ -1,7 +1,10 @@
 // CandidateTrie: the Apriori "hash-tree" role. Stores all candidate
 // k-itemsets of one cell as a prefix trie over sorted item ids, so that
 // a transaction can increment exactly the candidates it contains
-// without enumerating all of its k-subsets blindly.
+// without enumerating all of its k-subsets blindly. It is the support
+// counter's sparse layout: batches whose distinct items admit few
+// enough k-combinations count in a dense combination array instead
+// (ChooseCountLayout in support_counting.h).
 //
 // The trie is a single arena with SoA columns per node (items[] /
 // child_begin[] / child_end[] / leaf_index[]), walked iteratively with

@@ -280,8 +280,9 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
     evaluator_->AssemblePatterns(prev_row, &result);
 
     // Counter scans + scan-driven cell scans + the initial singleton
-    // scan.
+    // scan, which counts item supports densely by id.
     stats_.db_scans += counter_->num_db_scans() + 1;
+    stats_.dense_scans += counter_->num_dense_scans() + 1;
     stats_.peak_candidate_bytes = tracker_.peak_bytes();
     stats_.total_seconds = run_timer_.ElapsedSeconds();
     result.stats = std::move(stats_);
@@ -314,6 +315,7 @@ void CellPipeline::RecordRunMetrics(const MiningStats& stats,
   m.AddCounter("mine.candidates_counted",
                static_cast<int64_t>(stats.total_counted));
   m.AddCounter("mine.db_scans", static_cast<int64_t>(stats.db_scans));
+  m.AddCounter("mine.dense_scans", static_cast<int64_t>(stats.dense_scans));
   m.AddCounter("mine.scan_cell_scans",
                static_cast<int64_t>(stats.scan_cell_scans));
   m.AddCounter("mine.positive_itemsets",

@@ -29,7 +29,10 @@ Result<MiningResult> NaiveMiner::Run(const TransactionDb& db,
   ThreadPool pool(config.num_threads);
   FLIPPER_ASSIGN_OR_RETURN(LevelViews views,
                            LevelViews::Build(db, taxonomy, &pool));
-  SupportCounter counter(&pool);
+  // The oracle counts through the trie layout alone, so every
+  // comparison against it also checks the miners' dense layout.
+  CountBatchScratch scratch;
+  uint64_t db_scans = 0;
 
   MiningResult result;
   MemoryTracker tracker;
@@ -81,9 +84,10 @@ Result<MiningResult> NaiveMiner::Run(const TransactionDb& db,
       }
       if (candidates.empty()) break;
 
-      std::vector<uint32_t> supports;
-      FLIPPER_RETURN_IF_ERROR(
-          counter.Count(&views, h, candidates, &supports));
+      std::vector<uint32_t> supports(candidates.size());
+      FLIPPER_RETURN_IF_ERROR(CountBatchWithTrie(
+          views.Level(h).db, candidates, &pool, supports, &scratch));
+      ++db_scans;
 
       Cell cell(h, k, &tracker);
       CellStats cs;
@@ -161,7 +165,7 @@ Result<MiningResult> NaiveMiner::Run(const TransactionDb& db,
   }
   SortPatterns(&result.patterns);
 
-  result.stats.db_scans = counter.num_db_scans();
+  result.stats.db_scans = db_scans;
   result.stats.peak_candidate_bytes = tracker.peak_bytes();
   result.stats.total_seconds = total_timer.ElapsedSeconds();
   return result;

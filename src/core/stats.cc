@@ -20,7 +20,8 @@ std::string MiningStats::ToString() const {
   out += "candidates cnt:    " +
          FormatCount(static_cast<int64_t>(total_counted)) + "\n";
   out += "db scans:          " +
-         FormatCount(static_cast<int64_t>(db_scans)) + " (scan-cell: " +
+         FormatCount(static_cast<int64_t>(db_scans)) + " (dense: " +
+         FormatCount(static_cast<int64_t>(dense_scans)) + ", scan-cell: " +
          FormatCount(static_cast<int64_t>(scan_cell_scans)) + ")\n";
   out += "positive itemsets: " +
          FormatCount(static_cast<int64_t>(num_positive)) + "\n";

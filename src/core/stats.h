@@ -28,6 +28,10 @@ struct MiningStats {
   uint64_t total_generated = 0;
   uint64_t total_counted = 0;
   uint64_t db_scans = 0;
+  /// Scans that counted into a dense per-item or per-combination array
+  /// (already included in db_scans): the initial singleton scan and
+  /// SupportCounter's dense-layout batches.
+  uint64_t dense_scans = 0;
   /// Database scans performed by the scan-driven cell strategy alone
   /// (already included in db_scans; counted even when a scan bails
   /// mid-way with ResourceExhausted).

@@ -1,6 +1,7 @@
 #include "core/support_counting.h"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <string>
 
@@ -18,6 +19,34 @@ constexpr size_t kMinTxnsPerShard = 512;
 /// microseconds.
 constexpr size_t kCancelCheckStride = 512;
 
+/// Rank-table entry of an id that is not a batch item.
+constexpr uint32_t kUnranked = std::numeric_limits<uint32_t>::max();
+
+/// Most distinct items of a dense batch. For 2 <= k <= n - 2,
+/// C(n, k) >= C(n, 2), so a dense batch has C(n, 2) within the bound
+/// or n <= k + 1 <= kMaxItemsetSize + 1.
+constexpr uint32_t kDenseMaxItems = [] {
+  uint32_t n = 0;
+  while (SaturatingBinomial(n + 1, 2) <= kDenseMaxCombinations) ++n;
+  return n;
+}();
+static_assert(kDenseMaxItems > kMaxItemsetSize + 1);
+
+/// kColex[d][r] = C(r, d) over every rank a dense batch can assign
+/// (saturated at UINT32_MAX; a dense index only reads entries below
+/// kDenseMaxCombinations).
+constexpr auto kColex = [] {
+  std::array<std::array<uint32_t, kDenseMaxItems>, kMaxItemsetSize + 1>
+      table{};
+  for (int d = 0; d <= kMaxItemsetSize; ++d) {
+    for (uint32_t r = 0; r < kDenseMaxItems; ++r) {
+      table[d][r] = static_cast<uint32_t>(std::min<uint64_t>(
+          SaturatingBinomial(r, d), std::numeric_limits<uint32_t>::max()));
+    }
+  }
+  return table;
+}();
+
 bool UniformArity(std::span<const Itemset> candidates) {
   return std::all_of(candidates.begin(), candidates.end(),
                      [&](const Itemset& c) {
@@ -25,26 +54,102 @@ bool UniformArity(std::span<const Itemset> candidates) {
                      });
 }
 
-/// The counting engine's one scan body: a sharded trie-counting scan
-/// of `db` for a non-empty uniform-arity batch. Each shard counts a
-/// contiguous transaction range into a private buffer; the join sums
-/// the buffers into `supports` in shard order, so supports are
-/// bit-identical for any shard count. The trie and the shard buffers
-/// are moved out of `pooled` into state the tasks share, and handed
-/// back by the join, so consecutive scans rebuild into warm arenas.
-/// Both moves run on the calling thread, so the pooling needs no
-/// synchronization. With a pool the shards run as one batch and the
-/// caller is free until it joins; without one they run inline before
-/// this returns. `supports` and `pooled` must outlive the join, and
-/// `pooled` must not back two scans in flight. `h` only labels spans.
-CountFuture StartTrieScan(const TransactionDb& db,
-                          std::span<const Itemset> candidates,
-                          ThreadPool* pool, std::span<uint32_t> supports,
-                          CountBatchScratch* pooled,
-                          const CancelToken* cancel, int h) {
+/// Ranks the batch's distinct items by ascending id: `rank` is sized
+/// to the largest item + 1 and holds each item's rank, kUnranked for
+/// every other id. Returns the number of distinct items.
+uint32_t RankBatchItems(std::span<const Itemset> candidates,
+                        std::vector<uint32_t>* rank) {
+  ItemId max_item = 0;
+  for (const Itemset& c : candidates) {
+    for (ItemId item : c) max_item = std::max(max_item, item);
+  }
+  rank->assign(static_cast<size_t>(max_item) + 1, kUnranked);
+  for (const Itemset& c : candidates) {
+    for (ItemId item : c) (*rank)[item] = 0;
+  }
+  uint32_t n = 0;
+  for (uint32_t& r : *rank) {
+    if (r != kUnranked) r = n++;
+  }
+  return n;
+}
+
+/// Colex index of a dense-batch candidate: Σ_d C(rank(item_d), d + 1)
+/// over its items in ascending order.
+uint32_t ColexIndex(const Itemset& candidate,
+                    const std::vector<uint32_t>& rank) {
+  uint32_t index = 0;
+  for (int d = 0; d < candidate.size(); ++d) {
+    index += kColex[d + 1][rank[candidate[d]]];
+  }
+  return index;
+}
+
+/// Increments, offset by `base`, the colex index of every
+/// d-combination (d >= 2) of the ascending ranks[0, m).
+void AddCombinations(const uint32_t* ranks, uint32_t m, int d,
+                     uint32_t base, uint32_t* counts) {
+  if (d == 2) {
+    for (uint32_t j = 1; j < m; ++j) {
+      uint32_t* row = counts + base + kColex[2][ranks[j]];
+      for (uint32_t i = 0; i < j; ++i) ++row[ranks[i]];
+    }
+    return;
+  }
+  for (uint32_t j = static_cast<uint32_t>(d) - 1; j < m; ++j) {
+    AddCombinations(ranks, j, d - 1, base + kColex[d][ranks[j]], counts);
+  }
+}
+
+/// Feeds transactions [lo, hi) of `db` to `count_txn`, polling
+/// `cancel` every kCancelCheckStride transactions; a fired token
+/// abandons the range (partial counts — the driver re-checks the token
+/// before ever evaluating supports).
+template <typename CountTxn>
+void ScanRange(const TransactionDb& db, size_t lo, size_t hi,
+               const CancelToken* cancel, const CountTxn& count_txn) {
+  size_t until_check = kCancelCheckStride;
+  for (size_t t = lo; t < hi; ++t) {
+    if (cancel != nullptr && --until_check == 0) {
+      until_check = kCancelCheckStride;
+      if (cancel->Fired()) return;
+    }
+    count_txn(db.Get(static_cast<TxnId>(t)));
+  }
+}
+
+/// The counting engine's one scan body: a sharded scan of `db` for a
+/// non-empty uniform-arity batch in the given counter layout. A dense
+/// `layout` needs `pooled->rank` filled by RankBatchItems, which found
+/// `n` distinct items. Each shard counts a contiguous transaction
+/// range into a private buffer; the join sums the buffers into
+/// `supports` in shard order, so supports are bit-identical for any
+/// shard count. The scratch is moved out of `pooled` into state the
+/// tasks share, sized here, and handed back by the join, so
+/// consecutive scans count into warm buffers and workers never
+/// allocate. Both moves run on the calling thread, so the pooling
+/// needs no synchronization. With a pool the shards run as one batch
+/// and the caller is free until it joins; without one they run inline
+/// before this returns. `candidates`, `supports` and `pooled` must
+/// outlive the join, and `pooled` must not back two scans in flight.
+/// `h` only labels spans.
+CountFuture StartScan(const TransactionDb& db,
+                      std::span<const Itemset> candidates,
+                      CountLayout layout, uint32_t n, ThreadPool* pool,
+                      std::span<uint32_t> supports,
+                      CountBatchScratch* pooled, const CancelToken* cancel,
+                      int h) {
   const int arity = candidates.front().size();
+  const bool dense = layout == CountLayout::kDense;
   auto state = std::make_shared<CountBatchScratch>(std::move(*pooled));
-  {
+  // Shard buffer: `cells` counters, then (dense) the rank list of the
+  // transaction being counted.
+  size_t cells = candidates.size();
+  size_t slots = cells;
+  if (dense) {
+    cells = SaturatingBinomial(n, arity);
+    slots = cells + std::min<size_t>(n, db.max_width());
+  } else {
     FLIPPER_TRACE_SPAN_HK("trie_build", "detail", h, arity);
     state->trie.Build(candidates);
   }
@@ -52,29 +157,41 @@ CountFuture StartTrieScan(const TransactionDb& db,
   if (state->partial.size() < static_cast<size_t>(num_shards)) {
     state->partial.resize(static_cast<size_t>(num_shards));
   }
+  for (int s = 0; s < num_shards; ++s) {
+    auto& buffer = state->partial[static_cast<size_t>(s)];
+    if (buffer.size() < slots) buffer.resize(slots);
+  }
 
   std::vector<std::function<void()>> tasks;
   tasks.reserve(static_cast<size_t>(num_shards));
-  const size_t num_candidates = candidates.size();
   for (int s = 0; s < num_shards; ++s) {
     const auto [lo, hi] = ShardRange(0, db.size(), num_shards, s);
-    tasks.push_back([state, &db, s, lo = lo, hi = hi, num_candidates,
+    tasks.push_back([state, &db, s, lo = lo, hi = hi, cells, dense,
                      cancel, h, arity] {
       FLIPPER_TRACE_SPAN_HK("count_shard", "task", h, arity);
-      auto& counts = state->partial[static_cast<size_t>(s)];
-      counts.assign(num_candidates, 0);
-      // Cancellation poll every kCancelCheckStride transactions; a
-      // fired token abandons the shard (partial counts — the driver
-      // re-checks the token before ever evaluating supports).
-      size_t until_check = kCancelCheckStride;
-      for (size_t t = lo; t < hi; ++t) {
-        if (cancel != nullptr && --until_check == 0) {
-          until_check = kCancelCheckStride;
-          if (cancel->Fired()) return;
-        }
-        state->trie.CountTransaction(db.Get(static_cast<TxnId>(t)),
-                                     counts);
+      uint32_t* counts = state->partial[static_cast<size_t>(s)].data();
+      std::fill_n(counts, cells, 0u);
+      if (!dense) {
+        const std::span<uint32_t> trie_counts(counts, cells);
+        ScanRange(db, lo, hi, cancel, [&](std::span<const ItemId> txn) {
+          state->trie.CountTransaction(txn, trie_counts);
+        });
+        return;
       }
+      const uint32_t* rank = state->rank.data();
+      const size_t rank_size = state->rank.size();
+      uint32_t* ranks = counts + cells;
+      ScanRange(db, lo, hi, cancel, [&](std::span<const ItemId> txn) {
+        uint32_t m = 0;
+        for (ItemId item : txn) {
+          // Sorted: every later item is above the largest batch item.
+          if (item >= rank_size) break;
+          if (rank[item] != kUnranked) ranks[m++] = rank[item];
+        }
+        if (m >= static_cast<uint32_t>(arity)) {
+          AddCombinations(ranks, m, arity, 0, counts);
+        }
+      });
     });
   }
   ThreadPool::Completion completion;
@@ -85,13 +202,24 @@ CountFuture StartTrieScan(const TransactionDb& db,
   }
   return CountFuture(
       std::move(completion),
-      [state, supports, pooled, num_shards, h, arity] {
+      [state, candidates, supports, pooled, num_shards, dense, h, arity] {
         FLIPPER_TRACE_SPAN_HK("shard_merge", "detail", h, arity);
-        std::fill(supports.begin(), supports.end(), 0u);
-        for (int s = 0; s < num_shards; ++s) {
-          const auto& counts = state->partial[static_cast<size_t>(s)];
+        if (dense) {
           for (size_t i = 0; i < supports.size(); ++i) {
-            supports[i] += counts[i];
+            const uint32_t index = ColexIndex(candidates[i], state->rank);
+            uint32_t sum = 0;
+            for (int s = 0; s < num_shards; ++s) {
+              sum += state->partial[static_cast<size_t>(s)][index];
+            }
+            supports[i] = sum;
+          }
+        } else {
+          std::fill(supports.begin(), supports.end(), 0u);
+          for (int s = 0; s < num_shards; ++s) {
+            const auto& counts = state->partial[static_cast<size_t>(s)];
+            for (size_t i = 0; i < supports.size(); ++i) {
+              supports[i] += counts[i];
+            }
           }
         }
         *pooled = std::move(*state);
@@ -121,9 +249,9 @@ Status CountBatchWithTrie(const TransactionDb& db,
                           CountBatchScratch* scratch) {
   if (candidates.empty()) return Status::OK();
   CountBatchScratch local;
-  return StartTrieScan(db, candidates, pool, supports,
-                       scratch != nullptr ? scratch : &local,
-                       /*cancel=*/nullptr, /*h=*/0)
+  return StartScan(db, candidates, CountLayout::kTrie, /*n=*/0, pool,
+                   supports, scratch != nullptr ? scratch : &local,
+                   /*cancel=*/nullptr, /*h=*/0)
       .Join();
 }
 
@@ -138,9 +266,16 @@ CountFuture SupportCounter::StartCount(const LevelViews* views, int h,
         std::to_string(h) + ", " + std::to_string(candidates.size()) +
         " candidates)"));
   }
+  if (cancel_ != nullptr && cancel_->Fired()) {
+    return CountFuture(cancel_->ToStatus());
+  }
   ++num_db_scans_;
-  return StartTrieScan(views->Level(h).db, candidates, pool_, *supports,
-                       &scratch_, cancel_, h);
+  const uint32_t n = RankBatchItems(candidates, &scratch_.rank);
+  const CountLayout layout =
+      ChooseCountLayout(n, candidates.front().size(), candidates.size());
+  if (layout == CountLayout::kDense) ++num_dense_scans_;
+  return StartScan(views->Level(h).db, candidates, layout, n, pool_,
+                   *supports, &scratch_, cancel_, h);
 }
 
 }  // namespace flipper

@@ -1,14 +1,22 @@
 // Support counting: one concrete engine, SupportCounter, computes
 // sup(A) for a batch of same-size candidate itemsets against one
 // abstraction level's view with a sharded sequential scan of the
-// generalized database that probes a candidate prefix trie (the
-// paper's disk-scan counting model, §5). CountBatchWithTrie exposes
-// the same scan over a bare TransactionDb.
+// generalized database (the paper's disk-scan counting model, §5).
+// Each batch picks one of two counter layouts from its own shape
+// (ChooseCountLayout): a dense array with one counter per
+// k-combination of the batch's distinct items when that array is
+// small, else a candidate prefix trie. CountBatchWithTrie exposes the
+// trie scan alone over a bare TransactionDb; the NaiveMiner oracle
+// counts through it, so every miner-vs-oracle comparison is also a
+// dense-vs-trie differential.
 
 #ifndef FLIPPER_CORE_SUPPORT_COUNTING_H_
 #define FLIPPER_CORE_SUPPORT_COUNTING_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -21,6 +29,57 @@
 #include "data/itemset.h"
 
 namespace flipper {
+
+/// How one batch scan lays out its counters.
+enum class CountLayout {
+  /// One counter per candidate, reached by walking each transaction
+  /// through the candidate prefix trie.
+  kTrie,
+  /// One counter per k-combination of the batch's n distinct items,
+  /// at its colex index: each transaction increments every
+  /// k-combination of its items that belong to the batch.
+  kDense,
+};
+
+/// Most dense counters a batch may use: 256 KiB per shard.
+inline constexpr uint64_t kDenseMaxCombinations = uint64_t{1} << 16;
+
+/// For k >= 3, most dense counters per candidate: a sparse batch over
+/// wide transactions must not enumerate far more combinations than it
+/// has candidates.
+inline constexpr uint64_t kDenseMaxCombinationsPerCandidate = 64;
+
+/// C(n, k), or UINT64_MAX when it does not fit in 64 bits.
+constexpr uint64_t SaturatingBinomial(uint64_t n, int k) {
+  if (k < 0 || static_cast<uint64_t>(k) > n) return 0;
+  const uint64_t j_max = std::min<uint64_t>(k, n - k);
+  // C(n, j) = C(n, j-1) * (n-j+1) / j is exact and, for j <= n/2,
+  // increasing in j: once it passes UINT64_MAX the result does too.
+  unsigned __int128 c = 1;
+  for (uint64_t j = 1; j <= j_max; ++j) {
+    c = c * (n - j + 1) / j;
+    if (c > std::numeric_limits<uint64_t>::max()) {
+      return std::numeric_limits<uint64_t>::max();
+    }
+  }
+  return static_cast<uint64_t>(c);
+}
+
+/// The counter layout of a batch of `num_candidates` k-itemsets over
+/// `n` distinct items: dense when k >= 2 and C(n, k) fits
+/// kDenseMaxCombinations and, for k >= 3, also
+/// kDenseMaxCombinationsPerCandidate * num_candidates; else the trie.
+constexpr CountLayout ChooseCountLayout(uint64_t n, int k,
+                                        size_t num_candidates) {
+  if (k < 2) return CountLayout::kTrie;
+  const uint64_t combinations = SaturatingBinomial(n, k);
+  if (combinations > kDenseMaxCombinations) return CountLayout::kTrie;
+  if (k >= 3 && combinations > kDenseMaxCombinationsPerCandidate *
+                                   static_cast<uint64_t>(num_candidates)) {
+    return CountLayout::kTrie;
+  }
+  return CountLayout::kDense;
+}
 
 /// Handle for an asynchronous Count() started with
 /// SupportCounter::StartCount. Join() blocks until the supports vector
@@ -50,19 +109,27 @@ class CountFuture {
   bool joined_ = false;
 };
 
-/// Reusable state of one batch scan: the trie arena and the per-shard
-/// private counter buffers. A caller that keeps one instance across
-/// CountBatchWithTrie calls (e.g. across a row's cells) re-counts into
-/// warm buffers.
+/// Reusable state of one batch scan: the trie arena, the per-shard
+/// private counter buffers and the dense layout's rank table. The
+/// thread that starts a scan sizes every buffer, so pool workers never
+/// allocate. A caller that keeps one instance across calls (e.g.
+/// across a row's cells) re-counts into warm buffers.
 struct CountBatchScratch {
   CandidateTrie trie;
+  /// Shard s's counters: one per candidate (trie) or one per
+  /// k-combination followed by the shard's rank list of the current
+  /// transaction (dense).
   std::vector<std::vector<uint32_t>> partial;
+  /// Dense layout: rank of each batch item by ascending id, indexed by
+  /// item id up to the batch's largest; other ids are unranked.
+  std::vector<uint32_t> rank;
 };
 
 /// The support-counting engine: fills sup(A) for a uniform-arity
 /// batch of candidate itemsets with one sequential scan of an
-/// abstraction level's generalized database, probing a candidate
-/// prefix trie (the paper's disk-scan counting model, §5).
+/// abstraction level's generalized database (the paper's disk-scan
+/// counting model, §5). ChooseCountLayout picks each batch's counter
+/// layout from its distinct items n, its arity k and its size.
 ///
 /// `pool` (optional, not owned, must outlive the counter) shards each
 /// scan over contiguous transaction ranges with per-shard private
@@ -71,12 +138,13 @@ struct CountBatchScratch {
 /// (optional) is a cooperative-cancellation token: shard tasks poll it
 /// every few hundred transactions and bail early once it fires,
 /// leaving the supports partial — the driver must discard them
-/// (CellPipeline re-checks the token before evaluating). An un-fired
-/// token changes nothing.
+/// (CellPipeline re-checks the token before evaluating). A token that
+/// has fired before StartCount makes it return the token's status
+/// without scanning. An un-fired token changes nothing.
 ///
-/// The counter keeps one trie arena plus per-shard counter buffers
-/// alive across calls (the row-level reuse seam), which requires its
-/// StartCount futures to be joined one at a time — exactly the cell
+/// The counter keeps one trie arena, per-shard counter buffers and a
+/// rank table alive across calls (the row-level reuse seam), which
+/// requires its StartCount futures to be joined one at a time — the cell
 /// pipeline's sequential begin/finish discipline. The views are only
 /// read, so several counters — each with its own pool — may share one
 /// LevelViews.
@@ -93,7 +161,7 @@ class SupportCounter {
   /// until the join. Without a pool the scan runs inline and the
   /// future is ready. Every candidate must have the same size; a
   /// mixed-arity batch returns a ready InvalidArgument future. One db
-  /// scan is accounted per non-empty batch.
+  /// scan is accounted per non-empty batch that starts counting.
   CountFuture StartCount(const LevelViews* views, int h,
                          std::span<const Itemset> candidates,
                          std::vector<uint32_t>* supports);
@@ -108,19 +176,24 @@ class SupportCounter {
   /// Number of full database scans performed so far.
   uint64_t num_db_scans() const { return num_db_scans_; }
 
+  /// How many of those scans used the dense layout.
+  uint64_t num_dense_scans() const { return num_dense_scans_; }
+
  private:
   ThreadPool* pool_;
   const CancelToken* cancel_;
   uint64_t num_db_scans_ = 0;
-  /// Pooled trie arena + shard buffers, reused across counts. Only
-  /// touched from the thread driving StartCount/Join.
+  uint64_t num_dense_scans_ = 0;
+  /// Pooled trie arena, shard buffers and rank table, reused across
+  /// counts. Only touched from the thread driving StartCount/Join.
   CountBatchScratch scratch_;
 };
 
 /// One sharded trie-counting scan of `db` for a uniform-arity batch
 /// (all candidates the same size, distinct). Fills `supports[i]` with
-/// sup(candidates[i]). This is SupportCounter's scan, exposed for the
-/// thread-scaling bench and the equivalence tests. `scratch`
+/// sup(candidates[i]). This is SupportCounter's trie layout, whatever
+/// the batch's shape: the NaiveMiner oracle, the thread-scaling bench
+/// and the equivalence tests count through it. `scratch`
 /// is reused across calls when non-null (row-level trie reuse) and
 /// must not be shared between concurrent scans.
 Status CountBatchWithTrie(const TransactionDb& db,

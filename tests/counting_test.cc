@@ -1,13 +1,16 @@
-// Support counting: CandidateTrie against brute force, and
-// SupportCounter against the reference scan at every level, with and
-// without a pool.
+// Support counting: CandidateTrie against brute force, the counter
+// layout rule, and SupportCounter against the reference scan at every
+// level and in both counter layouts (dense and trie), with and without
+// a pool.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <unordered_set>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/candidate_trie.h"
@@ -148,6 +151,236 @@ TEST(CounterAgreement, MixedArityBatchIsRejected) {
   EXPECT_EQ(counter.Count(&*views, 1, mixed, &supports).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(counter.num_db_scans(), 0u);
+}
+
+// --- counter layouts ---------------------------------------------------
+
+TEST(CountLayoutRule, SaturatingBinomial) {
+  EXPECT_EQ(SaturatingBinomial(0, 0), 1u);
+  EXPECT_EQ(SaturatingBinomial(5, 2), 10u);
+  EXPECT_EQ(SaturatingBinomial(3, 5), 0u);
+  EXPECT_EQ(SaturatingBinomial(251, 2), 31375u);
+  EXPECT_EQ(SaturatingBinomial(40, 37), SaturatingBinomial(40, 3));
+  // C(67, 33) is the largest central binomial that fits 64 bits.
+  EXPECT_EQ(SaturatingBinomial(67, 33), 14226520737620288370ull);
+  EXPECT_EQ(SaturatingBinomial(68, 34),
+            std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(SaturatingBinomial(100000, 8),
+            std::numeric_limits<uint64_t>::max());
+}
+
+TEST(CountLayoutRule, BoundsAndSaturation) {
+  // k = 2: dense up to C(n, 2) = 2^16, whatever the candidate count.
+  EXPECT_EQ(ChooseCountLayout(362, 2, 1), CountLayout::kDense);
+  EXPECT_EQ(ChooseCountLayout(363, 2, 1u << 20), CountLayout::kTrie);
+  // k >= 3 also needs C(n, k) <= 64 * |candidates|.
+  EXPECT_EQ(ChooseCountLayout(10, 3, 2), CountLayout::kDense);  // 120
+  EXPECT_EQ(ChooseCountLayout(10, 3, 1), CountLayout::kTrie);
+  EXPECT_EQ(ChooseCountLayout(74, 3, 1u << 20), CountLayout::kDense);
+  EXPECT_EQ(ChooseCountLayout(75, 3, 1u << 20), CountLayout::kTrie);
+  // A saturated C(n, k) picks the trie.
+  EXPECT_EQ(ChooseCountLayout(100000, 8, 1u << 30), CountLayout::kTrie);
+  EXPECT_EQ(ChooseCountLayout(100000, 2, 1u << 30), CountLayout::kTrie);
+  // Singletons always walk the trie.
+  EXPECT_EQ(ChooseCountLayout(5, 1, 100), CountLayout::kTrie);
+  // The batch shapes of the benchmarked Quest and medline runs, which
+  // must all count densely: the widest pair batches (quest thr10
+  // Q(3,2), Q(4,2); thr2 Q(4,2)) and medline's sparsest k = 3 ones.
+  EXPECT_EQ(ChooseCountLayout(250, 2, 16975), CountLayout::kDense);
+  EXPECT_EQ(ChooseCountLayout(251, 2, 713), CountLayout::kDense);
+  EXPECT_EQ(ChooseCountLayout(143, 2, 167), CountLayout::kDense);
+  EXPECT_EQ(ChooseCountLayout(9, 3, 11), CountLayout::kDense);
+  EXPECT_EQ(ChooseCountLayout(12, 3, 14), CountLayout::kDense);
+}
+
+/// The batch's number of distinct items.
+uint64_t DistinctItems(const std::vector<Itemset>& candidates) {
+  std::unordered_set<ItemId> items;
+  for (const Itemset& c : candidates) items.insert(c.begin(), c.end());
+  return items.size();
+}
+
+CountLayout LayoutOf(const std::vector<Itemset>& candidates) {
+  return ChooseCountLayout(DistinctItems(candidates),
+                           candidates.front().size(), candidates.size());
+}
+
+/// Up to `count` distinct k-itemsets over `pool`: half are k-subsets of
+/// random transactions of `db` restricted to `pool` (so supports are
+/// rarely zero), the rest uniform draws from `pool`.
+std::vector<Itemset> DrawBatch(const TransactionDb& db,
+                               const std::vector<ItemId>& pool, int k,
+                               int count, Rng* rng) {
+  const std::unordered_set<ItemId> in_pool(pool.begin(), pool.end());
+  std::vector<Itemset> candidates;
+  std::unordered_set<Itemset, ItemsetHash> seen;
+  std::vector<ItemId> usable;
+  for (int c = 0; c < count; ++c) {
+    Itemset s;
+    if (c % 2 == 0) {
+      usable.clear();
+      for (ItemId item : db.Get(static_cast<TxnId>(rng->Below(db.size())))) {
+        if (in_pool.count(item) > 0) usable.push_back(item);
+      }
+      if (usable.size() >= static_cast<size_t>(k)) {
+        while (s.size() < k) s.Insert(usable[rng->Below(usable.size())]);
+      }
+    }
+    while (s.size() < k) s.Insert(pool[rng->Below(pool.size())]);
+    if (seen.insert(s).second) candidates.push_back(s);
+  }
+  return candidates;
+}
+
+/// A sparse batch: `count` candidates of k distinct items each, no item
+/// shared, drawn from `pool` (which must hold count * k items).
+std::vector<Itemset> SparseBatch(std::vector<ItemId> pool, int k,
+                                 int count, Rng* rng) {
+  for (size_t i = pool.size(); i > 1; --i) {
+    std::swap(pool[i - 1], pool[rng->Below(i)]);
+  }
+  std::vector<Itemset> candidates(static_cast<size_t>(count));
+  for (int c = 0; c < count; ++c) {
+    for (int d = 0; d < k; ++d) {
+      candidates[static_cast<size_t>(c)].Insert(
+          pool[static_cast<size_t>(c * k + d)]);
+    }
+  }
+  return candidates;
+}
+
+/// Over 400 leaves, so a pair batch over all of them exceeds the dense
+/// bound, and ~64 mid-level nodes; up to 12 items per transaction, so
+/// k = 4 finds matches.
+class CountLayouts : public ::testing::Test {
+ protected:
+  struct Batch {
+    int h = 0;
+    std::vector<Itemset> candidates;
+  };
+
+  void SetUp() override {
+    data_ = testutil::RandomDataset(31, /*num_roots=*/8, /*fanout=*/8,
+                                    /*depth=*/3, /*num_txns=*/2500,
+                                    /*max_width=*/12);
+    auto views = LevelViews::Build(data_.db, data_.taxonomy, &pool_);
+    ASSERT_TRUE(views.ok()) << views.status();
+    views_ = std::move(views).value();
+    ASSERT_EQ(views_.height(), 3);
+    ASSERT_GT(data_.taxonomy.NodesAtLevel(3).size(), 400u);
+    ASSERT_GE(data_.taxonomy.NodesAtLevel(2).size(), 32u);
+  }
+
+  /// Level 2's 24 lowest ids: its transactions hold items above the
+  /// highest ranked id and items outside the batch.
+  Batch DenseBatch(int k, Rng* rng) const {
+    std::vector<ItemId> low = data_.taxonomy.NodesAtLevel(2);
+    std::sort(low.begin(), low.end());
+    low.resize(24);
+    Batch batch{2, DrawBatch(views_.Level(2).db, low, k, 600, rng)};
+    EXPECT_EQ(LayoutOf(batch.candidates), CountLayout::kDense);
+    return batch;
+  }
+
+  /// k = 2: pairs over every leaf, past the C(n, 2) bound; k >= 3: too
+  /// few candidates for their distinct items.
+  Batch TrieBatch(int k, Rng* rng) const {
+    Batch batch =
+        k == 2 ? Batch{3, DrawBatch(views_.Level(3).db,
+                                    data_.taxonomy.NodesAtLevel(3), k,
+                                    2000, rng)}
+               : Batch{2, SparseBatch(data_.taxonomy.NodesAtLevel(2), k,
+                                      8, rng)};
+    EXPECT_EQ(LayoutOf(batch.candidates), CountLayout::kTrie);
+    return batch;
+  }
+
+  void ExpectExactSupports(SupportCounter* counter, const Batch& batch) {
+    std::vector<uint32_t> supports;
+    ASSERT_TRUE(
+        counter->Count(&views_, batch.h, batch.candidates, &supports)
+            .ok());
+    ASSERT_EQ(supports.size(), batch.candidates.size());
+    const TransactionDb& db = views_.Level(batch.h).db;
+    for (size_t i = 0; i < supports.size(); ++i) {
+      EXPECT_EQ(supports[i], db.CountSupport(batch.candidates[i]))
+          << "level " << batch.h << ", "
+          << batch.candidates[i].ToString();
+    }
+  }
+
+  ThreadPool pool_{4};
+  testutil::Dataset data_;
+  LevelViews views_;
+};
+
+TEST_F(CountLayouts, BothLayoutsMatchReferenceScan) {
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool_}) {
+    SCOPED_TRACE(p == nullptr ? "no pool" : "4-thread pool");
+    Rng rng(31);
+    for (int k = 2; k <= 4; ++k) {
+      SCOPED_TRACE("k=" + std::to_string(k));
+      SupportCounter counter(p);
+      ExpectExactSupports(&counter, DenseBatch(k, &rng));
+      ExpectExactSupports(&counter, TrieBatch(k, &rng));
+      EXPECT_EQ(counter.num_db_scans(), 2u);
+      EXPECT_EQ(counter.num_dense_scans(), 1u);
+    }
+  }
+}
+
+TEST_F(CountLayouts, WarmCounterAlternatesLayouts) {
+  // One counter's pooled buffers serve dense and trie batches in turn
+  // (the row-reuse seam): each must count as a fresh counter would.
+  Rng rng(77);
+  SupportCounter warm(&pool_);
+  for (int round = 0; round < 6; ++round) {
+    const int k = 2 + round % 3;
+    ExpectExactSupports(&warm, round % 2 == 0 ? DenseBatch(k, &rng)
+                                              : TrieBatch(k, &rng));
+  }
+  EXPECT_EQ(warm.num_db_scans(), 6u);
+  EXPECT_EQ(warm.num_dense_scans(), 3u);
+}
+
+TEST(CountLayoutEdges, EmptyDatabaseCountsZero) {
+  const testutil::Dataset data = testutil::PaperToyDataset();
+  auto views = LevelViews::Build(TransactionDb(), data.taxonomy);
+  ASSERT_TRUE(views.ok()) << views.status();
+  const int h = views->height();
+  const std::vector<ItemId>& leaves = data.taxonomy.NodesAtLevel(h);
+  const std::vector<Itemset> candidates = {
+      Itemset::Pair(leaves[0], leaves[1]),
+      Itemset::Pair(leaves[1], leaves[2])};
+  ASSERT_EQ(LayoutOf(candidates), CountLayout::kDense);
+  ThreadPool pool(4);
+  SupportCounter counter(&pool);
+  std::vector<uint32_t> supports;
+  ASSERT_TRUE(counter.Count(&*views, h, candidates, &supports).ok());
+  EXPECT_EQ(supports, std::vector<uint32_t>(2, 0));
+}
+
+TEST(CountLayoutEdges, FiredTokenReturnsItsStatus) {
+  const testutil::Dataset data = testutil::PaperToyDataset();
+  auto views = LevelViews::Build(data.db, data.taxonomy);
+  ASSERT_TRUE(views.ok()) << views.status();
+  const std::vector<Itemset> candidates = {Itemset::Pair(
+      *data.dict.Find("a11"), *data.dict.Find("b11"))};
+  ASSERT_EQ(LayoutOf(candidates), CountLayout::kDense);
+
+  CancelToken cancelled;
+  cancelled.Cancel();
+  CancelToken lapsed;
+  lapsed.SetDeadlineAfterMs(-1);
+  ThreadPool pool(4);
+  for (const CancelToken* token : {&cancelled, &lapsed}) {
+    SupportCounter counter(&pool, token);
+    std::vector<uint32_t> supports;
+    EXPECT_EQ(counter.Count(&*views, 3, candidates, &supports).code(),
+              token->ToStatus().code());
+    EXPECT_FALSE(token->ToStatus().ok());
+    EXPECT_EQ(counter.num_db_scans(), 0u);
+  }
 }
 
 TEST(LevelViews, RejectsNonLeafAndUnknownItems) {

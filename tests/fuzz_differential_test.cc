@@ -16,7 +16,10 @@
 // and 4 threads. This is the guard rail for the v2 decode and append
 // paths: a mis-encoded block pair or a wrongly decoded transaction
 // shows up as a support (and usually a pattern-set) difference against
-// the oracle.
+// the oracle. The oracle counts with the trie layout only, so the
+// comparison also pits the miners' dense layout against the trie; each
+// round also counts random batches on both sides of the layout bound
+// directly against the reference scan.
 //
 // Reproducing a failure: every round prints its seed into the assert
 // message; rerun that exact round with
@@ -29,18 +32,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "common/cancellation.h"
 #include "common/env.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/flipper_miner.h"
 #include "core/level_views.h"
 #include "core/naive_miner.h"
 #include "core/pattern_io.h"
+#include "core/support_counting.h"
 #include "data/db_io.h"
 #include "storage/store_reader.h"
 #include "storage/store_writer.h"
@@ -177,6 +184,72 @@ std::string DescribeConfig(const MiningConfig& config) {
          " row_overlap=" + std::to_string(config.enable_row_overlap);
 }
 
+/// The layout SupportCounter picks for `candidates`.
+CountLayout LayoutOf(const std::vector<Itemset>& candidates) {
+  std::unordered_set<ItemId> items;
+  for (const Itemset& c : candidates) items.insert(c.begin(), c.end());
+  return ChooseCountLayout(items.size(), candidates.front().size(),
+                           candidates.size());
+}
+
+/// Counts random uniform-arity batches (k = 2..4) of every level of
+/// `views` with SupportCounter and checks each support against the
+/// reference scan. Most candidates are k-subsets of the level's
+/// transactions, the rest uniform draws over its nodes; a last sparse
+/// batch of disjoint 4-itemsets, padded with ids no transaction holds
+/// when a level is too narrow, always takes the trie. Returns how many
+/// batches took each layout, indexed by CountLayout.
+std::array<int, 2> CountRandomBatches(const LevelViews& views,
+                                      const Taxonomy& taxonomy,
+                                      Rng* rng) {
+  std::array<int, 2> by_layout = {0, 0};
+  ThreadPool pool(4);
+  SupportCounter counter(&pool);
+  auto check = [&](int h, const std::vector<Itemset>& candidates) {
+    ++by_layout[static_cast<size_t>(LayoutOf(candidates))];
+    std::vector<uint32_t> supports;
+    ASSERT_TRUE(counter.Count(&views, h, candidates, &supports).ok());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      ASSERT_EQ(supports[i],
+                views.Level(h).db.CountSupport(candidates[i]))
+          << "level " << h << ", " << candidates[i].ToString();
+    }
+  };
+  for (int h = 1; h <= views.height(); ++h) {
+    const TransactionDb& db = views.Level(h).db;
+    const std::vector<ItemId>& nodes = taxonomy.NodesAtLevel(h);
+    for (int k = 2; k <= 4 && k <= static_cast<int>(nodes.size()); ++k) {
+      std::vector<Itemset> candidates;
+      std::unordered_set<Itemset, ItemsetHash> seen;
+      for (int c = 0; c < 48; ++c) {
+        Itemset s;
+        const auto txn = db.Get(static_cast<TxnId>(rng->Below(db.size())));
+        if (rng->Bernoulli(0.75) && txn.size() >= static_cast<size_t>(k)) {
+          while (s.size() < k) s.Insert(txn[rng->Below(txn.size())]);
+        }
+        while (s.size() < k) s.Insert(nodes[rng->Below(nodes.size())]);
+        if (seen.insert(s).second) candidates.push_back(s);
+      }
+      check(h, candidates);
+    }
+  }
+  // Three disjoint 4-itemsets: C(12, 4) = 495 combinations for 3
+  // candidates is past the per-candidate bound.
+  const int h = views.height();
+  std::vector<ItemId> pool_items = taxonomy.NodesAtLevel(h);
+  for (auto ghost = static_cast<ItemId>(taxonomy.id_space());
+       pool_items.size() < 12; ++ghost) {
+    pool_items.push_back(ghost);
+  }
+  for (size_t i = pool_items.size(); i > 1; --i) {
+    std::swap(pool_items[i - 1], pool_items[rng->Below(i)]);
+  }
+  std::vector<Itemset> sparse(3);
+  for (size_t i = 0; i < 12; ++i) sparse[i / 4].Insert(pool_items[i]);
+  check(h, sparse);
+  return by_layout;
+}
+
 /// Runs one round; returns the oracle's pattern count so the suite
 /// can prove it is not passing vacuously on empty answer sets.
 size_t RunRound(uint64_t seed) {
@@ -308,6 +381,17 @@ size_t RunRound(uint64_t seed) {
     }
   }
   EXPECT_FALSE(unfired_token.Fired());
+
+  // Counting dimension: batches on both sides of the layout bound.
+  {
+    auto views = LevelViews::Build(inputs.db, inputs.taxonomy);
+    EXPECT_TRUE(views.ok()) << views.status();
+    if (!views.ok()) return 0;
+    const std::array<int, 2> by_layout =
+        CountRandomBatches(*views, inputs.taxonomy, &rng);
+    EXPECT_GT(by_layout[static_cast<size_t>(CountLayout::kDense)], 0);
+    EXPECT_GT(by_layout[static_cast<size_t>(CountLayout::kTrie)], 0);
+  }
   return oracle->patterns.size();
 }
 

@@ -224,6 +224,10 @@ TEST(MetricsRegistry, MiningPopulatesTheRegistryWithoutChangingOutput) {
             static_cast<int64_t>(stats.total_counted));
   EXPECT_EQ(m.counter("mine.db_scans"),
             static_cast<int64_t>(stats.db_scans));
+  EXPECT_EQ(m.counter("mine.dense_scans"),
+            static_cast<int64_t>(stats.dense_scans));
+  EXPECT_GT(stats.dense_scans, 0u);
+  EXPECT_LE(stats.dense_scans, stats.db_scans);
   EXPECT_EQ(m.counter("mine.scan_cell_scans"),
             static_cast<int64_t>(stats.scan_cell_scans));
   EXPECT_EQ(m.counter("mine.positive_itemsets"),

@@ -53,6 +53,7 @@ TEST(MiningStats, ToStringCoversEveryCounter) {
   cell.seconds = 1.5;
   stats.AddCell(cell);
   stats.db_scans = 42;
+  stats.dense_scans = 30;
   stats.scan_cell_scans = 7;
   stats.num_positive = 12345;
   stats.num_negative = 22;
@@ -65,7 +66,7 @@ TEST(MiningStats, ToStringCoversEveryCounter) {
   // the human-readable summary too (satellite of the same contract).
   for (const char* label :
        {"cells computed:", "candidates gen:", "candidates cnt:",
-        "db scans:", "scan-cell:", "positive itemsets:",
+        "db scans:", "dense:", "scan-cell:", "positive itemsets:",
         "negative itemsets:", "peak cand. memory:",
         "tpg stop column:", "sibp banned items:", "total time:"}) {
     EXPECT_NE(s.find(label), std::string::npos)
@@ -75,6 +76,8 @@ TEST(MiningStats, ToStringCoversEveryCounter) {
   // Values land next to their labels.
   EXPECT_NE(s.find("1,234"), std::string::npos) << s;  // generated
   EXPECT_NE(s.find("12,345"), std::string::npos) << s;  // positive
+  EXPECT_NE(s.find("42 (dense: 30, scan-cell: 7)"), std::string::npos)
+      << s;
 }
 
 TEST(MiningStats, TpgColumnPrintsDashWhenNeverFired) {
@@ -119,7 +122,7 @@ TEST(MiningStats, CliMineStatsPrintsTheFullSummary) {
   // --stats prints the complete summary to stderr.
   for (const char* label :
        {"cells computed:", "candidates gen:", "candidates cnt:",
-        "db scans:", "scan-cell:", "positive itemsets:",
+        "db scans:", "dense:", "scan-cell:", "positive itemsets:",
         "negative itemsets:", "peak cand. memory:",
         "tpg stop column:", "sibp banned items:", "total time:"}) {
     EXPECT_NE(err.find(label), std::string::npos)

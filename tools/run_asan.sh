@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Memory-checks the storage and recovery paths (mmap'd reader views,
-# the varint block cursor, the fault-injected crash sweeps) under
-# AddressSanitizer + UBSan. Uses the `asan` CMake preset when
+# the varint block cursor, the fault-injected crash sweeps) and the
+# support-counting index arithmetic under AddressSanitizer + UBSan. Uses the `asan` CMake preset when
 # available, falling back to explicit -D flags on older CMake.
 set -euo pipefail
 
@@ -18,10 +18,13 @@ BUILD_DIR=build-asan
 # torn frames, service_test runs the daemon end to end, and
 # service_robustness_test adds deadline unwinds, mid-mine hangups and
 # a fault-injected connection storm — all paths where a leak or
-# over-read would hide behind "the query just failed".
+# over-read would hide behind "the query just failed". The counting
+# suites index raw arrays: counting_test and trie_invariance_test drive
+# the dense layout's colex indices, rank table and per-shard rank lists
+# and the trie's arena walk, where an off-by-one over-reads silently.
 SUITES=(storage_test crash_recovery_test tools_test
         fuzz_differential_test protocol_fuzz_test service_test
-        service_robustness_test)
+        service_robustness_test counting_test trie_invariance_test)
 
 # Instrumented fuzz rounds are slower; a few are enough to cover the
 # decode paths (override by exporting FLIPPER_FUZZ_ITERS).
