@@ -67,7 +67,7 @@ struct CaseResult {
   double rows_per_sec = 0.0;
   /// Speedup over the series' baseline case (0 = n/a); `speedup_key`
   /// names the baseline in the JSON so cases with different baselines
-  /// (1-thread scan vs staged-serial miner) are not conflated.
+  /// (1-thread scan vs scalar probe kernel) are not conflated.
   double speedup = 0.0;
   const char* speedup_key = "speedup_vs_1t";
   /// Extra `"key": value` JSON fields for this case (pre-rendered,
@@ -472,14 +472,10 @@ std::string StagesJson(const MetricsRegistry::Snapshot& snap) {
   return out;
 }
 
-/// Staged-serial vs pipelined cell execution on a multi-cell quest
-/// workload (several rows and columns stay alive, so the driver has
-/// planning work to overlap with the pool's support scans). Three
-/// rungs: staged serial, intra-row pipelining only, and the full
-/// config with cross-row overlap; the pipelined cases report their
-/// speedup over the staged-serial median at the same thread count in
-/// the speedup column/JSON field.
-void BenchMinerPipeline(std::vector<CaseResult>* results) {
+/// The full miner on a multi-cell quest workload (several rows and
+/// columns stay alive), with a registry attached so the case records
+/// its stage breakdown.
+void BenchMiner(std::vector<CaseResult>* results) {
   ItemDictionary dict;
   TaxonomyGenParams tax_params;  // the paper's 10 roots x fanout 5, H=4
   auto taxonomy = GenerateBalancedTaxonomy(tax_params, &dict);
@@ -498,56 +494,32 @@ void BenchMinerPipeline(std::vector<CaseResult>* results) {
   config.min_support = {0.01, 0.001, 0.0005, 0.0001};
   config.num_threads = 0;
   const int hw = ThreadPool::ResolveThreadCount(0);
-  struct Mode {
-    const char* name;
-    bool pipelining;
-    bool row_overlap;
-  };
-  constexpr Mode kModes[] = {
-      {"miner_staged_serial", false, false},
-      {"miner_pipelined_no_row_overlap", true, false},
-      {"miner_pipelined", true, true},
-  };
-  double serial_ms = 0.0;
-  for (const Mode& mode : kModes) {
-    config.enable_pipelining = mode.pipelining;
-    config.enable_row_overlap = mode.row_overlap;
-    // Every mode mines with a registry attached (a fresh one per rep,
-    // so stage sums describe one run, not the series); the recorded
-    // snapshot is the last timed rep's. The registry's cost is part of
-    // what the miner cases measure — the dedicated A/B pair below
-    // bounds it.
-    MetricsRegistry::Snapshot snap;
-    double utilization = 0.0;
-    CaseResult r = RunCase(mode.name, hw, db->size(), [&] {
-      MetricsRegistry metrics;
-      MiningConfig run_config = config;
-      run_config.metrics = &metrics;
-      auto result = FlipperMiner::Run(*db, *taxonomy, run_config);
-      if (!result.ok()) std::abort();
-      utilization = metrics.gauge("pool.utilization");
-      snap = metrics.Snap();
-    });
-    if (!mode.pipelining) {
-      serial_ms = r.median_ms;
-    } else if (serial_ms > 0.0 && r.median_ms > 0.0) {
-      r.speedup = serial_ms / r.median_ms;
-      r.speedup_key = "speedup_vs_serial";
-    }
-    r.extra_json = "\"pool_utilization\": " + FormatDouble(utilization, 4) +
-                   ", \"packed_kernel\": \"" +
-                   JsonEscape(trie_probe::PackedKernelName()) + "\", " +
-                   StagesJson(snap);
-    results->push_back(r);
-  }
+  // A fresh registry per rep, so stage sums describe one run, not the
+  // series; the recorded snapshot is the last timed rep's. The
+  // registry's cost is part of what this case measures — the A/B pair
+  // below bounds it.
+  MetricsRegistry::Snapshot snap;
+  double utilization = 0.0;
+  CaseResult full = RunCase("miner_full", hw, db->size(), [&] {
+    MetricsRegistry metrics;
+    MiningConfig run_config = config;
+    run_config.metrics = &metrics;
+    auto result = FlipperMiner::Run(*db, *taxonomy, run_config);
+    if (!result.ok()) std::abort();
+    utilization = metrics.gauge("pool.utilization");
+    snap = metrics.Snap();
+  });
+  full.extra_json =
+      "\"pool_utilization\": " + FormatDouble(utilization, 4) +
+      ", \"packed_kernel\": \"" +
+      JsonEscape(trie_probe::PackedKernelName()) + "\", " +
+      StagesJson(snap);
+  results->push_back(full);
 
-  // Observability overhead A/B on the same workload: the full
-  // pipelined configuration with tracing + metrics completely off vs
-  // both on (span recording AND the registry). The on-case records
-  // overhead_pct so the trajectory catches instrumentation creep; the
-  // acceptance bar is < 2% on the median.
-  config.enable_pipelining = true;
-  config.enable_row_overlap = true;
+  // Observability overhead A/B on the same workload: tracing + metrics
+  // completely off vs both on (span recording AND the registry). The
+  // on-case records overhead_pct so the trajectory catches
+  // instrumentation creep; the acceptance bar is < 2% on the median.
   double obs_off_ms = 0.0;
   for (const bool obs : {false, true}) {
     CaseResult r = RunCase(
@@ -784,7 +756,7 @@ int main() {
   BenchRowTrieReuse(&results);
   BenchScanCounters(&results);
   BenchThreadScaling(&results);
-  BenchMinerPipeline(&results);
+  BenchMiner(&results);
   BenchStorage(&results);
   const std::string store_sizes = BenchStoreSizes();
   EmitResults(results, store_sizes);

@@ -149,18 +149,6 @@ int MineCommand(const std::vector<const char*>& argv, std::ostream& out,
                "worker threads for counting (default 0 = all hardware "
                "threads)",
                "N");
-  args.AddFlag("pipeline",
-               "on|off — overlap candidate generation with the "
-               "previous cell's support scan (default on; results "
-               "are identical either way)",
-               "MODE");
-  args.AddFlag("row-overlap",
-               "on|off — extend the pipeline's speculation window "
-               "across taxonomy rows (plan and start the next row's "
-               "first cell while the current row's last cell counts; "
-               "default on; only effective with --pipeline on; results "
-               "are identical either way)",
-               "MODE");
   args.AddFlag("topk", "keep only the K widest flips", "K");
   args.AddFlag("format", "text|csv|json (default text)", "NAME");
   args.AddFlag("out", "write patterns to a file instead of stdout",
@@ -1154,8 +1142,6 @@ int QueryCommand(const std::vector<const char*>& argv, std::ostream& out,
   args.AddFlag("measure", "correlation measure name", "NAME");
   args.AddFlag("pruning", "full|tpg|flipping|support", "NAME");
   args.AddFlag("threads", "worker threads for counting", "N");
-  args.AddFlag("pipeline", "on|off", "MODE");
-  args.AddFlag("row-overlap", "on|off", "MODE");
   args.AddFlag("topk", "keep only the K widest flips", "K");
   args.AddFlag("format", "text|csv|json (default text)", "NAME");
 
@@ -1268,7 +1254,7 @@ LoadgenVariants() {
       kVariants = {
           {{"format", "csv"}},
           {{"format", "csv"}, {"threads", "2"}, {"topk", "5"}},
-          {{"format", "csv"}, {"gamma", "0.5"}, {"pipeline", "off"}},
+          {{"format", "csv"}, {"gamma", "0.5"}},
           {{"format", "json"}, {"epsilon", "0.05"}},
       };
   return kVariants;

@@ -3,9 +3,8 @@
 // label, chain-alive flag), carries the pattern chains of alive
 // itemsets forward level by level, and owns the SIBP bookkeeping
 // (per-level qualification walk + ban set, §4.3.2). The pipeline calls
-// Evaluate / SibpUpdate / SibpBan in exactly the serial cell order, so
-// all results are bit-identical to the unpipelined path; the planner
-// reads banned(h) between calls to detect stale speculative plans.
+// Evaluate / SibpUpdate / SibpBan in the paper's cell order, and the
+// planner reads banned(h) when it grows the next cell of level h.
 
 #ifndef FLIPPER_CORE_CELL_EVALUATOR_H_
 #define FLIPPER_CORE_CELL_EVALUATOR_H_
@@ -56,8 +55,7 @@ class CellEvaluator {
   /// excluded from all wider candidate itemsets.
   void SibpBan(int h, int k, MiningStats* stats);
 
-  /// Level h's current ban set. Bans only grow, so its size doubles as
-  /// the version the planner validates speculative plans against.
+  /// Level h's current ban set.
   const std::unordered_set<ItemId>& banned(int h) const {
     return banned_[static_cast<size_t>(h)];
   }

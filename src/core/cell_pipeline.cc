@@ -59,8 +59,6 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
     views_ = &owned_views_;
   }
   counter_.emplace(pool_.get(), config_.cancel);
-  pipelining_ = config_.enable_pipelining;
-  row_overlap_ = pipelining_ && config_.enable_row_overlap;
 
   MiningResult result;
   height_ = tax_.height();
@@ -107,24 +105,14 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
   // waiting room) — fail before the first candidate is generated.
   FLIPPER_RETURN_IF_ERROR(CheckCancel());
 
-  // Cross-row speculation handed from one row's last column to the
-  // next row's first cell (enable_row_overlap). Declared ahead of both
-  // phases: phase 1's last column seeds row 3.
-  CrossRowState cross;
-
   // --- Phase 1: the two ceiling rows, zigzag (lines 2-7). ---
   Row row1;
   Row row2;
-  std::optional<CellPlan> spec;
   for (int k = 2; k <= max_k_; ++k) {
     FLIPPER_RETURN_IF_ERROR(CheckCancel());
-    CellWork work1;
     const Cell* prev1 =
         k == 2 ? nullptr : &row1[static_cast<size_t>(k - 3)];
-    FLIPPER_RETURN_IF_ERROR(
-        BeginRow1Cell(k, prev1, std::move(spec), &work1));
-    spec.reset();
-    FLIPPER_ASSIGN_OR_RETURN(Cell q1, FinishCell(&work1, nullptr));
+    FLIPPER_ASSIGN_OR_RETURN(Cell q1, RunCell(1, k, nullptr, prev1));
     const bool q1_has_frequent = !q1.Select([](const ItemsetRecord& r) {
                                      return r.frequent;
                                    }).empty();
@@ -137,27 +125,10 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
     }
     row1.push_back(std::move(q1));
 
-    CellWork work2;
     const Cell& parent = row1[static_cast<size_t>(k - 2)];
     const Cell* prev2 =
         k == 2 ? nullptr : &row2[static_cast<size_t>(k - 3)];
-    FLIPPER_RETURN_IF_ERROR(
-        BeginVerticalCell(2, k, &parent, prev2, std::nullopt, &work2));
-    // Overlap: while Q(2,k) counts on the pool, the driver plans
-    // Q(1,k+1) — the prefix join reads only the completed Q(1,k).
-    if (pipelining_ && k < max_k_ && !work2.counted_by_scan) {
-      StageScope stage(metrics_, "plan", 1, k + 1);
-      spec = planner_->PlanRow1(k + 1, &parent);
-    }
-    // Row overlap: at the last column, plan (and start counting)
-    // Q(3,2) from the completed Q(2,2) while Q(2,max_k) finishes.
-    const Cell* cross_parent =
-        row_overlap_ && k == max_k_ && height_ >= 3 && !row2.empty()
-            ? &row2[0]
-            : nullptr;
-    FLIPPER_RETURN_IF_ERROR(
-        JoinWithCrossStart(&work2, 3, cross_parent, &cross));
-    FLIPPER_ASSIGN_OR_RETURN(Cell q2, EvaluateCell(&work2, &parent));
+    FLIPPER_ASSIGN_OR_RETURN(Cell q2, RunCell(2, k, &parent, prev2));
     row2.push_back(std::move(q2));
 
     {
@@ -174,7 +145,6 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
       break;
     }
   }
-  spec.reset();
   {
     StageScope stage(metrics_, "evict");
     // Line 7: eliminate non-flipping patterns in rows 1 and 2. Row 1
@@ -188,69 +158,16 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
   Row prev_row = std::move(row2);
   for (int h = 3; h <= height_; ++h) {
     Row cur_row;
-    std::optional<CellPlan> vspec;
-    // A carried cross-row plan (scan route / truncated) becomes the
-    // row's first spec, so its scan or error lands in serial position.
-    if (cross.carried.has_value()) {
-      ++cross_carried_;
-      vspec = std::move(cross.carried);
-      cross.carried.reset();
-    }
     for (int k = 2; k <= max_k_; ++k) {
       FLIPPER_RETURN_IF_ERROR(CheckCancel());
-      const Cell* parent =
-          static_cast<size_t>(k - 2) < prev_row.size()
-              ? &prev_row[static_cast<size_t>(k - 2)]
-              : nullptr;
+      // Row h-1 holds every column up to max_k_: the cap only
+      // shrinks, and a row that stops early lowers it below its last
+      // cell.
+      const Cell& parent = prev_row[static_cast<size_t>(k - 2)];
       const Cell* prev_in_row =
           k == 2 ? nullptr : &cur_row[static_cast<size_t>(k - 3)];
-      std::unique_ptr<CellWork> work;
-      if (k == 2 && cross.started != nullptr) {
-        StageScope stage(metrics_, "cross_adopt", h, k);
-        std::unique_ptr<CellWork> started = std::move(cross.started);
-        if (evaluator_->banned(h).size() == cross.ban_version) {
-          // Adopt the cross-row count already in flight. Provably
-          // always taken — SibpBan(h-1,·) bans only level-(h-1) items,
-          // so banned(h) cannot have grown since the plan read it.
-          ++cross_adopted_;
-          work = std::move(started);
-        } else {
-          // Defensive stale path: join, discard, replan serially.
-          ++cross_discarded_;
-          FLIPPER_RETURN_IF_ERROR(started->future.Join());
-        }
-      }
-      if (work == nullptr) {
-        work = std::make_unique<CellWork>();
-        FLIPPER_RETURN_IF_ERROR(BeginVerticalCell(
-            h, k, parent, prev_in_row, std::move(vspec), work.get()));
-      }
-      vspec.reset();
-      // Overlap: while Q(h,k)'s scan counts on the pool, the driver
-      // plans Q(h,k+1) from the completed parent row. The plan records
-      // the SIBP ban version it read; if evaluating Q(h,k) bans more
-      // items, BeginVerticalCell discards it and replans.
-      if (pipelining_ && k < max_k_ && !work->counted_by_scan) {
-        const Cell* next_parent =
-            static_cast<size_t>(k - 1) < prev_row.size()
-                ? &prev_row[static_cast<size_t>(k - 1)]
-                : nullptr;
-        if (next_parent != nullptr) {
-          StageScope stage(metrics_, "plan", h, k + 1);
-          vspec = planner_->PlanVertical(h, k + 1, *next_parent,
-                                         evaluator_->banned(h));
-        }
-      }
-      // Row overlap at the last column: plan and start Q(h+1,2) from
-      // the completed Q(h,2) while Q(h,max_k)'s count drains.
-      const Cell* cross_parent =
-          row_overlap_ && k == max_k_ && h < height_ && !cur_row.empty()
-              ? &cur_row[0]
-              : nullptr;
-      FLIPPER_RETURN_IF_ERROR(
-          JoinWithCrossStart(work.get(), h + 1, cross_parent, &cross));
       FLIPPER_ASSIGN_OR_RETURN(Cell cell,
-                               EvaluateCell(work.get(), parent));
+                               RunCell(h, k, &parent, prev_in_row));
       cur_row.push_back(std::move(cell));
 
       {
@@ -259,8 +176,7 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
         evaluator_->SibpBan(h, k, &stats_);
       }
 
-      if (parent != nullptr &&
-          TpgFires(*parent, cur_row[static_cast<size_t>(k - 2)])) {
+      if (TpgFires(parent, cur_row[static_cast<size_t>(k - 2)])) {
         if (stats_.tpg_stopped_at == 0) stats_.tpg_stopped_at = k;
         max_k_ = k - 1;
         break;
@@ -330,28 +246,6 @@ void CellPipeline::RecordRunMetrics(const MiningStats& stats,
                static_cast<int64_t>(stats.peak_candidate_bytes));
   m.SetGauge("mine.total_ms", wall_ms);
 
-  m.AddCounter("pipeline.spec_used", static_cast<int64_t>(spec_used_));
-  m.AddCounter("pipeline.spec_discarded",
-               static_cast<int64_t>(spec_discarded_));
-  m.AddCounter("pipeline.cross_row_adopted",
-               static_cast<int64_t>(cross_adopted_));
-  m.AddCounter("pipeline.cross_row_discarded",
-               static_cast<int64_t>(cross_discarded_));
-  m.AddCounter("pipeline.cross_row_carried",
-               static_cast<int64_t>(cross_carried_));
-  const uint64_t spec_total = spec_used_ + spec_discarded_;
-  if (spec_total > 0) {
-    m.SetGauge("pipeline.spec_adoption_rate",
-               static_cast<double>(spec_used_) /
-                   static_cast<double>(spec_total));
-  }
-  const uint64_t cross_total = cross_adopted_ + cross_discarded_;
-  if (cross_total > 0) {
-    m.SetGauge("pipeline.cross_adoption_rate",
-               static_cast<double>(cross_adopted_) /
-                   static_cast<double>(cross_total));
-  }
-
   uint64_t arena_grow = 0;
   for (const ScanCounterTable& table : scan_scratch_.shard_tables) {
     arena_grow += table.grow_events();
@@ -364,152 +258,62 @@ void CellPipeline::RecordRunMetrics(const MiningStats& stats,
   }
 }
 
-Status CellPipeline::BeginRow1Cell(int k, const Cell* prev_in_row,
-                                   std::optional<CellPlan> spec,
-                                   CellWork* work) {
-  work->cs.h = 1;
-  work->cs.k = k;
-  CellPlan plan;
-  if (spec.has_value() && spec->k == k) {
-    ++spec_used_;
-    plan = std::move(*spec);
-  } else {
-    if (spec.has_value()) ++spec_discarded_;
-    StageScope stage(metrics_, "plan", 1, k);
-    plan = planner_->PlanRow1(k, prev_in_row);
-  }
-  if (plan.truncated) return TruncatedError(1, k);
-  work->cs.generated = plan.candidates.size();
-  work->candidates = std::move(plan.candidates);
-  work->cs.counted = work->candidates.size();
-  StageScope stage(metrics_, "count_start", 1, k);
-  work->future =
-      counter_->StartCount(views_, 1, work->candidates, &work->supports);
-  return Status::OK();
-}
-
-Status CellPipeline::BeginVerticalCell(int h, int k, const Cell* parent,
-                                       const Cell* prev_in_row,
-                                       std::optional<CellPlan> spec,
-                                       CellWork* work) {
-  work->cs.h = h;
-  work->cs.k = k;
-  if (parent == nullptr) {
-    // No parent cell to grow from: the cell is empty (the ready future
-    // leaves the supports empty without accounting a scan).
-    work->future = counter_->StartCount(views_, h, work->candidates,
-                                        &work->supports);
-    return Status::OK();
-  }
+Result<Cell> CellPipeline::RunCell(int h, int k, const Cell* parent,
+                                   const Cell* prev_in_row) {
+  WallTimer timer;
+  CellStats cs;
+  cs.h = h;
+  cs.k = k;
   const auto& banned = evaluator_->banned(h);
   CellPlan plan;
-  if (spec.has_value() && spec->h == h && spec->k == k &&
-      CellPlanner::PlanValid(*spec, banned)) {
-    ++spec_used_;
-    plan = std::move(*spec);
-  } else {
-    if (spec.has_value()) ++spec_discarded_;
+  {
     StageScope stage(metrics_, "plan", h, k);
-    plan = planner_->PlanVertical(h, k, *parent, banned);
+    plan = h == 1 ? planner_->PlanRow1(k, prev_in_row)
+                  : planner_->PlanVertical(h, k, *parent, banned);
   }
+  std::vector<Itemset> candidates;
+  std::vector<uint32_t> supports;
   if (plan.strategy == CellStrategy::kScan) {
     StageScope stage(metrics_, "scan_cell", h, k);
     FLIPPER_RETURN_IF_ERROR(FillCellByScan(
         *views_, tax_, config_, h, k, *parent, prev_in_row, banned,
-        freq_items_[static_cast<size_t>(h)], &work->candidates,
-        &work->supports, &work->cs, &stats_, &scan_scratch_,
-        pool_.get()));
-    work->counted_by_scan = true;
-    work->cs.counted = work->candidates.size();
-    return Status::OK();
+        freq_items_[static_cast<size_t>(h)], &candidates, &supports, &cs,
+        &stats_, &scan_scratch_, pool_.get()));
+    cs.counted = candidates.size();
+  } else {
+    cs.generated = plan.candidates.size();
+    candidates = std::move(plan.candidates);
+    if (h >= 2 && prev_in_row != nullptr) {
+      StageScope stage(metrics_, "subset_filter", h, k);
+      candidates = FilterKnownInfrequentSubsets(
+          std::move(candidates), *prev_in_row, config_.cancel);
+    }
+    // The filter stops early on a fired token: never count its partial
+    // output.
+    FLIPPER_RETURN_IF_ERROR(CheckCancel());
+    if (plan.truncated) return TruncatedError(h, k);
+    cs.counted = candidates.size();
+    CountFuture future;
+    {
+      StageScope stage(metrics_, "count_start", h, k);
+      future = counter_->StartCount(views_, h, candidates, &supports);
+    }
+    StageScope stage(metrics_, "count_wait", h, k);
+    FLIPPER_RETURN_IF_ERROR(future.Join());
   }
-  work->cs.generated = plan.candidates.size();
-  work->candidates = std::move(plan.candidates);
-  if (prev_in_row != nullptr) {
-    StageScope stage(metrics_, "subset_filter", h, k);
-    work->candidates = FilterKnownInfrequentSubsets(
-        std::move(work->candidates), *prev_in_row, config_.cancel);
-  }
-  // The filter stops early on a fired token: never count its partial
-  // output.
-  FLIPPER_RETURN_IF_ERROR(CheckCancel());
-  if (plan.truncated) return TruncatedError(h, k);
-  work->cs.counted = work->candidates.size();
-  StageScope stage(metrics_, "count_start", h, k);
-  work->future =
-      counter_->StartCount(views_, h, work->candidates, &work->supports);
-  return Status::OK();
-}
 
-Result<Cell> CellPipeline::FinishCell(CellWork* work, const Cell* parent) {
-  {
-    StageScope stage(metrics_, "count_wait", work->cs.h, work->cs.k);
-    FLIPPER_RETURN_IF_ERROR(work->future.Join());
-  }
-  return EvaluateCell(work, parent);
-}
-
-Result<Cell> CellPipeline::EvaluateCell(CellWork* work,
-                                        const Cell* parent) {
   // A token that fired mid-count made the shard loops bail early, so
-  // work->supports may be partial — never evaluate them. (An un-fired
+  // the supports may be partial — never evaluate them. (An un-fired
   // token implies complete, exact supports.)
   FLIPPER_RETURN_IF_ERROR(CheckCancel());
-  StageScope stage(metrics_, "evaluate", work->cs.h, work->cs.k);
-  Cell cell =
-      evaluator_->Evaluate(work->cs.h, work->cs.k, work->candidates,
-                           work->supports, parent, &work->cs, &stats_);
+  StageScope stage(metrics_, "evaluate", h, k);
+  Cell cell = evaluator_->Evaluate(h, k, candidates, supports, parent,
+                                   &cs, &stats_);
   // Evaluate stops early on a fired token; the partial cell is dropped.
   FLIPPER_RETURN_IF_ERROR(CheckCancel());
-  work->cs.seconds = work->timer.ElapsedSeconds();
-  stats_.AddCell(work->cs);
+  cs.seconds = timer.ElapsedSeconds();
+  stats_.AddCell(cs);
   return cell;
-}
-
-Status CellPipeline::JoinWithCrossStart(CellWork* work, int next_h,
-                                        const Cell* cross_parent,
-                                        CrossRowState* cross) {
-  if (cross_parent == nullptr) {
-    StageScope stage(metrics_, "count_wait", work->cs.h, work->cs.k);
-    return work->future.Join();
-  }
-  // Plan Q(next_h,2) while this cell's count is still in flight. The
-  // plan reads only the completed cross parent (Q(next_h-1,2)) and
-  // level next_h's SIBP ban set — evaluating the in-flight cell bans
-  // level-(next_h-1) items only, so the plan cannot go stale before
-  // row next_h adopts it (the version is still revalidated there).
-  CellPlan plan;
-  {
-    StageScope stage(metrics_, "plan", next_h, 2);
-    plan = planner_->PlanVertical(next_h, 2, *cross_parent,
-                                  evaluator_->banned(next_h));
-  }
-  {
-    StageScope stage(metrics_, "count_wait", work->cs.h, work->cs.k);
-    FLIPPER_RETURN_IF_ERROR(work->future.Join());
-  }
-  if (plan.strategy == CellStrategy::kScan || plan.truncated) {
-    // The scan route counts inline on the driver thread and truncation
-    // must raise its error in serial position — carry the plan to the
-    // next row's first spec instead of starting anything here.
-    cross->carried = std::move(plan);
-    return Status::OK();
-  }
-  auto started = std::make_unique<CellWork>();
-  started->cs.h = next_h;
-  started->cs.k = 2;
-  started->cs.generated = plan.candidates.size();
-  started->candidates = std::move(plan.candidates);
-  started->cs.counted = started->candidates.size();
-  cross->ban_version = plan.ban_version;
-  // The previous count is joined, so the counter's pooled scratch is
-  // free: begin the cross count before the row tail evaluates.
-  StageScope stage(metrics_, "count_start", next_h, 2);
-  started->future = counter_->StartCount(views_, next_h,
-                                         started->candidates,
-                                         &started->supports);
-  cross->started = std::move(started);
-  return Status::OK();
 }
 
 Status CellPipeline::TruncatedError(int h, int k) const {

@@ -1,46 +1,20 @@
-// CellPipeline: the staged cell-execution driver of the Flipper
-// algorithm (Algorithm 1). Each cell Q(h,k) runs through three
-// explicit stages —
+// CellPipeline: the cell-execution driver of the Flipper algorithm
+// (Algorithm 1). It visits the cells Q(h,k) in the paper's order —
+// the two ceiling rows zigzag so TPG always sees two vertically
+// consecutive cells, then rows 3..H run left to right — and runs each
+// cell through three stages before the next one starts:
 //
-//   plan     (CellPlanner)   candidate generation, strategy selection
+//   plan     (CellPlanner)    candidate generation, strategy selection
 //   count    (SupportCounter) one sharded database scan of the
 //                             cell's same-size candidates on the
 //                             pool, or the scan-driven route
 //                             (scan_cell.h)
 //   evaluate (CellEvaluator)  correlation, labels, chains, SIBP
 //
-// — and the driver overlaps stages across cells: while Q(h,k)'s
-// support scan runs asynchronously on the thread pool
-// (SupportCounter::StartCount), the driver thread speculatively plans
-// Q(h,k+1). That is sound because planning reads only *completed*
-// cells (the parent row for vertical growth, the finished Q(1,k) for
-// the row-1 prefix join) plus level h's SIBP ban set; the driver joins
-// the per-cell count future before evaluation, and a speculative plan
-// whose ban-set version went stale (or that survives a TPG stop) is
-// simply discarded and regenerated, so mining output is bit-identical
-// to the staged-serial order for any thread count
-// (MiningConfig::enable_pipelining toggles the overlap).
-//
-// With MiningConfig::enable_row_overlap the speculation window also
-// spans row boundaries — the pool's idle gap at every level
-// transition. At a row's last column the driver plans Q(h+1,2) from
-// the completed Q(h,2) while Q(h,max_k) still counts, then starts
-// Q(h+1,2)'s scan the moment Q(h,max_k) joins, so the pool counts
-// Q(h+1,2) while the driver evaluates the row tail, runs the SIBP/TPG
-// bookkeeping, and evicts the finished row. This preserves both
-// invariants the intra-row speculation relies on: counts begin/join
-// strictly one at a time (the counter's pooled-scratch discipline),
-// and the plan is revalidated against level h+1's SIBP ban version at
-// adoption — that set cannot change before row h+1 starts (SibpBan(h)
-// only bans level-h items), and eviction retains exactly the
-// ParentEligible records planning reads, so output stays
-// bit-identical. Scan-strategy and truncated cross plans are carried
-// un-started and consumed in exact serial position instead.
-//
-// Processing order, pruning semantics and memory policy are unchanged
-// from the paper: the two ceiling rows zigzag so TPG always sees two
-// vertically consecutive cells, rows 3..H run left to right, only two
+// after which the driver applies SIBP and the TPG stop test. Only two
 // rows are resident, and completed rows evict chain-dead itemsets.
+// The count stage is the only parallel one: its shards run on the
+// pool, so mining output is bit-identical for any thread count.
 
 #ifndef FLIPPER_CORE_CELL_PIPELINE_H_
 #define FLIPPER_CORE_CELL_PIPELINE_H_
@@ -92,70 +66,11 @@ class CellPipeline {
   /// A row of the search-space table: row[k - 2] is Q(h, k).
   using Row = std::vector<Cell>;
 
-  /// One cell travelling through the stages. Candidates and supports
-  /// must stay put while the count future is in flight, so cross-row
-  /// works live behind unique_ptr; the destructor joins any still
-  /// in-flight count (idempotent) so an error-path unwind can never
-  /// free buffers a pool task is writing.
-  struct CellWork {
-    CellStats cs;
-    WallTimer timer;
-    std::vector<Itemset> candidates;
-    std::vector<uint32_t> supports;
-    CountFuture future;
-    /// The scan-driven route counted during generation; no count
-    /// stage remains and therefore nothing overlaps this cell.
-    bool counted_by_scan = false;
-
-    CellWork() = default;
-    ~CellWork() { future.Join(); }
-    CellWork(const CellWork&) = delete;
-    CellWork& operator=(const CellWork&) = delete;
-  };
-
-  /// Cross-row speculation in flight between a row's last column and
-  /// the next row's first. Exactly one of the members is set: a
-  /// started count for the in-memory strategies, or a carried
-  /// (un-started) plan for the scan/truncated routes.
-  struct CrossRowState {
-    /// Q(h+1,2) with its count already dispatched.
-    std::unique_ptr<CellWork> started;
-    /// banned(h+1) size the started plan read, revalidated at
-    /// adoption.
-    size_t ban_version = 0;
-    /// Scan-strategy or truncated plan, consumed as the next row's
-    /// first spec so errors and scans happen in serial position.
-    std::optional<CellPlan> carried;
-  };
-
-  /// Stage 1 (+ count dispatch) for a vertical cell Q(h,k), h >= 2:
-  /// uses `spec` when it is still valid, replans otherwise; applies
-  /// the within-row known-infrequent filter; dispatches the count or
-  /// runs the scan-driven route inline. `work` is filled in place —
-  /// its address must stay stable until FinishCell, because the
-  /// in-flight count writes into work->supports.
-  Status BeginVerticalCell(int h, int k, const Cell* parent,
-                           const Cell* prev_in_row,
-                           std::optional<CellPlan> spec, CellWork* work);
-
-  /// Stage 1 (+ count dispatch) for a row-1 cell.
-  Status BeginRow1Cell(int k, const Cell* prev_in_row,
-                       std::optional<CellPlan> spec, CellWork* work);
-
-  /// Joins the count, runs evaluation, commits the cell's stats.
-  Result<Cell> FinishCell(CellWork* work, const Cell* parent);
-
-  /// Evaluation half of FinishCell: requires the count joined.
-  Result<Cell> EvaluateCell(CellWork* work, const Cell* parent);
-
-  /// Row-overlap join: plans Q(next_h,2) from `cross_parent` while
-  /// `work`'s count is still in flight, joins `work`, then dispatches
-  /// the cross count (in-memory strategies) or stows the plan
-  /// (scan/truncated) into `cross`. With a null `cross_parent` this
-  /// degenerates to a plain join.
-  Status JoinWithCrossStart(CellWork* work, int next_h,
-                            const Cell* cross_parent,
-                            CrossRowState* cross);
+  /// Runs Q(h,k) through plan, count and evaluate, and commits its
+  /// stats. `parent` is Q(h-1,k) (null for row 1) and `prev_in_row` is
+  /// Q(h,k-1) (null at k == 2).
+  Result<Cell> RunCell(int h, int k, const Cell* parent,
+                       const Cell* prev_in_row);
 
   Status TruncatedError(int h, int k) const;
 
@@ -164,8 +79,7 @@ class CellPipeline {
   /// token fires this records the partial-run MiningStats into the
   /// metrics sink and returns the token's DeadlineExceeded/Cancelled
   /// status, which unwinds Execute through the normal error path
-  /// (CellWork destructors join in-flight counts, counter scratch
-  /// returns to its pool via the count finalizer).
+  /// (counter scratch returns to its pool via the count finalizer).
   Status CheckCancel();
 
   /// Theorem-3 premise over two vertically consecutive cells.
@@ -179,8 +93,8 @@ class CellPipeline {
   /// infrequent ones always.
   void EvictCompletedRow(Row* row);
 
-  /// Absorbs the run's counters, stage histograms, speculation rates
-  /// and pool utilization into config_.metrics (no-op when null).
+  /// Absorbs the run's counters, stage histograms and pool
+  /// utilization into config_.metrics (no-op when null).
   void RecordRunMetrics(const MiningStats& stats, double wall_ms);
 
   const Taxonomy& tax_;
@@ -208,16 +122,6 @@ class CellPipeline {
   uint32_t num_txns_ = 0;
   int height_ = 0;
   int max_k_ = 0;  // current column cap; TPG shrinks it
-  bool pipelining_ = true;
-  bool row_overlap_ = true;  // cross-row speculation (needs pipelining_)
-
-  /// Speculation outcome tallies (always tracked — they are plain
-  /// increments — and exported via RecordRunMetrics).
-  uint64_t spec_used_ = 0;        // intra-row plan adopted as-is
-  uint64_t spec_discarded_ = 0;   // intra-row plan went stale, replanned
-  uint64_t cross_adopted_ = 0;    // cross-row count adopted in flight
-  uint64_t cross_discarded_ = 0;  // cross-row count joined + dropped
-  uint64_t cross_carried_ = 0;    // cross-row plan carried un-started
 
   /// Frequent single items per level (index h), sorted by id.
   std::vector<std::vector<ItemId>> freq_items_;

@@ -10,8 +10,6 @@ namespace flipper {
 
 CellPlan CellPlanner::PlanRow1(int k, const Cell* prev_in_row) const {
   CellPlan plan;
-  plan.h = 1;
-  plan.k = k;
   if (k == 2) {
     plan.strategy = CellStrategy::kPairs;
     plan.candidates = GeneratePairs(freq_items_[1]);
@@ -32,9 +30,6 @@ CellPlan CellPlanner::PlanVertical(
     int h, int k, const Cell& parent_cell,
     const std::unordered_set<ItemId>& banned) const {
   CellPlan plan;
-  plan.h = h;
-  plan.k = k;
-  plan.ban_version = banned.size();
   const uint32_t min_count = config_.MinCount(h, num_txns_);
   auto child_ok = [&](ItemId child) {
     if (views_.ItemSupport(h, child) < min_count) return false;

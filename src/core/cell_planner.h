@@ -12,11 +12,7 @@
 //                     expected k-subset probes of one database scan.
 //
 // Planning is a pure function of completed cells plus the SIBP ban set
-// of level h, which makes it safe to run speculatively on the driver
-// thread while the previous cell's support scan is still counting on
-// the pool: the plan records the ban-set version it read, and
-// PlanValid() tells the pipeline whether the speculation survived the
-// previous cell's evaluation or must be regenerated.
+// of level h.
 
 #ifndef FLIPPER_CORE_CELL_PLANNER_H_
 #define FLIPPER_CORE_CELL_PLANNER_H_
@@ -45,15 +41,10 @@ enum class CellStrategy { kPairs, kAprioriJoin, kVerticalExpand, kScan };
 /// list stays empty — the scan-driven route discovers candidates and
 /// supports together during its own database scan.
 struct CellPlan {
-  int h = 0;
-  int k = 0;
   CellStrategy strategy = CellStrategy::kVerticalExpand;
   std::vector<Itemset> candidates;
   /// Generation hit MiningConfig::max_candidates_per_cell.
   bool truncated = false;
-  /// Size of level h's ban set when the plan was made; bans only grow,
-  /// so equality with the current size proves the plan is current.
-  size_t ban_version = 0;
 };
 
 class CellPlanner {
@@ -72,21 +63,15 @@ class CellPlanner {
 
   /// Row-1 generation: pairs at k == 2, Apriori prefix join from the
   /// completed Q(1,k-1) otherwise. Row 1 ignores the ban set (SIBP
-  /// never bans level-1 items), so these plans are always valid.
+  /// never bans level-1 items).
   CellPlan PlanRow1(int k, const Cell* prev_in_row) const;
 
   /// Rows >= 2: estimates the cartesian children product against the
   /// scan-enumeration cost, picks the strategy, and runs the vertical
   /// expansion for the cartesian route. Pure — reads only completed
-  /// cells and `banned` (recorded as plan.ban_version).
+  /// cells and `banned`.
   CellPlan PlanVertical(int h, int k, const Cell& parent_cell,
                         const std::unordered_set<ItemId>& banned) const;
-
-  /// True while `plan` matches level `plan.h`'s current ban set.
-  static bool PlanValid(const CellPlan& plan,
-                        const std::unordered_set<ItemId>& banned) {
-    return plan.ban_version == banned.size();
-  }
 
  private:
   const Taxonomy& tax_;

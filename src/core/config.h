@@ -75,24 +75,6 @@ struct MiningConfig {
   /// the strategy ablation bench; results are identical either way.
   bool enable_scan_cells = true;
 
-  /// Overlap the cell stages across cells: while cell Q(h,k)'s support
-  /// scan runs on the thread pool, the driver thread speculatively
-  /// generates Q(h,k+1)'s candidates (revalidated against the SIBP ban
-  /// state before use). Mining output is bit-identical either way; off
-  /// gives the staged-serial execution order.
-  bool enable_pipelining = true;
-
-  /// Extend the speculation window across taxonomy rows: at a row's
-  /// last column the driver plans — and starts counting — Q(h+1,2)
-  /// against row h's completed Q(h,2) while Q(h,max_k) still counts /
-  /// evaluates, keeping the pool fed across the level transition. The
-  /// cross-row plan is revalidated against the SIBP ban version of
-  /// level h+1 exactly like the intra-row speculation (that set cannot
-  /// change before row h+1 starts, so the speculation never misses);
-  /// output is bit-identical either way. Only effective together with
-  /// enable_pipelining.
-  bool enable_row_overlap = true;
-
   /// Optional metrics sink (core/pipeline_metrics.h). When set, the
   /// pipeline records per-stage wall/CPU histograms, pool utilization
   /// and the MiningStats counters into it; null (the default) records

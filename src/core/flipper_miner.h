@@ -1,20 +1,18 @@
 // FlipperMiner: the paper's Flipper algorithm (§4, Algorithm 1).
 //
-// This is the public entry point; the implementation is the staged
+// This is the public entry point; the implementation is the
 // cell-execution pipeline under src/core:
 //
 //   cell_planner.h    — candidate generation + strategy selection
 //                       (pairs / apriori-join / vertical-expand /
 //                       scan-driven);
-//   support_counting.h — the sharded counting engine, with an
-//                       asynchronous StartCount seam;
+//   support_counting.h — the sharded counting engine;
 //   scan_cell.h       — the scan-driven cell (sharded hash counting
 //                       over transaction ranges);
 //   cell_evaluator.h  — correlation, labels, chain-alive flags,
 //                       pattern chains, SIBP bookkeeping;
-//   cell_pipeline.h   — the driver walking the Q(h,k) table, which
-//                       overlaps Q(h,k+1)'s planning with Q(h,k)'s
-//                       support scan (MiningConfig::enable_pipelining).
+//   cell_pipeline.h   — the driver walking the Q(h,k) table, one
+//                       cell at a time: plan, count, evaluate.
 //
 // Processing order follows the paper exactly: the two ceiling rows
 // zigzag Q(1,2) -> Q(2,2) -> Q(1,3) -> ... so the TPG termination test
@@ -35,7 +33,7 @@
 // Memory: only two rows are resident at any time; pattern chains are
 // carried forward separately. A MemoryTracker records the candidate
 // store's peak footprint (Figure 9(b)). Mining output is bit-identical
-// for any thread count and with pipelining on or off.
+// for any thread count.
 
 #ifndef FLIPPER_CORE_FLIPPER_MINER_H_
 #define FLIPPER_CORE_FLIPPER_MINER_H_

@@ -143,11 +143,11 @@ struct CountBatchScratch {
 /// without scanning. An un-fired token changes nothing.
 ///
 /// The counter keeps one trie arena, per-shard counter buffers and a
-/// rank table alive across calls (the row-level reuse seam), which
-/// requires its StartCount futures to be joined one at a time — the cell
-/// pipeline's sequential begin/finish discipline. The views are only
-/// read, so several counters — each with its own pool — may share one
-/// LevelViews.
+/// rank table alive across calls (the row-level reuse seam), so each
+/// StartCount future must be joined before the next count starts; the
+/// cell pipeline joins every cell's count before it evaluates the cell.
+/// The views are only read, so several counters — each with its own
+/// pool — may share one LevelViews.
 class SupportCounter {
  public:
   explicit SupportCounter(ThreadPool* pool = nullptr,

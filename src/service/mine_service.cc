@@ -38,18 +38,6 @@ Status ParseCheckedDouble(std::string_view key, std::string_view value,
   return Status::OK();
 }
 
-Status ParseOnOff(std::string_view key, std::string_view value,
-                  bool* out) {
-  if (value == "on") {
-    *out = true;
-  } else if (value == "off") {
-    *out = false;
-  } else {
-    return BadValue(key, value, "on|off");
-  }
-  return Status::OK();
-}
-
 /// %.17g — round-trips every double, so distinct thresholds can never
 /// collide into one cache key.
 std::string KeyDouble(double v) {
@@ -62,8 +50,8 @@ std::string KeyDouble(double v) {
 
 const std::vector<std::string>& MineOptionKeys() {
   static const std::vector<std::string> kKeys = {
-      "gamma",   "epsilon",  "minsup",      "measure", "pruning",
-      "threads", "pipeline", "row-overlap", "topk",    "format"};
+      "gamma",   "epsilon", "minsup", "measure",
+      "pruning", "threads", "topk",   "format"};
   return kKeys;
 }
 
@@ -121,12 +109,6 @@ Status ApplyMineOption(MineRequest* request, std::string_view key,
     request->num_threads = static_cast<int>(*parsed);
     return Status::OK();
   }
-  if (key == "pipeline") {
-    return ParseOnOff(key, value, &request->enable_pipelining);
-  }
-  if (key == "row-overlap") {
-    return ParseOnOff(key, value, &request->enable_row_overlap);
-  }
   if (key == "topk") {
     auto parsed = ParseInt(value);
     if (!parsed.ok() || *parsed < 0) {
@@ -163,8 +145,6 @@ MiningConfig ToMiningConfig(const MineRequest& request) {
   config.measure = request.measure;
   config.pruning = request.pruning;
   config.num_threads = request.num_threads;
-  config.enable_pipelining = request.enable_pipelining;
-  config.enable_row_overlap = request.enable_row_overlap;
   config.cancel = request.cancel;
   return config;
 }

@@ -53,8 +53,6 @@ struct MineRequest {
   // CanonicalCacheKey() deliberately excludes them: a cached body
   // computed under any knob combination answers them all.
   int num_threads = 0;
-  bool enable_pipelining = true;
-  bool enable_row_overlap = true;
 
   /// Optional cooperative-cancellation token plumbed into the run
   /// (common/cancellation.h). Not an option key and — like the other
@@ -65,9 +63,9 @@ struct MineRequest {
 };
 
 /// The option keys ApplyMineOption understands, in CLI flag spelling
-/// (gamma, epsilon, minsup, measure, pruning, threads, pipeline,
-/// row-overlap, topk, format). The CLI iterates this list to
-/// route every present flag through the checked parser.
+/// (gamma, epsilon, minsup, measure, pruning, threads, topk, format).
+/// The CLI iterates this list to route every present flag through the
+/// checked parser.
 const std::vector<std::string>& MineOptionKeys();
 
 /// Parses and validates one option value into `request`. Unknown keys,

@@ -1,10 +1,9 @@
-// Pipeline equivalence: the staged cell pipeline must produce a
-// bit-identical MiningResult — patterns (with chain supports and
-// correlations), per-cell stats and run-level counters — with
-// cross-cell pipelining on or off, cross-row overlap on or off, at
-// 1/2/4/hardware threads, on the datagen scenarios (groceries,
-// census, quest), including a quest profile that pushes cells into
-// the scan-driven strategy.
+// Pipeline equivalence: the cell pipeline must produce a bit-identical
+// MiningResult — patterns (with chain supports and correlations),
+// per-cell stats and run-level counters — at 1/2/4/hardware threads
+// and through v1/v2 store round trips, on the datagen scenarios
+// (groceries, census, quest), including a quest profile that pushes
+// cells into the scan-driven strategy.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +22,7 @@
 namespace flipper {
 namespace {
 
-/// Everything that must be bit-identical across execution modes:
+/// Everything that must be bit-identical across thread counts:
 /// patterns (chains embed per-level supports, correlations, labels),
 /// the integer fields of every per-cell stat in order, and the
 /// run-level counters. Wall-clock fields are excluded.
@@ -121,12 +120,9 @@ Scenario QuestScanScenario() {
   return s;
 }
 
-class PipelineEquivalence : public ::testing::TestWithParam<int> {};
-
 void RunScenario(Scenario s) {
   SCOPED_TRACE(s.name);
   MiningConfig config = s.config;
-  config.enable_pipelining = false;
   config.num_threads = 1;
   auto reference = FlipperMiner::Run(s.db, s.taxonomy, config);
   ASSERT_TRUE(reference.ok()) << reference.status();
@@ -138,37 +134,19 @@ void RunScenario(Scenario s) {
               reference->stats.scan_cell_scans);
   }
 
-  // Execution modes × thread counts the suite sweeps: serial,
-  // intra-row pipelining only and the full cross-row overlap — at
   // 1/2/4 threads plus whatever the hardware reports (0 resolves to
-  // it). Every combination must be byte-identical.
-  struct Mode {
-    const char* tag;
-    bool pipelining;
-    bool row_overlap;
-  };
-  constexpr Mode kModes[] = {
-      {"serial", false, false},
-      {"pipelined", true, false},
-      {"pipelined+row_overlap", true, true},
-  };
+  // it): every run must be byte-identical to the reference.
   for (int threads : {1, 2, 4, 0}) {
-    for (const Mode& mode : kModes) {
-      config.num_threads = threads;
-      config.enable_pipelining = mode.pipelining;
-      config.enable_row_overlap = mode.row_overlap;
-      auto run = FlipperMiner::Run(s.db, s.taxonomy, config);
-      ASSERT_TRUE(run.ok()) << run.status();
-      EXPECT_EQ(Fingerprint(*run), reference_fp)
-          << "threads=" << threads << " mode=" << mode.tag;
-    }
+    config.num_threads = threads;
+    auto run = FlipperMiner::Run(s.db, s.taxonomy, config);
+    ASSERT_TRUE(run.ok()) << run.status();
+    EXPECT_EQ(Fingerprint(*run), reference_fp) << "threads=" << threads;
   }
-  config.enable_row_overlap = true;
 
   // The same scenario through both FlipperStore round trips: a v1
   // store (raw columns, no catalog) and a v2 store (varint columns +
-  // segment catalog, small segments) must reproduce the reference fingerprint at 1 and 4
-  // threads.
+  // segment catalog, small segments) must reproduce the reference
+  // fingerprint at 1 and 4 threads.
   for (uint32_t version :
        {storage::kFormatVersionV1, storage::kFormatVersionV2}) {
     const std::string path = ::testing::TempDir() + "pipeline_" +
@@ -184,7 +162,6 @@ void RunScenario(Scenario s) {
     ASSERT_TRUE(reader.ok()) << reader.status();
     for (int threads : {1, 4}) {
       config.num_threads = threads;
-      config.enable_pipelining = true;
       auto run = FlipperMiner::Run(reader->db(), reader->taxonomy(),
                                    config);
       ASSERT_TRUE(run.ok()) << run.status();
@@ -204,7 +181,7 @@ TEST(PipelineEquivalence, QuestWithScanCells) {
 
 // The sharded scan-cell must surface ResourceExhausted (not OOM or
 // hang) when its distinct-combination count crosses the candidate
-// cap, for any thread count and pipelining mode.
+// cap, for any thread count.
 TEST(PipelineEquivalence, ScanCellExhaustionIsDeterministic) {
   Scenario s = QuestScanScenario();
   // Above row 1's pair count (so the cartesian cells pass) but below
@@ -212,20 +189,17 @@ TEST(PipelineEquivalence, ScanCellExhaustionIsDeterministic) {
   s.config.max_candidates_per_cell = 2'000;
   std::string reference_error;
   for (int threads : {1, 2, 4, 0}) {
-    for (bool pipelining : {false, true}) {
-      s.config.num_threads = threads;
-      s.config.enable_pipelining = pipelining;
-      auto run = FlipperMiner::Run(s.db, s.taxonomy, s.config);
-      ASSERT_FALSE(run.ok());
-      EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
-      if (reference_error.empty()) {
-        reference_error = run.status().ToString();
-        EXPECT_NE(reference_error.find("scan-driven"), std::string::npos)
-            << reference_error;
-      } else {
-        EXPECT_EQ(run.status().ToString(), reference_error)
-            << "threads=" << threads << " pipelining=" << pipelining;
-      }
+    s.config.num_threads = threads;
+    auto run = FlipperMiner::Run(s.db, s.taxonomy, s.config);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
+    if (reference_error.empty()) {
+      reference_error = run.status().ToString();
+      EXPECT_NE(reference_error.find("scan-driven"), std::string::npos)
+          << reference_error;
+    } else {
+      EXPECT_EQ(run.status().ToString(), reference_error)
+          << "threads=" << threads;
     }
   }
 }

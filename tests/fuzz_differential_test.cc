@@ -1,8 +1,8 @@
 // Seed-driven randomized differential harness for the whole
 // input-to-patterns pipeline. Every round draws a random dataset
 // (taxonomy shape, transaction count/width) and a random mining
-// configuration (thresholds, measure, pruning stack, scan cells,
-// pipelining, row overlap), then requires that
+// configuration (thresholds, measure, pruning stack, scan cells),
+// then requires that
 //
 //   - FlipperMiner over the text-loaded inputs,
 //   - FlipperMiner over a v1 FlipperStore round trip,
@@ -161,8 +161,6 @@ MiningConfig RandomConfig(Rng* rng) {
       PruningOptions::FlippingOnly(), PruningOptions::Basic()};
   config.pruning = kPruning[rng->Below(4)];
   config.enable_scan_cells = rng->Bernoulli(0.7);
-  config.enable_pipelining = rng->Bernoulli(0.7);
-  config.enable_row_overlap = rng->Bernoulli(0.7);
   return config;
 }
 
@@ -179,9 +177,7 @@ std::string DescribeConfig(const MiningConfig& config) {
          " minsup0=" + std::to_string(config.min_support[0]) +
          " measure=" + std::to_string(static_cast<int>(config.measure)) +
          " pruning=" + config.pruning.ToString() +
-         " scan_cells=" + std::to_string(config.enable_scan_cells) +
-         " pipelining=" + std::to_string(config.enable_pipelining) +
-         " row_overlap=" + std::to_string(config.enable_row_overlap);
+         " scan_cells=" + std::to_string(config.enable_scan_cells);
 }
 
 /// The layout SupportCounter picks for `candidates`.

@@ -192,13 +192,24 @@ TEST(CanonicalCacheKeyTest, ExcludesExecutionKnobs) {
   // Execution knobs are proven output-invariant; the key must treat
   // them as equal so a cached body answers all combinations.
   b.num_threads = 3;
-  b.enable_pipelining = false;
   EXPECT_EQ(CanonicalCacheKey(a), CanonicalCacheKey(b));
   b.gamma = 0.5;
   EXPECT_NE(CanonicalCacheKey(a), CanonicalCacheKey(b));
   MineRequest c = a;
   c.format = "csv";
   EXPECT_NE(CanonicalCacheKey(a), CanonicalCacheKey(c));
+}
+
+TEST(ApplyMineOptionTest, RemovedKeysAreUnknown) {
+  for (const char* key : {"pipeline", "row-overlap"}) {
+    MineRequest request;
+    const Status status = ApplyMineOption(&request, key, "off");
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_NE(status.message().find("unknown mine option '" +
+                                    std::string(key) + "'"),
+              std::string::npos)
+        << status;
+  }
 }
 
 // --- store registry ---------------------------------------------------
@@ -375,7 +386,6 @@ TEST(ServerTest, ConcurrentQueriesAreByteIdenticalToSoloRuns) {
   // options through a different engine path must be served from cache.
   auto knobs = configs[0];
   knobs.emplace_back("threads", "2");
-  knobs.emplace_back("pipeline", "off");
   auto knob_hit = MineOnce(options.socket_path, "d", knobs);
   ASSERT_TRUE(knob_hit.ok() && knob_hit->ok);
   EXPECT_EQ(knob_hit->Meta("cache"), "hit");
@@ -475,7 +485,10 @@ TEST(ServerTest, UnknownStoreAndBadOptionAreCleanErrors) {
   auto client = Client::ConnectWithRetry(options.socket_path, 10000);
   ASSERT_TRUE(client.ok()) << client.status();
   const std::pair<std::string, std::string> kRemoved[] = {
-      {"txn-prefilter", "off"}, {"counter", "vertical"}};
+      {"txn-prefilter", "off"},
+      {"counter", "vertical"},
+      {"pipeline", "off"},
+      {"row-overlap", "off"}};
   for (const auto& [key, value] : kRemoved) {
     Request removed;
     removed.verb = "mine";

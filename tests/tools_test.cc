@@ -231,7 +231,8 @@ TEST_F(FlipperCliEndToEnd, ConvertInspectAndMineAreBitIdentical) {
 
   // A removed execution knob is an unknown flag: usage error (exit 2)
   // quoting the flag, followed by the usage text.
-  for (const std::string flag : {"flat-trie=off", "counter=vertical"}) {
+  for (const std::string flag : {"flat-trie=off", "counter=vertical",
+                                 "pipeline=off", "row-overlap=off"}) {
     std::vector<std::string> removed = {"mine", "--input", store_,
                                         "--" + flag};
     removed.insert(removed.end(), mining_flags.begin(),

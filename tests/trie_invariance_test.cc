@@ -1,9 +1,9 @@
 // Dedicated invariance grid for the counting fast paths: mined output
-// must be byte-identical across row overlap {on, off} × {1, 4 threads}
-// × {text, v1 store, v2 store} inputs, across every probe kernel the
-// host can force (avx2/sse2/portable/scalar), and the counter's
-// trie/buffer reuse across consecutive counts (the row seam) must
-// reproduce fresh-counter supports exactly.
+// must be byte-identical across {1, 4 threads} × {text, v1 store,
+// v2 store} inputs, across every probe kernel the host can force
+// (avx2/sse2/portable/scalar), and the counter's trie/buffer reuse
+// across consecutive counts (the row seam) must reproduce
+// fresh-counter supports exactly.
 
 #include <gtest/gtest.h>
 
@@ -97,19 +97,15 @@ TEST(TrieInvariance, MinedOutputIdenticalAcrossTrieModes) {
       {"v1-store", &v1->db(), &v1->taxonomy(), &v1->dict()},
       {"v2-store", &v2->db(), &v2->taxonomy(), &v2->dict()},
   };
-  for (const bool row_overlap : {true, false}) {
-    for (const int threads : {1, 4}) {
-      for (const Source& source : sources) {
-        MiningConfig run_config = config;
-        run_config.enable_row_overlap = row_overlap;
-        run_config.num_threads = threads;
-        auto run =
-            FlipperMiner::Run(*source.db, *source.taxonomy, run_config);
-        ASSERT_TRUE(run.ok()) << run.status();
-        EXPECT_EQ(ToCsv(run->patterns, *source.dict), expected)
-            << source.name << " row_overlap=" << row_overlap
-            << " threads=" << threads;
-      }
+  for (const int threads : {1, 4}) {
+    for (const Source& source : sources) {
+      MiningConfig run_config = config;
+      run_config.num_threads = threads;
+      auto run =
+          FlipperMiner::Run(*source.db, *source.taxonomy, run_config);
+      ASSERT_TRUE(run.ok()) << run.status();
+      EXPECT_EQ(ToCsv(run->patterns, *source.dict), expected)
+          << source.name << " threads=" << threads;
     }
   }
 

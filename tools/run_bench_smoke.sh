@@ -100,7 +100,7 @@ required_prefixes = [
     "trie_probe_kernels",
     "row_trie_reuse",
     "scan_counter_arena",
-    "miner_pipelined",
+    "miner_full",
     "horizontal_scan_threads_1",
 ]
 failures = []

@@ -1,9 +1,7 @@
 #!/usr/bin/env bash
-# Race-checks the parallel paths (thread pool, sharded counting, the
-# cell pipeline's cross-cell overlap and cross-row overlap — the
-# early-started Q(h+1,2) scan racing Q(h,max_k)'s evaluation is
-# exactly the shape TSan is for) under ThreadSanitizer. Uses the
-# `tsan` CMake preset when available, falling back to explicit -D
+# Race-checks the parallel paths (thread pool, sharded counting and
+# the cell pipeline's pooled count scans) under ThreadSanitizer. Uses
+# the `tsan` CMake preset when available, falling back to explicit -D
 # flags on older CMake.
 set -euo pipefail
 
@@ -13,13 +11,12 @@ BUILD_DIR=build-tsan
 # The parallel suites (counting_test compares the counter with and
 # without a 4-thread pool; level_views_test runs the sharded one-pass
 # view build and its per-level compaction at 1/2/4/hw threads;
-# cell_pipeline_test sweeps serial/pipelined/
-# row-overlap modes at 1/2/4/hw threads — row overlap is on by default
-# everywhere else too; storage_test mines borrowed mmap views at 4
-# threads; the fuzz harness drives the sharded scans over text, v1, v2
-# and appended stores; trie_invariance_test exercises the row-overlap
-# grid, every forced probe kernel, and the counter's pooled trie
-# reuse across async counts; trace_test and pipeline_metrics_test
+# cell_pipeline_test mines at 1/2/4/hw threads; storage_test mines
+# borrowed mmap views at 4 threads; the fuzz harness drives the
+# sharded scans over text, v1, v2 and appended stores;
+# trie_invariance_test exercises the thread × input grid, every forced
+# probe kernel, and the counter's pooled trie reuse across async
+# counts; trace_test and pipeline_metrics_test
 # hammer the observability layer's concurrent span recording and the
 # pool-task observer from many threads — the lock-free per-thread
 # buffers MUST go through TSan; service_test runs the serve daemon's
