@@ -13,7 +13,7 @@ namespace {
 
 void Main() {
   Banner("bench_ablation_pruning",
-         "ablation — candidate counts per pruning layer (DESIGN.md A2)");
+         "ablation — candidate counts per pruning layer");
   const uint32_t n = DefaultN();
   SyntheticWorkload workload = MakeQuestWorkload(n, 5.0);
   std::cout << "workload: Quest N=" << FormatCount(n) << " W=5\n\n";

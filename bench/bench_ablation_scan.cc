@@ -14,8 +14,7 @@ namespace {
 
 void Main() {
   Banner("bench_ablation_scan",
-         "ablation — cartesian vs scan-driven cell strategy "
-         "(DESIGN.md A4)");
+         "ablation — cartesian vs scan-driven cell strategy");
   const uint32_t n = static_cast<uint32_t>(DefaultN() * 0.5);
   SyntheticWorkload workload = MakeQuestWorkload(n, 5.0);
   std::cout << "workload: Quest N=" << FormatCount(n)

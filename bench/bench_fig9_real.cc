@@ -38,7 +38,7 @@ void Main() {
   Banner("bench_fig9_real",
          "Figure 9(a,b) — real datasets: naive flipping vs full Flipper");
   const double scale = BenchScale();
-  std::cout << "datasets (simulated substitutes, see DESIGN.md §4):\n"
+  std::cout << "datasets (simulated substitutes):\n"
             << "  GROCERIES " << FormatCount(
                    static_cast<int64_t>(9'800 * scale))
             << " txns, CENSUS " << FormatCount(

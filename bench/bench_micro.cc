@@ -30,7 +30,6 @@
 #include "core/candidate_trie.h"
 #include "core/flipper_miner.h"
 #include "core/pipeline_metrics.h"
-#include "core/scan_cell.h"
 #include "core/scan_counter.h"
 #include "core/support_counting.h"
 #include "data/db_io.h"

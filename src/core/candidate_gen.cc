@@ -101,24 +101,14 @@ void VerticalExpand(const Itemset& parent, const Taxonomy& taxonomy,
   }
 }
 
-std::vector<Itemset> FilterKnownInfrequentSubsets(
-    std::vector<Itemset> candidates, const Cell& prev_in_row,
-    const CancelToken* cancel) {
-  if (prev_in_row.empty()) return candidates;
-  std::vector<Itemset> out;
-  out.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    // A large filter runs for hundreds of milliseconds.
-    if (i % 1024 == 0 && cancel != nullptr && cancel->Fired()) break;
-    const Itemset& cand = candidates[i];
-    bool viable = true;
-    for (int drop = 0; drop < cand.size() && viable; ++drop) {
-      const ItemsetRecord* rec = prev_in_row.Find(cand.WithoutIndex(drop));
-      if (rec != nullptr && !rec->frequent) viable = false;
-    }
-    if (viable) out.push_back(cand);
+bool HasKnownInfrequentSubset(const Itemset& candidate,
+                              const Cell& prev_in_row) {
+  for (int drop = 0; drop < candidate.size(); ++drop) {
+    const ItemsetRecord* rec =
+        prev_in_row.Find(candidate.WithoutIndex(drop));
+    if (rec != nullptr && !rec->frequent) return true;
   }
-  return out;
+  return false;
 }
 
 }  // namespace flipper

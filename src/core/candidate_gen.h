@@ -50,14 +50,33 @@ void VerticalExpand(const Itemset& parent, const Taxonomy& taxonomy,
                     size_t max_out = SIZE_MAX,
                     bool* truncated = nullptr);
 
-/// Known-infrequent subset filter for rows >= 2 (where cells are not
-/// complete): drops candidates having a (k-1)-subset that was counted
-/// in `prev_in_row` and found infrequent. Absent subsets are unknown
-/// and do NOT prune. Returns the filtered list, or a partial one once
-/// `cancel` (when non-null) fires.
-std::vector<Itemset> FilterKnownInfrequentSubsets(
-    std::vector<Itemset> candidates, const Cell& prev_in_row,
-    const CancelToken* cancel = nullptr);
+/// The known-infrequent subset test for rows >= 2 (where cells are
+/// not complete): true when some (k-1)-subset of `candidate` was
+/// counted in `prev_in_row` and found infrequent. Absent subsets are
+/// unknown and do NOT prune.
+bool HasKnownInfrequentSubset(const Itemset& candidate,
+                              const Cell& prev_in_row);
+
+/// Compacts `candidates` to those `keep` accepts, in order; `supports`,
+/// when non-null, is compacted in step. Polls `cancel` (when non-null)
+/// every 1024 candidates — a large filter runs for hundreds of
+/// milliseconds — and stops once it fires, leaving a partial list the
+/// caller must not use.
+template <typename Keep>
+void RetainCandidates(std::vector<Itemset>* candidates,
+                      std::vector<uint32_t>* supports,
+                      const CancelToken* cancel, const Keep& keep) {
+  size_t out = 0;
+  for (size_t i = 0; i < candidates->size(); ++i) {
+    if (i % 1024 == 0 && cancel != nullptr && cancel->Fired()) break;
+    if (!keep((*candidates)[i])) continue;
+    (*candidates)[out] = (*candidates)[i];
+    if (supports != nullptr) (*supports)[out] = (*supports)[i];
+    ++out;
+  }
+  candidates->resize(out);
+  if (supports != nullptr) supports->resize(out);
+}
 
 }  // namespace flipper
 

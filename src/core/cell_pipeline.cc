@@ -7,7 +7,6 @@
 #include "common/trace.h"
 #include "core/candidate_gen.h"
 #include "core/pipeline_metrics.h"
-#include "core/scan_cell.h"
 
 namespace flipper {
 namespace {
@@ -195,10 +194,11 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
     // Line 16: report the alive itemsets of the deepest row.
     evaluator_->AssemblePatterns(prev_row, &result);
 
-    // Counter scans + scan-driven cell scans + the initial singleton
-    // scan, which counts item supports densely by id.
+    // Counter scans + the initial singleton scan, which counts item
+    // supports densely by id.
     stats_.db_scans += counter_->num_db_scans() + 1;
     stats_.dense_scans += counter_->num_dense_scans() + 1;
+    stats_.scan_cell_scans += counter_->num_occurring_scans();
     stats_.peak_candidate_bytes = tracker_.peak_bytes();
     stats_.total_seconds = run_timer_.ElapsedSeconds();
     result.stats = std::move(stats_);
@@ -246,11 +246,8 @@ void CellPipeline::RecordRunMetrics(const MiningStats& stats,
                static_cast<int64_t>(stats.peak_candidate_bytes));
   m.SetGauge("mine.total_ms", wall_ms);
 
-  uint64_t arena_grow = 0;
-  for (const ScanCounterTable& table : scan_scratch_.shard_tables) {
-    arena_grow += table.grow_events();
-  }
-  m.AddCounter("scan.arena_grow_events", static_cast<int64_t>(arena_grow));
+  m.AddCounter("scan.arena_grow_events",
+               static_cast<int64_t>(counter_->arena_grow_events()));
 
   // The pool is quiet here: every count future joined before this.
   if (pool_ != nullptr) {
@@ -271,35 +268,58 @@ Result<Cell> CellPipeline::RunCell(int h, int k, const Cell* parent,
     plan = h == 1 ? planner_->PlanRow1(k, prev_in_row)
                   : planner_->PlanVertical(h, k, *parent, banned);
   }
+  const bool scan = plan.strategy == CellStrategy::kScan;
   std::vector<Itemset> candidates;
   std::vector<uint32_t> supports;
-  if (plan.strategy == CellStrategy::kScan) {
-    StageScope stage(metrics_, "scan_cell", h, k);
-    FLIPPER_RETURN_IF_ERROR(FillCellByScan(
-        *views_, tax_, config_, h, k, *parent, prev_in_row, banned,
-        freq_items_[static_cast<size_t>(h)], &candidates, &supports, &cs,
-        &stats_, &scan_scratch_, pool_.get()));
-    cs.counted = candidates.size();
-  } else {
+  if (!scan) {
     cs.generated = plan.candidates.size();
     candidates = std::move(plan.candidates);
     if (h >= 2 && prev_in_row != nullptr) {
       StageScope stage(metrics_, "subset_filter", h, k);
-      candidates = FilterKnownInfrequentSubsets(
-          std::move(candidates), *prev_in_row, config_.cancel);
+      RetainCandidates(&candidates, nullptr, config_.cancel,
+                       [&](const Itemset& candidate) {
+                         return !HasKnownInfrequentSubset(candidate,
+                                                          *prev_in_row);
+                       });
     }
     // The filter stops early on a fired token: never count its partial
     // output.
     FLIPPER_RETURN_IF_ERROR(CheckCancel());
     if (plan.truncated) return TruncatedError(h, k);
     cs.counted = candidates.size();
-    CountFuture future;
-    {
-      StageScope stage(metrics_, "count_start", h, k);
-      future = counter_->StartCount(views_, h, candidates, &supports);
-    }
+  }
+  CountFuture future;
+  {
+    StageScope stage(metrics_, "count_start", h, k);
+    future = scan ? counter_->StartCountOccurring(
+                        views_, h, k, plan.items,
+                        config_.max_candidates_per_cell, &candidates,
+                        &supports)
+                  : counter_->StartCount(views_, h, candidates, &supports);
+  }
+  {
     StageScope stage(metrics_, "count_wait", h, k);
     FLIPPER_RETURN_IF_ERROR(future.Join());
+  }
+  if (scan) {
+    // Keep the combinations growable from an eligible parent that pass
+    // the subset test. (Combinations whose items share a level-1 root
+    // generalize to fewer than k items, so they find no parent.)
+    cs.generated = candidates.size();
+    StageScope stage(metrics_, "subset_filter", h, k);
+    RetainCandidates(&candidates, &supports, config_.cancel,
+                     [&](const Itemset& combo) {
+                       const ItemsetRecord* record =
+                           parent->Find(combo.Map([&](ItemId item) {
+                             return tax_.AncestorAtLevel(item, h - 1);
+                           }));
+                       return record != nullptr &&
+                              ParentEligible(config_, *record) &&
+                              (prev_in_row == nullptr ||
+                               !HasKnownInfrequentSubset(combo,
+                                                         *prev_in_row));
+                     });
+    cs.counted = candidates.size();
   }
 
   // A token that fired mid-count made the shard loops bail early, so

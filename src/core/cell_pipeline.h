@@ -5,16 +5,20 @@
 // cell through three stages before the next one starts:
 //
 //   plan     (CellPlanner)    candidate generation, strategy selection
-//   count    (SupportCounter) one sharded database scan of the
-//                             cell's same-size candidates on the
-//                             pool, or the scan-driven route
-//                             (scan_cell.h)
+//   count    (SupportCounter) one sharded database scan on the pool:
+//                             of the cell's same-size candidates, or,
+//                             for a scan-driven cell, of every
+//                             occurring k-combination of its
+//                             participating items
 //   evaluate (CellEvaluator)  correlation, labels, chains, SIBP
 //
 // after which the driver applies SIBP and the TPG stop test. Only two
 // rows are resident, and completed rows evict chain-dead itemsets.
 // The count stage is the only parallel one: its shards run on the
-// pool, so mining output is bit-identical for any thread count.
+// pool, so mining output is bit-identical for any thread count. A
+// subset filter drops candidates with a known-infrequent subset:
+// before the count for generated candidates, after it (with the
+// parent-eligibility check) for a scan-driven cell's combinations.
 
 #ifndef FLIPPER_CORE_CELL_PIPELINE_H_
 #define FLIPPER_CORE_CELL_PIPELINE_H_
@@ -34,7 +38,6 @@
 #include "core/config.h"
 #include "core/level_views.h"
 #include "core/mining_result.h"
-#include "core/scan_cell.h"
 #include "core/support_counting.h"
 #include "data/transaction_db.h"
 #include "taxonomy/taxonomy.h"
@@ -115,9 +118,6 @@ class CellPipeline {
   /// Whole-run stopwatch (member so the cancellation unwind can stamp
   /// partial stats from any stage).
   WallTimer run_timer_;
-  /// Shard buffers of the scan-driven cells, reused across cells (the
-  /// scan-cell analogue of the counter's trie-reuse scratch).
-  ScanCellScratch scan_scratch_;
 
   uint32_t num_txns_ = 0;
   int height_ = 0;

@@ -1,12 +1,34 @@
 #include "core/cell_planner.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
 #include "core/candidate_gen.h"
-#include "core/scan_cell.h"
 
 namespace flipper {
+
+double ScanEnumerationCost(const LevelViews& views, int h, int k,
+                           double live_fraction) {
+  const std::vector<uint32_t>& hist = views.Level(h).width_hist;
+  const double rate = std::clamp(live_fraction, 0.0, 1.0);
+  double total = 0.0;
+  for (size_t w = static_cast<size_t>(k); w < hist.size(); ++w) {
+    if (hist[w] == 0) continue;
+    // C(ew, k) with the expected filtered width ew = w * rate, capped.
+    const double ew = static_cast<double>(w) * rate;
+    if (ew < static_cast<double>(k)) continue;
+    double combos = 1.0;
+    for (int i = 0; i < k; ++i) {
+      combos *= (ew - static_cast<double>(i)) /
+                static_cast<double>(k - i);
+      if (combos > 1e15) break;
+    }
+    total += combos * hist[w];
+    if (total > 1e15) return total;
+  }
+  return total;
+}
 
 CellPlan CellPlanner::PlanRow1(int k, const Cell* prev_in_row) const {
   CellPlan plan;
@@ -70,23 +92,24 @@ CellPlan CellPlanner::PlanVertical(
     // The scan cell enumerates k-subsets of *filtered* transactions
     // (participating items only), so the raw width histogram
     // overestimates its cost. Scale widths by the participating
-    // fraction of the level's occurring vocabulary — the ok[] hit
-    // rate — before the C(w, k) estimate. Strategy selection
-    // never changes mined output (both routes are exact), only cost.
+    // fraction of the level's occurring vocabulary — the filter's hit
+    // rate — before the C(w, k) estimate. Strategy selection never
+    // changes mined output (both routes are exact), only cost.
     size_t vocab = 0;
-    size_t live = 0;
+    std::vector<ItemId> live;  // ascending: NodesAtLevel is sorted
     for (ItemId node : tax_.NodesAtLevel(h)) {
       if (views_.ItemSupport(h, node) == 0) continue;
       ++vocab;
-      if (child_ok(node)) ++live;
+      if (child_ok(node)) live.push_back(node);
     }
     const double live_fraction =
-        vocab > 0
-            ? static_cast<double>(live) / static_cast<double>(vocab)
-            : 1.0;
+        vocab > 0 ? static_cast<double>(live.size()) /
+                        static_cast<double>(vocab)
+                  : 1.0;
     if (ScanEnumerationCost(views_, h, k, live_fraction) <
         cartesian_total) {
       plan.strategy = CellStrategy::kScan;
+      plan.items = std::move(live);
       return plan;
     }
   }

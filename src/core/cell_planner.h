@@ -7,9 +7,12 @@
 //                     complete, so subset pruning is exact);
 //   kVerticalExpand — the cartesian children product of each eligible
 //                     parent itemset of Q(h-1,k);
-//   kScan           — the scan-driven route (core/scan_cell.h), picked
-//                     when the cartesian product estimate dwarfs the
-//                     expected k-subset probes of one database scan.
+//   kScan           — the scan-driven route, picked when the
+//                     cartesian product estimate dwarfs the expected
+//                     k-subset probes of one database scan: the cell
+//                     counts every occurring k-combination of its
+//                     participating items
+//                     (SupportCounter::StartCountOccurring).
 //
 // Planning is a pure function of completed cells plus the SIBP ban set
 // of level h.
@@ -37,12 +40,26 @@ inline bool ParentEligible(const MiningConfig& config,
 
 enum class CellStrategy { kPairs, kAprioriJoin, kVerticalExpand, kScan };
 
+/// Expected number of k-subset probes of a level-h database scan,
+/// from the level's transaction-width histogram. `live_fraction` is
+/// the expected rate at which the scan's per-transaction item filter
+/// keeps an item (participating items / level vocabulary): the
+/// enumeration runs over filtered transactions, so widths scale by it
+/// before the C(w, k) estimate. 1.0 reproduces the unfiltered upper
+/// bound. The planner compares this against the cartesian children
+/// product to pick the strategy.
+double ScanEnumerationCost(const LevelViews& views, int h, int k,
+                           double live_fraction = 1.0);
+
 /// Output of the planning stage for one cell. For kScan the candidate
 /// list stays empty — the scan-driven route discovers candidates and
-/// supports together during its own database scan.
+/// supports together during its database scan.
 struct CellPlan {
   CellStrategy strategy = CellStrategy::kVerticalExpand;
   std::vector<Itemset> candidates;
+  /// kScan only: the participating items (frequent at level h, not
+  /// SIBP-banned), ascending.
+  std::vector<ItemId> items;
   /// Generation hit MiningConfig::max_candidates_per_cell.
   bool truncated = false;
 };

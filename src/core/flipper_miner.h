@@ -6,9 +6,9 @@
 //   cell_planner.h    — candidate generation + strategy selection
 //                       (pairs / apriori-join / vertical-expand /
 //                       scan-driven);
-//   support_counting.h — the sharded counting engine;
-//   scan_cell.h       — the scan-driven cell (sharded hash counting
-//                       over transaction ranges);
+//   support_counting.h — the sharded counting engine (candidate
+//                       batches, and the scan-driven cell's occurring
+//                       combinations in per-shard hash tables);
 //   cell_evaluator.h  — correlation, labels, chain-alive flags,
 //                       pattern chains, SIBP bookkeeping;
 //   cell_pipeline.h   — the driver walking the Q(h,k) table, one

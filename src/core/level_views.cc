@@ -288,18 +288,6 @@ Result<LevelViews> LevelViews::Build(const TransactionDb& leaf_db,
   return views;
 }
 
-int LevelViews::NumScanShards(int h, size_t min_txns_per_shard,
-                              const ThreadPool* pool) const {
-  return ShardCount(Level(h).db.size(), pool, min_txns_per_shard);
-}
-
-void LevelViews::ScanShards(
-    int h, int num_shards,
-    const std::function<void(int shard, size_t lo, size_t hi)>& fn,
-    ThreadPool* pool) const {
-  ParallelFor(pool, 0, Level(h).db.size(), num_shards, fn);
-}
-
 uint32_t LevelViews::MaxUniversalWidth() const {
   uint32_t bound = std::numeric_limits<uint32_t>::max();
   for (const LevelData& data : levels_) {

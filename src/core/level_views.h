@@ -8,7 +8,6 @@
 #ifndef FLIPPER_CORE_LEVEL_VIEWS_H_
 #define FLIPPER_CORE_LEVEL_VIEWS_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -88,24 +87,6 @@ class LevelViews {
     const auto& sup = levels_[h - 1].item_support;
     return item < sup.size() ? sup[item] : 0;
   }
-
-  /// Deterministic shard count for a sharded scan of level h's
-  /// generalized database on `pool`: one shard per pool thread,
-  /// reduced so every shard keeps `min_txns_per_shard` transactions
-  /// (1 when the pool is absent or single-threaded).
-  int NumScanShards(int h, size_t min_txns_per_shard,
-                    const ThreadPool* pool) const;
-
-  /// Sharded scan of level h's generalized database: invokes
-  /// fn(shard, lo, hi) for `num_shards` contiguous transaction ranges
-  /// (half-open, statically split as in ShardRange), distributed over
-  /// `pool` and blocking until all shards complete. This is the entry
-  /// point the scan-driven cell uses; fn must confine writes to
-  /// per-shard state.
-  void ScanShards(int h, int num_shards,
-                  const std::function<void(int shard, size_t lo,
-                                           size_t hi)>& fn,
-                  ThreadPool* pool) const;
 
   /// min over levels of the maximum generalized transaction width:
   /// no (h,k)-itemset with k beyond this bound can be frequent at

@@ -1,6 +1,8 @@
-// ScanCounterTable: the scan-driven cell's hash counter, an
+// ScanCounterTable: the hash counter of SupportCounter's
+// occurring-combination scans (the scan-driven cell), an
 // open-addressed table whose keys live in a bump arena instead of
-// per-node allocations.
+// per-node allocations. ForEachCombination is the enumerator that
+// feeds it.
 //
 // Layout: a power-of-two slot array of entry references (linear
 // probing), an insertion-ordered entry column {key_pos, count}, and a
@@ -17,6 +19,7 @@
 #ifndef FLIPPER_CORE_SCAN_COUNTER_H_
 #define FLIPPER_CORE_SCAN_COUNTER_H_
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -99,6 +102,46 @@ class ScanCounterTable {
   std::vector<ItemId> arena_;
   uint64_t grow_events_ = 0;
 };
+
+/// Calls `fn(itemset)` for every k-combination of `items` (sorted
+/// ascending, duplicate-free), in lexicographic order. Iterative —
+/// an explicit index stack plus the caller's single scratch itemset,
+/// pushed/popped in place — so probing a wide transaction performs no
+/// allocation and no per-level itemset copies. `scratch` is cleared
+/// on entry and left empty on return.
+template <typename Fn>
+void ForEachCombination(std::span<const ItemId> items, int k,
+                        Itemset* scratch, const Fn& fn) {
+  const size_t n = items.size();
+  scratch->Clear();
+  if (k <= 0 || n < static_cast<size_t>(k)) return;
+  // idx[d] = index into `items` chosen at depth d; scratch holds the
+  // items of depths [0, depth) at the top of the loop.
+  std::array<size_t, kMaxItemsetSize> idx;
+  int depth = 0;
+  idx[0] = 0;
+  while (true) {
+    const size_t tail = static_cast<size_t>(k - depth);
+    if (idx[static_cast<size_t>(depth)] + tail > n) {
+      // No room for the remaining positions — backtrack.
+      if (depth == 0) break;
+      --depth;
+      scratch->PopBack();
+      ++idx[static_cast<size_t>(depth)];
+      continue;
+    }
+    scratch->PushBack(items[idx[static_cast<size_t>(depth)]]);
+    if (depth + 1 == k) {
+      fn(*scratch);
+      scratch->PopBack();
+      ++idx[static_cast<size_t>(depth)];
+    } else {
+      idx[static_cast<size_t>(depth + 1)] =
+          idx[static_cast<size_t>(depth)] + 1;
+      ++depth;
+    }
+  }
+}
 
 }  // namespace flipper
 

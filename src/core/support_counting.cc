@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <bit>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "common/trace.h"
 #include "core/candidate_trie.h"
@@ -74,6 +77,29 @@ uint32_t RankBatchItems(std::span<const Itemset> candidates,
   return n;
 }
 
+/// The same for a sorted, duplicate-free item list: items[r] has rank r.
+void RankBatchItems(std::span<const ItemId> items,
+                    std::vector<uint32_t>* rank) {
+  rank->assign(items.empty() ? 0 : static_cast<size_t>(items.back()) + 1,
+               kUnranked);
+  for (uint32_t r = 0; r < items.size(); ++r) (*rank)[items[r]] = r;
+}
+
+/// The per-transaction filter of every ranked scan: writes the ranks
+/// of `txn`'s batch items to `ranks`, ascending, and returns how many
+/// there are.
+inline uint32_t RankTransaction(std::span<const ItemId> txn,
+                                const uint32_t* rank, size_t rank_size,
+                                uint32_t* ranks) {
+  uint32_t m = 0;
+  for (ItemId item : txn) {
+    // Sorted: every later item is above the largest batch item.
+    if (item >= rank_size) break;
+    if (rank[item] != kUnranked) ranks[m++] = rank[item];
+  }
+  return m;
+}
+
 /// Colex index of a dense-batch candidate: Σ_d C(rank(item_d), d + 1)
 /// over its items in ascending order.
 uint32_t ColexIndex(const Itemset& candidate,
@@ -118,42 +144,14 @@ void ScanRange(const TransactionDb& db, size_t lo, size_t hi,
   }
 }
 
-/// The counting engine's one scan body: a sharded scan of `db` for a
-/// non-empty uniform-arity batch in the given counter layout. A dense
-/// `layout` needs `pooled->rank` filled by RankBatchItems, which found
-/// `n` distinct items. Each shard counts a contiguous transaction
-/// range into a private buffer; the join sums the buffers into
-/// `supports` in shard order, so supports are bit-identical for any
-/// shard count. The scratch is moved out of `pooled` into state the
-/// tasks share, sized here, and handed back by the join, so
-/// consecutive scans count into warm buffers and workers never
-/// allocate. Both moves run on the calling thread, so the pooling
-/// needs no synchronization. With a pool the shards run as one batch
-/// and the caller is free until it joins; without one they run inline
-/// before this returns. `candidates`, `supports` and `pooled` must
-/// outlive the join, and `pooled` must not back two scans in flight.
-/// `h` only labels spans.
-CountFuture StartScan(const TransactionDb& db,
-                      std::span<const Itemset> candidates,
-                      CountLayout layout, uint32_t n, ThreadPool* pool,
-                      std::span<uint32_t> supports,
-                      CountBatchScratch* pooled, const CancelToken* cancel,
-                      int h) {
-  const int arity = candidates.front().size();
-  const bool dense = layout == CountLayout::kDense;
+/// Moves the scratch out of `pooled` into state the shard tasks share,
+/// with a buffer of at least `slots` counters per shard. This and the
+/// join that hands it back (RunShards) run on the calling thread, so
+/// the pooling needs no synchronization.
+std::shared_ptr<CountBatchScratch> TakeScratch(CountBatchScratch* pooled,
+                                               int num_shards,
+                                               size_t slots) {
   auto state = std::make_shared<CountBatchScratch>(std::move(*pooled));
-  // Shard buffer: `cells` counters, then (dense) the rank list of the
-  // transaction being counted.
-  size_t cells = candidates.size();
-  size_t slots = cells;
-  if (dense) {
-    cells = SaturatingBinomial(n, arity);
-    slots = cells + std::min<size_t>(n, db.max_width());
-  } else {
-    FLIPPER_TRACE_SPAN_HK("trie_build", "detail", h, arity);
-    state->trie.Build(candidates);
-  }
-  const int num_shards = ShardCount(db.size(), pool, kMinTxnsPerShard);
   if (state->partial.size() < static_cast<size_t>(num_shards)) {
     state->partial.resize(static_cast<size_t>(num_shards));
   }
@@ -161,37 +159,28 @@ CountFuture StartScan(const TransactionDb& db,
     auto& buffer = state->partial[static_cast<size_t>(s)];
     if (buffer.size() < slots) buffer.resize(slots);
   }
+  return state;
+}
 
+/// The shard machinery every batch kind shares: runs
+/// `count_shard(state, s, lo, hi)` for `num_shards` contiguous
+/// transaction ranges of `db` — as one pool batch, leaving the caller
+/// free until it joins, or inline before this returns without a pool.
+/// The join runs `merge(state)` on the joining thread and hands the
+/// scratch back to `pooled`, which must outlive the join and must not
+/// back two scans in flight.
+template <typename CountShard, typename Merge>
+CountFuture RunShards(const TransactionDb& db, ThreadPool* pool,
+                      int num_shards,
+                      std::shared_ptr<CountBatchScratch> state,
+                      CountBatchScratch* pooled, CountShard count_shard,
+                      Merge merge) {
   std::vector<std::function<void()>> tasks;
   tasks.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
     const auto [lo, hi] = ShardRange(0, db.size(), num_shards, s);
-    tasks.push_back([state, &db, s, lo = lo, hi = hi, cells, dense,
-                     cancel, h, arity] {
-      FLIPPER_TRACE_SPAN_HK("count_shard", "task", h, arity);
-      uint32_t* counts = state->partial[static_cast<size_t>(s)].data();
-      std::fill_n(counts, cells, 0u);
-      if (!dense) {
-        const std::span<uint32_t> trie_counts(counts, cells);
-        ScanRange(db, lo, hi, cancel, [&](std::span<const ItemId> txn) {
-          state->trie.CountTransaction(txn, trie_counts);
-        });
-        return;
-      }
-      const uint32_t* rank = state->rank.data();
-      const size_t rank_size = state->rank.size();
-      uint32_t* ranks = counts + cells;
-      ScanRange(db, lo, hi, cancel, [&](std::span<const ItemId> txn) {
-        uint32_t m = 0;
-        for (ItemId item : txn) {
-          // Sorted: every later item is above the largest batch item.
-          if (item >= rank_size) break;
-          if (rank[item] != kUnranked) ranks[m++] = rank[item];
-        }
-        if (m >= static_cast<uint32_t>(arity)) {
-          AddCombinations(ranks, m, arity, 0, counts);
-        }
-      });
+    tasks.push_back([state, count_shard, s, lo = lo, hi = hi] {
+      count_shard(*state, s, lo, hi);
     });
   }
   ThreadPool::Completion completion;
@@ -200,29 +189,200 @@ CountFuture StartScan(const TransactionDb& db,
   } else {
     for (const auto& task : tasks) task();
   }
-  return CountFuture(
-      std::move(completion),
-      [state, candidates, supports, pooled, num_shards, dense, h, arity] {
+  return CountFuture(std::move(completion), [state, pooled, merge] {
+    Status status = merge(*state);
+    *pooled = std::move(*state);
+    return status;
+  });
+}
+
+/// A sharded scan of `db` for a non-empty uniform-arity candidate
+/// batch in the given counter layout. A dense `layout` needs
+/// `pooled->rank` filled by RankBatchItems, which ranked `n` distinct
+/// items. Each shard counts a contiguous transaction range into a
+/// private buffer; the join sums the buffers into `supports` in shard
+/// order, so supports are bit-identical for any shard count.
+/// `candidates` and `supports` must outlive the join. `h` only labels
+/// spans.
+CountFuture StartScan(const TransactionDb& db,
+                      std::span<const Itemset> candidates,
+                      CountLayout layout, uint32_t n, ThreadPool* pool,
+                      std::span<uint32_t> supports,
+                      CountBatchScratch* pooled, const CancelToken* cancel,
+                      int h) {
+  const int arity = candidates.front().size();
+  const bool dense = layout == CountLayout::kDense;
+  // Shard buffer: `cells` counters, then (dense) the rank list of the
+  // transaction being counted.
+  size_t cells = candidates.size();
+  size_t slots = cells;
+  if (dense) {
+    cells = SaturatingBinomial(n, arity);
+    slots = cells + std::min<size_t>(n, db.max_width());
+  }
+  const int num_shards = ShardCount(db.size(), pool, kMinTxnsPerShard);
+  auto state = TakeScratch(pooled, num_shards, slots);
+  if (!dense) {
+    FLIPPER_TRACE_SPAN_HK("trie_build", "detail", h, arity);
+    state->trie.Build(candidates);
+  }
+  return RunShards(
+      db, pool, num_shards, std::move(state), pooled,
+      [&db, cells, dense, cancel, h, arity](CountBatchScratch& state,
+                                            int s, size_t lo, size_t hi) {
+        FLIPPER_TRACE_SPAN_HK("count_shard", "task", h, arity);
+        uint32_t* counts = state.partial[static_cast<size_t>(s)].data();
+        std::fill_n(counts, cells, 0u);
+        if (!dense) {
+          const std::span<uint32_t> trie_counts(counts, cells);
+          ScanRange(db, lo, hi, cancel, [&](std::span<const ItemId> txn) {
+            state.trie.CountTransaction(txn, trie_counts);
+          });
+          return;
+        }
+        const uint32_t* rank = state.rank.data();
+        const size_t rank_size = state.rank.size();
+        uint32_t* ranks = counts + cells;
+        ScanRange(db, lo, hi, cancel, [&](std::span<const ItemId> txn) {
+          const uint32_t m = RankTransaction(txn, rank, rank_size, ranks);
+          if (m >= static_cast<uint32_t>(arity)) {
+            AddCombinations(ranks, m, arity, 0, counts);
+          }
+        });
+      },
+      [candidates, supports, num_shards, dense, h,
+       arity](CountBatchScratch& state) {
         FLIPPER_TRACE_SPAN_HK("shard_merge", "detail", h, arity);
         if (dense) {
           for (size_t i = 0; i < supports.size(); ++i) {
-            const uint32_t index = ColexIndex(candidates[i], state->rank);
+            const uint32_t index = ColexIndex(candidates[i], state.rank);
             uint32_t sum = 0;
             for (int s = 0; s < num_shards; ++s) {
-              sum += state->partial[static_cast<size_t>(s)][index];
+              sum += state.partial[static_cast<size_t>(s)][index];
             }
             supports[i] = sum;
           }
         } else {
           std::fill(supports.begin(), supports.end(), 0u);
           for (int s = 0; s < num_shards; ++s) {
-            const auto& counts = state->partial[static_cast<size_t>(s)];
+            const auto& counts = state.partial[static_cast<size_t>(s)];
             for (size_t i = 0; i < supports.size(); ++i) {
               supports[i] += counts[i];
             }
           }
         }
-        *pooled = std::move(*state);
+        return Status::OK();
+      });
+}
+
+/// A sharded scan of `db` counting every occurring k-combination of
+/// the items ranked in `pooled`, into one hash table per shard keyed
+/// by ranks. A shard whose table passes `max_combinations` stops every
+/// shard: its count already lower-bounds the merged one. The join
+/// merges the tables in shard order, re-checking the cap, and emits
+/// the combinations, mapped back to items, in ascending order.
+CountFuture StartOccurringScan(const TransactionDb& db, int k,
+                               size_t max_combinations, ThreadPool* pool,
+                               std::vector<Itemset>* itemsets,
+                               std::vector<uint32_t>* supports,
+                               CountBatchScratch* pooled,
+                               const CancelToken* cancel, int h) {
+  const int num_shards = ShardCount(db.size(), pool, kMinTxnsPerShard);
+  // Shard buffer: the rank list of the transaction being counted.
+  const size_t slots = std::min<size_t>(pooled->items.size(),
+                                        db.max_width());
+  auto state = TakeScratch(pooled, num_shards, slots);
+  if (state->tables.size() < static_cast<size_t>(num_shards)) {
+    state->tables.resize(static_cast<size_t>(num_shards));
+  }
+  for (int s = 0; s < num_shards; ++s) {
+    state->tables[static_cast<size_t>(s)].Reset(k);
+  }
+  auto exhausted = std::make_shared<std::atomic<bool>>(false);
+  return RunShards(
+      db, pool, num_shards, std::move(state), pooled,
+      [&db, k, max_combinations, cancel, h, exhausted](
+          CountBatchScratch& state, int s, size_t lo, size_t hi) {
+        FLIPPER_TRACE_SPAN_HK("count_shard", "task", h, k);
+        ScanCounterTable& table = state.tables[static_cast<size_t>(s)];
+        const uint32_t* rank = state.rank.data();
+        const size_t rank_size = state.rank.size();
+        uint32_t* ranks = state.partial[static_cast<size_t>(s)].data();
+        Itemset combo;
+        ScanRange(db, lo, hi, cancel, [&](std::span<const ItemId> txn) {
+          if (exhausted->load(std::memory_order_relaxed)) return;
+          const uint32_t m = RankTransaction(txn, rank, rank_size, ranks);
+          if (m < static_cast<uint32_t>(k)) return;
+          ForEachCombination(
+              std::span<const ItemId>(ranks, m), k, &combo,
+              [&](const Itemset& c) { table.Increment(c); });
+          if (table.size() > max_combinations) {
+            exhausted->store(true, std::memory_order_relaxed);
+          }
+        });
+      },
+      [itemsets, supports, num_shards, max_combinations, exhausted, cancel,
+       h, k](CountBatchScratch& state) -> Status {
+        // A fired token cuts shards short: report it before the cap,
+        // and never merge partial tables.
+        if (cancel != nullptr && cancel->Fired()) return cancel->ToStatus();
+        const Status overflow = Status::ResourceExhausted(
+            "scan-driven cell Q(" + std::to_string(h) + "," +
+            std::to_string(k) + ") exceeded the candidate limit");
+        if (exhausted->load(std::memory_order_relaxed)) return overflow;
+        FLIPPER_TRACE_SPAN_HK("shard_merge", "detail", h, k);
+        // Shard 0's table is the merge target, so its storage survives
+        // for reuse. Each shard table is bounded by the cap already (a
+        // tighter cap / num_shards bound would flag cells a serial
+        // scan accepts, since shards overlap).
+        ScanCounterTable& merged = state.tables[0];
+        for (int s = 1; s < num_shards; ++s) {
+          if (cancel != nullptr && cancel->Fired()) {
+            return cancel->ToStatus();
+          }
+          const ScanCounterTable& table =
+              state.tables[static_cast<size_t>(s)];
+          for (const ScanCounterTable::Entry& entry : table.entries()) {
+            merged.Increment(table.KeyOf(entry).data(), entry.count);
+          }
+          if (merged.size() > max_combinations) return overflow;
+        }
+        // Emit in ascending key order, which is ascending itemset
+        // order since ranks follow item ids. Each sort key packs the
+        // leading ranks into 64 bits — all k of them whenever they
+        // fit — and ties fall back to the full key.
+        const auto n = static_cast<uint32_t>(state.items.size());
+        const int bits = std::max(1, static_cast<int>(std::bit_width(n - 1)));
+        const int packed = std::min(k, 64 / bits);
+        const std::vector<ScanCounterTable::Entry>& entries =
+            merged.entries();
+        std::vector<std::pair<uint64_t, uint32_t>> order(entries.size());
+        for (uint32_t i = 0; i < order.size(); ++i) {
+          const std::span<const ItemId> key = merged.KeyOf(entries[i]);
+          uint64_t prefix = 0;
+          for (int d = 0; d < packed; ++d) {
+            prefix = (prefix << bits) | key[static_cast<size_t>(d)];
+          }
+          order[i] = {prefix, i};
+        }
+        std::sort(order.begin(), order.end(), [&](const auto& a,
+                                                  const auto& b) {
+          if (a.first != b.first) return a.first < b.first;
+          const auto ka = merged.KeyOf(entries[a.second]);
+          const auto kb = merged.KeyOf(entries[b.second]);
+          return std::lexicographical_compare(ka.begin(), ka.end(),
+                                              kb.begin(), kb.end());
+        });
+        itemsets->resize(order.size());
+        supports->resize(order.size());
+        for (size_t i = 0; i < order.size(); ++i) {
+          const ScanCounterTable::Entry& entry = entries[order[i].second];
+          Itemset& itemset = (*itemsets)[i];
+          for (ItemId r : merged.KeyOf(entry)) {
+            itemset.PushBack(state.items[r]);
+          }
+          (*supports)[i] = entry.count;
+        }
         return Status::OK();
       });
 }
@@ -276,6 +436,31 @@ CountFuture SupportCounter::StartCount(const LevelViews* views, int h,
   if (layout == CountLayout::kDense) ++num_dense_scans_;
   return StartScan(views->Level(h).db, candidates, layout, n, pool_,
                    *supports, &scratch_, cancel_, h);
+}
+
+CountFuture SupportCounter::StartCountOccurring(
+    const LevelViews* views, int h, int k, std::span<const ItemId> items,
+    size_t max_combinations, std::vector<Itemset>* itemsets,
+    std::vector<uint32_t>* supports) {
+  itemsets->clear();
+  supports->clear();
+  if (cancel_ != nullptr && cancel_->Fired()) {
+    return CountFuture(cancel_->ToStatus());
+  }
+  ++num_db_scans_;
+  ++num_occurring_scans_;
+  scratch_.items.assign(items.begin(), items.end());
+  RankBatchItems(scratch_.items, &scratch_.rank);
+  return StartOccurringScan(views->Level(h).db, k, max_combinations, pool_,
+                            itemsets, supports, &scratch_, cancel_, h);
+}
+
+uint64_t SupportCounter::arena_grow_events() const {
+  uint64_t total = 0;
+  for (const ScanCounterTable& table : scratch_.tables) {
+    total += table.grow_events();
+  }
+  return total;
 }
 
 }  // namespace flipper

@@ -1,14 +1,16 @@
-// Support counting: one concrete engine, SupportCounter, computes
-// sup(A) for a batch of same-size candidate itemsets against one
-// abstraction level's view with a sharded sequential scan of the
-// generalized database (the paper's disk-scan counting model, §5).
-// Each batch picks one of two counter layouts from its own shape
-// (ChooseCountLayout): a dense array with one counter per
+// Support counting: one concrete engine, SupportCounter, counts a
+// batch against one abstraction level's view with a sharded
+// sequential scan of the generalized database (the paper's disk-scan
+// counting model, §5). A candidate batch (StartCount) fills sup(A)
+// for same-size candidates in one of two counter layouts picked from
+// its shape (ChooseCountLayout): a dense array with one counter per
 // k-combination of the batch's distinct items when that array is
-// small, else a candidate prefix trie. CountBatchWithTrie exposes the
-// trie scan alone over a bare TransactionDb; the NaiveMiner oracle
-// counts through it, so every miner-vs-oracle comparison is also a
-// dense-vs-trie differential.
+// small, else a candidate prefix trie. An occurring-combination batch
+// (StartCountOccurring, the scan-driven cell) counts every
+// k-combination of an item list that occurs, in per-shard hash tables.
+// CountBatchWithTrie exposes the trie scan alone over a bare
+// TransactionDb; the NaiveMiner oracle counts through it, so every
+// miner-vs-oracle comparison is also a dense-vs-trie differential.
 
 #ifndef FLIPPER_CORE_SUPPORT_COUNTING_H_
 #define FLIPPER_CORE_SUPPORT_COUNTING_H_
@@ -26,6 +28,7 @@
 #include "common/thread_pool.h"
 #include "core/candidate_trie.h"
 #include "core/level_views.h"
+#include "core/scan_counter.h"
 #include "data/itemset.h"
 
 namespace flipper {
@@ -81,12 +84,13 @@ constexpr CountLayout ChooseCountLayout(uint64_t n, int k,
   return CountLayout::kDense;
 }
 
-/// Handle for an asynchronous Count() started with
-/// SupportCounter::StartCount. Join() blocks until the supports vector
-/// is filled and returns the final status; it also runs the
-/// deterministic shard-order merge on the joining thread, so supports
-/// are bit-identical to the synchronous path. Default-constructed
-/// handles are already complete with OK. Join() is idempotent.
+/// Handle for an asynchronous count started with
+/// SupportCounter::StartCount or StartCountOccurring. Join() blocks
+/// until the outputs are filled and returns the final status; it also
+/// runs the deterministic shard-order merge on the joining thread, so
+/// the outputs are bit-identical to the synchronous path.
+/// Default-constructed handles are already complete with OK. Join() is
+/// idempotent.
 class CountFuture {
  public:
   CountFuture() = default;
@@ -110,26 +114,31 @@ class CountFuture {
 };
 
 /// Reusable state of one batch scan: the trie arena, the per-shard
-/// private counter buffers and the dense layout's rank table. The
-/// thread that starts a scan sizes every buffer, so pool workers never
-/// allocate. A caller that keeps one instance across calls (e.g.
-/// across a row's cells) re-counts into warm buffers.
+/// private counter buffers and hash tables, and the batch's rank
+/// table. The thread that starts a scan sizes every buffer, so pool
+/// workers never allocate. A caller that keeps one instance across
+/// calls (e.g. across a row's cells) re-counts into warm buffers.
 struct CountBatchScratch {
   CandidateTrie trie;
-  /// Shard s's counters: one per candidate (trie) or one per
+  /// Shard s's counters: one per candidate (trie), one per
   /// k-combination followed by the shard's rank list of the current
-  /// transaction (dense).
+  /// transaction (dense), or the rank list alone (occurring).
   std::vector<std::vector<uint32_t>> partial;
-  /// Dense layout: rank of each batch item by ascending id, indexed by
-  /// item id up to the batch's largest; other ids are unranked.
+  /// Occurring batches: shard s's hash counter, keyed by ranks.
+  std::vector<ScanCounterTable> tables;
+  /// Occurring batches: the items, ascending (rank r is items[r]).
+  std::vector<ItemId> items;
+  /// Rank of each batch item by ascending id, indexed by item id up to
+  /// the batch's largest; other ids are unranked.
   std::vector<uint32_t> rank;
 };
 
-/// The support-counting engine: fills sup(A) for a uniform-arity
-/// batch of candidate itemsets with one sequential scan of an
-/// abstraction level's generalized database (the paper's disk-scan
-/// counting model, §5). ChooseCountLayout picks each batch's counter
-/// layout from its distinct items n, its arity k and its size.
+/// The support-counting engine: counts one batch — a uniform-arity
+/// list of candidate itemsets, or every occurring k-combination of an
+/// item list — with one sequential scan of an abstraction level's
+/// generalized database (the paper's disk-scan counting model, §5).
+/// ChooseCountLayout picks each candidate batch's counter layout from
+/// its distinct items n, its arity k and its size.
 ///
 /// `pool` (optional, not owned, must outlive the counter) shards each
 /// scan over contiguous transaction ranges with per-shard private
@@ -138,13 +147,15 @@ struct CountBatchScratch {
 /// (optional) is a cooperative-cancellation token: shard tasks poll it
 /// every few hundred transactions and bail early once it fires,
 /// leaving the supports partial — the driver must discard them
-/// (CellPipeline re-checks the token before evaluating). A token that
-/// has fired before StartCount makes it return the token's status
-/// without scanning. An un-fired token changes nothing.
+/// (CellPipeline re-checks the token before evaluating); an
+/// occurring-combination join returns the token's status instead of
+/// merging. A token that has fired before a Start call makes it return
+/// the token's status without scanning. An un-fired token changes
+/// nothing.
 ///
-/// The counter keeps one trie arena, per-shard counter buffers and a
-/// rank table alive across calls (the row-level reuse seam), so each
-/// StartCount future must be joined before the next count starts; the
+/// The counter keeps its scratch (trie arena, per-shard buffers and
+/// tables, rank table) alive across calls (the row-level reuse seam),
+/// so each future must be joined before the next count starts; the
 /// cell pipeline joins every cell's count before it evaluates the cell.
 /// The views are only read, so several counters — each with its own
 /// pool — may share one LevelViews.
@@ -173,19 +184,41 @@ class SupportCounter {
     return StartCount(views, h, candidates, supports).Join();
   }
 
+  /// Starts counting, on level `h`'s view, every k-combination of
+  /// `items` (ascending, duplicate-free) that occurs in some
+  /// transaction. The join fills `itemsets` with those combinations in
+  /// ascending order and `supports` with their supports; both must
+  /// stay valid until then. Once one shard's hash table, or the merged
+  /// one, holds more than `max_combinations` keys, the join returns
+  /// ResourceExhausted. One db scan and one occurring scan are
+  /// accounted per call that starts counting.
+  CountFuture StartCountOccurring(const LevelViews* views, int h, int k,
+                                  std::span<const ItemId> items,
+                                  size_t max_combinations,
+                                  std::vector<Itemset>* itemsets,
+                                  std::vector<uint32_t>* supports);
+
   /// Number of full database scans performed so far.
   uint64_t num_db_scans() const { return num_db_scans_; }
 
   /// How many of those scans used the dense layout.
   uint64_t num_dense_scans() const { return num_dense_scans_; }
 
+  /// How many of those scans counted occurring combinations.
+  uint64_t num_occurring_scans() const { return num_occurring_scans_; }
+
+  /// Heap growths of the pooled hash tables so far (the sum of their
+  /// ScanCounterTable::grow_events). Read it with no count in flight.
+  uint64_t arena_grow_events() const;
+
  private:
   ThreadPool* pool_;
   const CancelToken* cancel_;
   uint64_t num_db_scans_ = 0;
   uint64_t num_dense_scans_ = 0;
-  /// Pooled trie arena, shard buffers and rank table, reused across
-  /// counts. Only touched from the thread driving StartCount/Join.
+  uint64_t num_occurring_scans_ = 0;
+  /// Pooled scratch, reused across counts. Only touched from the
+  /// thread driving the Start calls and Join.
   CountBatchScratch scratch_;
 };
 

@@ -1,5 +1,5 @@
-// Shared output type of the real-dataset simulators (§5.2
-// substitutions; see DESIGN.md §4).
+// Shared output type of the real-dataset simulators (the paper's §5.2
+// datasets, substituted by synthetic generators).
 
 #ifndef FLIPPER_DATAGEN_SIM_DATASET_H_
 #define FLIPPER_DATAGEN_SIM_DATASET_H_

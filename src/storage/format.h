@@ -47,8 +47,9 @@
 //
 // Segments partition the transactions into contiguous shards (the
 // writer cuts one every Options::segment_txns transactions) so
-// sharded scans — LevelViews::ScanShards and future distributed
-// readers — can split the file without touching the offsets section.
+// sharded scans — static range splits like the counting engine's, and
+// future distributed readers — can split the file without touching
+// the offsets section.
 //
 // Append sessions (v2 only): StoreWriter::OpenAppend extends a
 // committed v2 store without rewriting it. Each session appends, past

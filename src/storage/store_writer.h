@@ -53,8 +53,8 @@ class StoreWriter {
  public:
   struct Options {
     /// Transactions per shard segment. Segments partition the file for
-    /// sharded scans (LevelViews::ScanShards-style static splits) and
-    /// are the granularity of the v2 segment catalog.
+    /// sharded scans (static range splits) and are the granularity of
+    /// the v2 segment catalog.
     uint32_t segment_txns = 1u << 16;
     /// On-disk format version: kFormatVersionV1 (raw fixed-width
     /// columns, zero-copy mmap reads) or kFormatVersionV2 (delta+varint

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cancellation.h"
 #include "core/candidate_gen.h"
 #include "core/cell.h"
 #include "test_util.h"
@@ -105,17 +106,66 @@ TEST(CandidateGen, VerticalExpandShallowLeafSelfCopy) {
   EXPECT_EQ(out[1], (Itemset{1, 3}));
 }
 
-TEST(CandidateGen, FilterKnownInfrequentSubsets) {
+/// The rows >= 2 subset filter: RetainCandidates over the
+/// known-infrequent subset test.
+std::vector<Itemset> SubsetFilter(
+    std::vector<Itemset> candidates, const Cell& prev,
+    const CancelToken* cancel = nullptr) {
+  RetainCandidates(&candidates, nullptr, cancel,
+                   [&](const Itemset& candidate) {
+                     return !HasKnownInfrequentSubset(candidate, prev);
+                   });
+  return candidates;
+}
+
+TEST(CandidateGen, KnownInfrequentSubsetFilter) {
   Cell prev(2, 2, nullptr);
   prev.Put(Itemset{1, 2}, MakeRecord(true));
   prev.Put(Itemset{2, 3}, MakeRecord(false));  // known infrequent
   // {1,2,3} has known-infrequent subset {2,3} -> dropped.
   // {1,2,4} has unknown subsets {1,4}, {2,4} -> kept.
+  EXPECT_TRUE(HasKnownInfrequentSubset(Itemset{1, 2, 3}, prev));
+  EXPECT_FALSE(HasKnownInfrequentSubset(Itemset{1, 2, 4}, prev));
   std::vector<Itemset> candidates = {Itemset{1, 2, 3}, Itemset{1, 2, 4}};
-  auto filtered =
-      FilterKnownInfrequentSubsets(std::move(candidates), prev);
+  auto filtered = SubsetFilter(std::move(candidates), prev);
   ASSERT_EQ(filtered.size(), 1u);
   EXPECT_EQ(filtered[0], (Itemset{1, 2, 4}));
+}
+
+TEST(CandidateGen, SubsetFilterStopsOnFiredToken) {
+  Cell prev(2, 2, nullptr);
+  prev.Put(Itemset{2, 3}, MakeRecord(false));
+  std::vector<Itemset> candidates(3000, Itemset{1, 2, 4});
+  CancelToken unfired;
+  EXPECT_EQ(SubsetFilter(candidates, prev, &unfired).size(), 3000u);
+  // A fired token stops the filter before it keeps anything: the
+  // partial output is never a complete pass.
+  CancelToken fired;
+  fired.Cancel();
+  EXPECT_TRUE(SubsetFilter(candidates, prev, &fired).empty());
+}
+
+TEST(CandidateGen, RetainCandidatesCompactsSupportsInStep) {
+  Cell prev(2, 2, nullptr);
+  prev.Put(Itemset{2, 3}, MakeRecord(false));
+  std::vector<Itemset> candidates = {Itemset{1, 2, 3}, Itemset{1, 2, 4},
+                                     Itemset{2, 3, 4}, Itemset{1, 4, 5}};
+  std::vector<uint32_t> supports = {7, 8, 9, 10};
+  RetainCandidates(&candidates, &supports, nullptr,
+                   [&](const Itemset& c) {
+                     return c.front() == 1 &&
+                            !HasKnownInfrequentSubset(c, prev);
+                   });
+  EXPECT_EQ(candidates, (std::vector<Itemset>{Itemset{1, 2, 4},
+                                              Itemset{1, 4, 5}}));
+  EXPECT_EQ(supports, (std::vector<uint32_t>{8, 10}));
+
+  CancelToken fired;
+  fired.Cancel();
+  RetainCandidates(&candidates, &supports, &fired,
+                   [](const Itemset&) { return true; });
+  EXPECT_TRUE(candidates.empty());
+  EXPECT_TRUE(supports.empty());
 }
 
 TEST(Cell, MemoryAccountingAndRetain) {

@@ -1,7 +1,8 @@
 // Support counting: CandidateTrie against brute force, the counter
 // layout rule, and SupportCounter against the reference scan at every
 // level and in both counter layouts (dense and trie), with and without
-// a pool.
+// a pool, plus its occurring-combination batches (the scan-driven
+// cell) against brute force.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "common/thread_pool.h"
 #include "core/candidate_trie.h"
 #include "core/level_views.h"
+#include "core/scan_counter.h"
 #include "core/support_counting.h"
 #include "test_util.h"
 
@@ -249,6 +251,157 @@ std::vector<Itemset> SparseBatch(std::vector<ItemId> pool, int k,
   return candidates;
 }
 
+/// An occurring-combination batch's output: itemsets and supports.
+using OccurringResult =
+    std::pair<std::vector<Itemset>, std::vector<uint32_t>>;
+
+/// Brute force for an occurring-combination batch: every k-combination
+/// of `items` (ascending) with nonzero support in `db`, ascending,
+/// with its support.
+OccurringResult OccurringReference(
+    const TransactionDb& db, const std::vector<ItemId>& items, int k) {
+  std::vector<Itemset> itemsets;
+  std::vector<uint32_t> supports;
+  Itemset scratch;
+  ForEachCombination(items, k, &scratch, [&](const Itemset& combo) {
+    const uint32_t support = db.CountSupport(combo);
+    if (support == 0) return;
+    itemsets.push_back(combo);
+    supports.push_back(support);
+  });
+  return {itemsets, supports};
+}
+
+/// Counts an occurring-combination batch and checks it against
+/// `want` (OccurringReference).
+void ExpectOccurring(SupportCounter* counter, const LevelViews& views,
+                     int h, int k, const std::vector<ItemId>& items,
+                     const OccurringResult& want) {
+  ASSERT_FALSE(want.first.empty());
+  OccurringResult got;
+  ASSERT_TRUE(counter
+                  ->StartCountOccurring(&views, h, k, items, SIZE_MAX,
+                                        &got.first, &got.second)
+                  .Join()
+                  .ok());
+  EXPECT_EQ(got.first, want.first) << "level " << h << ", k=" << k;
+  EXPECT_EQ(got.second, want.second) << "level " << h << ", k=" << k;
+}
+
+/// Up to 14 of level h's nodes, skipping every third one, so
+/// transactions also hold items outside the batch.
+std::vector<ItemId> OccurringItems(const Taxonomy& taxonomy, int h) {
+  std::vector<ItemId> items;
+  const std::vector<ItemId>& nodes = taxonomy.NodesAtLevel(h);
+  for (size_t i = 0; i < nodes.size() && items.size() < 14; ++i) {
+    if (i % 3 != 1) items.push_back(nodes[i]);
+  }
+  return items;
+}
+
+TEST(OccurringCombinations, MatchBruteForceOnRandomDatabases) {
+  ThreadPool pool(4);
+  for (uint64_t seed : {3, 4, 5}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    // 2500 transactions, so a 4-thread pool really shards the scan.
+    const testutil::Dataset data = testutil::RandomDataset(
+        seed, /*num_roots=*/4, /*fanout=*/3, /*depth=*/3,
+        /*num_txns=*/2500, /*max_width=*/10);
+    auto views = LevelViews::Build(data.db, data.taxonomy);
+    ASSERT_TRUE(views.ok()) << views.status();
+    SupportCounter serial;
+    SupportCounter sharded(&pool);
+    for (int h = 2; h <= 3; ++h) {
+      const std::vector<ItemId> items = OccurringItems(data.taxonomy, h);
+      for (int k = 2; k <= 4; ++k) {
+        const OccurringResult want =
+            OccurringReference(views->Level(h).db, items, k);
+        ExpectOccurring(&serial, *views, h, k, items, want);
+        ExpectOccurring(&sharded, *views, h, k, items, want);
+      }
+    }
+    for (const SupportCounter* counter : {&serial, &sharded}) {
+      EXPECT_EQ(counter->num_db_scans(), 6u);
+      EXPECT_EQ(counter->num_occurring_scans(), 6u);
+      EXPECT_EQ(counter->num_dense_scans(), 0u);
+    }
+  }
+}
+
+TEST(OccurringCombinations, CapExhaustionIsThreadCountInvariant) {
+  const testutil::Dataset data = testutil::RandomDataset(
+      6, /*num_roots=*/4, /*fanout=*/3, /*depth=*/3, /*num_txns=*/2500,
+      /*max_width=*/10);
+  auto views = LevelViews::Build(data.db, data.taxonomy);
+  ASSERT_TRUE(views.ok()) << views.status();
+  const std::vector<ItemId> items = OccurringItems(data.taxonomy, 3);
+  const size_t occurring =
+      OccurringReference(views->Level(3).db, items, 3).first.size();
+  ASSERT_GT(occurring, 8u);
+  // A cap below what one shard sees, and one that only the merged
+  // table passes when the scan is sharded.
+  for (size_t cap : {size_t{8}, occurring - 1}) {
+    SCOPED_TRACE("cap=" + std::to_string(cap));
+    for (int threads : {1, 2, 4}) {
+      ThreadPool pool(threads);
+      SupportCounter counter(&pool);
+      std::vector<Itemset> itemsets;
+      std::vector<uint32_t> supports;
+      const Status status =
+          counter.StartCountOccurring(&*views, 3, 3, items, cap, &itemsets,
+                                      &supports)
+              .Join();
+      EXPECT_EQ(status.code(), StatusCode::kResourceExhausted)
+          << "threads=" << threads;
+      EXPECT_EQ(status.message(),
+                "scan-driven cell Q(3,3) exceeded the candidate limit")
+          << "threads=" << threads;
+      EXPECT_EQ(counter.num_occurring_scans(), 1u);
+    }
+  }
+}
+
+TEST(OccurringCombinations, FiredTokenReturnsItsStatus) {
+  const testutil::Dataset data = testutil::PaperToyDataset();
+  auto views = LevelViews::Build(data.db, data.taxonomy);
+  ASSERT_TRUE(views.ok()) << views.status();
+  const std::vector<ItemId>& items = data.taxonomy.NodesAtLevel(3);
+
+  CancelToken cancelled;
+  cancelled.Cancel();
+  CancelToken lapsed;
+  lapsed.SetDeadlineAfterMs(-1);
+  ThreadPool pool(4);
+  for (const CancelToken* token : {&cancelled, &lapsed}) {
+    SupportCounter counter(&pool, token);
+    std::vector<Itemset> itemsets;
+    std::vector<uint32_t> supports;
+    EXPECT_EQ(counter
+                  .StartCountOccurring(&*views, 3, 2, items, SIZE_MAX,
+                                       &itemsets, &supports)
+                  .Join()
+                  .code(),
+              token->ToStatus().code());
+    EXPECT_FALSE(token->ToStatus().ok());
+    EXPECT_TRUE(itemsets.empty());
+    EXPECT_EQ(counter.num_db_scans(), 0u);
+    EXPECT_EQ(counter.num_occurring_scans(), 0u);
+  }
+
+  // A token that fires after the start: the join returns its status
+  // instead of merging, whether or not the shards finished.
+  CancelToken late;
+  SupportCounter counter(&pool, &late);
+  std::vector<Itemset> itemsets;
+  std::vector<uint32_t> supports;
+  CountFuture future = counter.StartCountOccurring(
+      &*views, 3, 2, items, SIZE_MAX, &itemsets, &supports);
+  late.Cancel();
+  EXPECT_EQ(future.Join().code(), StatusCode::kCancelled);
+  EXPECT_TRUE(itemsets.empty());
+  EXPECT_EQ(counter.num_occurring_scans(), 1u);
+}
+
 /// Over 400 leaves, so a pair batch over all of them exceeds the dense
 /// bound, and ~64 mid-level nodes; up to 12 items per transaction, so
 /// k = 4 finds matches.
@@ -341,6 +494,31 @@ TEST_F(CountLayouts, WarmCounterAlternatesLayouts) {
   }
   EXPECT_EQ(warm.num_db_scans(), 6u);
   EXPECT_EQ(warm.num_dense_scans(), 3u);
+}
+
+TEST_F(CountLayouts, WarmCounterAlternatesTrieDenseAndOccurring) {
+  // Occurring batches share the pooled scratch with candidate batches:
+  // every batch must count as a fresh counter would, and the hash
+  // tables handed back by each join must be the warm ones the next
+  // occurring batch counts into.
+  Rng rng(78);
+  SupportCounter warm(&pool_);
+  const std::vector<ItemId> items = OccurringItems(data_.taxonomy, 2);
+  const OccurringResult want =
+      OccurringReference(views_.Level(2).db, items, 3);
+  ExpectOccurring(&warm, views_, 2, 3, items, want);
+  const uint64_t cold_grow_events = warm.arena_grow_events();
+  EXPECT_GT(cold_grow_events, 0u);
+  for (int round = 0; round < 6; ++round) {
+    const int k = 2 + round % 3;
+    ExpectExactSupports(&warm, round % 2 == 0 ? DenseBatch(k, &rng)
+                                              : TrieBatch(k, &rng));
+    ExpectOccurring(&warm, views_, 2, 3, items, want);
+  }
+  EXPECT_EQ(warm.arena_grow_events(), cold_grow_events);
+  EXPECT_EQ(warm.num_db_scans(), 13u);
+  EXPECT_EQ(warm.num_dense_scans(), 3u);
+  EXPECT_EQ(warm.num_occurring_scans(), 7u);
 }
 
 TEST(CountLayoutEdges, EmptyDatabaseCountsZero) {

@@ -261,5 +261,24 @@ TEST(MetricsRegistry, MiningPopulatesTheRegistryWithoutChangingOutput) {
             std::string::npos);
 }
 
+TEST(MetricsRegistry, ScanDrivenCellsRecordTheirCounters) {
+  // The scan-driven cells count through the SupportCounter: their scans
+  // and the grow events of its hash tables reach the registry.
+  const testutil::Dataset data = testutil::QuestScanDataset();
+  MiningConfig config = testutil::QuestScanConfig();
+  config.num_threads = 4;
+  MetricsRegistry m;
+  config.metrics = &m;
+  auto result = FlipperMiner::Run(data.db, data.taxonomy, config);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_GT(result->stats.scan_cell_scans, 0u);
+  EXPECT_EQ(m.counter("mine.scan_cell_scans"),
+            static_cast<int64_t>(result->stats.scan_cell_scans));
+  EXPECT_EQ(m.counter("mine.db_scans"),
+            static_cast<int64_t>(result->stats.db_scans));
+  // Cold tables grow as they first fill.
+  EXPECT_GT(m.counter("scan.arena_grow_events"), 0);
+}
+
 }  // namespace
 }  // namespace flipper

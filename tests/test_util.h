@@ -1,5 +1,6 @@
-// Shared fixtures: the paper's Figure-4 toy dataset and randomized
-// dataset construction for differential tests.
+// Shared fixtures: the paper's Figure-4 toy dataset, randomized
+// dataset construction for differential tests, and a quest profile
+// that drives cells into the scan-driven route.
 
 #ifndef FLIPPER_TESTS_TEST_UTIL_H_
 #define FLIPPER_TESTS_TEST_UTIL_H_
@@ -9,8 +10,11 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/config.h"
 #include "data/item_dictionary.h"
 #include "data/transaction_db.h"
+#include "datagen/quest_gen.h"
+#include "datagen/taxonomy_gen.h"
 #include "taxonomy/taxonomy.h"
 #include "taxonomy/taxonomy_builder.h"
 
@@ -126,6 +130,41 @@ inline Dataset RandomDataset(uint64_t seed, uint32_t num_roots = 4,
     out.db.Add(txn);
   }
   return out;
+}
+
+/// Quest transactions over a balanced 10-root, fanout-5, depth-4
+/// taxonomy. Mined with QuestScanConfig, the cartesian children
+/// product explodes and the planner sends cells to the scan-driven
+/// route.
+inline Dataset QuestScanDataset() {
+  Dataset out;
+  TaxonomyGenParams tax_params;
+  tax_params.num_roots = 10;
+  tax_params.fanout = 5;
+  tax_params.depth = 4;
+  auto tax = GenerateBalancedTaxonomy(tax_params, &out.dict);
+  FLIPPER_CHECK(tax.ok()) << tax.status();
+  out.taxonomy = std::move(tax).value();
+  QuestParams quest;
+  quest.num_transactions = 4'000;
+  quest.avg_width = 5.0;
+  quest.num_patterns = 500;
+  quest.seed = 42;
+  auto db = GenerateQuest(quest, out.taxonomy);
+  FLIPPER_CHECK(db.ok()) << db.status();
+  out.db = std::move(db).value();
+  return out;
+}
+
+/// Low supports with FLIPPING-only pruning: the profile the
+/// scan-strategy ablation uses.
+inline MiningConfig QuestScanConfig() {
+  MiningConfig config;
+  config.gamma = 0.3;
+  config.epsilon = 0.1;
+  config.min_support = {0.01, 0.001, 0.0005, 0.0001};
+  config.pruning = PruningOptions::FlippingOnly();
+  return config;
 }
 
 }  // namespace testutil

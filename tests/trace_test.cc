@@ -4,7 +4,8 @@
 // Chrome JSON export is structurally valid, tracing does not change
 // mined patterns, the CLI writes --trace-out files, and — the
 // acceptance bar — the driver-thread stage spans cover >= 95% of the
-// mining wall time on the groceries example.
+// mining wall time on the groceries example and on a quest run with
+// scan-driven cells.
 
 #include <gtest/gtest.h>
 
@@ -227,27 +228,20 @@ TEST_F(TraceTest, TracingDoesNotChangeMinedPatterns) {
   EXPECT_EQ(PatternsCsv(*plain), PatternsCsv(*traced));
 }
 
-// Acceptance bar: on the groceries example the non-overlapping
-// driver-thread "stage" spans must account for >= 95% of the root
-// "mine" span's wall time — i.e. the trace explains where a mining
-// run's time goes instead of leaving untraced gaps.
-TEST_F(TraceTest, StageSpansCoverMiningWallTimeOnGroceries) {
-  GroceriesParams params;
-  params.num_transactions = 9'800;
-  auto dataset = GenerateGroceries(params);
-  ASSERT_TRUE(dataset.ok()) << dataset.status();
-
-  MiningConfig config;
-  config.gamma = 0.3;
-  config.epsilon = 0.1;
-  config.min_support = {0.01, 0.005, 0.002, 0.001};
-  config.num_threads = 0;  // hardware concurrency
-
+/// Mines with tracing on and checks the acceptance bar: the
+/// non-overlapping driver-thread "stage" spans must account for >= 95%
+/// of the root "mine" span's wall time — i.e. the trace explains where
+/// a mining run's time goes instead of leaving untraced gaps — and
+/// every stage in `stages` appears. Returns the run's stats.
+MiningStats ExpectStageCoverage(const TransactionDb& db,
+                                const Taxonomy& taxonomy,
+                                const MiningConfig& config,
+                                const std::vector<std::string>& stages) {
   trace::SetEnabled(true);
-  auto result =
-      FlipperMiner::Run(dataset->db, dataset->taxonomy, config);
+  auto result = FlipperMiner::Run(db, taxonomy, config);
   trace::SetEnabled(false);
-  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result.ok()) << result.status();
+  if (!result.ok()) return {};
 
   uint64_t mine_dur_ns = 0;
   int driver_tid = -1;
@@ -259,8 +253,8 @@ TEST_F(TraceTest, StageSpansCoverMiningWallTimeOnGroceries) {
           driver_tid = tid;
         }
       });
-  ASSERT_GT(mine_dur_ns, 0u);
-  ASSERT_GE(driver_tid, 0);
+  EXPECT_GT(mine_dur_ns, 0u);
+  EXPECT_GE(driver_tid, 0);
 
   uint64_t stage_dur_ns = 0;
   std::map<std::string, uint64_t> per_stage;
@@ -280,12 +274,41 @@ TEST_F(TraceTest, StageSpansCoverMiningWallTimeOnGroceries) {
   // Stages never nest or overlap on the driver thread, so their sum
   // cannot exceed the root (small epsilon for clock granularity).
   EXPECT_LE(coverage, 1.001);
-  // The major stages all appear.
-  for (const char* stage :
-       {"pool_start", "views_build", "singletons", "count_wait",
-        "evaluate", "evict", "assemble"}) {
+  for (const std::string& stage : stages) {
     EXPECT_TRUE(per_stage.count(stage)) << "no '" << stage << "' span";
   }
+  trace::Clear();
+  return result->stats;
+}
+
+TEST_F(TraceTest, StageSpansCoverMiningWallTime) {
+  GroceriesParams params;
+  params.num_transactions = 9'800;
+  auto dataset = GenerateGroceries(params);
+  ASSERT_TRUE(dataset.ok()) << dataset.status();
+
+  MiningConfig config;
+  config.gamma = 0.3;
+  config.epsilon = 0.1;
+  config.min_support = {0.01, 0.005, 0.002, 0.001};
+  config.num_threads = 0;  // hardware concurrency
+  {
+    SCOPED_TRACE("groceries");
+    ExpectStageCoverage(dataset->db, dataset->taxonomy, config,
+                        {"pool_start", "views_build", "singletons",
+                         "count_wait", "evaluate", "evict", "assemble"});
+  }
+
+  // A run whose scan-driven cells count through the same stages.
+  SCOPED_TRACE("quest with scan-driven cells");
+  const testutil::Dataset quest = testutil::QuestScanDataset();
+  MiningConfig quest_config = testutil::QuestScanConfig();
+  quest_config.num_threads = 0;
+  const MiningStats stats =
+      ExpectStageCoverage(quest.db, quest.taxonomy, quest_config,
+                          {"count_start", "count_wait", "subset_filter",
+                           "evaluate"});
+  EXPECT_GT(stats.scan_cell_scans, 0u);
 }
 
 /// Drives RunFlipperCli as a subprocess would, capturing both streams.

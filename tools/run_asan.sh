@@ -22,9 +22,13 @@ BUILD_DIR=build-asan
 # suites index raw arrays: counting_test and trie_invariance_test drive
 # the dense layout's colex indices, rank table and per-shard rank lists
 # and the trie's arena walk, where an off-by-one over-reads silently.
+# scan_counter_test and cell_pipeline_test cover the occurring-
+# combination scans: the hash tables' memcpy/memcmp arena keys and the
+# pooled scratch handed across threads between scans.
 SUITES=(storage_test crash_recovery_test tools_test
         fuzz_differential_test protocol_fuzz_test service_test
-        service_robustness_test counting_test trie_invariance_test)
+        service_robustness_test counting_test trie_invariance_test
+        scan_counter_test cell_pipeline_test)
 
 # Instrumented fuzz rounds are slower; a few are enough to cover the
 # decode paths (override by exporting FLIPPER_FUZZ_ITERS).
