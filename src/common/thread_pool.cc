@@ -6,6 +6,39 @@
 
 namespace flipper {
 
+namespace {
+
+thread_local PoolTaskObserver* g_observer = nullptr;
+
+}  // namespace
+
+PoolObserverScope::PoolObserverScope(PoolTaskObserver* observer)
+    : prev_(g_observer) {
+  g_observer = observer;
+}
+
+PoolObserverScope::~PoolObserverScope() { g_observer = prev_; }
+
+struct ThreadPool::Batch {
+  std::vector<std::function<void()>> tasks;
+  /// Index of the next unclaimed task.
+  size_t next = 0;
+  /// Claimed tasks still running, plus unclaimed ones.
+  size_t pending = 0;
+  std::exception_ptr first_error;
+  /// Signalled, under the pool mutex, when `pending` reaches 0.
+  std::condition_variable done;
+  /// Submit timestamp (trace::NowNanos clock; 0 when neither tracing
+  /// nor an observer needs timing).
+  uint64_t submit_ns = 0;
+  /// The submitter's trace session, re-attached around each task so
+  /// its spans land in the query that submitted it.
+  trace::Session* session = nullptr;
+  PoolTaskObserver* observer = nullptr;
+
+  bool claimable() const { return next < tasks.size(); }
+};
+
 int ThreadPool::ResolveThreadCount(int requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -29,46 +62,50 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::set_observer(PoolTaskObserver* observer) {
-  std::lock_guard<std::mutex> lock(mu_);
-  observer_ = observer;
-}
-
-void ThreadPool::Submit(std::function<void()> fn) {
+ThreadPool::Completion ThreadPool::SubmitBatch(
+    std::vector<std::function<void()>> tasks) {
+  Completion handle;
+  if (tasks.empty()) return handle;
+  auto batch = std::make_shared<Batch>();
+  batch->pending = tasks.size();
+  batch->tasks = std::move(tasks);
+  batch->session = trace::CurrentSession();
+  batch->observer = g_observer;
+  // Only pay the clock read when someone consumes the timing.
+  if (batch->observer != nullptr || trace::Enabled()) {
+    batch->submit_ns = trace::NowNanos();
+  }
+  handle.pool_ = this;
+  handle.batch_ = batch;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    Task task{std::move(fn), 0, trace::CurrentSession()};
-    // Only pay the clock read when someone consumes the timing.
-    if (observer_ != nullptr || trace::Enabled()) {
-      task.submit_ns = trace::NowNanos();
-    }
-    queue_.push_back(std::move(task));
+    queue_.push_back(std::move(batch));
   }
-  work_ready_.notify_one();
+  work_ready_.notify_all();
+  return handle;
 }
 
-bool ThreadPool::RunOneTask(std::unique_lock<std::mutex>* lock) {
-  if (queue_.empty()) return false;
-  Task task = std::move(queue_.front());
-  queue_.pop_front();
-  PoolTaskObserver* observer = observer_;
-  ++in_flight_;
+void ThreadPool::RunClaimed(const std::shared_ptr<Batch>& batch,
+                            size_t index,
+                            std::unique_lock<std::mutex>* lock) {
+  // Moved out so the task's captures die with the task, not with the
+  // batch's last Completion handle.
+  std::function<void()> fn = std::move(batch->tasks[index]);
   lock->unlock();
-  // Run under the submitter's trace session so the task's spans (and
-  // the pool_task envelope below) land in the right query even when
-  // the pool is shared across concurrent queries.
-  trace::SessionScope session_scope(task.session);
-  const uint64_t start_ns = task.submit_ns != 0 ? trace::NowNanos() : 0;
+  trace::SessionScope session_scope(batch->session);
+  const uint64_t start_ns = batch->submit_ns != 0 ? trace::NowNanos() : 0;
   std::exception_ptr error;
   try {
-    task.fn();
+    fn();
   } catch (...) {
     error = std::current_exception();
   }
-  if (task.submit_ns != 0) {
+  if (batch->submit_ns != 0) {
     const uint64_t end_ns = trace::NowNanos();
-    const uint64_t queue_ns = start_ns - task.submit_ns;
-    if (observer != nullptr) observer->OnPoolTask(queue_ns, end_ns - start_ns);
+    const uint64_t queue_ns = start_ns - batch->submit_ns;
+    if (batch->observer != nullptr) {
+      batch->observer->OnPoolTask(queue_ns, end_ns - start_ns);
+    }
     if (trace::Enabled()) {
       trace::Span span;
       span.name = "pool_task";
@@ -80,11 +117,12 @@ bool ThreadPool::RunOneTask(std::unique_lock<std::mutex>* lock) {
       trace::RecordSpan(span);
     }
   }
+  fn = nullptr;  // captures die before the joiner can return
   lock->lock();
-  if (error != nullptr && first_error_ == nullptr) first_error_ = error;
-  --in_flight_;
-  if (queue_.empty() && in_flight_ == 0) batch_done_.notify_all();
-  return true;
+  if (error != nullptr && batch->first_error == nullptr) {
+    batch->first_error = error;
+  }
+  if (--batch->pending == 0) batch->done.notify_all();
 }
 
 void ThreadPool::WorkerLoop() {
@@ -97,86 +135,41 @@ void ThreadPool::WorkerLoop() {
   while (true) {
     work_ready_.wait(lock,
                      [this] { return shutdown_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (shutdown_) return;
-      continue;
-    }
-    RunOneTask(&lock);
+    if (queue_.empty()) return;  // shut down with nothing left to run
+    std::shared_ptr<Batch> batch = queue_.front();
+    const size_t index = batch->next++;
+    if (!batch->claimable()) queue_.pop_front();
+    RunClaimed(batch, index, &lock);
   }
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  // Help drain the queue, then wait for stragglers running on workers.
-  while (RunOneTask(&lock)) {
-  }
-  batch_done_.wait(lock,
-                   [this] { return queue_.empty() && in_flight_ == 0; });
-  if (first_error_ != nullptr) {
-    std::exception_ptr error = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(error);
-  }
-}
-
-struct ThreadPool::Completion::State {
-  std::mutex mu;
-  std::condition_variable done;
-  size_t pending = 0;
-  std::exception_ptr first_error;
-};
-
-ThreadPool::Completion ThreadPool::SubmitBatch(
-    std::vector<std::function<void()>> tasks) {
-  Completion handle;
-  if (tasks.empty()) return handle;
-  handle.pool_ = this;
-  handle.state_ = std::make_shared<Completion::State>();
-  handle.state_->pending = tasks.size();
-  for (auto& fn : tasks) {
-    Submit([state = handle.state_, fn = std::move(fn)] {
-      std::exception_ptr error;
-      try {
-        fn();
-      } catch (...) {
-        error = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(state->mu);
-      if (error != nullptr && state->first_error == nullptr) {
-        state->first_error = error;
-      }
-      if (--state->pending == 0) state->done.notify_all();
-    });
-  }
-  return handle;
 }
 
 void ThreadPool::Completion::Wait() {
-  if (state_ == nullptr) return;
-  // Help drain the shared queue first: on a pool with no idle workers
-  // (notably num_threads == 1) the batch's tasks only ever run here.
-  // The queue may also hold tasks of other batches; running them on
-  // this thread is harmless — their own handles still see completion.
-  {
-    std::unique_lock<std::mutex> lock(pool_->mu_);
-    while (pool_->RunOneTask(&lock)) {
+  if (batch_ == nullptr) return;
+  std::unique_lock<std::mutex> lock(pool_->mu_);
+  // Run this batch's unclaimed tasks here: on a pool with no idle
+  // worker (notably num_threads == 1) they only ever run here.
+  while (batch_->claimable()) {
+    const size_t index = batch_->next++;
+    if (!batch_->claimable()) {
+      auto& queue = pool_->queue_;
+      queue.erase(std::find(queue.begin(), queue.end(), batch_));
     }
+    pool_->RunClaimed(batch_, index, &lock);
   }
-  std::unique_lock<std::mutex> lock(state_->mu);
-  state_->done.wait(lock, [this] { return state_->pending == 0; });
-  if (state_->first_error != nullptr) {
-    std::exception_ptr error = state_->first_error;
-    state_->first_error = nullptr;
+  batch_->done.wait(lock, [this] { return batch_->pending == 0; });
+  if (batch_->first_error != nullptr) {
+    std::exception_ptr error = batch_->first_error;
+    batch_->first_error = nullptr;
     std::rethrow_exception(error);
   }
 }
 
-int ShardCount(size_t total_items, const ThreadPool* pool,
+int ShardCount(size_t total_items, int max_shards,
                size_t min_items_per_shard) {
-  if (pool == nullptr || pool->num_threads() <= 1) return 1;
+  if (max_shards <= 1) return 1;
   const size_t cap = std::max<size_t>(1, total_items / min_items_per_shard);
   return static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(pool->num_threads()), cap));
+      std::min<size_t>(static_cast<size_t>(max_shards), cap));
 }
 
 std::pair<size_t, size_t> ShardRange(size_t begin, size_t end,
@@ -204,11 +197,13 @@ void ParallelFor(ThreadPool* pool, size_t begin, size_t end,
     }
     return;
   }
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
     const auto [lo, hi] = ShardRange(begin, end, num_shards, s);
-    pool->Submit([&fn, s, lo = lo, hi = hi] { fn(s, lo, hi); });
+    tasks.push_back([&fn, s, lo = lo, hi = hi] { fn(s, lo, hi); });
   }
-  pool->Wait();
+  pool->SubmitBatch(std::move(tasks)).Wait();
 }
 
 }  // namespace flipper

@@ -39,13 +39,20 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
   // strictly inside it and the coverage check compares against it.
   FLIPPER_TRACE_SPAN("mine", "run");
   run_timer_.Restart();
-  {
+  if (config_.pool != nullptr) {
+    pool_ = config_.pool;
+  } else {
     StageScope stage(metrics_, "pool_start");
-    pool_ = std::make_unique<ThreadPool>(config_.num_threads);
-    // Before the first Submit — the pool's queue mutex publishes the
-    // observer to the workers.
-    if (metrics_ != nullptr) pool_->set_observer(metrics_);
+    owned_pool_ = std::make_unique<ThreadPool>(config_.num_threads);
+    pool_ = owned_pool_.get();
   }
+  // The run's thread budget: a borrowed pool may be larger than what
+  // the run asked for, and the shard count never depends on it.
+  num_shards_ = std::min(ThreadPool::ResolveThreadCount(config_.num_threads),
+                         pool_->num_threads());
+  // Every batch this driver submits reports to this run's registry,
+  // so a shared pool's tasks land in the query that submitted them.
+  PoolObserverScope observer_scope(metrics_);
   if (shared_views != nullptr) {
     // Borrowed store views (the serving path): read-only, possibly
     // shared with concurrent pipelines. Any catalogs they carry are
@@ -54,10 +61,10 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
   } else {
     StageScope stage(metrics_, "views_build");
     FLIPPER_ASSIGN_OR_RETURN(owned_views_,
-                             LevelViews::Build(db, tax_, pool_.get()));
+                             LevelViews::Build(db, tax_, pool_));
     views_ = &owned_views_;
   }
-  counter_.emplace(pool_.get(), config_.cancel);
+  counter_.emplace(pool_, config_.cancel, num_shards_);
 
   MiningResult result;
   height_ = tax_.height();
@@ -249,9 +256,9 @@ void CellPipeline::RecordRunMetrics(const MiningStats& stats,
   m.AddCounter("scan.arena_grow_events",
                static_cast<int64_t>(counter_->arena_grow_events()));
 
-  // The pool is quiet here: every count future joined before this.
+  // This run's tasks are done: every count future joined before this.
   if (pool_ != nullptr) {
-    m.FinalizePool(wall_ms, pool_->num_threads());
+    m.FinalizePool(wall_ms, num_shards_);
   }
 }
 

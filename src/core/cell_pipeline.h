@@ -58,10 +58,11 @@ class CellPipeline {
   /// A non-null `shared_views` skips the per-run views build: the
   /// pipeline only reads them (they are immutable after Build), so any
   /// number of concurrent pipelines may borrow one LevelViews
-  /// instance, each with its own pool. Results are bit-identical to
-  /// the owned-views path — shard counts derive from this run's pool,
-  /// never from whoever built the views. The views must describe
-  /// exactly `db` and outlive the call.
+  /// instance, on one shared pool (MiningConfig::pool) or on pools of
+  /// their own. Results are bit-identical to the owned-views path —
+  /// shard counts derive from this run's thread budget, never from
+  /// whoever built the views or from the size of a borrowed pool. The
+  /// views must describe exactly `db` and outlive the call.
   Result<MiningResult> Execute(const TransactionDb& db,
                                const LevelViews* shared_views);
 
@@ -105,7 +106,13 @@ class CellPipeline {
   /// == config_.metrics; cached so every stage scope is one member
   /// read. Null means "record nothing".
   MetricsRegistry* metrics_ = nullptr;
-  std::unique_ptr<ThreadPool> pool_;
+  /// Started per run when config_.pool is null; unused otherwise.
+  std::unique_ptr<ThreadPool> owned_pool_;
+  /// The pool this run submits to: owned_pool_ or config_.pool.
+  ThreadPool* pool_ = nullptr;
+  /// The run's thread budget: min(config_.num_threads resolved, pool
+  /// size). Caps every count's shard count.
+  int num_shards_ = 1;
   /// Built per run when Execute gets no shared views; unused otherwise.
   LevelViews owned_views_;
   /// The views this run reads: &owned_views_ or the borrowed instance.

@@ -15,6 +15,7 @@ namespace flipper {
 
 class CancelToken;
 class MetricsRegistry;
+class ThreadPool;
 
 /// Pruning layers on top of support-based pruning. The paper's
 /// evaluation series map to:
@@ -90,6 +91,15 @@ struct MiningConfig {
   /// the run. An un-fired token never changes mining output — results
   /// are byte-identical with or without one (fuzz-enforced).
   const CancelToken* cancel = nullptr;
+
+  /// Optional borrowed worker pool (common/thread_pool.h), e.g. a
+  /// daemon's one pool lent to every query. When set the run submits
+  /// its shards there instead of starting a pool of its own, and its
+  /// shard count is min(num_threads budget, pool size), so output is
+  /// byte-identical either way. The pool may be shared by concurrent
+  /// runs; each joins only its own batches. Not owned; must outlive
+  /// the run. Not a user option.
+  ThreadPool* pool = nullptr;
 
   /// Checks gamma/epsilon ordering, threshold monotonicity and ranges.
   Status Validate() const;

@@ -57,7 +57,8 @@ class FlipperMiner {
 
   /// Re-entrant variant over pre-built level views of `db` (see
   /// CellPipeline::Execute): the views are only read, so concurrent
-  /// runs — each with its own config and pool — may borrow the same
+  /// runs — each with its own config, on one shared pool
+  /// (MiningConfig::pool) or pools of their own — may borrow the same
   /// instance. Results are bit-identical to the plain Run.
   static Result<MiningResult> Run(const TransactionDb& db,
                                   const Taxonomy& taxonomy,

@@ -55,8 +55,7 @@ class LevelViews {
   /// `pool` parallelizes the pass; it is used only for the duration of
   /// the call — the views keep no reference to it, so they can outlive
   /// the build pool and be shared (read-only) across concurrent
-  /// queries that each bring their own pool. The result does not
-  /// depend on the pool's size.
+  /// queries. The result does not depend on the pool's size.
   ///
   /// The deepest level's view is `leaf_db` itself (every leaf is its
   /// own level-height generalization): Level(height()).db borrows

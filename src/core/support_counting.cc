@@ -207,7 +207,7 @@ CountFuture RunShards(const TransactionDb& db, ThreadPool* pool,
 CountFuture StartScan(const TransactionDb& db,
                       std::span<const Itemset> candidates,
                       CountLayout layout, uint32_t n, ThreadPool* pool,
-                      std::span<uint32_t> supports,
+                      int max_shards, std::span<uint32_t> supports,
                       CountBatchScratch* pooled, const CancelToken* cancel,
                       int h) {
   const int arity = candidates.front().size();
@@ -220,7 +220,8 @@ CountFuture StartScan(const TransactionDb& db,
     cells = SaturatingBinomial(n, arity);
     slots = cells + std::min<size_t>(n, db.max_width());
   }
-  const int num_shards = ShardCount(db.size(), pool, kMinTxnsPerShard);
+  const int num_shards =
+      ShardCount(db.size(), max_shards, kMinTxnsPerShard);
   auto state = TakeScratch(pooled, num_shards, slots);
   if (!dense) {
     FLIPPER_TRACE_SPAN_HK("trie_build", "detail", h, arity);
@@ -283,11 +284,13 @@ CountFuture StartScan(const TransactionDb& db,
 /// the combinations, mapped back to items, in ascending order.
 CountFuture StartOccurringScan(const TransactionDb& db, int k,
                                size_t max_combinations, ThreadPool* pool,
+                               int max_shards,
                                std::vector<Itemset>* itemsets,
                                std::vector<uint32_t>* supports,
                                CountBatchScratch* pooled,
                                const CancelToken* cancel, int h) {
-  const int num_shards = ShardCount(db.size(), pool, kMinTxnsPerShard);
+  const int num_shards =
+      ShardCount(db.size(), max_shards, kMinTxnsPerShard);
   // Shard buffer: the rank list of the transaction being counted.
   const size_t slots = std::min<size_t>(pooled->items.size(),
                                         db.max_width());
@@ -410,7 +413,8 @@ Status CountBatchWithTrie(const TransactionDb& db,
   if (candidates.empty()) return Status::OK();
   CountBatchScratch local;
   return StartScan(db, candidates, CountLayout::kTrie, /*n=*/0, pool,
-                   supports, scratch != nullptr ? scratch : &local,
+                   pool != nullptr ? pool->num_threads() : 1, supports,
+                   scratch != nullptr ? scratch : &local,
                    /*cancel=*/nullptr, /*h=*/0)
       .Join();
 }
@@ -435,7 +439,7 @@ CountFuture SupportCounter::StartCount(const LevelViews* views, int h,
       ChooseCountLayout(n, candidates.front().size(), candidates.size());
   if (layout == CountLayout::kDense) ++num_dense_scans_;
   return StartScan(views->Level(h).db, candidates, layout, n, pool_,
-                   *supports, &scratch_, cancel_, h);
+                   max_shards_, *supports, &scratch_, cancel_, h);
 }
 
 CountFuture SupportCounter::StartCountOccurring(
@@ -452,7 +456,8 @@ CountFuture SupportCounter::StartCountOccurring(
   scratch_.items.assign(items.begin(), items.end());
   RankBatchItems(scratch_.items, &scratch_.rank);
   return StartOccurringScan(views->Level(h).db, k, max_combinations, pool_,
-                            itemsets, supports, &scratch_, cancel_, h);
+                            max_shards_, itemsets, supports, &scratch_,
+                            cancel_, h);
 }
 
 uint64_t SupportCounter::arena_grow_events() const {

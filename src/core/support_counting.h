@@ -141,7 +141,8 @@ struct CountBatchScratch {
 /// its distinct items n, its arity k and its size.
 ///
 /// `pool` (optional, not owned, must outlive the counter) shards each
-/// scan over contiguous transaction ranges with per-shard private
+/// scan over at most `max_shards` contiguous transaction ranges (the
+/// run's thread budget; 0 = one per pool thread) with per-shard private
 /// counter buffers merged in shard order, so supports are
 /// bit-identical to the serial path for any thread count. `cancel`
 /// (optional) is a cooperative-cancellation token: shard tasks poll it
@@ -157,13 +158,18 @@ struct CountBatchScratch {
 /// tables, rank table) alive across calls (the row-level reuse seam),
 /// so each future must be joined before the next count starts; the
 /// cell pipeline joins every cell's count before it evaluates the cell.
-/// The views are only read, so several counters — each with its own
-/// pool — may share one LevelViews.
+/// The views are only read, and a pool may be shared, so several
+/// counters — on one pool or several — may share one LevelViews.
 class SupportCounter {
  public:
   explicit SupportCounter(ThreadPool* pool = nullptr,
-                          const CancelToken* cancel = nullptr)
-      : pool_(pool), cancel_(cancel) {}
+                          const CancelToken* cancel = nullptr,
+                          int max_shards = 0)
+      : pool_(pool),
+        cancel_(cancel),
+        max_shards_(pool == nullptr  ? 1
+                    : max_shards > 0 ? max_shards
+                                     : pool->num_threads()) {}
 
   /// Starts counting level `h`'s view without blocking: shard tasks
   /// are dispatched to the pool and the calling thread is free until
@@ -214,6 +220,7 @@ class SupportCounter {
  private:
   ThreadPool* pool_;
   const CancelToken* cancel_;
+  int max_shards_;
   uint64_t num_db_scans_ = 0;
   uint64_t num_dense_scans_ = 0;
   uint64_t num_occurring_scans_ = 0;

@@ -80,7 +80,8 @@ SegmentCatalog SegmentCatalog::Build(const TransactionDb& db,
   };
 
   // Segments write disjoint state, so sharding cannot reorder anything.
-  const int num_shards = ShardCount(num_segments, pool, 1);
+  // One shard per pool thread (ParallelFor caps it at the segments).
+  const int num_shards = pool != nullptr ? pool->num_threads() : 1;
   ParallelFor(pool, 0, num_segments, num_shards,
               [&](int, size_t seg_lo, size_t seg_hi) {
                 for (size_t seg = seg_lo; seg < seg_hi; ++seg) {

@@ -146,6 +146,7 @@ MiningConfig ToMiningConfig(const MineRequest& request) {
   config.pruning = request.pruning;
   config.num_threads = request.num_threads;
   config.cancel = request.cancel;
+  config.pool = request.pool;
   return config;
 }
 

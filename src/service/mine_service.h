@@ -60,6 +60,12 @@ struct MineRequest {
   /// token is proven byte-identity-preserving by the fuzz harness. Not
   /// owned; must outlive ExecuteMineRequest.
   const CancelToken* cancel = nullptr;
+
+  /// Optional borrowed worker pool (MiningConfig::pool): the daemon
+  /// lends its one pool to every query. Not an option key and never
+  /// part of CanonicalCacheKey(); output is byte-identical with or
+  /// without it. Not owned; must outlive ExecuteMineRequest.
+  ThreadPool* pool = nullptr;
 };
 
 /// The option keys ApplyMineOption understands, in CLI flag spelling

@@ -7,7 +7,6 @@
 #include <utility>
 
 #ifndef _WIN32
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -29,87 +28,11 @@ Response ErrorResponse(const Status& status) {
   return response;
 }
 
-#ifndef _WIN32
-
-/// Watches a connection fd while its query mines: fires the query's
-/// CancelToken the moment the peer hangs up, so an abandoned query
-/// releases its scheduler slot instead of burning it to completion.
-/// Joined (and stopped) by the destructor.
-class FdHangupWatch {
- public:
-  FdHangupWatch(int fd, CancelToken* token)
-      : fd_(fd), token_(token), thread_([this] { Run(); }) {}
-
-  ~FdHangupWatch() {
-    done_.store(true, std::memory_order_relaxed);
-    thread_.join();
-  }
-
-  FdHangupWatch(const FdHangupWatch&) = delete;
-  FdHangupWatch& operator=(const FdHangupWatch&) = delete;
-
-  bool disconnected() const {
-    return disconnected_.load(std::memory_order_relaxed);
-  }
-
- private:
-  void Run() {
-    while (!done_.load(std::memory_order_relaxed)) {
-      pollfd pfd{};
-      pfd.fd = fd_;
-      pfd.events = POLLIN;
-#ifdef POLLRDHUP
-      pfd.events |= POLLRDHUP;
-#endif
-      const int n = ::poll(&pfd, 1, 20);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      if (n == 0) continue;
-      bool gone = (pfd.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
-#ifdef POLLRDHUP
-      gone = gone || (pfd.revents & POLLRDHUP) != 0;
-#endif
-      if (!gone && (pfd.revents & POLLIN) != 0) {
-        // Readable could mean EOF or a pipelined next request from a
-        // live client; peek to tell them apart without consuming.
-        char b;
-        const ssize_t r =
-            ::recv(fd_, &b, 1, MSG_PEEK | MSG_DONTWAIT);
-        if (r == 0) {
-          gone = true;
-        } else if (r < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-                   errno != EINTR) {
-          gone = true;
-        } else if (r > 0) {
-          // Pipelined data keeps the fd readable; back off so the
-          // watcher does not spin until the query finishes.
-          std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        }
-      }
-      if (gone) {
-        disconnected_.store(true, std::memory_order_relaxed);
-        token_->Cancel();
-        return;
-      }
-    }
-  }
-
-  const int fd_;
-  CancelToken* const token_;
-  std::atomic<bool> done_{false};
-  std::atomic<bool> disconnected_{false};
-  std::thread thread_;
-};
-
-#endif  // !_WIN32
-
 }  // namespace
 
 Server::Server(const ServerOptions& options)
     : options_(options),
-      registry_(StoreRegistry::Options{options.validate_stores, 0}),
+      registry_(StoreRegistry::Options{options.validate_stores}, &pool_),
       cache_(options.cache_bytes),
       scheduler_(options.max_concurrent, options.max_queued) {}
 
@@ -458,23 +381,26 @@ Response Server::HandleMine(const Request& request, int fd) {
 
   mine.cancel = &token;
 
+  mine.pool = &pool_;
+
   // The query's own observability context: a trace session attached
   // for the duration (so concurrent queries' span sites stay isolated)
   // and a per-query registry the miner fills. Neither is read: the
   // session is never enabled, and the registry is dropped when the
   // query returns, so only the daemon counters and `query.latency_ms`
   // below reach `stats`. The hangup watcher cancels the token — and
-  // thereby the run — the moment the client disconnects.
+  // thereby the run — the moment the client disconnects; the
+  // registration ends before this connection's fd can close.
   trace::Session session;
   MetricsRegistry query_metrics;
   bool disconnected = false;
   Result<MineOutcome> outcome = [&] {
-    FdHangupWatch watch(fd, &token);
+    HangupWatcher::Registration watch = watcher_.Watch(fd, &token);
     trace::SessionScope scope(&session);
     auto result = ExecuteMineRequest(e.reader.db(), e.reader.taxonomy(),
                                      &e.reader.dict(), &e.views, mine,
                                      &query_metrics);
-    disconnected = watch.disconnected();
+    disconnected = watch.Release();
     return result;
   }();
   if (!outcome.ok()) {

@@ -7,20 +7,29 @@
 //
 // Threading: one accept thread plus one thread per live connection; a
 // connection serves its requests serially, so query concurrency equals
-// client connection concurrency, capped by the scheduler. Each mine
-// query gets its own trace::Session (attached for the duration, so
-// concurrent traced queries can never interleave spans) and its own
-// MetricsRegistry; the daemon folds per-query latency and counters
-// into one aggregate registry whose JSON — p50/p95 latency histograms
-// included — answers the `stats` verb.
+// client connection concurrency, capped by the scheduler. Queries start
+// no threads of their own: the daemon owns one ThreadPool, sized to the
+// hardware threads, that every query's counting shards and every store
+// (re)load's view build borrow — each query within its own thread
+// budget, joining only its own batches — and one HangupWatcher thread
+// for all in-flight queries. Idle, the daemon holds the main, accept
+// and watcher threads plus the pool's workers. Each mine query gets its
+// own trace::Session (attached for the duration, so concurrent traced
+// queries can never interleave spans) and its own MetricsRegistry
+// (which counts only the query's own pool tasks); the daemon folds
+// per-query latency and counters into one aggregate registry whose
+// JSON — p50/p95 latency histograms included — answers the `stats`
+// verb.
 //
 // Robustness: every mine query runs under a per-query CancelToken.
 // The token fires when the query's deadline (`deadline_ms` request
 // param, clamped by ServerOptions) lapses, when the client hangs up
-// mid-mine (a watcher thread polls the connection fd so abandoned
-// queries release their scheduler slot instead of burning it to
-// completion), or when the daemon drains. Frame I/O carries poll()
-// deadlines so a wedged peer cannot pin a connection thread forever.
+// mid-mine (the watcher blocks in one poll(2) over every running
+// query's connection fd and fires the token on the peer's hang-up, so
+// abandoned queries release their scheduler slot instead of burning it
+// to completion; a finished query unregisters without waiting for it),
+// or when the daemon drains. Frame I/O carries poll() deadlines so a
+// wedged peer cannot pin a connection thread forever.
 //
 // Shutdown: a `shutdown` request (or Stop()) ends the accept loop,
 // then drains gracefully — in-flight queries get drain_grace_ms to
@@ -44,8 +53,10 @@
 
 #include "common/cancellation.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/pipeline_metrics.h"
+#include "service/hangup_watcher.h"
 #include "service/protocol.h"
 #include "service/query_scheduler.h"
 #include "service/result_cache.h"
@@ -123,6 +134,11 @@ class Server {
   Response HandleList();
 
   ServerOptions options_;
+  /// The daemon's one counting pool, lent to every query and every
+  /// store (re)load; declared first so it outlives its borrowers.
+  ThreadPool pool_;
+  /// Fires a running query's token when its client hangs up.
+  HangupWatcher watcher_;
   StoreRegistry registry_;
   ResultCache cache_;
   QueryScheduler scheduler_;

@@ -7,7 +7,6 @@
 #include <sys/stat.h>
 #endif
 
-#include "common/thread_pool.h"
 
 namespace flipper {
 namespace service {
@@ -124,11 +123,9 @@ Result<std::shared_ptr<const StoreEntry>> StoreRegistry::Load(
   open_options.validate = options_.validate;
   FLIPPER_ASSIGN_OR_RETURN(storage::StoreReader reader,
                            storage::StoreReader::Open(path, open_options));
-  // Build the shared views once with a build-only pool; the views keep
+  // Build the shared views once on the borrowed pool; the views keep
   // no reference to it (LevelViews::Build).
-  ThreadPool build_pool(options_.build_threads);
-  auto views =
-      LevelViews::Build(reader.db(), reader.taxonomy(), &build_pool);
+  auto views = LevelViews::Build(reader.db(), reader.taxonomy(), pool_);
   if (!views.ok()) return views.status();
   auto entry = std::make_shared<StoreEntry>(std::move(reader),
                                             std::move(views).value());

@@ -54,12 +54,14 @@ class StoreRegistry {
   struct Options {
     /// Run the payload-validation scan on open (OpenOptions::validate).
     bool validate = true;
-    /// Worker threads for the one-time view build (0 = hardware).
-    int build_threads = 0;
   };
 
+  /// `pool` (optional, borrowed, must outlive the registry) runs every
+  /// open's and reload's view build; null builds on the calling thread.
   StoreRegistry() : StoreRegistry(Options()) {}
-  explicit StoreRegistry(const Options& options) : options_(options) {}
+  explicit StoreRegistry(const Options& options,
+                         ThreadPool* pool = nullptr)
+      : options_(options), pool_(pool) {}
 
   /// Opens `path` and publishes it under `name`. Fails on duplicate
   /// names and on any open/build error.
@@ -77,6 +79,7 @@ class StoreRegistry {
       const std::string& name, const std::string& path) const;
 
   const Options options_;
+  ThreadPool* const pool_;
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<const StoreEntry>> stores_;
 };

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -179,13 +180,14 @@ TEST(MetricsRegistry, ConcurrentRecordingIsSafe) {
 TEST(MetricsRegistry, ObservesRealPoolTasks) {
   MetricsRegistry m;
   ThreadPool pool(3);
-  pool.set_observer(&m);
   constexpr int kTasks = 64;
   std::atomic<int> ran{0};
-  for (int i = 0; i < kTasks; ++i) {
-    pool.Submit([&ran] { ran.fetch_add(1); });
+  {
+    PoolObserverScope scope(&m);
+    pool.SubmitBatch(std::vector<std::function<void()>>(
+                         kTasks, [&ran] { ran.fetch_add(1); }))
+        .Wait();
   }
-  pool.Wait();
   EXPECT_EQ(ran.load(), kTasks);
   EXPECT_EQ(m.pool_tasks(), static_cast<uint64_t>(kTasks));
 }

@@ -5,18 +5,23 @@
 // mid-mine must free its scheduler slot; a sweep of hundreds of
 // random mid-frame kills and stalls must leave the daemon serving
 // with zero leaked connections or slots; and an un-fired CancelToken
-// must be provably invisible in the mined bytes.
+// must be provably invisible in the mined bytes. The daemon-wide
+// hang-up watcher must fire only the registration it polled for, even
+// as fd numbers are reused; pipelined requests must never read as a
+// hang-up; and concurrent queries must start no threads of their own.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #ifndef _WIN32
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #endif
@@ -29,6 +34,7 @@
 #include "datagen/quest_gen.h"
 #include "datagen/taxonomy_gen.h"
 #include "service/client.h"
+#include "service/hangup_watcher.h"
 #include "service/mine_service.h"
 #include "service/protocol.h"
 #include "service/query_scheduler.h"
@@ -259,6 +265,105 @@ Result<Response> MineOnce(
   return client.Call(request);
 }
 
+// --- the daemon-wide hang-up watcher ----------------------------------
+
+TEST(HangupWatcherTest, PeerCloseFiresTheToken) {
+  HangupWatcher watcher;
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  CancelToken token;
+  HangupWatcher::Registration watch = watcher.Watch(fds[0], &token);
+  ::close(fds[1]);
+  for (int i = 0; i < 5000 && !token.Fired(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(token.Fired());
+  EXPECT_TRUE(watch.Release());
+  EXPECT_TRUE(watch.Release());  // idempotent
+  ::close(fds[0]);
+}
+
+TEST(HangupWatcherTest, CleanUnregisterReportsNotFired) {
+  HangupWatcher watcher;
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  CancelToken token;
+  HangupWatcher::Registration watch = watcher.Watch(fds[0], &token);
+  // Pipelined request bytes from a live peer are not a hang-up.
+  ASSERT_EQ(::write(fds[1], "next", 4), 4);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(watch.Release());
+  EXPECT_FALSE(token.Fired());
+  // Ended registrations are inert: a later hang-up fires nothing.
+  ::close(fds[1]);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(token.Fired());
+  ::close(fds[0]);
+}
+
+TEST(HangupWatcherTest, ReusedFdNumbersNeverFireALiveRegistration) {
+  HangupWatcher watcher;
+  // Healthy registrations that stay live for the whole test; they also
+  // widen each poll(2), and so the window in which the watcher holds
+  // results for fd numbers that get reused meanwhile.
+  constexpr int kSteady = 128;
+  int steady[kSteady][2];
+  CancelToken steady_tokens[kSteady];
+  std::vector<HangupWatcher::Registration> steady_watches;
+  for (int i = 0; i < kSteady; ++i) {
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, steady[i]), 0);
+    steady_watches.push_back(watcher.Watch(steady[i][0], &steady_tokens[i]));
+  }
+  // Each cycle: connections whose peers already hung up register (so
+  // the watcher's next poll reports them), end and close at once, and
+  // new connections get their fd numbers back and register while the
+  // watcher may still be applying that poll's stale results.
+  constexpr int kPerCycle = 8;
+  int reused = 0;
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    int dead[kPerCycle][2];
+    std::vector<int> dead_fds;
+    {
+      CancelToken dead_tokens[kPerCycle];
+      std::vector<HangupWatcher::Registration> watches;
+      for (int i = 0; i < kPerCycle; ++i) {
+        ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, dead[i]), 0);
+        ::close(dead[i][1]);
+        watches.push_back(watcher.Watch(dead[i][0], &dead_tokens[i]));
+        dead_fds.push_back(dead[i][0]);
+      }
+      for (auto& watch : watches) watch.Release();
+    }
+    for (int fd : dead_fds) ::close(fd);
+    int live[kPerCycle][2];
+    CancelToken live_tokens[kPerCycle];
+    std::vector<HangupWatcher::Registration> watches;
+    for (int i = 0; i < kPerCycle; ++i) {
+      ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, live[i]), 0);
+      if (std::find(dead_fds.begin(), dead_fds.end(), live[i][0]) !=
+          dead_fds.end()) {
+        ++reused;
+      }
+      watches.push_back(watcher.Watch(live[i][0], &live_tokens[i]));
+    }
+    std::this_thread::yield();
+    for (int i = 0; i < kPerCycle; ++i) {
+      EXPECT_FALSE(watches[i].Release()) << "cycle " << cycle;
+      EXPECT_FALSE(live_tokens[i].Fired()) << "cycle " << cycle;
+      ::close(live[i][0]);
+      ::close(live[i][1]);
+    }
+  }
+  // The cycles really did hand fd numbers back.
+  EXPECT_GT(reused, 1000);
+  for (int i = 0; i < kSteady; ++i) {
+    EXPECT_FALSE(steady_watches[i].Release());
+    EXPECT_FALSE(steady_tokens[i].Fired());
+    ::close(steady[i][0]);
+    ::close(steady[i][1]);
+  }
+}
+
 // --- un-fired tokens are invisible ------------------------------------
 
 TEST(CancellationTest, UnfiredTokenIsByteInvisible) {
@@ -447,6 +552,134 @@ TEST(ServerRobustnessTest, DisconnectMidMineFreesTheSchedulerSlot) {
   server.Stop();
   std::remove(quest_path.c_str());
   std::remove(groceries_path.c_str());
+}
+
+// --- pipelined requests -------------------------------------------------
+
+TEST(ServerRobustnessTest, PipelinedRequestsAreNotAHangup) {
+  const std::string store_path = TempPath("pipelined.fdb");
+  WriteGroceries(store_path, 1200, 13);
+  const std::vector<std::vector<std::pair<std::string, std::string>>>
+      params = {{{"format", "csv"}},
+                {{"format", "json"}, {"measure", "cosine"}}};
+  std::vector<std::string> oracles;
+  for (const auto& p : params) oracles.push_back(SoloBody(store_path, p));
+
+  ServerOptions options;
+  options.socket_path = TempPath("pipelined.sock");
+  Server server(options);
+  ASSERT_TRUE(server.AddStore("d", store_path).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  // Both frames go out before any response is read, so the second
+  // sits unread on the connection while the first one mines.
+  auto fd = Client::ConnectRawFd(options.socket_path);
+  ASSERT_TRUE(fd.ok()) << fd.status();
+  for (const auto& p : params) {
+    Request request;
+    request.verb = "mine";
+    request.params.emplace_back("store", "d");
+    request.params.emplace_back("cache", "off");
+    for (const auto& [key, value] : p) request.params.emplace_back(key, value);
+    ASSERT_TRUE(WriteFrame(*fd, EncodeRequest(request)).ok());
+  }
+  for (size_t i = 0; i < params.size(); ++i) {
+    auto frame = ReadFrame(*fd);
+    ASSERT_TRUE(frame.ok()) << "response " << i << ": " << frame.status();
+    auto response = DecodeResponse(*frame);
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_TRUE(response->ok) << "response " << i << ": " << response->error;
+    EXPECT_EQ(response->body, oracles[i]) << "response " << i;
+  }
+  ::close(*fd);
+  EXPECT_EQ(server.metrics().counter("queries.disconnected"), 0);
+  EXPECT_EQ(server.metrics().counter("queries.cancelled"), 0);
+  EXPECT_EQ(server.metrics().counter("queries.ok"), 2);
+
+  server.Stop();
+  std::remove(store_path.c_str());
+}
+
+// --- bounded threads --------------------------------------------------
+
+size_t LiveThreads() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ServerRobustnessTest, ConcurrentQueriesStartNoThreadsOfTheirOwn) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "needs /proc/self/task";
+  }
+  const std::string quest_path = TempPath("threads_quest.fdb");
+  WriteSlowQuest(quest_path);
+  ServerOptions options;
+  options.socket_path = TempPath("threads.sock");
+  Server server(options);
+  ASSERT_TRUE(server.AddStore("slow", quest_path).ok());
+  ASSERT_TRUE(server.Start().ok());
+  // The started, idle daemon: accept thread, hang-up watcher and the
+  // shared pool's workers all exist already.
+  const size_t idle = LiveThreads();
+
+  // Four slow queries at once, each on its own connection; the
+  // deadline bounds the test's runtime in any build.
+  constexpr int kQueries = 4;
+  Request request;
+  request.verb = "mine";
+  request.params.emplace_back("store", "slow");
+  request.params.emplace_back("cache", "off");
+  request.params.emplace_back("deadline_ms", "1500");
+  for (const auto& [key, value] : SlowQuestParams()) {
+    request.params.emplace_back(key, value);
+  }
+  std::vector<pollfd> fds;
+  for (int i = 0; i < kQueries; ++i) {
+    auto fd = Client::ConnectRawFd(options.socket_path);
+    ASSERT_TRUE(fd.ok()) << fd.status();
+    ASSERT_TRUE(WriteFrame(*fd, EncodeRequest(request)).ok());
+    fds.push_back(pollfd{*fd, POLLIN, 0});
+  }
+  // Sample the thread count until every response is ready.
+  size_t peak = 0;
+  int samples = 0;
+  int ready = 0;
+  while (ready < kQueries) {
+    peak = std::max(peak, LiveThreads());
+    ++samples;
+    ready = ::poll(fds.data(), fds.size(), 2);
+    ASSERT_GE(ready, 0);
+    if (ready < kQueries) {
+      // poll() reports only the ready subset; re-arm on all.
+      ready = 0;
+      for (const pollfd& p : fds) ready += (p.revents & POLLIN) != 0;
+    }
+  }
+  EXPECT_GT(samples, 10);
+  EXPECT_LE(peak, idle + kQueries)
+      << "idle " << idle << ", peak " << peak << " threads";
+  for (const pollfd& p : fds) {
+    auto frame = ReadFrame(p.fd);
+    ASSERT_TRUE(frame.ok()) << frame.status();
+    auto response = DecodeResponse(*frame);
+    ASSERT_TRUE(response.ok()) << response.status();
+    if (!response->ok) {
+      EXPECT_NE(response->error.find("deadline_exceeded"),
+                std::string::npos)
+          << response->error;
+    }
+    ::close(p.fd);
+  }
+  EXPECT_EQ(server.metrics().counter("queries.failed"), 0);
+  EXPECT_EQ(server.metrics().counter("queries.disconnected"), 0);
+
+  server.Stop();
+  std::remove(quest_path.c_str());
 }
 
 // --- chaos sweep ------------------------------------------------------

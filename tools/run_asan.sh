@@ -24,11 +24,14 @@ BUILD_DIR=build-asan
 # and the trie's arena walk, where an off-by-one over-reads silently.
 # scan_counter_test and cell_pipeline_test cover the occurring-
 # combination scans: the hash tables' memcpy/memcmp arena keys and the
-# pooled scratch handed across threads between scans.
+# pooled scratch handed across threads between scans. thread_pool_test
+# covers the batch queue's lifetimes: task captures handed to workers,
+# batches that two submitters' joins claim from, and the handle that
+# outlives a batch's last task.
 SUITES=(storage_test crash_recovery_test tools_test
         fuzz_differential_test protocol_fuzz_test service_test
         service_robustness_test counting_test trie_invariance_test
-        scan_counter_test cell_pipeline_test)
+        scan_counter_test cell_pipeline_test thread_pool_test)
 
 # Instrumented fuzz rounds are slower; a few are enough to cover the
 # decode paths (override by exporting FLIPPER_FUZZ_ITERS).

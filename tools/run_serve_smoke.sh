@@ -7,10 +7,11 @@
 # requires at least one verified cache hit and a non-zero client
 # latency median, storms the socket with
 # fault-injected connections (`loadgen --chaos`) and requires the
-# daemon to stay healthy, parses the daemon's `stats` JSON (latency
-# percentiles included), asks for `shutdown` over the protocol and
-# asserts the daemon exits cleanly with zero failed queries and a
-# removed pidfile. A second short-lived daemon then checks the other
+# daemon to stay healthy, checks that the idle daemon's thread count
+# stays within nproc + 3 (`/proc/<pid>/status`), parses the daemon's
+# `stats` JSON (latency percentiles included), asks for `shutdown`
+# over the protocol and asserts the daemon exits cleanly with zero
+# failed queries and a removed pidfile. A second short-lived daemon then checks the other
 # shutdown path: SIGTERM must drain gracefully, write the same
 # shutdown summary, and clean up its pidfile.
 #
@@ -126,6 +127,26 @@ grep -q "daemon healthy$" <<<"$CHAOS_OUT" || {
   echo "FAIL: daemon unhealthy after the fault-injection storm" >&2
   exit 1
 }
+
+echo "== serve smoke: idle thread count =="
+# Queries start no threads of their own: once the legs above are done
+# (torn chaos connections may take a moment to close), the daemon holds
+# only its main, accept, signal and hang-up watcher threads plus the
+# shared pool's nproc - 1 workers.
+if [[ -r "/proc/$SERVE_PID/status" ]]; then
+  MAX_THREADS=$(( $(nproc) + 3 ))
+  THREADS=""
+  for _ in $(seq 1 100); do
+    THREADS="$(awk '/^Threads:/ {print $2}' "/proc/$SERVE_PID/status")"
+    [[ "$THREADS" -le "$MAX_THREADS" ]] && break
+    sleep 0.05
+  done
+  if [[ "$THREADS" -gt "$MAX_THREADS" ]]; then
+    echo "FAIL: idle daemon holds $THREADS threads (max $MAX_THREADS)" >&2
+    exit 1
+  fi
+  echo "idle daemon threads: $THREADS (max $MAX_THREADS)"
+fi
 
 echo "== serve smoke: stats =="
 STATS_JSON="$WORK_DIR/stats.json"

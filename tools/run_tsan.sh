@@ -21,12 +21,14 @@ BUILD_DIR=build-tsan
 # pool-task observer from many threads — the lock-free per-thread
 # buffers MUST go through TSan; service_test runs the serve daemon's
 # accept/connection threads, FIFO admission and concurrent queries
-# over shared store views end to end; service_robustness_test races
-# cancel tokens against mid-count deadline checks, hangup watchers
-# against connection threads, and graceful drain against in-flight
-# queries — the cancellation plumbing's relaxed atomics MUST go
-# through TSan); everything else is single-threaded and only slows
-# the instrumented run down.
+# over shared store views end to end, every query on the daemon's one
+# shared pool; service_robustness_test races cancel tokens against
+# mid-count deadline checks, the daemon-wide hang-up watcher's
+# registrations against its poll loop and against fd reuse, and
+# graceful drain against in-flight queries — the cancellation
+# plumbing's relaxed atomics MUST go through TSan; thread_pool_test
+# overlaps two submitters' batches on one pool); everything else is
+# single-threaded and only slows the instrumented run down.
 SUITES=(thread_pool_test counting_test parallel_counting_test
         level_views_test
         cell_pipeline_test
