@@ -68,7 +68,7 @@ Result<service::MineOutcome> RunBaselineMine(
   return outcome;
 }
 
-/// Writer options from --segment-txns and --store-version.
+/// Writer options from --segment-txns.
 Result<storage::StoreWriter::Options> ParseWriterOptions(
     const ArgParser& args) {
   storage::StoreWriter::Options options;
@@ -82,25 +82,12 @@ Result<storage::StoreWriter::Options> ParseWriterOptions(
         "--segment-txns must be a positive 32-bit count");
   }
   options.segment_txns = static_cast<uint32_t>(segment_txns);
-  FLIPPER_ASSIGN_OR_RETURN(
-      int64_t version,
-      args.GetInt("store-version",
-                  static_cast<int64_t>(storage::kFormatVersionLatest)));
-  if (version != storage::kFormatVersionV1 &&
-      version != storage::kFormatVersionV2) {
-    return Status::InvalidArgument("--store-version must be 1 or 2");
-  }
-  options.version = static_cast<uint32_t>(version);
   return options;
 }
 
 void AddWriterFlags(ArgParser* args) {
   args->AddFlag("segment-txns",
                 "transactions per shard segment (default 65536)", "N");
-  args->AddFlag("store-version",
-                "on-disk format: 1 (raw columns, zero-copy mmap) or 2 "
-                "(delta+varint columns + segment catalog; default)",
-                "N");
 }
 
 // --- mine -------------------------------------------------------------
@@ -326,9 +313,10 @@ int MineCommand(const std::vector<const char*>& argv, std::ostream& out,
 
 // --- convert ----------------------------------------------------------
 
-/// Re-encodes `reader`'s dataset (or fast-copies it when the target
-/// version matches and no re-segmentation was requested) into
-/// `output`. `same_file` says input and output are one file on disk
+/// Re-encodes `reader`'s dataset as a fresh v1 store (or fast-copies
+/// it when it already is one and no re-segmentation was requested)
+/// into `output`. Re-encoding upgrades legacy v2 stores and compacts
+/// appended ones. `same_file` says input and output are one file on disk
 /// (any spelling, symlink or hardlink): writing would truncate the
 /// store under the reader's live mapping, so it degrades the fast
 /// path to validate-only and refuses the re-encode outright.
@@ -347,10 +335,13 @@ int ConvertFromStore(const storage::StoreReader& reader,
     err << "error: " << checksums << "\n";
     return 1;
   }
-  if (detected == options.version && !resegment) {
-    // Same version in and out: the input has already passed Open()'s
-    // validation, so a byte copy is both faster and safer than a
-    // decode/re-encode round trip.
+  const bool compact_v1 =
+      detected == storage::kFormatVersionV1 &&
+      reader.header().section_count == storage::kNumSectionsV1;
+  if (compact_v1 && !resegment) {
+    // Already what a re-encode would write: the input has passed
+    // Open()'s validation, so a byte copy is both faster and safer
+    // than a decode/re-encode round trip.
     if (!same_file) {
       std::ifstream in_file(input, std::ios::binary);
       std::ofstream out_file(output,
@@ -393,7 +384,7 @@ int ConvertFromStore(const storage::StoreReader& reader,
     return 1;
   }
   out << "wrote " << output << ": v" << detected << " -> v"
-      << options.version << ", "
+      << reopened->version() << ", "
       << FormatCount(static_cast<int64_t>(reader.db().size()))
       << " transactions, "
       << FormatBytes(static_cast<int64_t>(reader.file_size())) << " -> "
@@ -416,8 +407,8 @@ int ConvertCommand(const std::vector<const char*>& argv,
   ArgParser args("flipper_cli convert",
                  "Convert basket + taxonomy text files into a binary "
                  "FlipperStore (.fdb), or re-encode an existing store "
-                 "between format versions via --from-fdb (e.g. a v2 -> "
-                 "v1 downgrade for older readers).");
+                 "via --from-fdb (upgrades legacy v2 stores to v1 and "
+                 "compacts appended ones).");
   if (!from_store) {
     args.AddPositional("basket",
                        "transactions, one per line (item names)");
@@ -427,8 +418,8 @@ int ConvertCommand(const std::vector<const char*>& argv,
   args.AddPositional("output", "the .fdb file to write");
   args.AddFlag("from-fdb",
                "re-encode this .fdb store instead of parsing text "
-               "(same-version conversions become a validated copy "
-               "unless --segment-txns requests a re-shard)",
+               "(a compact v1 input becomes a validated copy unless "
+               "--segment-txns requests a re-shard)",
                "PATH");
   AddWriterFlags(&args);
 
@@ -457,7 +448,7 @@ int ConvertCommand(const std::vector<const char*>& argv,
       return 1;
     }
     // An explicit --segment-txns means "re-cut the shards", which
-    // rules out the same-version byte-copy fast path; without one,
+    // rules out the byte-copy fast path; without one,
     // carry the input's shard granularity over instead of re-cutting
     // at the default size.
     const bool resegment = !args.GetString("segment-txns", "").empty();
@@ -878,7 +869,7 @@ int DatagenCommand(const std::vector<const char*>& argv,
     err << "error: " << written << "\n";
     return 1;
   }
-  out << "wrote " << output << " (v" << options->version
+  out << "wrote " << output << " (v" << storage::kFormatVersionV1
       << "): " << scenario << ", "
       << FormatCount(static_cast<int64_t>(db.size()))
       << " transactions, "
@@ -1566,8 +1557,7 @@ constexpr char kTopLevelHelp[] =
     "  flipper_cli mine <basket> <taxonomy> [flags]\n"
     "  flipper_cli mine --input <data.fdb> [flags]\n"
     "  flipper_cli convert <basket> <taxonomy> <out.fdb>\n"
-    "  flipper_cli convert --from-fdb <in.fdb> <out.fdb> "
-    "[--store-version N]\n"
+    "  flipper_cli convert --from-fdb <in.fdb> <out.fdb>\n"
     "  flipper_cli inspect <data.fdb>\n"
     "  flipper_cli validate <data.fdb>\n"
     "  flipper_cli repair <data.fdb> [--apply]\n"

@@ -13,8 +13,9 @@
 // or a tracked count of zero *proves* the item is absent from the
 // segment; a set bit may be a hash collision.
 //
-// The catalog is persisted as the kSegCatalog section of a v2
-// FlipperStore file (the reader validates it against the payload), and
+// The catalog is persisted as the kSegCatalog section of a legacy v2
+// FlipperStore file (the reader validates it against the payload; this
+// build writes no v2 files), and
 // LevelViews can rebuild it per abstraction level for the generalized
 // databases (same transaction boundaries, level-h vocabulary) when
 // asked to through LevelViews::BuildOptions.
@@ -37,7 +38,7 @@ class TransactionDb;
 class SegmentCatalog {
  public:
   /// Bitset words per segment (512 bits). The v2 file records its own
-  /// word count, so this is a writer default, not a format constant.
+  /// word count, so this is a build default, not a format constant.
   static constexpr uint32_t kDefaultBitsetWords = 8;
   /// Tracked top-frequency items per catalog.
   static constexpr uint32_t kDefaultTrackedItems = 16;
@@ -94,8 +95,8 @@ class SegmentCatalog {
   }
 
   /// Bit index of `item` in a `num_bits`-wide segment bitset. This is
-  /// the single definition of the catalog hash: the store writer, the
-  /// reader's validation rebuild and every MayContain probe go through
+  /// the single definition of the catalog hash: Build (and so the
+  /// reader's validation rebuild) and every MayContain probe go through
   /// it, so they can never diverge.
   static uint32_t HashBit(ItemId item, uint32_t num_bits) {
     // Fibonacci hash; any fixed mixing works as long as every party
@@ -109,8 +110,7 @@ class SegmentCatalog {
   }
 
   /// The `k` most frequent item ids of `freq` (frequency descending,
-  /// id ascending tiebreak) — the tracked-set selection shared by
-  /// Build and the store writer.
+  /// id ascending tiebreak) — Build's tracked-set selection.
   static std::vector<ItemId> TopKByFrequency(
       std::span<const uint32_t> freq, uint32_t k);
 

@@ -1,7 +1,6 @@
 // FlipperStore on-disk format (.fdb): a single versioned binary file
 // holding a complete mining input — the CSR transaction database, the
-// item-name dictionary, and the taxonomy — so datasets load in O(mmap)
-// (v1) or one bounds-checked decode pass (v2).
+// item-name dictionary, and the taxonomy — so datasets load in O(mmap).
 //
 // Layout (all integers little-endian, fixed width unless marked):
 //
@@ -12,8 +11,10 @@
 //                     files keep theirs in the commit trailer)
 //   [section payloads ...]  each 8-byte aligned, padded with zeros
 //
-// Version-1 sections (exactly these seven, in any physical order; the
-// table records where each one lives):
+// Version 1 — the layout this build writes (fresh files, append
+// sessions and `convert` output). A fresh file holds exactly these
+// seven sections, in any physical order (the table records where each
+// one lives):
 //
 //   kTxnOffsets   (num_transactions + 1) x u64   CSR boundaries
 //   kTxnItems     num_items x u32                flattened sorted items
@@ -23,9 +24,14 @@
 //   kTaxParents   taxonomy_id_space x u32        parent per id
 //   kTaxRoots     taxonomy_num_roots x u32       level-1 node ids
 //
-// Version 2 keeps the container (header, table, checksums, alignment)
-// and the dictionary/taxonomy/segments sections unchanged, but
-// compresses the two big columns and adds a segment catalog:
+// Both columns are raw, so a single-block file opens as zero-copy
+// views over the mapping.
+//
+// Version 2 — legacy, read-only. Older builds wrote it; this build
+// still reads and validates it, but never writes or appends to it
+// (`flipper_cli convert --from-fdb` upgrades it to v1). It keeps the
+// container and the dictionary/taxonomy/segments sections, but
+// compresses the two columns and adds a segment catalog:
 //
 //   kTxnOffsets   num_transactions varints       per-txn width (delta
 //                                                of the CSR boundary)
@@ -41,35 +47,34 @@
 //   num_segments x { u32 min_item; u32 max_item;
 //                    W x u64 bits; K x u32 tracked supports }
 //
-// An unset bitset bit / out-of-range id / zero tracked support proves
-// an item absent from a segment, so readers can skip segments that
-// cannot contain any live candidate while staying exact.
-//
 // Segments partition the transactions into contiguous shards (the
 // writer cuts one every Options::segment_txns transactions) so
-// sharded scans — static range splits like the counting engine's, and
-// future distributed readers — can split the file without touching
-// the offsets section.
+// sharded scans can split the file without touching the offsets
+// section.
 //
-// Append sessions (v2 only): StoreWriter::OpenAppend extends a
-// committed v2 store without rewriting it. Each session appends, past
-// the committed end of the file,
+// Append sessions (v1): StoreWriter::OpenAppend extends a committed v1
+// store without rewriting it. Each session appends, past the committed
+// end of the file,
 //
-//   [new kTxnItems block]     the session's transactions, same varint
-//   [new kTxnOffsets block]   encoding as a fresh store
-//   [kSegments, kDictOffsets, kDictBlob, kTaxParents, kTaxRoots,
-//    kSegCatalog]             small sections, rewritten in full
+//   [new kTxnItems block]     the session's items, raw u32
+//   [new kTxnOffsets block]   (session txns + 1) x u64 absolute CSR
+//                             boundaries: its first value is the last
+//                             value of the previous offsets block
+//   [kSegments, kDictOffsets, kDictBlob, kTaxParents, kTaxRoots]
+//                             small sections, rewritten in full
 //   [commit trailer]          section table + FileHeader copy (below)
 //
 // so an appended store carries one kTxnOffsets/kTxnItems block pair
-// per session; readers treat the blocks, concatenated in section-table
-// order, as one logical column (blocks end on transaction boundaries —
-// a varint never straddles two blocks). section_count therefore grows
-// by 2 per session: a v2 file holds >= 8 sections, always 6 singletons
-// plus equally many offsets and items blocks. The superseded copies of
-// the small sections become dead bytes (reclaimed by
-// `flipper_cli convert --from-fdb`, which compacts). v1 files are
-// read-only: no append, ever.
+// per session. The k-th offsets block pairs with the k-th items block
+// (section-table order); each pair ends on a transaction boundary
+// (items block length == last - first offset of its offsets block),
+// and readers concatenate the blocks, dropping each later offsets
+// block's repeated first value, into one logical column. section_count
+// therefore grows by 2 per session: 5 singletons plus equally many
+// offsets and items blocks. Legacy v2 files used the same block-pair
+// rule with varint blocks (6 singletons, the catalog included). The
+// superseded copies of the small sections become dead bytes
+// (reclaimed by `flipper_cli convert --from-fdb`, which compacts).
 //
 // Commit protocol: the trailer is [section table][FileHeader] with
 // header.table_offset pointing at that trailing table and
@@ -87,9 +92,10 @@
 // Versioning rules: readers accept exactly the versions they know
 // (currently 1 and 2); any other layout or semantic change bumps the
 // version. Reserved fields are written as zero and ignored on read, so
-// compatible additions can reuse them without a bump (table_offset
-// reused one such field: old readers would reject appended files on
-// section_count, not misread them).
+// compatible additions can reuse them without a bump. Appends reuse
+// one such field (table_offset) and grow section_count without a
+// bump: readers that predate them reject an appended file on its
+// section_count (v1 readers required exactly 7), never misread it.
 
 #ifndef FLIPPER_STORAGE_FORMAT_H_
 #define FLIPPER_STORAGE_FORMAT_H_
@@ -102,12 +108,11 @@ namespace storage {
 
 inline constexpr char kMagic[8] = {'F', 'L', 'I', 'P', 'F', 'D', 'B', '\0'};
 inline constexpr uint32_t kFormatVersionV1 = 1;
+/// Legacy: read, validated and upgraded, never written.
 inline constexpr uint32_t kFormatVersionV2 = 2;
-/// The version new files are written with by default.
-inline constexpr uint32_t kFormatVersionLatest = kFormatVersionV2;
 inline constexpr uint64_t kSectionAlignment = 8;
-/// Upper bound on the per-segment catalog bitset (64-bit words);
-/// writer option validation and reader corruption checks share it.
+/// Upper bound on the per-segment catalog bitset (64-bit words) of a
+/// v2 file; larger values are corruption.
 inline constexpr uint32_t kMaxCatalogBitsetWords = 1024;
 
 enum class SectionId : uint32_t {
@@ -125,9 +130,8 @@ inline constexpr uint32_t kNumSectionsV1 = 7;
 inline constexpr uint32_t kNumSectionsV2 = 8;
 
 /// Section count a fresh file of `version` carries (0 for unknown
-/// versions). v1 files hold exactly this many; v2 files hold at least
-/// this many — each append session adds one kTxnOffsets and one
-/// kTxnItems block.
+/// versions). Appended files hold more: each append session adds one
+/// kTxnOffsets and one kTxnItems block.
 inline constexpr uint32_t SectionCountForVersion(uint32_t version) {
   if (version == kFormatVersionV1) return kNumSectionsV1;
   if (version == kFormatVersionV2) return kNumSectionsV2;
@@ -170,8 +174,8 @@ struct FileHeader {
   uint32_t taxonomy_num_roots = 0;
   uint32_t flags = 0;  // reserved, zero
   /// Absolute byte offset of the section table; 0 means "immediately
-  /// after this header" (the only layout v1 and fresh v2 files use, so
-  /// their bytes are unchanged from when this field was reserved).
+  /// after this header" (the only layout fresh files use, so their
+  /// bytes are unchanged from when this field was reserved).
   /// Append sessions point it at the commit trailer near the end of
   /// the file.
   uint64_t table_offset = 0;

@@ -106,10 +106,142 @@ class BlockCursor {
 
 }  // namespace
 
+Status StoreReader::LoadColumnsV1(
+    const std::byte* base,
+    std::span<const SectionEntry* const> offsets_blocks,
+    std::span<const SectionEntry* const> items_blocks,
+    std::span<const uint64_t>* offsets, std::span<const ItemId>* items) {
+  const FileHeader& h = header_;
+  // The k-th offsets block holds absolute boundaries that continue
+  // block k-1, and pairs with the k-th items block, which holds exactly
+  // the items those boundaries span.
+  uint64_t num_txns = 0;
+  uint64_t num_items = 0;
+  for (size_t b = 0; b < offsets_blocks.size(); ++b) {
+    const SectionEntry& oe = *offsets_blocks[b];
+    const SectionEntry& ie = *items_blocks[b];
+    const std::string block = " block " + std::to_string(b);
+    if (oe.size == 0 || oe.size % sizeof(uint64_t) != 0) {
+      return Corrupt("txn_offsets" + block + " holds " +
+                     std::to_string(oe.size) +
+                     " bytes, not a whole number of boundaries");
+    }
+    if (ie.size % sizeof(ItemId) != 0) {
+      return Corrupt("txn_items" + block + " holds " +
+                     std::to_string(ie.size) +
+                     " bytes, not a whole number of items");
+    }
+    const std::span<const uint64_t> bounds = U64Span(base, oe);
+    if (bounds.front() != num_items) {
+      return Corrupt("txn_offsets" + block +
+                     " does not continue its predecessor: starts at " +
+                     std::to_string(bounds.front()) + ", expected " +
+                     std::to_string(num_items));
+    }
+    if (bounds.back() < bounds.front() ||
+        bounds.back() - bounds.front() != ie.size / sizeof(ItemId)) {
+      return Corrupt("column" + block + " does not end on a "
+                     "transaction boundary: txn_offsets spans " +
+                     std::to_string(bounds.back() - bounds.front()) +
+                     " items, txn_items holds " +
+                     std::to_string(ie.size / sizeof(ItemId)));
+    }
+    num_txns += bounds.size() - 1;
+    num_items = bounds.back();
+  }
+  if (num_txns != h.num_transactions || num_items != h.num_items) {
+    return Corrupt("column blocks hold " + std::to_string(num_txns) +
+                   " transactions and " + std::to_string(num_items) +
+                   " items, header records " +
+                   std::to_string(h.num_transactions) + " and " +
+                   std::to_string(h.num_items));
+  }
+
+  if (offsets_blocks.size() == 1) {
+    // A fresh (never appended) store: zero-copy views over the file.
+    *offsets = U64Span(base, *offsets_blocks[0]);
+    *items = U32Span(base, *items_blocks[0]);
+  } else {
+    // Appended: concatenate into one logical column (each later offsets
+    // block repeats its predecessor's last boundary).
+    column_offsets_.resize(num_txns + 1);
+    column_items_.resize(num_items);
+    uint64_t* next_offset = column_offsets_.data();
+    ItemId* next_item = column_items_.data();
+    for (size_t b = 0; b < offsets_blocks.size(); ++b) {
+      const std::span<const uint64_t> bounds =
+          U64Span(base, *offsets_blocks[b]).subspan(b == 0 ? 0 : 1);
+      std::memcpy(next_offset, bounds.data(), bounds.size_bytes());
+      next_offset += bounds.size();
+      const SectionEntry& ie = *items_blocks[b];
+      std::memcpy(next_item, base + ie.offset, ie.size);
+      next_item += ie.size / sizeof(ItemId);
+    }
+    *offsets = column_offsets_;
+    *items = column_items_;
+  }
+
+  // TransactionDb::Get hands out spans straight from these offsets, so
+  // they are checked even on trusted opens (O(transactions)). The block
+  // checks above pinned the first to 0 and the last to num_items.
+  const std::span<const uint64_t> csr = *offsets;
+  uint32_t max_width = 0;
+  for (size_t t = 0; t + 1 < csr.size(); ++t) {
+    const uint64_t lo = csr[t];
+    const uint64_t hi = csr[t + 1];
+    if (lo > hi || hi > h.num_items) {
+      return Corrupt("transaction offsets are not monotone at txn " +
+                     std::to_string(t));
+    }
+    if (hi - lo > std::numeric_limits<uint32_t>::max()) {
+      return Corrupt("transaction width overflows at txn " +
+                     std::to_string(t));
+    }
+    max_width = std::max(max_width, static_cast<uint32_t>(hi - lo));
+  }
+  if (max_width != h.max_width) {
+    return Corrupt("max_width mismatch: header records " +
+                   std::to_string(h.max_width) + ", data has " +
+                   std::to_string(max_width));
+  }
+  return Status::OK();
+}
+
+Status StoreReader::ValidateItemsV1(std::span<const uint64_t> offsets,
+                                    std::span<const ItemId> items) const {
+  const FileHeader& h = header_;
+  ItemId max_item = 0;
+  bool any_item = false;
+  for (size_t t = 0; t + 1 < offsets.size(); ++t) {
+    const uint64_t lo = offsets[t];
+    const uint64_t hi = offsets[t + 1];
+    for (uint64_t i = lo; i < hi; ++i) {
+      const ItemId item = items[i];
+      if (item >= h.alphabet_size) {
+        return Corrupt("item id " + std::to_string(item) +
+                       " out of range in txn " + std::to_string(t));
+      }
+      if (i > lo && items[i - 1] >= item) {
+        return Corrupt("items of txn " + std::to_string(t) +
+                       " are not sorted and duplicate-free");
+      }
+      max_item = std::max(max_item, item);
+      any_item = true;
+    }
+  }
+  const ItemId actual_alphabet = any_item ? max_item + 1 : 0;
+  if (actual_alphabet != h.alphabet_size) {
+    return Corrupt("alphabet_size mismatch: header records " +
+                   std::to_string(h.alphabet_size) + ", data has " +
+                   std::to_string(actual_alphabet));
+  }
+  return Status::OK();
+}
+
 Status StoreReader::DecodeColumnsV2(
     const std::byte* base,
     std::span<const SectionEntry* const> offsets_blocks,
-    std::span<const SectionEntry* const> items_blocks, bool validate) {
+    std::span<const SectionEntry* const> items_blocks) {
   const FileHeader& h = header_;
 
   // Every varint occupies at least one byte, so the header counts are
@@ -130,9 +262,9 @@ Status StoreReader::DecodeColumnsV2(
   }
 
   // --- Widths column -> CSR offsets. ---
-  decoded_offsets_.clear();
-  decoded_offsets_.reserve(h.num_transactions + 1);
-  decoded_offsets_.push_back(0);
+  column_offsets_.clear();
+  column_offsets_.reserve(h.num_transactions + 1);
+  column_offsets_.push_back(0);
   {
     BlockCursor cursor(base, offsets_blocks);
     uint32_t max_width = 0;
@@ -146,13 +278,13 @@ Status StoreReader::DecodeColumnsV2(
         return Corrupt("transaction width overflows at txn " +
                        std::to_string(t));
       }
-      decoded_offsets_.push_back(decoded_offsets_.back() + width);
+      column_offsets_.push_back(column_offsets_.back() + width);
       max_width = std::max(max_width, static_cast<uint32_t>(width));
     }
     if (!cursor.Exhausted()) {
       return Corrupt("txn_offsets section has trailing bytes");
     }
-    if (decoded_offsets_.back() != h.num_items) {
+    if (column_offsets_.back() != h.num_items) {
       return Corrupt("transaction offsets do not span the items");
     }
     if (max_width != h.max_width) {
@@ -163,15 +295,15 @@ Status StoreReader::DecodeColumnsV2(
   }
 
   // --- Delta-encoded items column. ---
-  decoded_items_.clear();
-  decoded_items_.reserve(h.num_items);
+  column_items_.clear();
+  column_items_.reserve(h.num_items);
   {
     BlockCursor cursor(base, items_blocks);
     uint64_t max_item = 0;
     bool any_item = false;
     for (uint64_t t = 0; t < h.num_transactions; ++t) {
       const uint64_t width =
-          decoded_offsets_[t + 1] - decoded_offsets_[t];
+          column_offsets_[t + 1] - column_offsets_[t];
       uint64_t item = 0;
       for (uint64_t i = 0; i < width; ++i) {
         uint64_t delta = 0;
@@ -200,7 +332,7 @@ Status StoreReader::DecodeColumnsV2(
           return Corrupt("item id " + std::to_string(item) +
                          " out of range in txn " + std::to_string(t));
         }
-        decoded_items_.push_back(static_cast<ItemId>(item));
+        column_items_.push_back(static_cast<ItemId>(item));
         max_item = std::max(max_item, item);
         any_item = true;
       }
@@ -215,7 +347,6 @@ Status StoreReader::DecodeColumnsV2(
                      std::to_string(actual_alphabet));
     }
   }
-  (void)validate;  // the v2 decode is always fully checked
   return Status::OK();
 }
 
@@ -481,13 +612,9 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
 
   // --- Section table. ---
   const uint32_t fresh_sections = SectionCountForVersion(h.version);
-  if (!v2 && h.section_count != fresh_sections) {
+  if (h.section_count < fresh_sections) {
     return Corrupt("version-" + std::to_string(h.version) +
-                   " files carry " + std::to_string(fresh_sections) +
-                   " sections, found " + std::to_string(h.section_count));
-  }
-  if (v2 && h.section_count < fresh_sections) {
-    return Corrupt("version-2 files carry at least " +
+                   " files carry at least " +
                    std::to_string(fresh_sections) + " sections, found " +
                    std::to_string(h.section_count));
   }
@@ -533,10 +660,9 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
       return Corrupt(std::string(SectionIdName(SectionId(e.id))) +
                      " section extends past end of file");
     }
-    const bool column = v2 && (e.id == static_cast<uint32_t>(
-                                           SectionId::kTxnOffsets) ||
-                               e.id == static_cast<uint32_t>(
-                                           SectionId::kTxnItems));
+    const bool column =
+        e.id == static_cast<uint32_t>(SectionId::kTxnOffsets) ||
+        e.id == static_cast<uint32_t>(SectionId::kTxnItems);
     if (column) {
       (e.id == static_cast<uint32_t>(SectionId::kTxnOffsets)
            ? offsets_blocks
@@ -550,18 +676,15 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
     }
     by_id[e.id - 1] = &e;
   }
-  for (uint32_t id = 1; id <= max_id; ++id) {
-    const bool column = v2 && (id == static_cast<uint32_t>(
-                                         SectionId::kTxnOffsets) ||
-                               id == static_cast<uint32_t>(
-                                         SectionId::kTxnItems));
-    if (!column && by_id[id - 1] == nullptr) {
+  for (uint32_t id = static_cast<uint32_t>(SectionId::kSegments);
+       id <= max_id; ++id) {
+    if (by_id[id - 1] == nullptr) {
       return Corrupt(std::string("missing section ") +
                      SectionIdName(SectionId(id)));
     }
   }
-  if (v2 && (offsets_blocks.empty() ||
-             offsets_blocks.size() != items_blocks.size())) {
+  if (offsets_blocks.empty() ||
+      offsets_blocks.size() != items_blocks.size()) {
     return Corrupt("column blocks are unpaired: " +
                    std::to_string(offsets_blocks.size()) +
                    " txn_offsets vs " +
@@ -573,13 +696,6 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
   };
 
   // --- Element counts against the header (fixed-width sections). ---
-  if (!v2) {
-    FLIPPER_RETURN_IF_ERROR(CheckElementCount(
-        section(SectionId::kTxnOffsets), h.num_transactions + 1,
-        sizeof(uint64_t)));
-    FLIPPER_RETURN_IF_ERROR(CheckElementCount(
-        section(SectionId::kTxnItems), h.num_items, sizeof(uint32_t)));
-  }
   FLIPPER_RETURN_IF_ERROR(CheckElementCount(
       section(SectionId::kSegments), h.num_segments + 1,
       sizeof(uint64_t)));
@@ -650,64 +766,16 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
   std::span<const uint64_t> offsets;
   std::span<const ItemId> items;
   if (!v2) {
-    offsets = U64Span(base, section(SectionId::kTxnOffsets));
-    const std::span<const uint32_t> raw_items =
-        U32Span(base, section(SectionId::kTxnItems));
-    items = std::span<const ItemId>(raw_items.data(), raw_items.size());
-
-    // Payload validation (the O(num_items) scan, v1 only — the v2
-    // decode below subsumes it).
+    FLIPPER_RETURN_IF_ERROR(reader.LoadColumnsV1(
+        base, offsets_blocks, items_blocks, &offsets, &items));
     if (options.validate) {
-      if (offsets.front() != 0 || offsets.back() != h.num_items) {
-        return Corrupt("transaction offsets do not span the items");
-      }
-      uint32_t max_width = 0;
-      ItemId max_item = 0;
-      bool any_item = false;
-      for (size_t t = 0; t + 1 < offsets.size(); ++t) {
-        const uint64_t lo = offsets[t];
-        const uint64_t hi = offsets[t + 1];
-        if (lo > hi || hi > h.num_items) {
-          return Corrupt("transaction offsets are not monotone at txn " +
-                         std::to_string(t));
-        }
-        const uint64_t width = hi - lo;
-        if (width > std::numeric_limits<uint32_t>::max()) {
-          return Corrupt("transaction width overflows at txn " +
-                         std::to_string(t));
-        }
-        max_width = std::max(max_width, static_cast<uint32_t>(width));
-        for (uint64_t i = lo; i < hi; ++i) {
-          const ItemId item = items[i];
-          if (item >= h.alphabet_size) {
-            return Corrupt("item id " + std::to_string(item) +
-                           " out of range in txn " + std::to_string(t));
-          }
-          if (i > lo && items[i - 1] >= item) {
-            return Corrupt("items of txn " + std::to_string(t) +
-                           " are not sorted and duplicate-free");
-          }
-          max_item = std::max(max_item, item);
-          any_item = true;
-        }
-      }
-      if (max_width != h.max_width) {
-        return Corrupt("max_width mismatch: header records " +
-                       std::to_string(h.max_width) + ", data has " +
-                       std::to_string(max_width));
-      }
-      const ItemId actual_alphabet = any_item ? max_item + 1 : 0;
-      if (actual_alphabet != h.alphabet_size) {
-        return Corrupt("alphabet_size mismatch: header records " +
-                       std::to_string(h.alphabet_size) + ", data has " +
-                       std::to_string(actual_alphabet));
-      }
+      FLIPPER_RETURN_IF_ERROR(reader.ValidateItemsV1(offsets, items));
     }
   } else {
-    FLIPPER_RETURN_IF_ERROR(reader.DecodeColumnsV2(
-        base, offsets_blocks, items_blocks, options.validate));
-    offsets = reader.decoded_offsets_;
-    items = reader.decoded_items_;
+    FLIPPER_RETURN_IF_ERROR(
+        reader.DecodeColumnsV2(base, offsets_blocks, items_blocks));
+    offsets = reader.column_offsets_;
+    items = reader.column_items_;
   }
 
   // --- Reconstruct the taxonomy (canonical: children end up sorted,

@@ -1,31 +1,35 @@
-// StoreReader: opens a .fdb FlipperStore file (version 1 or 2) and
-// exposes its contents as ready-to-mine objects.
+// StoreReader: opens a .fdb FlipperStore file (version 1, or legacy
+// version 2) and exposes its contents as ready-to-mine objects.
 //
-// v1 files carry raw fixed-width columns: the transaction database and
-// dictionary are zero-copy views over the file mapping (borrowed-span
-// mode of TransactionDb / ItemDictionary); only the taxonomy — a few
-// KB of tree structure — is reconstructed in memory.
+// v1 files carry raw fixed-width columns. A fresh v1 file holds one
+// block per column, and its transaction database and dictionary are
+// zero-copy views over the file mapping (borrowed-span mode of
+// TransactionDb / ItemDictionary); only the taxonomy — a few KB of
+// tree structure — is reconstructed in memory. An appended v1 file
+// (StoreWriter::OpenAppend) holds one kTxnOffsets/kTxnItems block pair
+// per session; Open() memcpys the blocks, in section-table order, into
+// reader-owned buffers (no decode) and checks them as one logical
+// column.
 //
-// v2 files carry delta+varint columns, so Open() runs one
+// Legacy v2 files carry delta+varint columns, so Open() runs one
 // bounds-checked decode pass into reader-owned buffers (the spans the
 // TransactionDb borrows then point at those buffers) and additionally
 // decodes the segment catalog, which it attaches to the database and
-// exposes through catalog().
+// exposes through catalog(). This build writes no v2 files; `flipper_cli
+// convert --from-fdb` upgrades them.
 //
 // On platforms without mmap (or with OpenOptions::force_heap) the file
 // is read into one aligned heap buffer instead, with identical
 // semantics.
 //
-// Appended v2 stores (StoreWriter::OpenAppend) carry one
-// kTxnOffsets/kTxnItems block pair per session; the decode treats the
-// blocks, in section-table order, as one logical column. For files
-// torn by a crash mid-append, OpenPrefix() recovers the last committed
-// state (see PrefixInfo); Open() itself stays strict.
+// For files torn by a crash mid-append, OpenPrefix() recovers the last
+// committed state (see PrefixInfo); Open() itself stays strict.
 //
-// Open() hard-validates the header checksum, the section table, and
-// every section's bounds before handing out a single pointer; with
-// OpenOptions::validate (the default) it additionally scans the
-// payloads so that every CSR offset is monotone, every item id is
+// Open() hard-validates the header checksum, the section table, every
+// section's bounds, the column block structure and the CSR offsets
+// (start at 0, monotone, end at num_items, widths match max_width)
+// before handing out a single pointer; with OpenOptions::validate (the
+// default) it additionally scans the items so that every item id is
 // in-range and sorted within its transaction, the header's derived
 // metadata matches the data, and (v2) the catalog agrees with the
 // items it summarizes. The v2 column decode is always fully
@@ -73,12 +77,12 @@ struct PrefixInfo {
 };
 
 struct OpenOptions {
-  /// Scan section payloads (O(num_items)) so that every offset and
-  /// item id is proven in-bounds before use. Disable only for trusted
+  /// Scan the items column (O(num_items)) so that every item id is
+  /// proven in-range and sorted before use. Disable only for trusted
   /// files (e.g. open-latency benchmarks); structural checks — header
-  /// checksum, section table, section bounds, dictionary offsets,
-  /// segment boundaries, taxonomy reconstruction, and the v2 varint
-  /// decode itself — always run.
+  /// checksum, section table, section bounds, column blocks and CSR
+  /// offsets, dictionary offsets, segment boundaries, taxonomy
+  /// reconstruction, and the v2 varint decode itself — always run.
   bool validate = true;
   /// Skip mmap and read the file into memory (the portable fallback;
   /// also exercised by tests).
@@ -109,8 +113,9 @@ class StoreReader {
   StoreReader(const StoreReader&) = delete;
   StoreReader& operator=(const StoreReader&) = delete;
 
-  /// Borrowed views into the file (v1) or the reader's decode buffers
-  /// (v2); valid while this reader is alive.
+  /// Borrowed views into the file (single-block v1) or the reader's
+  /// column buffers (appended v1, v2); valid while this reader is
+  /// alive.
   const TransactionDb& db() const { return db_; }
   const ItemDictionary& dict() const { return dict_; }
   const Taxonomy& taxonomy() const { return taxonomy_; }
@@ -145,14 +150,25 @@ class StoreReader {
                                         const OpenOptions& options,
                                         const std::string& path);
 
-  /// Decodes the v2 varint columns into decoded_offsets_ /
-  /// decoded_items_ (always bounds-checked; `validate` adds the
-  /// header-consistency cross-checks). Appended stores carry one block
-  /// pair per session; blocks are concatenated in table order.
+  /// Points `offsets`/`items` at the v1 columns: views over the file
+  /// for one block pair, or the blocks concatenated into
+  /// column_offsets_/column_items_ (table order) for an appended
+  /// store. Always checks the block structure and the CSR offsets,
+  /// which TransactionDb::Get trusts.
+  Status LoadColumnsV1(const std::byte* base,
+                       std::span<const SectionEntry* const> offsets_blocks,
+                       std::span<const SectionEntry* const> items_blocks,
+                       std::span<const uint64_t>* offsets,
+                       std::span<const ItemId>* items);
+  /// The OpenOptions::validate scan of the v1 items column.
+  Status ValidateItemsV1(std::span<const uint64_t> offsets,
+                         std::span<const ItemId> items) const;
+  /// Decodes the v2 varint columns into column_offsets_ /
+  /// column_items_ (always fully checked). Appended stores carry one
+  /// block pair per session; blocks are concatenated in table order.
   Status DecodeColumnsV2(const std::byte* base,
                          std::span<const SectionEntry* const> offsets_blocks,
-                         std::span<const SectionEntry* const> items_blocks,
-                         bool validate);
+                         std::span<const SectionEntry* const> items_blocks);
   /// Decodes and validates the v2 segment catalog section.
   Status DecodeCatalogV2(const std::byte* base, const SectionEntry& entry,
                          bool validate);
@@ -161,9 +177,10 @@ class StoreReader {
   FileHeader header_;
   std::vector<SectionEntry> sections_;
   std::span<const uint64_t> segments_;
-  /// v2 decode buffers; the db's borrowed spans point into these.
-  std::vector<uint64_t> decoded_offsets_;
-  std::vector<ItemId> decoded_items_;
+  /// Reader-owned columns (appended v1 concatenation, v2 decode); the
+  /// db's borrowed spans point into these. Empty for single-block v1.
+  std::vector<uint64_t> column_offsets_;
+  std::vector<ItemId> column_items_;
   std::shared_ptr<const SegmentCatalog> catalog_;
   TransactionDb db_;
   ItemDictionary dict_;

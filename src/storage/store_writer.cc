@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <fstream>
 #include <limits>
 
 #include "storage/store_reader.h"
-#include "storage/varint.h"
 
 namespace flipper {
 namespace storage {
@@ -28,18 +26,6 @@ Result<StoreWriter> StoreWriter::Create(const std::string& path,
   if (options.segment_txns == 0) {
     return Status::InvalidArgument("segment_txns must be positive");
   }
-  if (SectionCountForVersion(options.version) == 0) {
-    return Status::InvalidArgument(
-        "unsupported store version " + std::to_string(options.version) +
-        " (this build writes versions 1 and 2)");
-  }
-  if (options.version == kFormatVersionV2 &&
-      (options.catalog_bitset_words == 0 ||
-       options.catalog_bitset_words > kMaxCatalogBitsetWords)) {
-    return Status::InvalidArgument(
-        "catalog_bitset_words must be in [1, " +
-        std::to_string(kMaxCatalogBitsetWords) + "]");
-  }
   StoreWriter writer;
   writer.options_ = options;
   writer.fs_ = ResolveFileSystem(fs);
@@ -51,15 +37,10 @@ Result<StoreWriter> StoreWriter::Create(const std::string& path,
     if (!opened.ok()) return opened.status();
     writer.file_ = std::move(opened).value();
   }
-  if (options.version == kFormatVersionV2) {
-    writer.cur_seg_bits_.assign(options.catalog_bitset_words, 0);
-  }
   // Placeholder header + section table; Finish() writes the real ones
   // in place once every section offset is known.
   const std::vector<char> zeros(
-      sizeof(FileHeader) +
-          SectionCountForVersion(options.version) * sizeof(SectionEntry),
-      0);
+      sizeof(FileHeader) + kNumSectionsV1 * sizeof(SectionEntry), 0);
   Status placeholder =
       writer.WriteBytes(zeros.data(), zeros.size(), nullptr);
   if (!placeholder.ok()) {
@@ -71,7 +52,6 @@ Result<StoreWriter> StoreWriter::Create(const std::string& path,
 }
 
 Result<StoreWriter> StoreWriter::OpenAppend(const std::string& path,
-                                            const AppendOptions& options,
                                             FileSystem* fs) {
   if constexpr (std::endian::native != std::endian::little) {
     return Status::Internal(
@@ -97,70 +77,37 @@ Result<StoreWriter> StoreWriter::OpenAppend(const std::string& path,
       return Status(base.status().code(), std::move(msg));
     }
     const StoreReader& reader = *base;
-    if (reader.version() != kFormatVersionV2) {
+    if (reader.version() != kFormatVersionV1) {
       return Status::FailedPrecondition(
-          "v1 stores are read-only (no append): " + path +
-          " — rewrite as v2 with `flipper_cli convert --from-fdb`");
+          "v" + std::to_string(reader.version()) +
+          " stores are read-only (no append): " + path +
+          " — rewrite as v1 with `flipper_cli convert --from-fdb`");
     }
     const FileHeader& h = reader.header();
     if (AlignUp(h.file_size) != h.file_size) {
       return Status::Internal(
           "committed store size is not section-aligned: " + path);
     }
-    const SegmentCatalog* catalog = reader.catalog();
-    writer.options_.version = kFormatVersionV2;
-    // The bitset geometry is frozen at creation: the base segments'
-    // bitsets are carried over verbatim and their hash depends on the
-    // word count. The tracked set, in contrast, is recomputed over
-    // the whole store at every commit.
-    writer.options_.catalog_bitset_words = catalog->bitset_words();
-    writer.options_.catalog_tracked_items = options.catalog_tracked_items;
-    uint32_t segment_txns = options.segment_txns;
-    if (segment_txns == 0) {
-      // Infer the base store's segment size from its widest segment
-      // (all segments but the last are full-size).
-      uint64_t widest = 0;
-      const auto segs = reader.segments();
-      for (size_t i = 0; i + 1 < segs.size(); ++i) {
-        widest = std::max(widest, segs[i + 1] - segs[i]);
-      }
-      segment_txns =
-          widest == 0
-              ? Options().segment_txns
-              : static_cast<uint32_t>(std::min<uint64_t>(
-                    widest, std::numeric_limits<uint32_t>::max()));
+    // The base store's segment size: its widest segment (all segments
+    // of a session but its last are full-size).
+    uint64_t widest = 0;
+    const auto segs = reader.segments();
+    for (size_t i = 0; i + 1 < segs.size(); ++i) {
+      widest = std::max(widest, segs[i + 1] - segs[i]);
     }
-    writer.options_.segment_txns = segment_txns;
+    if (widest > 0) {
+      writer.options_.segment_txns = static_cast<uint32_t>(
+          std::min<uint64_t>(widest, std::numeric_limits<uint32_t>::max()));
+    }
 
-    const TransactionDb& db = reader.db();
-    writer.offsets_.reserve(static_cast<size_t>(db.size()) + 1);
-    for (TxnId t = 0; t < db.size(); ++t) {
-      const auto txn = db.Get(t);
-      writer.offsets_.push_back(writer.offsets_.back() + txn.size());
-      for (const ItemId item : txn) {
-        if (item >= writer.item_freq_.size()) {
-          writer.item_freq_.resize(item + 1, 0);
-        }
-        ++writer.item_freq_[item];
-      }
-    }
+    // This session's offsets block continues the committed column.
+    writer.offsets_ = {h.num_items};
     writer.segments_.assign(reader.segments().begin(),
                             reader.segments().end());
     writer.alphabet_size_ = h.alphabet_size;
     writer.max_width_ = h.max_width;
     writer.base_txns_ = h.num_transactions;
     writer.base_file_size_ = h.file_size;
-
-    // Existing segments are immutable: their catalog records are
-    // reused as-is (this session opens a new segment).
-    for (size_t seg = 0; seg < catalog->num_segments(); ++seg) {
-      writer.seg_min_.push_back(catalog->min_item(seg));
-      writer.seg_max_.push_back(catalog->max_item(seg));
-      const auto bits = catalog->segment_bits(seg);
-      writer.seg_bits_.insert(writer.seg_bits_.end(), bits.begin(),
-                              bits.end());
-    }
-    writer.cur_seg_bits_.assign(writer.options_.catalog_bitset_words, 0);
 
     // The committed column blocks stay where they are; the new table
     // will list them (in order) ahead of this session's blocks.
@@ -243,16 +190,6 @@ Status StoreWriter::WriteSection(SectionId id, const void* data,
   return Status::OK();
 }
 
-void StoreWriter::FlushCatalogSegment() {
-  seg_min_.push_back(cur_seg_min_);
-  seg_max_.push_back(cur_seg_max_);
-  seg_bits_.insert(seg_bits_.end(), cur_seg_bits_.begin(),
-                   cur_seg_bits_.end());
-  cur_seg_min_ = kInvalidItem;
-  cur_seg_max_ = 0;
-  std::fill(cur_seg_bits_.begin(), cur_seg_bits_.end(), 0);
-}
-
 Status StoreWriter::Append(std::span<const ItemId> items) {
   if (finished_) {
     return Status::FailedPrecondition("Append after Finish");
@@ -271,30 +208,8 @@ Status StoreWriter::AppendImpl(std::span<const ItemId> items) {
   std::sort(scratch_.begin(), scratch_.end());
   scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
                  scratch_.end());
-  if (options_.version == kFormatVersionV1) {
-    FLIPPER_RETURN_IF_ERROR(WriteBytes(
-        scratch_.data(), scratch_.size() * sizeof(ItemId),
-        &items_checksum_));
-  } else {
-    // v2: first item raw, then the strictly positive gaps — plus the
-    // catalog accumulators for the open segment.
-    encode_scratch_.clear();
-    const uint32_t num_bits = options_.catalog_bitset_words * 64;
-    ItemId prev = 0;
-    for (size_t i = 0; i < scratch_.size(); ++i) {
-      const ItemId item = scratch_[i];
-      PutVarint(i == 0 ? item : item - prev, &encode_scratch_);
-      prev = item;
-      cur_seg_min_ = std::min(cur_seg_min_, item);
-      cur_seg_max_ = std::max(cur_seg_max_, item);
-      const uint32_t bit = SegmentCatalog::HashBit(item, num_bits);
-      cur_seg_bits_[bit / 64] |= uint64_t{1} << (bit % 64);
-      if (item >= item_freq_.size()) item_freq_.resize(item + 1, 0);
-      ++item_freq_[item];
-    }
-    FLIPPER_RETURN_IF_ERROR(WriteBytes(
-        encode_scratch_.data(), encode_scratch_.size(), &items_checksum_));
-  }
+  FLIPPER_RETURN_IF_ERROR(WriteBytes(
+      scratch_.data(), scratch_.size() * sizeof(ItemId), &items_checksum_));
   offsets_.push_back(offsets_.back() + scratch_.size());
   max_width_ = std::max(max_width_, static_cast<uint32_t>(scratch_.size()));
   if (!scratch_.empty()) {
@@ -302,103 +217,7 @@ Status StoreWriter::AppendImpl(std::span<const ItemId> items) {
   }
   if (++txns_in_open_segment_ == options_.segment_txns) {
     segments_.push_back(num_transactions());
-    if (options_.version == kFormatVersionV2) FlushCatalogSegment();
     txns_in_open_segment_ = 0;
-  }
-  return Status::OK();
-}
-
-Status StoreWriter::CountTrackedSupports(
-    std::span<const Extent> extents, std::span<const ItemId> tracked_ids,
-    std::vector<uint32_t>* supports) const {
-  const size_t tracked = tracked_ids.size();
-  supports->assign((segments_.size() - 1) * tracked, 0);
-  if (tracked == 0 || num_transactions() == 0) return Status::OK();
-
-  std::vector<uint32_t> slot_of(alphabet_size_, 0);
-  for (size_t i = 0; i < tracked; ++i) {
-    slot_of[tracked_ids[i]] = static_cast<uint32_t>(i) + 1;
-  }
-
-  std::ifstream in(write_path_, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot reopen for reading: " + write_path_);
-  }
-
-  uint64_t remaining = 0;
-  for (const Extent& e : extents) remaining += e.size;
-
-  // Chunked decode over the extent chain (one extent per session's
-  // items block, in transaction order): refill keeps at least one
-  // maximal varint of slack so a value never straddles the buffer
-  // edge unseen. Extents end on transaction boundaries, so a varint
-  // never straddles extents either.
-  std::vector<uint8_t> buffer(1u << 20);
-  size_t buf_len = 0;
-  size_t buf_pos = 0;
-  size_t ext_idx = 0;
-  uint64_t ext_left = 0;  // unread bytes of the extent the stream is in
-  const auto refill = [&]() -> Status {
-    std::memmove(buffer.data(), buffer.data() + buf_pos,
-                 buf_len - buf_pos);
-    buf_len -= buf_pos;
-    buf_pos = 0;
-    while (buf_len < buffer.size() && remaining > 0) {
-      if (ext_left == 0) {
-        while (ext_idx < extents.size() && extents[ext_idx].size == 0) {
-          ++ext_idx;
-        }
-        if (ext_idx >= extents.size()) break;
-        in.seekg(static_cast<std::streamoff>(extents[ext_idx].offset));
-        if (!in) {
-          return Status::IoError("seek failed: " + write_path_);
-        }
-        ext_left = extents[ext_idx].size;
-        ++ext_idx;
-      }
-      const size_t want = static_cast<size_t>(std::min<uint64_t>(
-          ext_left, buffer.size() - buf_len));
-      in.read(reinterpret_cast<char*>(buffer.data() + buf_len),
-              static_cast<std::streamsize>(want));
-      if (static_cast<size_t>(in.gcount()) != want) {
-        return Status::IoError("re-read of items column failed: " +
-                               write_path_);
-      }
-      buf_len += want;
-      ext_left -= want;
-      remaining -= want;
-    }
-    return Status::OK();
-  };
-
-  size_t seg = 0;
-  uint32_t* seg_supports = supports->data();
-  for (uint64_t t = 0; t < num_transactions(); ++t) {
-    while (seg + 1 < segments_.size() - 1 && t >= segments_[seg + 1]) {
-      ++seg;
-      seg_supports = supports->data() + seg * tracked;
-    }
-    const uint64_t width = offsets_[t + 1] - offsets_[t];
-    ItemId item = 0;
-    for (uint64_t i = 0; i < width; ++i) {
-      if (buf_len - buf_pos < kMaxVarintBytes &&
-          (remaining > 0 || ext_left > 0)) {
-        FLIPPER_RETURN_IF_ERROR(refill());
-      }
-      const uint8_t* pos = buffer.data() + buf_pos;
-      uint64_t delta = 0;
-      if (!GetVarint(&pos, buffer.data() + buf_len, &delta)) {
-        return Status::Internal(
-            "items column re-read desynchronized at txn " +
-            std::to_string(t));
-      }
-      buf_pos = static_cast<size_t>(pos - buffer.data());
-      item = i == 0 ? static_cast<ItemId>(delta)
-                    : item + static_cast<ItemId>(delta);
-      if (item < slot_of.size() && slot_of[item] != 0) {
-        ++seg_supports[slot_of[item] - 1];
-      }
-    }
   }
   return Status::OK();
 }
@@ -511,29 +330,17 @@ Status StoreWriter::FinishImpl(const ItemDictionary& dict,
   items_entry.offset = items_start_;
   items_entry.size = file_pos_ - items_start_;
   items_entry.checksum = items_checksum_;
-  const uint64_t items_end = file_pos_;
   FLIPPER_RETURN_IF_ERROR(Pad());
 
   std::vector<SectionEntry> written;  // sections written below, in order
-  if (options_.version == kFormatVersionV1) {
-    FLIPPER_RETURN_IF_ERROR(WriteSection(
-        SectionId::kTxnOffsets, offsets_.data(),
-        offsets_.size() * sizeof(uint64_t), &written));
-  } else {
-    encode_scratch_.clear();
-    for (size_t t = base_txns_; t + 1 < offsets_.size(); ++t) {
-      PutVarint(offsets_[t + 1] - offsets_[t], &encode_scratch_);
-    }
-    FLIPPER_RETURN_IF_ERROR(WriteSection(
-        SectionId::kTxnOffsets, encode_scratch_.data(),
-        encode_scratch_.size(), &written));
-  }
+  FLIPPER_RETURN_IF_ERROR(WriteSection(
+      SectionId::kTxnOffsets, offsets_.data(),
+      offsets_.size() * sizeof(uint64_t), &written));
   const SectionEntry offsets_entry = written.back();
   written.pop_back();
 
   if (segments_.back() != num_transactions()) {
     segments_.push_back(num_transactions());
-    if (options_.version == kFormatVersionV2) FlushCatalogSegment();
   }
   FLIPPER_RETURN_IF_ERROR(WriteSection(
       SectionId::kSegments, segments_.data(),
@@ -565,61 +372,6 @@ Status StoreWriter::FinishImpl(const ItemDictionary& dict,
       SectionId::kTaxRoots, roots.data(), roots.size() * sizeof(ItemId),
       &written));
 
-  if (options_.version == kFormatVersionV2) {
-    // Tracked set: the same selection the reader's validation rebuild
-    // runs (SegmentCatalog::Build), so the two can never disagree.
-    const std::vector<ItemId> tracked_vec =
-        SegmentCatalog::TopKByFrequency(item_freq_,
-                                        options_.catalog_tracked_items);
-    const size_t tracked = tracked_vec.size();
-    const std::span<const ItemId> tracked_ids(tracked_vec.data(),
-                                              tracked);
-
-    // The items column must be visible to the counting re-read (a
-    // separate read handle on the same file).
-    FLIPPER_RETURN_IF_ERROR(file_->Flush());
-    std::vector<Extent> extents;
-    extents.reserve(base_items_blocks_.size() + 1);
-    for (const SectionEntry& e : base_items_blocks_) {
-      extents.push_back(Extent{e.offset, e.size});
-    }
-    extents.push_back(Extent{items_start_, items_end - items_start_});
-    std::vector<uint32_t> tracked_supports;
-    FLIPPER_RETURN_IF_ERROR(CountTrackedSupports(
-        extents, tracked_ids, &tracked_supports));
-
-    const size_t num_segments = segments_.size() - 1;
-    const uint32_t words = options_.catalog_bitset_words;
-    std::vector<uint8_t> payload;
-    payload.reserve(sizeof(SegCatalogHeader) +
-                    tracked * sizeof(uint32_t) +
-                    num_segments * SegCatalogRecordBytes(tracked, words));
-    const auto put_u32 = [&payload](uint32_t v) {
-      const auto* p = reinterpret_cast<const uint8_t*>(&v);
-      payload.insert(payload.end(), p, p + sizeof(v));
-    };
-    const auto put_u64 = [&payload](uint64_t v) {
-      const auto* p = reinterpret_cast<const uint8_t*>(&v);
-      payload.insert(payload.end(), p, p + sizeof(v));
-    };
-    put_u32(static_cast<uint32_t>(tracked));
-    put_u32(words);
-    for (ItemId id : tracked_ids) put_u32(id);
-    for (size_t seg = 0; seg < num_segments; ++seg) {
-      put_u32(seg_min_[seg]);
-      put_u32(seg_max_[seg]);
-      for (uint32_t w = 0; w < words; ++w) {
-        put_u64(seg_bits_[seg * words + w]);
-      }
-      for (size_t i = 0; i < tracked; ++i) {
-        put_u32(tracked_supports[seg * tracked + i]);
-      }
-    }
-    FLIPPER_RETURN_IF_ERROR(WriteSection(
-        SectionId::kSegCatalog, payload.data(), payload.size(),
-        &written));
-  }
-
   // Assemble the section table. Fresh files keep the historical order
   // (items first); appended files list the committed column blocks
   // ahead of this session's, since readers concatenate blocks in
@@ -643,7 +395,7 @@ Status StoreWriter::FinishImpl(const ItemDictionary& dict,
 
   FileHeader header;
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
-  header.version = options_.version;
+  header.version = kFormatVersionV1;
   header.section_count = static_cast<uint32_t>(table.size());
   header.num_transactions = num_transactions();
   header.num_items = num_items();

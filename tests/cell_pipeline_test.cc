@@ -18,6 +18,7 @@
 #include "datagen/groceries_sim.h"
 #include "datagen/quest_gen.h"
 #include "datagen/taxonomy_gen.h"
+#include "test_util.h"
 
 namespace flipper {
 namespace {
@@ -144,20 +145,25 @@ void RunScenario(Scenario s) {
   }
 
   // The same scenario through both FlipperStore round trips: a v1
-  // store (raw columns, no catalog) and a v2 store (varint columns +
-  // segment catalog, small segments) must reproduce the reference
-  // fingerprint at 1 and 4 threads.
+  // store (raw columns, no catalog) and a legacy v2 store (varint
+  // columns + segment catalog, small segments) must reproduce the
+  // reference fingerprint at 1 and 4 threads.
   for (uint32_t version :
        {storage::kFormatVersionV1, storage::kFormatVersionV2}) {
     const std::string path = ::testing::TempDir() + "pipeline_" +
                              s.name + "_v" + std::to_string(version) +
                              ".fdb";
-    storage::StoreWriter::Options options;
-    options.version = version;
-    options.segment_txns = 256;
-    ASSERT_TRUE(storage::WriteStoreFile(path, s.db, s.dict, s.taxonomy,
-                                        options)
-                    .ok());
+    if (version == storage::kFormatVersionV2) {
+      testutil::V2StoreOptions options;
+      options.segment_txns = 256;
+      testutil::WriteV2Store(path, s.db, s.dict, s.taxonomy, options);
+    } else {
+      storage::StoreWriter::Options options;
+      options.segment_txns = 256;
+      ASSERT_TRUE(storage::WriteStoreFile(path, s.db, s.dict, s.taxonomy,
+                                          options)
+                      .ok());
+    }
     auto reader = storage::StoreReader::Open(path);
     ASSERT_TRUE(reader.ok()) << reader.status();
     for (int threads : {1, 4}) {

@@ -1,7 +1,7 @@
 // Byte-level crash-recovery sweep for the FlipperStore commit
 // protocol. The fault-injection FileSystem (storage/file_io.h) kills
 // the write stream at EVERY byte offset of a fresh-store write and of
-// an append session; after each simulated crash the file must come
+// a raw (v1) append session; after each simulated crash the file must come
 // back — via AnalyzeStore/ApplyRepair — to exactly the last committed
 // state, byte for byte:
 //
@@ -87,12 +87,10 @@ struct Scenario {
   testutil::Dataset data;
   uint64_t base_txns = 0;
   StoreWriter::Options base_options;
-  StoreWriter::AppendOptions append_options;
 
   Scenario() : data(testutil::RandomDataset(/*seed=*/77, 3, 2, 2, 48, 5)) {
     base_txns = 32;
     base_options.segment_txns = 8;
-    base_options.catalog_tracked_items = 6;
   }
 
   void WriteBase(const std::string& path) const {
@@ -108,7 +106,7 @@ struct Scenario {
   /// first non-OK status (OK if everything succeeded).
   Status RunAppend(const std::string& path,
                    FaultInjectingFileSystem* fault_fs) const {
-    auto writer = StoreWriter::OpenAppend(path, append_options, fault_fs);
+    auto writer = StoreWriter::OpenAppend(path, fault_fs);
     FLIPPER_RETURN_IF_ERROR(writer.status());
     for (uint64_t t = base_txns; t < data.db.size(); ++t) {
       FLIPPER_RETURN_IF_ERROR(writer->Append(data.db.Get(t)));
@@ -145,6 +143,14 @@ TEST(CrashRecovery, AppendCrashAtEveryByteOffset) {
   ASSERT_GT(total_bytes, sizeof(storage::FileHeader));
   const std::string committed_bytes = ReadFileBytes(work_path);
   ASSERT_NE(committed_bytes, base_bytes);
+  {
+    // The session added one raw column block pair.
+    auto committed = StoreReader::Open(work_path);
+    ASSERT_TRUE(committed.ok()) << committed.status();
+    ASSERT_EQ(committed->version(), storage::kFormatVersionV1);
+    ASSERT_EQ(committed->header().section_count,
+              storage::kNumSectionsV1 + 2);
+  }
 
   const std::string base_csv = MineCsv(base_path);
   const std::string committed_csv = MineCsv(work_path);

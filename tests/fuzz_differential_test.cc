@@ -5,16 +5,19 @@
 // then requires that
 //
 //   - FlipperMiner over the text-loaded inputs,
-//   - FlipperMiner over a v1 FlipperStore round trip,
-//   - FlipperMiner over a v2 FlipperStore round trip (varint columns
-//     + segment catalog, small shard-misaligned segments), and
-//   - FlipperMiner over a v2 store grown with 1-3 random append
+//   - FlipperMiner over a fresh (raw, v1) FlipperStore round trip,
+//   - FlipperMiner over a raw store grown with 1-3 random append
 //     sessions (base prefix + OpenAppend batches, commit trailer in
-//     play)
+//     play, one column block pair per session),
+//   - FlipperMiner over a legacy v2 store (varint columns + segment
+//     catalog, small shard-misaligned segments), and
+//   - FlipperMiner over the legacy v2 file with one varint block pair
+//     per session over the same cuts
 //
 // are all byte-identical to the NaiveMiner oracle's CSV export, at 1
-// and 4 threads. This is the guard rail for the v2 decode and append
-// paths: a mis-encoded block pair or a wrongly decoded transaction
+// and 4 threads. This is the guard rail for the block concatenation,
+// the v2 decode and the append path: a mis-written block pair or a
+// wrongly decoded transaction
 // shows up as a support (and usually a pattern-set) difference against
 // the oracle. The oracle counts with the trie layout only, so the
 // comparison also pits the miners' dense layout against the trie; each
@@ -92,28 +95,36 @@ RoundInputs MakeRoundInputs(uint64_t seed, const testutil::Dataset& data,
   inputs.v2_path = TempPath(tag + "_v2.fdb");
   storage::StoreWriter::Options options;
   options.segment_txns = segment_txns;
-  options.version = storage::kFormatVersionV1;
   EXPECT_TRUE(storage::WriteStoreFile(inputs.v1_path, inputs.db,
                                       inputs.dict, inputs.taxonomy,
                                       options)
                   .ok());
-  options.version = storage::kFormatVersionV2;
-  EXPECT_TRUE(storage::WriteStoreFile(inputs.v2_path, inputs.db,
-                                      inputs.dict, inputs.taxonomy,
-                                      options)
-                  .ok());
+  testutil::V2StoreOptions v2_options;
+  v2_options.segment_txns = segment_txns;
+  testutil::WriteV2Store(inputs.v2_path, inputs.db, inputs.dict,
+                         inputs.taxonomy, v2_options);
   return inputs;
 }
 
-/// Writes `inputs.db` as a v2 store grown incrementally: a base prefix
-/// via Create() plus `num_batches` OpenAppend() sessions over random
-/// split points. The result must mine exactly like the bulk-written
-/// store.
-std::string WriteAppendedStore(const RoundInputs& inputs,
-                               const std::string& tag,
-                               uint32_t segment_txns,
-                               uint32_t num_batches, Rng* rng) {
-  const std::string path = TempPath(tag + "_v2_appended.fdb");
+/// The incrementally grown stores of one round.
+struct AppendedStores {
+  std::string raw_path;  // Create() + OpenAppend() sessions (v1)
+  std::string v2_path;   // legacy v2 with one block pair per session
+};
+
+/// Writes `inputs.db` grown incrementally over random split points: a
+/// base prefix via Create() plus `num_batches` OpenAppend() sessions,
+/// and the legacy v2 file those sessions would have left (one varint
+/// block pair per session). Both must mine exactly like the
+/// bulk-written store.
+AppendedStores WriteAppendedStores(const RoundInputs& inputs,
+                                   const std::string& tag,
+                                   uint32_t segment_txns,
+                                   uint32_t num_batches, Rng* rng) {
+  AppendedStores out;
+  out.raw_path = TempPath(tag + "_appended.fdb");
+  out.v2_path = TempPath(tag + "_v2_appended.fdb");
+  const std::string& path = out.raw_path;
   const uint64_t total = inputs.db.size();
   std::vector<uint64_t> cuts = {0, total};
   for (uint32_t b = 0; b < num_batches; ++b) {
@@ -140,7 +151,12 @@ std::string WriteAppendedStore(const RoundInputs& inputs,
     }
     EXPECT_TRUE(writer->Finish(inputs.dict, inputs.taxonomy).ok());
   }
-  return path;
+  testutil::V2StoreOptions v2_options;
+  v2_options.segment_txns = segment_txns;
+  v2_options.block_starts.assign(cuts.begin() + 1, cuts.end() - 1);
+  testutil::WriteV2Store(out.v2_path, inputs.db, inputs.dict,
+                         inputs.taxonomy, v2_options);
+  return out;
 }
 
 /// Random but valid mining configuration; the whole pruning stack is
@@ -288,7 +304,7 @@ size_t RunRound(uint64_t seed) {
       "\n  config: " + DescribeConfig(config);
   SCOPED_TRACE(repro);
 
-  const std::string appended_path = WriteAppendedStore(
+  const AppendedStores appended_paths = WriteAppendedStores(
       inputs, "fuzz_" + std::to_string(seed), segment_txns, num_batches,
       &rng);
 
@@ -304,17 +320,26 @@ size_t RunRound(uint64_t seed) {
 
   auto v1 = storage::StoreReader::Open(inputs.v1_path);
   auto v2 = storage::StoreReader::Open(inputs.v2_path);
-  auto appended = storage::StoreReader::Open(appended_path);
+  auto appended = storage::StoreReader::Open(appended_paths.raw_path);
+  auto v2_appended = storage::StoreReader::Open(appended_paths.v2_path);
   EXPECT_TRUE(v1.ok()) << v1.status();
   EXPECT_TRUE(v2.ok()) << v2.status();
   EXPECT_TRUE(appended.ok()) << appended.status();
-  if (!v1.ok() || !v2.ok() || !appended.ok()) return 0;
+  EXPECT_TRUE(v2_appended.ok()) << v2_appended.status();
+  if (!v1.ok() || !v2.ok() || !appended.ok() || !v2_appended.ok()) {
+    return 0;
+  }
+  EXPECT_EQ(v1->version(), storage::kFormatVersionV1);
+  EXPECT_EQ(v2->version(), storage::kFormatVersionV2);
   EXPECT_NE(v2->catalog(), nullptr);
   EXPECT_LE(v2->file_size(), v1->file_size());
   EXPECT_TRUE(appended->VerifyChecksums().ok());
+  EXPECT_EQ(appended->version(), storage::kFormatVersionV1);
   EXPECT_EQ(appended->header().section_count,
-            storage::kNumSectionsV2 + 2 * num_batches);
+            storage::kNumSectionsV1 + 2 * num_batches);
   EXPECT_EQ(appended->db().size(), inputs.db.size());
+  EXPECT_EQ(v2_appended->header().section_count,
+            storage::kNumSectionsV2 + 2 * num_batches);
 
   struct Source {
     const char* name;
@@ -326,8 +351,10 @@ size_t RunRound(uint64_t seed) {
       {"text", &inputs.db, &inputs.taxonomy, &inputs.dict},
       {"v1-store", &v1->db(), &v1->taxonomy(), &v1->dict()},
       {"v2-store", &v2->db(), &v2->taxonomy(), &v2->dict()},
-      {"v2-appended", &appended->db(), &appended->taxonomy(),
+      {"v1-appended", &appended->db(), &appended->taxonomy(),
        &appended->dict()},
+      {"v2-appended", &v2_appended->db(), &v2_appended->taxonomy(),
+       &v2_appended->dict()},
   };
   for (const int threads : {1, 4}) {
     for (const Source& source : sources) {

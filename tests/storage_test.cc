@@ -1,8 +1,9 @@
 // FlipperStore tests: byte-level round trips (basket -> .fdb -> mine
 // is bit-identical to mining the text inputs, serial and parallel),
 // the streaming writer against the bulk path, borrowed-view semantics,
-// and a corruption battery — every malformed file must come back as a
-// Status error, never a crash.
+// raw (v1) append sessions, the legacy v2 reader (files from
+// testutil::WriteV2Store), and a corruption battery — every malformed
+// file must come back as a Status error, never a crash.
 
 #include <gtest/gtest.h>
 
@@ -49,14 +50,32 @@ storage::FileHeader* HeaderOf(std::string* bytes) {
   return reinterpret_cast<storage::FileHeader*>(bytes->data());
 }
 
+/// The section table the front header points at (after the header, or
+/// in the commit trailer of an appended file).
+storage::SectionEntry* TableOf(std::string* bytes) {
+  const uint64_t offset = HeaderOf(bytes)->table_offset;
+  return reinterpret_cast<storage::SectionEntry*>(
+      bytes->data() +
+      (offset == 0 ? sizeof(storage::FileHeader) : offset));
+}
+
+/// Every table entry with `id`, in table order (column blocks).
+std::vector<storage::SectionEntry*> BlocksOf(std::string* bytes,
+                                             storage::SectionId id) {
+  std::vector<storage::SectionEntry*> blocks;
+  storage::SectionEntry* table = TableOf(bytes);
+  for (uint32_t i = 0; i < HeaderOf(bytes)->section_count; ++i) {
+    if (table[i].id == static_cast<uint32_t>(id)) {
+      blocks.push_back(&table[i]);
+    }
+  }
+  return blocks;
+}
+
 storage::SectionEntry* SectionOf(std::string* bytes,
                                  storage::SectionId id) {
-  auto* table = reinterpret_cast<storage::SectionEntry*>(
-      bytes->data() + sizeof(storage::FileHeader));
-  for (uint32_t i = 0; i < HeaderOf(bytes)->section_count; ++i) {
-    if (table[i].id == static_cast<uint32_t>(id)) return &table[i];
-  }
-  return nullptr;
+  const auto blocks = BlocksOf(bytes, id);
+  return blocks.empty() ? nullptr : blocks.front();
 }
 
 /// Recomputes section, table and header checksums so a deliberately
@@ -64,8 +83,7 @@ storage::SectionEntry* SectionOf(std::string* bytes,
 /// checksum gates.
 void FixChecksums(std::string* bytes) {
   auto* header = HeaderOf(bytes);
-  auto* table = reinterpret_cast<storage::SectionEntry*>(
-      bytes->data() + sizeof(storage::FileHeader));
+  auto* table = TableOf(bytes);
   for (uint32_t i = 0; i < header->section_count; ++i) {
     // A section the test pointed outside the file cannot be hashed;
     // the reader rejects it on bounds before any checksum check.
@@ -241,11 +259,13 @@ std::string MakeToyStore(const std::string& tag,
                          uint32_t version = storage::kFormatVersionV1) {
   testutil::Dataset data = testutil::PaperToyDataset();
   const std::string path = TempPath(tag + ".fdb");
-  storage::StoreWriter::Options options;
-  options.version = version;
-  EXPECT_TRUE(storage::WriteStoreFile(path, data.db, data.dict,
-                                      data.taxonomy, options)
-                  .ok());
+  if (version == storage::kFormatVersionV2) {
+    testutil::WriteV2Store(path, data.db, data.dict, data.taxonomy);
+  } else {
+    EXPECT_TRUE(storage::WriteStoreFile(path, data.db, data.dict,
+                                        data.taxonomy)
+                    .ok());
+  }
   return path;
 }
 
@@ -354,6 +374,35 @@ TEST(StorageCorruption, NonMonotoneOffsetsFail) {
             std::string::npos);
 }
 
+TEST(StorageCorruption, TrustedOpenStillChecksTheOffsets) {
+  // TransactionDb::Get hands out spans straight from the offsets, so a
+  // trusted open must not let one point past the items section (it
+  // would read on into the next section).
+  const std::string path = MakeToyStore("trusted_offsets");
+  std::string bytes = ReadFileBytes(path);
+  const auto* offsets =
+      SectionOf(&bytes, storage::SectionId::kTxnOffsets);
+  ASSERT_NE(offsets, nullptr);
+  uint64_t lo = 0;
+  std::memcpy(&lo, bytes.data() + offsets->offset, sizeof(lo));
+  const uint64_t bogus = lo + (uint64_t{1} << 30);
+  std::memcpy(bytes.data() + offsets->offset + sizeof(uint64_t), &bogus,
+              sizeof(bogus));
+  FixChecksums(&bytes);
+  WriteFileBytes(path, bytes);
+  storage::OpenOptions trusting;
+  trusting.validate = false;
+  for (const bool validate : {true, false}) {
+    auto reader = storage::StoreReader::Open(
+        path, validate ? storage::OpenOptions{} : trusting);
+    ASSERT_FALSE(reader.ok()) << "validate=" << validate;
+    EXPECT_EQ(reader.status().code(), StatusCode::kCorruptedData);
+    EXPECT_NE(reader.status().message().find("not monotone"),
+              std::string::npos)
+        << reader.status();
+  }
+}
+
 TEST(StorageCorruption, TrustedOpenSkipsThePayloadScan) {
   // Same corruption as OutOfRangeItemFails, but validate=false trusts
   // the payload; structural gates still pass, so Open succeeds. (This
@@ -393,17 +442,14 @@ TEST(StorageCorruption, VerifyChecksumsCatchesPayloadBitrot) {
 // --- v2: round trips, catalog semantics, corruption battery ---------
 
 TEST(StorageV2, RoundTripMatchesV1AndTextAtAnyThreadCount) {
-  // MakeConverted writes the default (latest = v2) store.
+  // MakeConverted writes the v1 store; the v2 copy comes from the
+  // legacy encoder.
   ConvertedDataset data = MakeConverted("v2_roundtrip");
-  const std::string v1_path = TempPath("v2_roundtrip_v1.fdb");
-  storage::StoreWriter::Options v1_options;
-  v1_options.version = storage::kFormatVersionV1;
-  ASSERT_TRUE(storage::WriteStoreFile(v1_path, data.db, data.dict,
-                                      data.taxonomy, v1_options)
-                  .ok());
+  const std::string v2_path = TempPath("v2_roundtrip_v2.fdb");
+  testutil::WriteV2Store(v2_path, data.db, data.dict, data.taxonomy);
 
-  auto v2 = storage::StoreReader::Open(data.store_path);
-  auto v1 = storage::StoreReader::Open(v1_path);
+  auto v2 = storage::StoreReader::Open(v2_path);
+  auto v1 = storage::StoreReader::Open(data.store_path);
   ASSERT_TRUE(v2.ok()) << v2.status();
   ASSERT_TRUE(v1.ok()) << v1.status();
   EXPECT_EQ(v2->version(), storage::kFormatVersionV2);
@@ -426,11 +472,10 @@ TEST(StorageV2, RoundTripMatchesV1AndTextAtAnyThreadCount) {
 TEST(StorageV2, CatalogIsExposedAndExact) {
   testutil::Dataset data = testutil::RandomDataset(77, 4, 2, 3, 400, 7);
   const std::string path = TempPath("v2_catalog.fdb");
-  storage::StoreWriter::Options options;
+  testutil::V2StoreOptions options;
   options.segment_txns = 64;
-  ASSERT_TRUE(storage::WriteStoreFile(path, data.db, data.dict,
-                                      data.taxonomy, options)
-                  .ok());
+  testutil::WriteV2Store(path, data.db, data.dict, data.taxonomy,
+                         options);
   auto reader = storage::StoreReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status();
   const SegmentCatalog* catalog = reader->catalog();
@@ -480,10 +525,12 @@ TEST(StorageV2, V1StoreCarriesNoCatalog) {
 
 TEST(StorageV2, HeapFallbackMatchesMmap) {
   ConvertedDataset data = MakeConverted("v2_heap");
+  const std::string v2_path = TempPath("v2_heap_v2.fdb");
+  testutil::WriteV2Store(v2_path, data.db, data.dict, data.taxonomy);
   storage::OpenOptions heap_options;
   heap_options.force_heap = true;
-  auto mapped = storage::StoreReader::Open(data.store_path);
-  auto heap = storage::StoreReader::Open(data.store_path, heap_options);
+  auto mapped = storage::StoreReader::Open(v2_path);
+  auto heap = storage::StoreReader::Open(v2_path, heap_options);
   ASSERT_TRUE(mapped.ok()) << mapped.status();
   ASSERT_TRUE(heap.ok()) << heap.status();
   EXPECT_FALSE(heap->mapped());
@@ -499,11 +546,13 @@ TEST(StorageV2, EmptyDatabaseRoundTrips) {
        {storage::kFormatVersionV1, storage::kFormatVersionV2}) {
     const std::string path =
         TempPath("empty_v" + std::to_string(version) + ".fdb");
-    storage::StoreWriter::Options options;
-    options.version = version;
-    ASSERT_TRUE(storage::WriteStoreFile(path, empty_db, data.dict,
-                                        data.taxonomy, options)
-                    .ok());
+    if (version == storage::kFormatVersionV2) {
+      testutil::WriteV2Store(path, empty_db, data.dict, data.taxonomy);
+    } else {
+      ASSERT_TRUE(storage::WriteStoreFile(path, empty_db, data.dict,
+                                          data.taxonomy)
+                      .ok());
+    }
     auto reader = storage::StoreReader::Open(path);
     ASSERT_TRUE(reader.ok()) << "v" << version << ": " << reader.status();
     EXPECT_EQ(reader->db().size(), 0u);
@@ -741,7 +790,7 @@ TEST(StorageCorruption, EmptyAndGarbageFilesFailCleanly) {
 
 // --- Append sessions -------------------------------------------------
 
-/// Writes the first `base_txns` transactions of `data` as a fresh v2
+/// Writes the first `base_txns` transactions of `data` as a fresh
 /// store at `path`.
 void WriteBaseStore(const std::string& path, const testutil::Dataset& data,
                     uint64_t base_txns, uint32_t segment_txns) {
@@ -787,12 +836,14 @@ TEST(StorageAppend, AppendThenMineEqualsRebuildThenMine) {
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
   EXPECT_TRUE(appended->VerifyChecksums().ok());
 
-  // Layout: one extra block pair, table relocated to the trailer.
+  // Layout: one extra raw block pair, table relocated to the trailer,
+  // no catalog.
+  EXPECT_EQ(appended->version(), storage::kFormatVersionV1);
   EXPECT_EQ(appended->header().section_count,
-            storage::kNumSectionsV2 + 2);
+            storage::kNumSectionsV1 + 2);
   EXPECT_NE(appended->header().table_offset, 0u);
   EXPECT_EQ(appended->db().size(), 90u);
-  ASSERT_NE(appended->catalog(), nullptr);
+  EXPECT_EQ(appended->catalog(), nullptr);
   // The appended transactions land in fresh segments after the base's
   // [0,16,32,48,60]; the 30 new ones cut at 16 -> [76, 90].
   const std::vector<uint64_t> boundaries(appended->segments().begin(),
@@ -824,7 +875,7 @@ TEST(StorageAppend, EverySessionAddsABlockPair) {
 
   auto reader = storage::StoreReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status();
-  EXPECT_EQ(reader->header().section_count, storage::kNumSectionsV2 + 4);
+  EXPECT_EQ(reader->header().section_count, storage::kNumSectionsV1 + 4);
   EXPECT_EQ(reader->db().size(), 60u);
   EXPECT_TRUE(reader->VerifyChecksums().ok());
   EXPECT_EQ(MineToCsv(reader->db(), reader->taxonomy(), reader->dict(), 1),
@@ -842,7 +893,7 @@ TEST(StorageAppend, EmptyAppendSessionCommitsCleanly) {
   auto reader = storage::StoreReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status();
   EXPECT_EQ(reader->db().size(), data.db.size());
-  EXPECT_EQ(reader->header().section_count, storage::kNumSectionsV2 + 2);
+  EXPECT_EQ(reader->header().section_count, storage::kNumSectionsV1 + 2);
   EXPECT_TRUE(reader->VerifyChecksums().ok());
   EXPECT_EQ(MineToCsv(reader->db(), reader->taxonomy(), reader->dict(), 1),
             base_csv);
@@ -893,20 +944,170 @@ TEST(StorageAppend, MutatedDictionaryIsRejectedAndRolledBack) {
   EXPECT_FALSE(writer->Append(data.db.Get(0)).ok());
 }
 
-TEST(StorageAppend, V1StoresAreReadOnly) {
-  const testutil::Dataset data = testutil::PaperToyDataset();
-  const std::string path = TempPath("append_v1.fdb");
-  storage::StoreWriter::Options options;
-  options.version = storage::kFormatVersionV1;
-  ASSERT_TRUE(storage::WriteStoreFile(path, data.db, data.dict,
-                                      data.taxonomy, options)
-                  .ok());
+TEST(StorageAppend, V2StoresAreReadOnly) {
+  const std::string path =
+      MakeToyStore("append_v2", storage::kFormatVersionV2);
+  const std::string before = ReadFileBytes(path);
   auto writer = storage::StoreWriter::OpenAppend(path);
   ASSERT_FALSE(writer.ok());
   EXPECT_EQ(writer.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(writer.status().message().find("read-only"),
             std::string::npos)
       << writer.status();
+  EXPECT_NE(writer.status().message().find("convert --from-fdb"),
+            std::string::npos)
+      << writer.status();
+  EXPECT_EQ(ReadFileBytes(path), before);
+}
+
+TEST(StorageAppend, ThreeSessionsOpenToTheBulkWrittenDb) {
+  const testutil::Dataset data =
+      testutil::RandomDataset(2024, 4, 2, 3, 200, 7);
+  const std::string appended_path = TempPath("append_three.fdb");
+  const std::string bulk_path = TempPath("append_three_bulk.fdb");
+  WriteBaseStore(appended_path, data, 50, /*segment_txns=*/32);
+  AppendSession(appended_path, data, 50, 120);
+  AppendSession(appended_path, data, 120, 120);  // empty session
+  AppendSession(appended_path, data, 120, 200);
+  ASSERT_TRUE(storage::WriteStoreFile(bulk_path, data.db, data.dict,
+                                      data.taxonomy)
+                  .ok());
+
+  for (const bool heap : {false, true}) {
+    storage::OpenOptions options;
+    options.force_heap = heap;
+    auto appended = storage::StoreReader::Open(appended_path, options);
+    auto bulk = storage::StoreReader::Open(bulk_path, options);
+    ASSERT_TRUE(appended.ok()) << appended.status();
+    ASSERT_TRUE(bulk.ok()) << bulk.status();
+    EXPECT_EQ(appended->header().section_count,
+              storage::kNumSectionsV1 + 6);
+    EXPECT_EQ(bulk->header().section_count, storage::kNumSectionsV1);
+    EXPECT_TRUE(appended->VerifyChecksums().ok());
+    const TransactionDb& a = appended->db();
+    const TransactionDb& b = bulk->db();
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(a.total_items(), b.total_items());
+    EXPECT_EQ(a.alphabet_size(), b.alphabet_size());
+    EXPECT_EQ(a.max_width(), b.max_width());
+    for (TxnId t = 0; t < a.size(); ++t) {
+      const auto x = a.Get(t);
+      const auto y = b.Get(t);
+      ASSERT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end()))
+          << "txn " << t;
+    }
+    // Trusted opens concatenate the same way.
+    storage::OpenOptions trusting = options;
+    trusting.validate = false;
+    auto trusted = storage::StoreReader::Open(appended_path, trusting);
+    ASSERT_TRUE(trusted.ok()) << trusted.status();
+    EXPECT_EQ(trusted->db().total_items(), b.total_items());
+  }
+}
+
+/// The toy store written as 6 transactions plus one 4-transaction
+/// append session: two raw column block pairs, the section table in
+/// the commit trailer.
+std::string MakeAppendedToyStore(const std::string& tag) {
+  const testutil::Dataset data = testutil::PaperToyDataset();
+  const std::string path = TempPath(tag + ".fdb");
+  WriteBaseStore(path, data, 6, /*segment_txns=*/4);
+  AppendSession(path, data, 6, data.db.size());
+  EXPECT_TRUE(storage::StoreReader::Open(path).ok());
+  return path;
+}
+
+/// Opens `bytes` (checksums fixed) validated and trusted; both must
+/// fail with CorruptedData naming `what`.
+void ExpectCorruptBlocks(const std::string& tag, std::string bytes,
+                         const std::string& what) {
+  FixChecksums(&bytes);
+  const std::string path = TempPath(tag + "_corrupt.fdb");
+  WriteFileBytes(path, bytes);
+  storage::OpenOptions trusting;
+  trusting.validate = false;
+  for (const bool validate : {true, false}) {
+    auto reader = storage::StoreReader::Open(
+        path, validate ? storage::OpenOptions{} : trusting);
+    ASSERT_FALSE(reader.ok()) << what << " validate=" << validate;
+    EXPECT_EQ(reader.status().code(), StatusCode::kCorruptedData);
+    EXPECT_NE(reader.status().message().find(what), std::string::npos)
+        << reader.status();
+  }
+}
+
+TEST(StorageAppendCorruption, UnpairedBlocksFail) {
+  std::string bytes = ReadFileBytes(MakeAppendedToyStore("raw_unpaired"));
+  const auto items = BlocksOf(&bytes, storage::SectionId::kTxnItems);
+  ASSERT_EQ(items.size(), 2u);
+  items[1]->id = static_cast<uint32_t>(storage::SectionId::kTxnOffsets);
+  ExpectCorruptBlocks("raw_unpaired", bytes, "unpaired");
+}
+
+TEST(StorageAppendCorruption, OffsetsBlockMustContinueItsPredecessor) {
+  std::string bytes =
+      ReadFileBytes(MakeAppendedToyStore("raw_discontinuous"));
+  const auto offsets = BlocksOf(&bytes, storage::SectionId::kTxnOffsets);
+  ASSERT_EQ(offsets.size(), 2u);
+  // Shift the whole second block: it still spans as many items as its
+  // items block holds, but no longer starts where block 0 ended.
+  for (uint64_t i = 0; i < offsets[1]->size / sizeof(uint64_t); ++i) {
+    uint64_t value = 0;
+    char* at = bytes.data() + offsets[1]->offset + i * sizeof(uint64_t);
+    std::memcpy(&value, at, sizeof(value));
+    value += 1;
+    std::memcpy(at, &value, sizeof(value));
+  }
+  ExpectCorruptBlocks("raw_discontinuous", bytes,
+                      "does not continue its predecessor");
+}
+
+TEST(StorageAppendCorruption, BlockCutInsideATransactionFails) {
+  std::string bytes = ReadFileBytes(MakeAppendedToyStore("raw_cut"));
+  const auto items = BlocksOf(&bytes, storage::SectionId::kTxnItems);
+  ASSERT_EQ(items.size(), 2u);
+  // Block 0 loses the last item of its last transaction.
+  items[0]->size -= sizeof(ItemId);
+  ExpectCorruptBlocks("raw_cut", bytes,
+                      "does not end on a transaction boundary");
+}
+
+TEST(StorageV2, MultiBlockFilesDecodeAsOneColumn) {
+  // Legacy v2 append sessions left one varint block pair each; the
+  // reader concatenates them in table order.
+  const testutil::Dataset data =
+      testutil::RandomDataset(4321, 4, 2, 3, 90, 6);
+  const std::string single_path = TempPath("v2_single_block.fdb");
+  const std::string multi_path = TempPath("v2_multi_block.fdb");
+  testutil::V2StoreOptions options;
+  options.segment_txns = 16;
+  testutil::WriteV2Store(single_path, data.db, data.dict, data.taxonomy,
+                         options);
+  options.block_starts = {60, 75, 90};  // the last pair is empty
+  testutil::WriteV2Store(multi_path, data.db, data.dict, data.taxonomy,
+                         options);
+
+  auto single = storage::StoreReader::Open(single_path);
+  auto multi = storage::StoreReader::Open(multi_path);
+  ASSERT_TRUE(single.ok()) << single.status();
+  ASSERT_TRUE(multi.ok()) << multi.status();
+  EXPECT_EQ(multi->header().section_count, storage::kNumSectionsV2 + 6);
+  EXPECT_TRUE(multi->VerifyChecksums().ok());
+  ASSERT_NE(multi->catalog(), nullptr);
+  const std::vector<uint64_t> boundaries(multi->segments().begin(),
+                                         multi->segments().end());
+  EXPECT_EQ(boundaries,
+            (std::vector<uint64_t>{0, 16, 32, 48, 60, 75, 90}));
+  for (const int threads : {1, 4}) {
+    const std::string expected =
+        MineToCsv(data.db, data.taxonomy, data.dict, threads);
+    EXPECT_EQ(MineToCsv(single->db(), single->taxonomy(), single->dict(),
+                        threads),
+              expected);
+    EXPECT_EQ(MineToCsv(multi->db(), multi->taxonomy(), multi->dict(),
+                        threads),
+              expected);
+  }
 }
 
 TEST(StorageAppend, TornStoreRefusesAppendUntilRepaired) {

@@ -15,6 +15,8 @@
 #include "core/flipper_miner.h"
 #include "core/pattern_io.h"
 #include "data/db_io.h"
+#include "storage/store_reader.h"
+#include "storage/store_writer.h"
 #include "taxonomy/taxonomy_io.h"
 #include "test_util.h"
 
@@ -175,6 +177,18 @@ int RunCli(const std::vector<std::string>& cli_args, std::string* out_text,
   return rc;
 }
 
+std::string SlurpFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream oss;
+  oss << in.rdbuf();
+  return oss.str();
+}
+
+void DumpFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
 class FlipperCliEndToEnd : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -200,10 +214,11 @@ TEST_F(FlipperCliEndToEnd, ConvertInspectAndMineAreBitIdentical) {
   EXPECT_NE(out_.find("wrote " + store_), std::string::npos);
 
   ASSERT_EQ(RunCli({"inspect", store_}, &out_, &err_), 0) << err_;
-  EXPECT_NE(out_.find("FlipperStore v2"), std::string::npos);
+  EXPECT_NE(out_.find("FlipperStore v1"), std::string::npos);
+  EXPECT_NE(out_.find("(mmap)"), std::string::npos);
   EXPECT_NE(out_.find("checksums: OK"), std::string::npos);
   EXPECT_NE(out_.find("txn_items"), std::string::npos);
-  EXPECT_NE(out_.find("catalog:"), std::string::npos);
+  EXPECT_NE(out_.find("catalog: none"), std::string::npos);
 
   const std::vector<std::string> mining_flags = {
       "--gamma=0.6", "--epsilon=0.35", "--minsup=0.1,0.1,0.1",
@@ -245,28 +260,36 @@ TEST_F(FlipperCliEndToEnd, ConvertInspectAndMineAreBitIdentical) {
   }
 }
 
-TEST_F(FlipperCliEndToEnd, ConvertStoreVersionsAndDowngrade) {
-  // Explicit v1 conversion still writes a v1 store.
-  const std::string v1_store = ::testing::TempDir() + "cli_e2e_v1.fdb";
-  ASSERT_EQ(RunCli({"convert", basket_, taxonomy_, v1_store,
-                    "--store-version=1"},
-                   &out_, &err_),
-            0)
-      << err_;
-  ASSERT_EQ(RunCli({"inspect", v1_store}, &out_, &err_), 0) << err_;
-  EXPECT_NE(out_.find("FlipperStore v1"), std::string::npos);
-  EXPECT_NE(out_.find("catalog: none"), std::string::npos);
-
-  // Default conversion is v2; upgrade the v1 file and compare mining.
+TEST_F(FlipperCliEndToEnd, ConvertUpgradesLegacyV2Stores) {
+  // Conversion writes v1 (raw columns, no catalog).
   ASSERT_EQ(RunCli({"convert", basket_, taxonomy_, store_}, &out_, &err_),
             0)
       << err_;
+  EXPECT_NE(out_.find("(v1)"), std::string::npos) << out_;
+
+  // A legacy v2 store of the same inputs (ids assigned as the CLI's
+  // text readers assign them).
+  ItemDictionary dict;
+  auto taxonomy = ReadTaxonomyFile(taxonomy_, &dict);
+  ASSERT_TRUE(taxonomy.ok()) << taxonomy.status();
+  auto db = ReadBasketFile(basket_, &dict);
+  ASSERT_TRUE(db.ok()) << db.status();
+  const std::string v2_store = ::testing::TempDir() + "cli_e2e_v2.fdb";
+  testutil::WriteV2Store(v2_store, *db, dict, *taxonomy);
+  ASSERT_EQ(RunCli({"inspect", v2_store}, &out_, &err_), 0) << err_;
+  EXPECT_NE(out_.find("FlipperStore v2"), std::string::npos);
+  EXPECT_NE(out_.find("catalog: 1 segments"), std::string::npos) << out_;
+
+  // Upgrade it; the result is a compact v1 store.
   const std::string upgraded = ::testing::TempDir() + "cli_e2e_up.fdb";
-  ASSERT_EQ(RunCli({"convert", "--from-fdb", v1_store, upgraded},
+  ASSERT_EQ(RunCli({"convert", "--from-fdb", v2_store, upgraded},
                    &out_, &err_),
             0)
       << err_;
-  EXPECT_NE(out_.find("v1 -> v2"), std::string::npos);
+  EXPECT_NE(out_.find("v2 -> v1"), std::string::npos) << out_;
+  ASSERT_EQ(RunCli({"inspect", upgraded}, &out_, &err_), 0) << err_;
+  EXPECT_NE(out_.find("FlipperStore v1"), std::string::npos);
+  EXPECT_NE(out_.find("catalog: none"), std::string::npos);
 
   const std::vector<std::string> mining_flags = {
       "--gamma=0.6", "--epsilon=0.35", "--minsup=0.1,0.1,0.1",
@@ -278,24 +301,66 @@ TEST_F(FlipperCliEndToEnd, ConvertStoreVersionsAndDowngrade) {
     EXPECT_EQ(RunCli(cmd, &csv, &err_), 0) << err_;
     return csv;
   };
-  const std::string v1_csv = mine_store(v1_store);
+  const std::string v1_csv = mine_store(store_);
   EXPECT_FALSE(v1_csv.empty());
-  EXPECT_EQ(v1_csv, mine_store(store_));
+  EXPECT_EQ(v1_csv, mine_store(v2_store));
   EXPECT_EQ(v1_csv, mine_store(upgraded));
+  // The upgrade is exactly what a fresh conversion writes.
+  EXPECT_EQ(SlurpFile(upgraded), SlurpFile(store_));
 
-  // Downgrade back to v1; the upgraded and downgraded files mine the
-  // same patterns.
-  const std::string downgraded =
-      ::testing::TempDir() + "cli_e2e_down.fdb";
-  ASSERT_EQ(RunCli({"convert", "--from-fdb", upgraded, downgraded,
-                    "--store-version=1"},
+  // The version flag is gone: an unknown flag is a usage error.
+  EXPECT_EQ(RunCli({"convert", "--from-fdb", v2_store, upgraded,
+                    "--store-version=2"},
+                   &out_, &err_),
+            2);
+  EXPECT_NE(err_.find("unknown flag --store-version"), std::string::npos)
+      << err_;
+}
+
+TEST_F(FlipperCliEndToEnd, ConvertCompactsAnAppendedStore) {
+  ASSERT_EQ(RunCli({"convert", basket_, taxonomy_, store_}, &out_, &err_),
+            0)
+      << err_;
+  const std::string compact = SlurpFile(store_);
+  // Grow a 6-transaction prefix back to the full toy set with one
+  // append session: two raw block pairs, the table in the trailer.
+  auto reader = storage::StoreReader::Open(store_);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  const std::string grown = ::testing::TempDir() + "cli_e2e_grown.fdb";
+  {
+    auto writer = storage::StoreWriter::Create(grown);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    for (TxnId t = 0; t < 6; ++t) {
+      ASSERT_TRUE(writer->Append(reader->db().Get(t)).ok());
+    }
+    ASSERT_TRUE(writer->Finish(reader->dict(), reader->taxonomy()).ok());
+    auto session = storage::StoreWriter::OpenAppend(grown);
+    ASSERT_TRUE(session.ok()) << session.status();
+    for (TxnId t = 6; t < reader->db().size(); ++t) {
+      ASSERT_TRUE(session->Append(reader->db().Get(t)).ok());
+    }
+    ASSERT_TRUE(session->Finish(reader->dict(), reader->taxonomy()).ok());
+  }
+  EXPECT_GT(SlurpFile(grown).size(), compact.size());
+
+  // Not a compact v1 input, so convert re-encodes instead of copying:
+  // one block pair, the table after the header — the bytes a fresh
+  // conversion at the carried-over segment size (6) writes.
+  const std::string compacted =
+      ::testing::TempDir() + "cli_e2e_compacted.fdb";
+  ASSERT_EQ(RunCli({"convert", "--from-fdb", grown, compacted}, &out_,
+                   &err_),
+            0)
+      << err_;
+  EXPECT_EQ(out_.find("validated copy"), std::string::npos) << out_;
+  EXPECT_NE(out_.find("v1 -> v1"), std::string::npos) << out_;
+  const std::string fresh = ::testing::TempDir() + "cli_e2e_fresh6.fdb";
+  ASSERT_EQ(RunCli({"convert", basket_, taxonomy_, fresh,
+                    "--segment-txns=6"},
                    &out_, &err_),
             0)
       << err_;
-  EXPECT_NE(out_.find("v2 -> v1"), std::string::npos);
-  ASSERT_EQ(RunCli({"inspect", downgraded}, &out_, &err_), 0) << err_;
-  EXPECT_NE(out_.find("FlipperStore v1"), std::string::npos);
-  EXPECT_EQ(v1_csv, mine_store(downgraded));
+  EXPECT_EQ(SlurpFile(compacted), SlurpFile(fresh));
 }
 
 TEST_F(FlipperCliEndToEnd, ConvertSameVersionIsAValidatedCopy) {
@@ -311,7 +376,7 @@ TEST_F(FlipperCliEndToEnd, ConvertSameVersionIsAValidatedCopy) {
             0)
       << err_;
   EXPECT_NE(out_.find("validated copy"), std::string::npos);
-  EXPECT_NE(out_.find("already v2"), std::string::npos);
+  EXPECT_NE(out_.find("already v1"), std::string::npos);
 
   std::ifstream copy_file(copy, std::ios::binary);
   std::ostringstream copy_bytes;
@@ -339,7 +404,7 @@ TEST_F(FlipperCliEndToEnd, ConvertSameVersionIsAValidatedCopy) {
   before_bytes << before_file.rdbuf();
   before_file.close();
   EXPECT_EQ(RunCli({"convert", "--from-fdb", copy, copy,
-                    "--store-version=1"},
+                    "--segment-txns=4"},
                    &out_, &err_),
             2);
   EXPECT_NE(err_.find("onto itself"), std::string::npos);
@@ -367,9 +432,9 @@ TEST_F(FlipperCliEndToEnd, ConvertSameVersionIsAValidatedCopy) {
   EXPECT_NE(RunCli({"convert", "--from-fdb", store_, copy}, &out_, &err_),
             0);
   // The re-encode path must refuse the same bitrot too — otherwise a
-  // version change would launder it into a freshly checksummed file.
+  // re-shard would launder it into a freshly checksummed file.
   EXPECT_NE(RunCli({"convert", "--from-fdb", store_, copy,
-                    "--store-version=1"},
+                    "--segment-txns=4"},
                    &out_, &err_),
             0);
 }
@@ -395,18 +460,6 @@ TEST_F(FlipperCliEndToEnd, MineRejectsACorruptStore) {
   // A failed inspect explains itself with the per-section diagnosis
   // rather than a bare open error.
   EXPECT_NE(err_.find("diagnosis:"), std::string::npos);
-}
-
-std::string SlurpFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream oss;
-  oss << in.rdbuf();
-  return oss.str();
-}
-
-void DumpFile(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 TEST_F(FlipperCliEndToEnd, ValidateAndRepairRecoverATornStore) {

@@ -61,14 +61,12 @@ TEST(TrieInvariance, MinedOutputIdenticalAcrossTrieModes) {
 
   storage::StoreWriter::Options store_options;
   store_options.segment_txns = 256;  // several segments per shard
-  store_options.version = storage::kFormatVersionV1;
   ASSERT_TRUE(storage::WriteStoreFile(v1_path, *db, dict, *taxonomy,
                                       store_options)
                   .ok());
-  store_options.version = storage::kFormatVersionV2;
-  ASSERT_TRUE(storage::WriteStoreFile(v2_path, *db, dict, *taxonomy,
-                                      store_options)
-                  .ok());
+  testutil::V2StoreOptions v2_options;
+  v2_options.segment_txns = 256;
+  testutil::WriteV2Store(v2_path, *db, dict, *taxonomy, v2_options);
   auto v1 = storage::StoreReader::Open(v1_path);
   auto v2 = storage::StoreReader::Open(v2_path);
   ASSERT_TRUE(v1.ok()) << v1.status();

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Serve smoke: end-to-end daemon lifecycle check. Generates a store,
+# Serve smoke: end-to-end daemon lifecycle check. Generates a store
+# (and checks `inspect` reports it as a zero-copy mapped v1 store),
 # starts `flipper_cli serve` in the background (with a pidfile), waits
 # for readiness via `query --op ping` and asserts the daemon speaks
 # the expected protocol schema, drives `loadgen` with
@@ -58,6 +59,13 @@ trap cleanup EXIT
 
 echo "== serve smoke: datagen =="
 "$CLI_BIN" datagen groceries "$WORK_DIR/g.fdb" --txns 3000
+# datagen writes the raw v1 layout, which opens as zero-copy mmap views.
+INSPECT_OUT="$("$CLI_BIN" inspect "$WORK_DIR/g.fdb")"
+grep -q "FlipperStore v1, .* (mmap)$" <<<"$INSPECT_OUT" || {
+  echo "FAIL: the datagen store is not a mapped v1 store:" >&2
+  echo "$INSPECT_OUT" >&2
+  exit 1
+}
 
 echo "== serve smoke: start daemon =="
 PIDFILE="$WORK_DIR/serve.pid"
