@@ -954,8 +954,9 @@ int ServeCommand(const std::vector<const char*>& argv, std::ostream& out,
                "before cancelling them (default 5000)",
                "N");
   args.AddFlag("io-timeout-ms",
-               "per-call bound on socket reads/writes once a frame "
-               "has started, 0 = unbounded (default 30000)",
+               "drop a connection whose started request frame or "
+               "pending reply makes no progress for N ms, "
+               "0 = unbounded (default 30000)",
                "N");
   args.AddFlag("pidfile",
                "write the daemon's pid here on startup, remove it on "

@@ -1,6 +1,6 @@
 // Cooperative cancellation for long-running mining work.
 //
-// A CancelToken combines an explicit cancel flag (set by a watcher
+// A CancelToken combines an explicit cancel flag (set by another
 // thread, e.g. on client disconnect or daemon drain) with an optional
 // steady-clock deadline. Work loops poll Fired() at segment/batch
 // granularity; an un-fired token is a single relaxed atomic load (plus

@@ -95,6 +95,41 @@ void SplitKeyValue(std::string_view line, std::string* key,
   }
 }
 
+void PutFrameLength(uint32_t len, char* prefix) {
+  for (size_t i = 0; i < kFramePrefixBytes; ++i) {
+    prefix[i] = static_cast<char>((len >> (8 * i)) & 0xff);
+  }
+}
+
+Status CheckFrameSize(size_t payload_bytes) {
+  if (payload_bytes <= kMaxFrameBytes) return Status::OK();
+  return Status::InvalidArgument("frame payload exceeds " +
+                                 std::to_string(kMaxFrameBytes) +
+                                 " bytes");
+}
+
+/// Appends EncodeResponse's payload to `out`.
+void AppendResponse(const Response& response, std::string* out) {
+  if (response.ok) {
+    *out += "ok\n";
+  } else {
+    // The status line must stay one line; fold any embedded newlines.
+    std::string message = response.error;
+    for (char& c : message) {
+      if (c == '\n' || c == '\r') c = ' ';
+    }
+    *out += "error " + message + "\n";
+  }
+  for (const auto& [key, value] : response.meta) {
+    *out += key;
+    *out += ' ';
+    *out += value;
+    *out += '\n';
+  }
+  *out += '\n';
+  *out += response.body;
+}
+
 /// Strips one trailing '\n' (lines in payloads are newline-terminated).
 std::string_view ChopLine(std::string_view payload, size_t* pos) {
   const size_t eol = payload.find('\n', *pos);
@@ -200,16 +235,9 @@ Status WriteFrame(Stream* stream, std::string_view payload,
   return Status::FailedPrecondition(
       "the serve protocol requires POSIX sockets");
 #else
-  if (payload.size() > kMaxFrameBytes) {
-    return Status::InvalidArgument("frame payload exceeds " +
-                                   std::to_string(kMaxFrameBytes) +
-                                   " bytes");
-  }
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  char prefix[4] = {static_cast<char>(len & 0xff),
-                    static_cast<char>((len >> 8) & 0xff),
-                    static_cast<char>((len >> 16) & 0xff),
-                    static_cast<char>((len >> 24) & 0xff)};
+  FLIPPER_RETURN_IF_ERROR(CheckFrameSize(payload.size()));
+  char prefix[kFramePrefixBytes];
+  PutFrameLength(static_cast<uint32_t>(payload.size()), prefix);
   FLIPPER_RETURN_IF_ERROR(
       stream->WriteAll(prefix, sizeof(prefix), io.io_timeout_ms));
   if (payload.empty()) return Status::OK();
@@ -230,17 +258,13 @@ Result<std::string> ReadFrame(Stream* stream, const FrameIo& io) {
   return Status::FailedPrecondition(
       "the serve protocol requires POSIX sockets");
 #else
-  char prefix[4];
+  char prefix[kFramePrefixBytes];
   bool eof = false;
   FLIPPER_RETURN_IF_ERROR(ReadExact(stream, prefix, sizeof(prefix),
                                     io.idle_timeout_ms, io.io_timeout_ms,
                                     &eof));
   if (eof) return Status::NotFound("connection closed");
-  const uint32_t len = static_cast<uint32_t>(
-      static_cast<uint8_t>(prefix[0]) |
-      (static_cast<uint8_t>(prefix[1]) << 8) |
-      (static_cast<uint8_t>(prefix[2]) << 16) |
-      (static_cast<uint32_t>(static_cast<uint8_t>(prefix[3])) << 24));
+  const uint32_t len = DecodeFrameLength(prefix);
   if (len > kMaxFrameBytes) {
     return Status::CorruptedData("frame length " + std::to_string(len) +
                                  " exceeds the " +
@@ -377,25 +401,27 @@ std::string Response::Meta(std::string_view key,
 
 std::string EncodeResponse(const Response& response) {
   std::string payload;
-  if (response.ok) {
-    payload = "ok\n";
-  } else {
-    // The status line must stay one line; fold any embedded newlines.
-    std::string message = response.error;
-    for (char& c : message) {
-      if (c == '\n' || c == '\r') c = ' ';
-    }
-    payload = "error " + message + "\n";
-  }
-  for (const auto& [key, value] : response.meta) {
-    payload += key;
-    payload += ' ';
-    payload += value;
-    payload += '\n';
-  }
-  payload += '\n';
-  payload += response.body;
+  AppendResponse(response, &payload);
   return payload;
+}
+
+Result<std::string> EncodeResponseFrame(const Response& response) {
+  std::string frame(kFramePrefixBytes, '\0');
+  frame.reserve(kFramePrefixBytes + response.body.size() + 256);
+  AppendResponse(response, &frame);
+  const size_t payload_bytes = frame.size() - kFramePrefixBytes;
+  FLIPPER_RETURN_IF_ERROR(CheckFrameSize(payload_bytes));
+  PutFrameLength(static_cast<uint32_t>(payload_bytes), frame.data());
+  return frame;
+}
+
+uint32_t DecodeFrameLength(const char* prefix) {
+  uint32_t len = 0;
+  for (size_t i = 0; i < kFramePrefixBytes; ++i) {
+    len |= static_cast<uint32_t>(static_cast<uint8_t>(prefix[i]))
+           << (8 * i);
+  }
+  return len;
 }
 
 Result<Response> DecodeResponse(std::string_view payload) {

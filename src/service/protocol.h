@@ -99,6 +99,12 @@ struct FrameIo {
   int io_timeout_ms = 0;
 };
 
+/// Bytes in a frame's length prefix.
+constexpr size_t kFramePrefixBytes = 4;
+
+/// The payload length a frame's kFramePrefixBytes-byte prefix declares.
+uint32_t DecodeFrameLength(const char* prefix);
+
 /// Writes one length-prefixed frame, handling short writes and EINTR.
 Status WriteFrame(Stream* stream, std::string_view payload,
                   const FrameIo& io = {});
@@ -180,6 +186,9 @@ struct Response {
 };
 
 std::string EncodeResponse(const Response& response);
+/// EncodeResponse's payload as one whole frame, length prefix first,
+/// built in one pass. Fails with InvalidArgument past kMaxFrameBytes.
+Result<std::string> EncodeResponseFrame(const Response& response);
 Result<Response> DecodeResponse(std::string_view payload);
 
 }  // namespace service

@@ -81,7 +81,7 @@ Status StoreRegistry::Add(const std::string& name,
   return Status::OK();
 }
 
-Result<std::shared_ptr<const StoreEntry>> StoreRegistry::Get(
+Result<std::shared_ptr<const StoreEntry>> StoreRegistry::GetIfFresh(
     const std::string& name) {
   std::shared_ptr<const StoreEntry> current;
   {
@@ -97,12 +97,26 @@ Result<std::shared_ptr<const StoreEntry>> StoreRegistry::Get(
       stamp.mtime_ns == current->mtime_ns) {
     return current;
   }
+  return std::shared_ptr<const StoreEntry>();
+}
+
+Result<std::shared_ptr<const StoreEntry>> StoreRegistry::Get(
+    const std::string& name) {
+  FLIPPER_ASSIGN_OR_RETURN(std::shared_ptr<const StoreEntry> current,
+                           GetIfFresh(name));
+  if (current != nullptr) return current;
+  std::string path;
+  {
+    // Stores are never unregistered, so `name` is still present.
+    std::lock_guard<std::mutex> lock(mu_);
+    path = stores_.at(name)->path;
+  }
   // The file changed under us: reload outside the lock (slow), then
   // publish. A concurrent reload of the same store is harmless — last
   // writer wins, both entries are valid snapshots, and in-flight
   // queries keep whatever entry they already hold.
   FLIPPER_ASSIGN_OR_RETURN(std::shared_ptr<const StoreEntry> fresh,
-                           Load(name, current->path));
+                           Load(name, path));
   std::lock_guard<std::mutex> lock(mu_);
   stores_[name] = fresh;
   return fresh;

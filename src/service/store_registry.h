@@ -71,6 +71,12 @@ class StoreRegistry {
   /// changed on disk since the entry was built.
   Result<std::shared_ptr<const StoreEntry>> Get(const std::string& name);
 
+  /// As Get(), but never reloads: null when the file changed on disk
+  /// (Get() then reloads it). Costs one stat, so it never blocks on a
+  /// store open.
+  Result<std::shared_ptr<const StoreEntry>> GetIfFresh(
+      const std::string& name);
+
   /// Registered store names, sorted.
   std::vector<std::string> Names() const;
 

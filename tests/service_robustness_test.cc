@@ -5,10 +5,14 @@
 // mid-mine must free its scheduler slot; a sweep of hundreds of
 // random mid-frame kills and stalls must leave the daemon serving
 // with zero leaked connections or slots; and an un-fired CancelToken
-// must be provably invisible in the mined bytes. The daemon-wide
-// hang-up watcher must fire only the registration it polled for, even
-// as fd numbers are reused; pipelined requests must never read as a
-// hang-up; and concurrent queries must start no threads of their own.
+// must be provably invisible in the mined bytes. The event loop's
+// FIFO must cap concurrency, answer a full waiting room `overloaded`,
+// lapse queued deadlines on time and fail queued requests on drain; a
+// hung-up query's late reply must never reach a connection that
+// reuses its fd number; pipelined requests must never read as a
+// hang-up; idle connections and queries must start no threads of
+// their own; and running out of fds must not stop the daemon
+// accepting.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +25,9 @@
 #include <vector>
 
 #ifndef _WIN32
+#include <fcntl.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #endif
@@ -34,10 +40,8 @@
 #include "datagen/quest_gen.h"
 #include "datagen/taxonomy_gen.h"
 #include "service/client.h"
-#include "service/hangup_watcher.h"
 #include "service/mine_service.h"
 #include "service/protocol.h"
-#include "service/query_scheduler.h"
 #include "service/server.h"
 #include "storage/store_reader.h"
 #include "storage/store_writer.h"
@@ -112,59 +116,6 @@ TEST(JitteredBackoffTest, DelaysStayInHalfOpenWindowAndCap) {
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(twin.NextDelayMs(), twin2.NextDelayMs());
   }
-}
-
-// --- scheduler deadlines and shutdown ---------------------------------
-
-TEST(QuerySchedulerTest, QueuedDeadlineLapsesWithoutBlockingSuccessors) {
-  QueryScheduler scheduler(/*max_concurrent=*/1, /*max_queued=*/8);
-  auto held = scheduler.Admit();
-  ASSERT_TRUE(held.ok());
-
-  // A waiter whose deadline lapses in the waiting room leaves with
-  // DeadlineExceeded...
-  std::thread doomed([&]() {
-    auto ticket = scheduler.Admit(std::chrono::steady_clock::now() +
-                                  std::chrono::milliseconds(50));
-    ASSERT_FALSE(ticket.ok());
-    EXPECT_EQ(ticket.status().code(), StatusCode::kDeadlineExceeded);
-  });
-  while (scheduler.stats().waiting < 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // ...and a later arrival queued behind the abandoned turn must still
-  // be admitted once the held slot frees (the abandoned-turn sweep).
-  std::thread successor([&]() {
-    auto ticket = scheduler.Admit();
-    EXPECT_TRUE(ticket.ok()) << ticket.status();
-  });
-  doomed.join();
-  EXPECT_EQ(scheduler.stats().timed_out, 1u);
-  held = Result<QueryScheduler::Ticket>(QueryScheduler::Ticket());
-  successor.join();
-  EXPECT_EQ(scheduler.stats().running, 0);
-  EXPECT_EQ(scheduler.stats().waiting, 0);
-}
-
-TEST(QuerySchedulerTest, ShutdownFailsWaitersAndLaterAdmitsWithCancelled) {
-  QueryScheduler scheduler(/*max_concurrent=*/1, /*max_queued=*/8);
-  auto held = scheduler.Admit();
-  ASSERT_TRUE(held.ok());
-  std::thread waiter([&]() {
-    auto ticket = scheduler.Admit();
-    ASSERT_FALSE(ticket.ok());
-    EXPECT_EQ(ticket.status().code(), StatusCode::kCancelled);
-  });
-  while (scheduler.stats().waiting < 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  scheduler.Shutdown();
-  waiter.join();
-  auto late = scheduler.Admit();
-  ASSERT_FALSE(late.ok());
-  EXPECT_EQ(late.status().code(), StatusCode::kCancelled);
-  // The running query keeps its ticket across shutdown.
-  EXPECT_EQ(scheduler.stats().running, 1);
 }
 
 #ifndef _WIN32
@@ -265,103 +216,58 @@ Result<Response> MineOnce(
   return client.Call(request);
 }
 
-// --- the daemon-wide hang-up watcher ----------------------------------
-
-TEST(HangupWatcherTest, PeerCloseFiresTheToken) {
-  HangupWatcher watcher;
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  CancelToken token;
-  HangupWatcher::Registration watch = watcher.Watch(fds[0], &token);
-  ::close(fds[1]);
-  for (int i = 0; i < 5000 && !token.Fired(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+/// A slow-quest mine (store `slow`, cache off) bounded by `deadline_ms`,
+/// so a test never waits out the full multi-second run.
+Request SlowMine(int deadline_ms) {
+  Request request;
+  request.verb = "mine";
+  request.params.emplace_back("store", "slow");
+  request.params.emplace_back("cache", "off");
+  request.params.emplace_back("deadline_ms", std::to_string(deadline_ms));
+  for (const auto& [key, value] : SlowQuestParams()) {
+    request.params.emplace_back(key, value);
   }
-  EXPECT_TRUE(token.Fired());
-  EXPECT_TRUE(watch.Release());
-  EXPECT_TRUE(watch.Release());  // idempotent
-  ::close(fds[0]);
+  return request;
 }
 
-TEST(HangupWatcherTest, CleanUnregisterReportsNotFired) {
-  HangupWatcher watcher;
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  CancelToken token;
-  HangupWatcher::Registration watch = watcher.Watch(fds[0], &token);
-  // Pipelined request bytes from a live peer are not a hang-up.
-  ASSERT_EQ(::write(fds[1], "next", 4), 4);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(watch.Release());
-  EXPECT_FALSE(token.Fired());
-  // Ended registrations are inert: a later hang-up fires nothing.
-  ::close(fds[1]);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(token.Fired());
-  ::close(fds[0]);
+/// Connects and sends `request` without reading the reply; -1 on failure.
+int SendRaw(const std::string& socket_path, const Request& request) {
+  auto fd = Client::ConnectRawFd(socket_path);
+  if (!fd.ok()) {
+    ADD_FAILURE() << fd.status();
+    return -1;
+  }
+  EXPECT_TRUE(WriteFrame(*fd, EncodeRequest(request)).ok());
+  return *fd;
 }
 
-TEST(HangupWatcherTest, ReusedFdNumbersNeverFireALiveRegistration) {
-  HangupWatcher watcher;
-  // Healthy registrations that stay live for the whole test; they also
-  // widen each poll(2), and so the window in which the watcher holds
-  // results for fd numbers that get reused meanwhile.
-  constexpr int kSteady = 128;
-  int steady[kSteady][2];
-  CancelToken steady_tokens[kSteady];
-  std::vector<HangupWatcher::Registration> steady_watches;
-  for (int i = 0; i < kSteady; ++i) {
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, steady[i]), 0);
-    steady_watches.push_back(watcher.Watch(steady[i][0], &steady_tokens[i]));
-  }
-  // Each cycle: connections whose peers already hung up register (so
-  // the watcher's next poll reports them), end and close at once, and
-  // new connections get their fd numbers back and register while the
-  // watcher may still be applying that poll's stale results.
-  constexpr int kPerCycle = 8;
-  int reused = 0;
-  for (int cycle = 0; cycle < 1000; ++cycle) {
-    int dead[kPerCycle][2];
-    std::vector<int> dead_fds;
-    {
-      CancelToken dead_tokens[kPerCycle];
-      std::vector<HangupWatcher::Registration> watches;
-      for (int i = 0; i < kPerCycle; ++i) {
-        ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, dead[i]), 0);
-        ::close(dead[i][1]);
-        watches.push_back(watcher.Watch(dead[i][0], &dead_tokens[i]));
-        dead_fds.push_back(dead[i][0]);
-      }
-      for (auto& watch : watches) watch.Release();
+/// Reads one reply from a raw connection, waiting at most `timeout_ms`.
+Result<Response> ReadReply(int fd, int timeout_ms = 10000) {
+  FdStream stream(fd);
+  FrameIo io;
+  io.idle_timeout_ms = timeout_ms;
+  io.io_timeout_ms = timeout_ms;
+  FLIPPER_ASSIGN_OR_RETURN(std::string frame, ReadFrame(&stream, io));
+  return DecodeResponse(frame);
+}
+
+/// Sends `stats` (which refreshes the scheduler and connection gauges)
+/// until the daemon's `name` gauge reads `value`; false on timeout.
+bool AwaitGauge(const Server& server, Client* client,
+                const std::string& name, double value) {
+  Request stats;
+  stats.verb = "stats";
+  for (WallTimer timer; timer.ElapsedMillis() < 10000;) {
+    auto response = client->Call(stats);
+    if (response.ok() && response->ok &&
+        server.metrics().gauge(name) == value) {
+      return true;
     }
-    for (int fd : dead_fds) ::close(fd);
-    int live[kPerCycle][2];
-    CancelToken live_tokens[kPerCycle];
-    std::vector<HangupWatcher::Registration> watches;
-    for (int i = 0; i < kPerCycle; ++i) {
-      ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, live[i]), 0);
-      if (std::find(dead_fds.begin(), dead_fds.end(), live[i][0]) !=
-          dead_fds.end()) {
-        ++reused;
-      }
-      watches.push_back(watcher.Watch(live[i][0], &live_tokens[i]));
-    }
-    std::this_thread::yield();
-    for (int i = 0; i < kPerCycle; ++i) {
-      EXPECT_FALSE(watches[i].Release()) << "cycle " << cycle;
-      EXPECT_FALSE(live_tokens[i].Fired()) << "cycle " << cycle;
-      ::close(live[i][0]);
-      ::close(live[i][1]);
-    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  // The cycles really did hand fd numbers back.
-  EXPECT_GT(reused, 1000);
-  for (int i = 0; i < kSteady; ++i) {
-    EXPECT_FALSE(steady_watches[i].Release());
-    EXPECT_FALSE(steady_tokens[i].Fired());
-    ::close(steady[i][0]);
-    ::close(steady[i][1]);
-  }
+  ADD_FAILURE() << name << " never read " << value << " (last "
+                << server.metrics().gauge(name) << ")";
+  return false;
 }
 
 // --- un-fired tokens are invisible ------------------------------------
@@ -591,7 +497,17 @@ TEST(ServerRobustnessTest, PipelinedRequestsAreNotAHangup) {
     ASSERT_TRUE(response->ok) << "response " << i << ": " << response->error;
     EXPECT_EQ(response->body, oracles[i]) << "response " << i;
   }
+  // A hang-up after the replies is a clean finish, not a disconnect.
   ::close(*fd);
+  for (int i = 0; i < 500; ++i) {
+    if (server.metrics().counter("connections.closed") ==
+        server.metrics().counter("connections.opened")) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(server.metrics().counter("connections.closed"),
+            server.metrics().counter("connections.opened"));
   EXPECT_EQ(server.metrics().counter("queries.disconnected"), 0);
   EXPECT_EQ(server.metrics().counter("queries.cancelled"), 0);
   EXPECT_EQ(server.metrics().counter("queries.ok"), 2);
@@ -623,8 +539,10 @@ TEST(ServerRobustnessTest, ConcurrentQueriesStartNoThreadsOfTheirOwn) {
   Server server(options);
   ASSERT_TRUE(server.AddStore("slow", quest_path).ok());
   ASSERT_TRUE(server.Start().ok());
-  // The started, idle daemon: accept thread, hang-up watcher and the
-  // shared pool's workers all exist already.
+  // The started, idle daemon: the event loop and the shared pool's
+  // workers exist already. A running query holds one thread, started by
+  // the loop and counted in the bound below; its counting shards run on
+  // the shared pool, so it starts none of its own.
   const size_t idle = LiveThreads();
 
   // Four slow queries at once, each on its own connection; the
@@ -680,6 +598,344 @@ TEST(ServerRobustnessTest, ConcurrentQueriesStartNoThreadsOfTheirOwn) {
 
   server.Stop();
   std::remove(quest_path.c_str());
+}
+
+TEST(ServerRobustnessTest, IdleConnectionsHoldNoThreads) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "needs /proc/self/task";
+  }
+  const std::string store_path = TempPath("idle_conns.fdb");
+  WriteGroceries(store_path, 200, 3);
+  ServerOptions options;
+  options.socket_path = TempPath("idle_conns.sock");
+  Server server(options);
+  ASSERT_TRUE(server.AddStore("d", store_path).ok());
+  ASSERT_TRUE(server.Start().ok());
+  auto control = Client::ConnectWithRetry(options.socket_path, 10000);
+  ASSERT_TRUE(control.ok()) << control.status();
+  const size_t idle = LiveThreads();
+
+  // 64 connections that send nothing, and 4 that stop half-way through
+  // a frame's length prefix (within the default io_timeout_ms).
+  constexpr int kIdle = 64;
+  constexpr int kTorn = 4;
+  std::vector<int> fds;
+  for (int i = 0; i < kIdle + kTorn; ++i) {
+    auto fd = Client::ConnectRawFd(options.socket_path);
+    ASSERT_TRUE(fd.ok()) << fd.status();
+    if (i >= kIdle) {
+      const char partial[2] = {8, 0};
+      ASSERT_EQ(::send(*fd, partial, sizeof(partial), 0), 2);
+    }
+    fds.push_back(*fd);
+  }
+  ASSERT_TRUE(AwaitGauge(server, &*control, "connections.live",
+                         kIdle + kTorn + 1));
+  EXPECT_LE(LiveThreads(), idle);
+
+  // Every idle connection still answers.
+  Request ping;
+  ping.verb = "ping";
+  for (int i = 0; i < kIdle; ++i) {
+    ASSERT_TRUE(WriteFrame(fds[i], EncodeRequest(ping)).ok());
+    auto pong = ReadReply(fds[i]);
+    ASSERT_TRUE(pong.ok()) << "connection " << i << ": " << pong.status();
+    EXPECT_TRUE(pong->ok);
+    EXPECT_EQ(pong->Meta("schema"), std::to_string(kProtocolSchemaVersion));
+  }
+  EXPECT_LE(LiveThreads(), idle);
+  for (int fd : fds) ::close(fd);
+
+  server.Stop();
+  std::remove(store_path.c_str());
+}
+
+// --- admission: the loop's FIFO ---------------------------------------
+
+TEST(ServerRobustnessTest, ConcurrencyCapHoldsAndEveryRequestIsAdmitted) {
+  const std::string store_path = TempPath("cap.fdb");
+  WriteGroceries(store_path, 1500, 4);
+  const std::string oracle = SoloBody(store_path, {{"format", "csv"}});
+
+  ServerOptions options;
+  options.socket_path = TempPath("cap.sock");
+  options.max_concurrent = 2;
+  Server server(options);
+  ASSERT_TRUE(server.AddStore("g", store_path).ok());
+  ASSERT_TRUE(server.Start().ok());
+  auto control = Client::ConnectWithRetry(options.socket_path, 10000);
+  ASSERT_TRUE(control.ok()) << control.status();
+
+  // Eight misses at once; the daemon's own gauges, sampled throughout,
+  // must never show more than two running.
+  constexpr int kQueries = 8;
+  Request request;
+  request.verb = "mine";
+  request.params = {{"store", "g"}, {"format", "csv"}, {"cache", "off"}};
+  std::vector<pollfd> fds;
+  for (int i = 0; i < kQueries; ++i) {
+    const int fd = SendRaw(options.socket_path, request);
+    ASSERT_GE(fd, 0);
+    fds.push_back(pollfd{fd, POLLIN, 0});
+  }
+  Request stats;
+  stats.verb = "stats";
+  double peak_running = 0;
+  double peak_waiting = 0;
+  for (int ready = 0; ready < kQueries;) {
+    auto sample = control->Call(stats);
+    ASSERT_TRUE(sample.ok() && sample->ok);
+    peak_running =
+        std::max(peak_running, server.metrics().gauge("scheduler.running"));
+    peak_waiting =
+        std::max(peak_waiting, server.metrics().gauge("scheduler.waiting"));
+    ASSERT_GE(::poll(fds.data(), fds.size(), 1), 0);
+    ready = 0;
+    for (const pollfd& p : fds) ready += (p.revents & POLLIN) != 0;
+  }
+  // A request waits only while every slot is taken: the cap was hit.
+  EXPECT_LE(peak_running, 2.0);
+  EXPECT_GE(peak_waiting, 1.0);
+  for (const pollfd& p : fds) {
+    auto response = ReadReply(p.fd);
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_TRUE(response->ok) << response->error;
+    EXPECT_EQ(response->body, oracle);
+    ::close(p.fd);
+  }
+  ASSERT_TRUE(AwaitGauge(server, &*control, "scheduler.running", 0));
+  EXPECT_EQ(server.metrics().gauge("scheduler.admitted"), kQueries);
+  EXPECT_EQ(server.metrics().gauge("scheduler.rejected"), 0.0);
+  EXPECT_EQ(server.metrics().gauge("scheduler.waiting"), 0.0);
+  EXPECT_EQ(server.metrics().counter("queries.ok"), kQueries);
+
+  server.Stop();
+  std::remove(store_path.c_str());
+}
+
+TEST(ServerRobustnessTest, FullWaitingRoomAnswersOverloaded) {
+  const std::string quest_path = TempPath("overload_quest.fdb");
+  WriteSlowQuest(quest_path);
+  ServerOptions options;
+  options.socket_path = TempPath("overload.sock");
+  options.max_concurrent = 1;
+  options.max_queued = 1;
+  Server server(options);
+  ASSERT_TRUE(server.AddStore("slow", quest_path).ok());
+  ASSERT_TRUE(server.Start().ok());
+  auto control = Client::ConnectWithRetry(options.socket_path, 10000);
+  ASSERT_TRUE(control.ok()) << control.status();
+
+  // One runs, one waits: the waiting room is full.
+  const int running = SendRaw(options.socket_path, SlowMine(5000));
+  ASSERT_TRUE(AwaitGauge(server, &*control, "scheduler.running", 1));
+  const int waiting = SendRaw(options.socket_path, SlowMine(5000));
+  ASSERT_TRUE(AwaitGauge(server, &*control, "scheduler.waiting", 1));
+
+  // The next arrival is refused at once, without queueing.
+  WallTimer timer;
+  auto refused = control->Call(SlowMine(5000));
+  ASSERT_TRUE(refused.ok()) << refused.status();
+  EXPECT_FALSE(refused->ok);
+  EXPECT_NE(refused->error.find("overloaded"), std::string::npos)
+      << refused->error;
+  EXPECT_LT(timer.ElapsedMillis(), 2000);
+
+  // A waiter whose peer hangs up is dropped without ever running, and
+  // the running query is cancelled by its own hang-up.
+  ::close(waiting);
+  ASSERT_TRUE(AwaitGauge(server, &*control, "scheduler.waiting", 0));
+  ::close(running);
+  ASSERT_TRUE(AwaitGauge(server, &*control, "scheduler.running", 0));
+  EXPECT_EQ(server.metrics().gauge("scheduler.rejected"), 1.0);
+  EXPECT_EQ(server.metrics().gauge("scheduler.admitted"), 1.0);
+  EXPECT_EQ(server.metrics().counter("queries.rejected"), 1);
+  EXPECT_EQ(server.metrics().counter("queries.disconnected"), 2);
+  EXPECT_EQ(server.metrics().counter("queries.failed"), 0);
+
+  server.Stop();
+  std::remove(quest_path.c_str());
+}
+
+TEST(ServerRobustnessTest, QueuedDeadlineLapsesOnTimeWithoutBlockingSuccessors) {
+  const std::string quest_path = TempPath("queued_deadline_quest.fdb");
+  const std::string groceries_path =
+      TempPath("queued_deadline_groceries.fdb");
+  WriteSlowQuest(quest_path);
+  WriteGroceries(groceries_path, 800, 6);
+  const std::string oracle = SoloBody(groceries_path, {{"format", "csv"}});
+  ServerOptions options;
+  options.socket_path = TempPath("queued_deadline.sock");
+  options.max_concurrent = 1;
+  Server server(options);
+  ASSERT_TRUE(server.AddStore("slow", quest_path).ok());
+  ASSERT_TRUE(server.AddStore("g", groceries_path).ok());
+  ASSERT_TRUE(server.Start().ok());
+  auto control = Client::ConnectWithRetry(options.socket_path, 10000);
+  ASSERT_TRUE(control.ok()) << control.status();
+
+  const int running = SendRaw(options.socket_path, SlowMine(5000));
+  ASSERT_TRUE(AwaitGauge(server, &*control, "scheduler.running", 1));
+  // Queued behind it: a request whose deadline lapses in the queue, and
+  // one with no deadline behind that.
+  constexpr int kDeadlineMs = 200;
+  Request doomed = SlowMine(kDeadlineMs);
+  WallTimer timer;
+  const int doomed_fd = SendRaw(options.socket_path, doomed);
+  Request successor;
+  successor.verb = "mine";
+  successor.params = {{"store", "g"}, {"format", "csv"}};
+  const int successor_fd = SendRaw(options.socket_path, successor);
+
+  // The lapsed request is answered at its deadline, while the slow one
+  // still runs.
+  auto lapsed = ReadReply(doomed_fd);
+  const int64_t elapsed_ms = timer.ElapsedMillis();
+  ASSERT_TRUE(lapsed.ok()) << lapsed.status();
+  EXPECT_FALSE(lapsed->ok);
+  EXPECT_NE(lapsed->error.find("lapsed while queued"), std::string::npos)
+      << lapsed->error;
+  EXPECT_GE(elapsed_ms, kDeadlineMs);
+  EXPECT_LT(elapsed_ms, kDeadlineMs + 1500);
+  ASSERT_TRUE(AwaitGauge(server, &*control, "scheduler.waiting", 1));
+  EXPECT_EQ(server.metrics().gauge("scheduler.timed_out"), 1.0);
+  EXPECT_EQ(server.metrics().counter("queries.deadline_exceeded"), 1);
+
+  // Once the slot frees, the request behind the lapsed one runs.
+  ::close(running);
+  auto served = ReadReply(successor_fd);
+  ASSERT_TRUE(served.ok()) << served.status();
+  ASSERT_TRUE(served->ok) << served->error;
+  EXPECT_EQ(served->body, oracle);
+  EXPECT_EQ(server.metrics().counter("queries.failed"), 0);
+  ::close(doomed_fd);
+  ::close(successor_fd);
+
+  server.Stop();
+  std::remove(quest_path.c_str());
+  std::remove(groceries_path.c_str());
+}
+
+TEST(ServerRobustnessTest, HungUpQueryLateReplyNeverReachesAReusedFd) {
+  const std::string quest_path = TempPath("reuse_quest.fdb");
+  WriteSlowQuest(quest_path);
+  ServerOptions options;
+  options.socket_path = TempPath("reuse.sock");
+  Server server(options);
+  ASSERT_TRUE(server.AddStore("slow", quest_path).ok());
+  ASSERT_TRUE(server.Start().ok());
+  auto control = Client::ConnectWithRetry(options.socket_path, 10000);
+  ASSERT_TRUE(control.ok()) << control.status();
+  Request ping;
+  ping.verb = "ping";
+  const auto expect_pong = [&](int fd, int cycle) {
+    ASSERT_TRUE(WriteFrame(fd, EncodeRequest(ping)).ok());
+    auto pong = ReadReply(fd);
+    ASSERT_TRUE(pong.ok()) << "cycle " << cycle << ": " << pong.status();
+    EXPECT_TRUE(pong->ok) << "cycle " << cycle << ": " << pong->error;
+    EXPECT_EQ(pong->Meta("schema"), std::to_string(kProtocolSchemaVersion))
+        << "cycle " << cycle;
+  };
+
+  // Each cycle: a running query's client hangs up; the daemon closes
+  // its end at once, while the query is still unwinding. The next
+  // connection takes the freed fd numbers (the lowest free ones) and
+  // must only ever read replies to its own requests, before and after
+  // the late reply comes back.
+  constexpr int kCycles = 20;
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    const int abandoned = SendRaw(options.socket_path, SlowMine(5000));
+    ASSERT_TRUE(AwaitGauge(server, &*control, "scheduler.running", 1));
+    ::close(abandoned);
+    ASSERT_TRUE(AwaitGauge(server, &*control, "connections.live", 1));
+    auto fresh = Client::ConnectRawFd(options.socket_path);
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    expect_pong(*fresh, cycle);
+    // The slot frees only once the loop has taken the late reply.
+    ASSERT_TRUE(AwaitGauge(server, &*control, "scheduler.running", 0));
+    expect_pong(*fresh, cycle);
+    pollfd stray{*fresh, POLLIN, 0};
+    EXPECT_EQ(::poll(&stray, 1, 20), 0) << "cycle " << cycle;
+    ::close(*fresh);
+  }
+  EXPECT_EQ(server.metrics().counter("queries.disconnected"), kCycles);
+  EXPECT_EQ(server.metrics().counter("queries.failed"), 0);
+
+  server.Stop();
+  std::remove(quest_path.c_str());
+}
+
+// --- running out of fds -----------------------------------------------
+
+TEST(ServerRobustnessTest, AcceptSurvivesRunningOutOfFds) {
+  if (!std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "needs /proc/self/fd";
+  }
+  const std::string store_path = TempPath("emfile.fdb");
+  WriteGroceries(store_path, 200, 8);
+  ServerOptions options;
+  options.socket_path = TempPath("emfile.sock");
+  Server server(options);
+  ASSERT_TRUE(server.AddStore("d", store_path).ok());
+  ASSERT_TRUE(server.Start().ok());
+  {
+    auto ready = Client::ConnectWithRetry(options.socket_path, 10000);
+    ASSERT_TRUE(ready.ok()) << ready.status();
+  }
+
+  // Lower this process's fd limit (the daemon shares it) a little above
+  // the highest fd in use, and restore it however the test ends.
+  int highest = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    highest = std::max(highest, std::stoi(entry.path().filename().string()));
+  }
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  struct RestoreLimit {
+    rlimit limit;
+    ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &limit); }
+  } restore{saved};
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(highest) + 1 + 32;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+
+  // Use the fds up with held connections, fill what is left, then free
+  // exactly one for a last connection: its client end takes it, so the
+  // daemon's accept() fails with EMFILE.
+  std::vector<int> held;
+  for (int i = 0; i < 8; ++i) {
+    auto fd = Client::ConnectRawFd(options.socket_path);
+    ASSERT_TRUE(fd.ok()) << fd.status();
+    held.push_back(*fd);
+  }
+  std::vector<int> fillers;
+  for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) {
+    fillers.push_back(fd);
+  }
+  ASSERT_EQ(errno, EMFILE);
+  ASSERT_FALSE(fillers.empty());
+  ::close(fillers.back());
+  fillers.pop_back();
+  auto last = Client::ConnectRawFd(options.socket_path);
+  ASSERT_TRUE(last.ok()) << last.status();
+  held.push_back(*last);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  // Release everything; the daemon must accept again.
+  for (int fd : fillers) ::close(fd);
+  for (int fd : held) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  auto client = Client::Connect(options.socket_path);
+  ASSERT_TRUE(client.ok()) << client.status();
+  Request ping;
+  ping.verb = "ping";
+  auto pong = client->Call(ping, /*io_timeout_ms=*/5000);
+  ASSERT_TRUE(pong.ok()) << pong.status();
+  EXPECT_TRUE(pong->ok) << pong->error;
+
+  server.Stop();
+  std::remove(store_path.c_str());
 }
 
 // --- chaos sweep ------------------------------------------------------
@@ -825,35 +1081,41 @@ TEST(ServerRobustnessTest, StopCancelsInFlightQueriesWithinTheGrace) {
   ServerOptions options;
   options.socket_path = TempPath("drain.sock");
   options.drain_grace_ms = 150;
+  options.max_concurrent = 1;
   Server server(options);
   ASSERT_TRUE(server.AddStore("slow", quest_path).ok());
   ASSERT_TRUE(server.Start().ok());
-  {
-    auto ready = Client::ConnectWithRetry(options.socket_path, 10000);
-    ASSERT_TRUE(ready.ok()) << ready.status();
-  }
+  auto control = Client::ConnectWithRetry(options.socket_path, 10000);
+  ASSERT_TRUE(control.ok()) << control.status();
 
   // A slow query in flight when Stop() lands must be cancelled by the
   // drain token once the grace lapses — Stop may not hang for the
-  // mine's full runtime.
-  std::thread victim([&]() {
-    auto client = Client::ConnectWithRetry(options.socket_path, 10000);
-    ASSERT_TRUE(client.ok()) << client.status();
-    Request request;
-    request.verb = "mine";
-    request.params.emplace_back("store", "slow");
-    for (const auto& [key, value] : SlowQuestParams()) {
-      request.params.emplace_back(key, value);
-    }
-    // The daemon may or may not get the error frame out before the
-    // socket is torn down; both are acceptable outcomes here.
-    (void)client->Call(request);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  // mine's full runtime — and one queued behind it fails Cancelled.
+  Request request;
+  request.verb = "mine";
+  request.params.emplace_back("store", "slow");
+  for (const auto& [key, value] : SlowQuestParams()) {
+    request.params.emplace_back(key, value);
+  }
+  const int victim = SendRaw(options.socket_path, request);
+  ASSERT_TRUE(AwaitGauge(server, &*control, "scheduler.running", 1));
+  const int queued = SendRaw(options.socket_path, request);
+  ASSERT_TRUE(AwaitGauge(server, &*control, "scheduler.waiting", 1));
   WallTimer timer;
   server.Stop();
   EXPECT_LT(timer.ElapsedMillis(), 3000);
-  victim.join();
+  auto cancelled = ReadReply(queued);
+  ASSERT_TRUE(cancelled.ok()) << cancelled.status();
+  EXPECT_FALSE(cancelled->ok);
+  EXPECT_EQ(cancelled->error.rfind("Cancelled", 0), 0u) << cancelled->error;
+  // The victim's error frame goes out before the daemon closes too.
+  auto victim_reply = ReadReply(victim);
+  ASSERT_TRUE(victim_reply.ok()) << victim_reply.status();
+  EXPECT_FALSE(victim_reply->ok);
+  EXPECT_EQ(server.metrics().counter("queries.cancelled"), 2);
+  EXPECT_EQ(server.metrics().counter("queries.failed"), 0);
+  ::close(victim);
+  ::close(queued);
   std::remove(quest_path.c_str());
 }
 

@@ -1,9 +1,10 @@
-// Serve-daemon tests: protocol codec round trips, FIFO admission
-// control, the LRU result cache, stat-based store invalidation, and a
-// live end-to-end daemon over a real unix socket — N concurrent
-// queries must each come back byte-identical to a solo in-process
-// mine, repeats must hit the cache, and a store rewrite must
-// invalidate it.
+// Serve-daemon tests: protocol codec round trips, the LRU result
+// cache, stat-based store invalidation, and a live end-to-end daemon
+// over a real unix socket — N concurrent queries must each come back
+// byte-identical to a solo in-process mine, repeats must hit the
+// cache, a store rewrite must invalidate it, and a second daemon may
+// not take over a live daemon's socket. (The event loop's admission
+// FIFO is exercised in service_robustness_test.)
 
 #include <gtest/gtest.h>
 
@@ -11,19 +12,21 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #ifndef _WIN32
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 #endif
 
 #include "service/client.h"
 #include "service/mine_service.h"
 #include "service/protocol.h"
-#include "service/query_scheduler.h"
 #include "service/result_cache.h"
 #include "datagen/groceries_sim.h"
 #include "service/server.h"
@@ -95,56 +98,6 @@ TEST(Protocol, FrameRoundTripAndCleanEofOverSocketpair) {
   ::close(fds[1]);
 }
 #endif
-
-// --- scheduler --------------------------------------------------------
-
-TEST(QuerySchedulerTest, CapsConcurrencyAndAdmitsEveryone) {
-  QueryScheduler scheduler(/*max_concurrent=*/2, /*max_queued=*/64);
-  std::atomic<int> running{0};
-  std::atomic<int> peak{0};
-  std::atomic<int> admitted{0};
-  std::vector<std::thread> workers;
-  for (int i = 0; i < 8; ++i) {
-    workers.emplace_back([&]() {
-      auto ticket = scheduler.Admit();
-      ASSERT_TRUE(ticket.ok()) << ticket.status();
-      const int now = running.fetch_add(1) + 1;
-      int prev = peak.load();
-      while (now > prev && !peak.compare_exchange_weak(prev, now)) {
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      running.fetch_sub(1);
-      admitted.fetch_add(1);
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  EXPECT_EQ(admitted.load(), 8);
-  EXPECT_LE(peak.load(), 2);
-  EXPECT_EQ(scheduler.stats().admitted, 8u);
-  EXPECT_EQ(scheduler.stats().rejected, 0u);
-  EXPECT_EQ(scheduler.stats().running, 0);
-}
-
-TEST(QuerySchedulerTest, RejectsWhenWaitingRoomIsFull) {
-  QueryScheduler scheduler(/*max_concurrent=*/1, /*max_queued=*/1);
-  auto held = scheduler.Admit();
-  ASSERT_TRUE(held.ok());
-  std::thread waiter([&]() {
-    auto ticket = scheduler.Admit();  // fills the waiting room
-    EXPECT_TRUE(ticket.ok()) << ticket.status();
-  });
-  // Wait until the waiter is actually queued so the rejection below is
-  // deterministic.
-  while (scheduler.stats().waiting < 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  auto rejected = scheduler.Admit();
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
-  held = Result<QueryScheduler::Ticket>(QueryScheduler::Ticket());
-  waiter.join();
-  EXPECT_EQ(scheduler.stats().rejected, 1u);
-}
 
 // --- result cache -----------------------------------------------------
 
@@ -237,16 +190,26 @@ TEST(StoreRegistryTest, ReloadsWhenTheFileChangesOnDisk) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ((*again)->fingerprint, fp1);
   EXPECT_EQ(again->get(), first->get());
+  auto fresh = registry.GetIfFresh("d");
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh->get(), first->get());
 
-  // Rewrite with different contents (different size): the next Get
-  // must reload into a fresh entry with a new fingerprint while the
-  // old shared_ptr stays alive for in-flight queries.
+  // Rewrite with different contents (different size): GetIfFresh
+  // reports the entry stale without reloading; the next Get must
+  // reload into a fresh entry with a new fingerprint while the old
+  // shared_ptr stays alive for in-flight queries.
   WriteDataset(path, testutil::RandomDataset(12, 4, 2, 3, 220));
+  auto stale = registry.GetIfFresh("d");
+  ASSERT_TRUE(stale.ok()) << stale.status();
+  EXPECT_EQ(*stale, nullptr);
   auto reloaded = registry.Get("d");
   ASSERT_TRUE(reloaded.ok()) << reloaded.status();
   EXPECT_NE((*reloaded)->fingerprint, fp1);
   EXPECT_NE(reloaded->get(), first->get());
   EXPECT_GT((*first)->reader.db().size(), 0u);  // old entry still usable
+  auto after = registry.GetIfFresh("d");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->get(), reloaded->get());
   std::remove(path.c_str());
 }
 
@@ -459,6 +422,51 @@ TEST(ServerTest, ShutdownVerbAcknowledgesThenStopsTheDaemon) {
   EXPECT_TRUE(response->ok);
   waiter.join();  // Wait() returns: the daemon is down
   EXPECT_FALSE(Client::Connect(options.socket_path).ok());
+  std::remove(store_path.c_str());
+}
+
+TEST(ServerTest, StartRefusesALiveDaemonsSocketAndReplacesAStaleOne) {
+  const std::string store_path = TempPath("server_twice.fdb");
+  WriteGroceries(store_path, 200, 4);
+  ServerOptions options;
+  options.socket_path = TempPath("server_twice.sock");
+
+  // A stale socket file: its listener closed without unlinking it.
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(options.socket_path.size(), sizeof(addr.sun_path));
+  std::memcpy(addr.sun_path, options.socket_path.c_str(),
+              options.socket_path.size() + 1);
+  ::unlink(options.socket_path.c_str());
+  const int stale = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(stale, 0);
+  ASSERT_EQ(::bind(stale, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ::close(stale);
+  ASSERT_TRUE(std::filesystem::exists(options.socket_path));
+
+  Server first(options);
+  ASSERT_TRUE(first.AddStore("d", store_path).ok());
+  ASSERT_TRUE(first.Start().ok());
+  {
+    // A second daemon on the live path fails, and leaves it alone.
+    Server second(options);
+    const Status started = second.Start();
+    EXPECT_EQ(started.code(), StatusCode::kFailedPrecondition) << started;
+    EXPECT_NE(started.message().find(options.socket_path),
+              std::string::npos)
+        << started;
+  }
+  auto client = Client::ConnectWithRetry(options.socket_path, 10000);
+  ASSERT_TRUE(client.ok()) << client.status();
+  Request ping;
+  ping.verb = "ping";
+  auto pong = client->Call(ping);
+  ASSERT_TRUE(pong.ok()) << pong.status();
+  EXPECT_TRUE(pong->ok) << pong->error;
+
+  first.Stop();
   std::remove(store_path.c_str());
 }
 

@@ -9,7 +9,7 @@
 # latency median, storms the socket with
 # fault-injected connections (`loadgen --chaos`) and requires the
 # daemon to stay healthy, checks that the idle daemon's thread count
-# stays within nproc + 3 (`/proc/<pid>/status`), parses the daemon's
+# stays within nproc + 2 (`/proc/<pid>/status`), parses the daemon's
 # `stats` JSON (latency percentiles included), asks for `shutdown`
 # over the protocol and asserts the daemon exits cleanly with zero
 # failed queries and a removed pidfile. A second short-lived daemon then checks the other
@@ -137,12 +137,13 @@ grep -q "daemon healthy$" <<<"$CHAOS_OUT" || {
 }
 
 echo "== serve smoke: idle thread count =="
-# Queries start no threads of their own: once the legs above are done
-# (torn chaos connections may take a moment to close), the daemon holds
-# only its main, accept, signal and hang-up watcher threads plus the
-# shared pool's nproc - 1 workers.
+# Connections hold no threads, and a query's thread exits when it
+# finishes: once the legs above are done (torn chaos connections may
+# take a moment to close), the daemon holds only its main, event-loop
+# and signal threads plus the shared pool's nproc - 1 workers. The one
+# poll(2) loop replaced the accept and hang-up watcher threads.
 if [[ -r "/proc/$SERVE_PID/status" ]]; then
-  MAX_THREADS=$(( $(nproc) + 3 ))
+  MAX_THREADS=$(( $(nproc) + 2 ))
   THREADS=""
   for _ in $(seq 1 100); do
     THREADS="$(awk '/^Threads:/ {print $2}' "/proc/$SERVE_PID/status")"

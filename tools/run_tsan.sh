@@ -20,13 +20,13 @@ BUILD_DIR=build-tsan
 # hammer the observability layer's concurrent span recording and the
 # pool-task observer from many threads — the lock-free per-thread
 # buffers MUST go through TSan; service_test runs the serve daemon's
-# accept/connection threads, FIFO admission and concurrent queries
-# over shared store views end to end, every query on the daemon's one
-# shared pool; service_robustness_test races cancel tokens against
-# mid-count deadline checks, the daemon-wide hang-up watcher's
-# registrations against its poll loop and against fd reuse, and
-# graceful drain against in-flight queries — the cancellation
-# plumbing's relaxed atomics MUST go through TSan; thread_pool_test
+# event loop and concurrent queries over shared store views end to
+# end, every query on the daemon's one shared pool;
+# service_robustness_test races cancel tokens against mid-count
+# deadline checks, the loop's hang-up cancels and FIFO hand-offs
+# against running query threads and fd reuse, and graceful drain
+# against in-flight queries — the cancellation plumbing's relaxed
+# atomics MUST go through TSan; thread_pool_test
 # overlaps two submitters' batches on one pool); everything else is
 # single-threaded and only slows the instrumented run down.
 SUITES=(thread_pool_test counting_test parallel_counting_test
