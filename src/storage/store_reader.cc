@@ -104,19 +104,106 @@ class BlockCursor {
   const uint8_t* end_ = nullptr;
 };
 
+/// Items per chunk of SummarizeItems' inner loop.
+constexpr size_t kSummaryChunk = 64;
+
+/// The branch-free part of the v1 item check.
+struct ItemSummary {
+  ItemId max_item = 0;
+  /// Adjacent pairs with items[i-1] >= items[i], counted across
+  /// transaction boundaries too.
+  uint64_t unordered_pairs = 0;
+};
+
+/// One pass over a block's items in place. The inner loop runs a fixed
+/// kSummaryChunk items so that GCC vectorizes it at -O2, whose
+/// "very-cheap" cost model rejects loops that need a scalar epilogue.
+ItemSummary SummarizeItems(std::span<const ItemId> items) {
+  ItemSummary summary;
+  if (items.empty()) return summary;
+  const ItemId* p = items.data();
+  const size_t n = items.size();
+  ItemId max_item = p[0];
+  uint64_t unordered = 0;
+  size_t i = 1;
+  for (; i + kSummaryChunk <= n; i += kSummaryChunk) {
+    ItemId chunk_max = 0;
+    uint32_t chunk_unordered = 0;
+    for (size_t k = 0; k < kSummaryChunk; ++k) {
+      chunk_max = std::max(chunk_max, p[i + k]);
+      chunk_unordered += p[i + k - 1] >= p[i + k];
+    }
+    max_item = std::max(max_item, chunk_max);
+    unordered += chunk_unordered;
+  }
+  for (; i < n; ++i) {
+    max_item = std::max(max_item, p[i]);
+    unordered += p[i - 1] >= p[i];
+  }
+  summary.max_item = max_item;
+  summary.unordered_pairs = unordered;
+  return summary;
+}
+
+/// The unordered pairs that straddle two transactions: one per
+/// distinct transaction start strictly inside the block (an empty
+/// transaction repeats its successor's start). The bounds must have
+/// passed CheckColumnsV1.
+uint64_t CountUnorderedStarts(std::span<const uint64_t> bounds,
+                              std::span<const ItemId> items) {
+  const uint64_t first = bounds.front();
+  const uint64_t last = bounds.back();
+  uint64_t unordered = 0;
+  for (size_t t = 1; t + 1 < bounds.size(); ++t) {
+    const uint64_t start = bounds[t];
+    if (start != bounds[t - 1] && start != last) {
+      const uint64_t i = start - first;
+      unordered += items[i - 1] >= items[i];
+    }
+  }
+  return unordered;
+}
+
+/// The exact per-transaction check of one block, run only on a block
+/// whose summary failed: reports the block's lowest failing
+/// transaction by its index in the whole column.
+Status CheckItemsExactly(std::span<const uint64_t> bounds,
+                         std::span<const ItemId> items, uint64_t first_txn,
+                         ItemId alphabet_size) {
+  const uint64_t first = bounds.front();
+  for (size_t t = 0; t + 1 < bounds.size(); ++t) {
+    const uint64_t lo = bounds[t] - first;
+    const uint64_t hi = bounds[t + 1] - first;
+    for (uint64_t i = lo; i < hi; ++i) {
+      const ItemId item = items[i];
+      if (item >= alphabet_size) {
+        return Corrupt("item id " + std::to_string(item) +
+                       " out of range in txn " +
+                       std::to_string(first_txn + t));
+      }
+      if (i > lo && items[i - 1] >= item) {
+        return Corrupt("items of txn " + std::to_string(first_txn + t) +
+                       " are not sorted and duplicate-free");
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
-Status StoreReader::LoadColumnsV1(
+Status StoreReader::CheckColumnsV1(
     const std::byte* base,
     std::span<const SectionEntry* const> offsets_blocks,
     std::span<const SectionEntry* const> items_blocks,
-    std::span<const uint64_t>* offsets, std::span<const ItemId>* items) {
+    std::vector<ColumnBlock>* blocks) const {
   const FileHeader& h = header_;
   // The k-th offsets block holds absolute boundaries that continue
   // block k-1, and pairs with the k-th items block, which holds exactly
   // the items those boundaries span.
   uint64_t num_txns = 0;
   uint64_t num_items = 0;
+  blocks->reserve(offsets_blocks.size());
   for (size_t b = 0; b < offsets_blocks.size(); ++b) {
     const SectionEntry& oe = *offsets_blocks[b];
     const SectionEntry& ie = *items_blocks[b];
@@ -146,6 +233,7 @@ Status StoreReader::LoadColumnsV1(
                      " items, txn_items holds " +
                      std::to_string(ie.size / sizeof(ItemId)));
     }
+    blocks->push_back({bounds, U32Span(base, ie)});
     num_txns += bounds.size() - 1;
     num_items = bounds.back();
   }
@@ -157,47 +245,27 @@ Status StoreReader::LoadColumnsV1(
                    std::to_string(h.num_items));
   }
 
-  if (offsets_blocks.size() == 1) {
-    // A fresh (never appended) store: zero-copy views over the file.
-    *offsets = U64Span(base, *offsets_blocks[0]);
-    *items = U32Span(base, *items_blocks[0]);
-  } else {
-    // Appended: concatenate into one logical column (each later offsets
-    // block repeats its predecessor's last boundary).
-    column_offsets_.resize(num_txns + 1);
-    column_items_.resize(num_items);
-    uint64_t* next_offset = column_offsets_.data();
-    ItemId* next_item = column_items_.data();
-    for (size_t b = 0; b < offsets_blocks.size(); ++b) {
-      const std::span<const uint64_t> bounds =
-          U64Span(base, *offsets_blocks[b]).subspan(b == 0 ? 0 : 1);
-      std::memcpy(next_offset, bounds.data(), bounds.size_bytes());
-      next_offset += bounds.size();
-      const SectionEntry& ie = *items_blocks[b];
-      std::memcpy(next_item, base + ie.offset, ie.size);
-      next_item += ie.size / sizeof(ItemId);
-    }
-    *offsets = column_offsets_;
-    *items = column_items_;
-  }
-
   // TransactionDb::Get hands out spans straight from these offsets, so
   // they are checked even on trusted opens (O(transactions)). The block
-  // checks above pinned the first to 0 and the last to num_items.
-  const std::span<const uint64_t> csr = *offsets;
+  // checks above pinned each block's first boundary to its
+  // predecessor's last, the first to 0 and the last to num_items.
   uint32_t max_width = 0;
-  for (size_t t = 0; t + 1 < csr.size(); ++t) {
-    const uint64_t lo = csr[t];
-    const uint64_t hi = csr[t + 1];
-    if (lo > hi || hi > h.num_items) {
-      return Corrupt("transaction offsets are not monotone at txn " +
-                     std::to_string(t));
+  uint64_t txn = 0;
+  for (const ColumnBlock& block : *blocks) {
+    const std::span<const uint64_t> csr = block.bounds;
+    for (size_t t = 0; t + 1 < csr.size(); ++t, ++txn) {
+      const uint64_t lo = csr[t];
+      const uint64_t hi = csr[t + 1];
+      if (lo > hi || hi > h.num_items) {
+        return Corrupt("transaction offsets are not monotone at txn " +
+                       std::to_string(txn));
+      }
+      if (hi - lo > std::numeric_limits<uint32_t>::max()) {
+        return Corrupt("transaction width overflows at txn " +
+                       std::to_string(txn));
+      }
+      max_width = std::max(max_width, static_cast<uint32_t>(hi - lo));
     }
-    if (hi - lo > std::numeric_limits<uint32_t>::max()) {
-      return Corrupt("transaction width overflows at txn " +
-                     std::to_string(t));
-    }
-    max_width = std::max(max_width, static_cast<uint32_t>(hi - lo));
   }
   if (max_width != h.max_width) {
     return Corrupt("max_width mismatch: header records " +
@@ -207,29 +275,57 @@ Status StoreReader::LoadColumnsV1(
   return Status::OK();
 }
 
-Status StoreReader::ValidateItemsV1(std::span<const uint64_t> offsets,
-                                    std::span<const ItemId> items) const {
-  const FileHeader& h = header_;
-  ItemId max_item = 0;
-  bool any_item = false;
-  for (size_t t = 0; t + 1 < offsets.size(); ++t) {
-    const uint64_t lo = offsets[t];
-    const uint64_t hi = offsets[t + 1];
-    for (uint64_t i = lo; i < hi; ++i) {
-      const ItemId item = items[i];
-      if (item >= h.alphabet_size) {
-        return Corrupt("item id " + std::to_string(item) +
-                       " out of range in txn " + std::to_string(t));
-      }
-      if (i > lo && items[i - 1] >= item) {
-        return Corrupt("items of txn " + std::to_string(t) +
-                       " are not sorted and duplicate-free");
-      }
-      max_item = std::max(max_item, item);
-      any_item = true;
-    }
+void StoreReader::AssembleColumnsV1(std::span<const ColumnBlock> blocks,
+                                    std::span<const uint64_t>* offsets,
+                                    std::span<const ItemId>* items) {
+  if (blocks.size() == 1) {
+    // A fresh (never appended) store: zero-copy views over the file.
+    *offsets = blocks.front().bounds;
+    *items = blocks.front().items;
+    return;
   }
-  const ItemId actual_alphabet = any_item ? max_item + 1 : 0;
+  // Appended: concatenate into one logical column (each later offsets
+  // block repeats its predecessor's last boundary).
+  column_offsets_.resize(header_.num_transactions + 1);
+  column_items_.resize(header_.num_items);
+  uint64_t* next_offset = column_offsets_.data();
+  ItemId* next_item = column_items_.data();
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    const std::span<const uint64_t> bounds =
+        blocks[b].bounds.subspan(b == 0 ? 0 : 1);
+    std::memcpy(next_offset, bounds.data(), bounds.size_bytes());
+    next_offset += bounds.size();
+    std::memcpy(next_item, blocks[b].items.data(),
+                blocks[b].items.size_bytes());
+    next_item += blocks[b].items.size();
+  }
+  *offsets = column_offsets_;
+  *items = column_items_;
+}
+
+Status StoreReader::ValidateItemsV1(
+    std::span<const ColumnBlock> blocks) const {
+  const FileHeader& h = header_;
+  // A block passes when its largest item is in range and every
+  // unordered pair straddles two transactions; only a failing block
+  // is walked transaction by transaction, for the exact message.
+  // Blocks run in column order, so the first failing block holds the
+  // lowest failing transaction.
+  ItemId max_item = 0;
+  uint64_t first_txn = 0;
+  for (const ColumnBlock& block : blocks) {
+    const ItemSummary summary = SummarizeItems(block.items);
+    const bool in_range =
+        block.items.empty() || summary.max_item < h.alphabet_size;
+    if (!in_range || summary.unordered_pairs !=
+                         CountUnorderedStarts(block.bounds, block.items)) {
+      FLIPPER_RETURN_IF_ERROR(CheckItemsExactly(
+          block.bounds, block.items, first_txn, h.alphabet_size));
+    }
+    max_item = std::max(max_item, summary.max_item);
+    first_txn += block.bounds.size() - 1;
+  }
+  const ItemId actual_alphabet = h.num_items > 0 ? max_item + 1 : 0;
   if (actual_alphabet != h.alphabet_size) {
     return Corrupt("alphabet_size mismatch: header records " +
                    std::to_string(h.alphabet_size) + ", data has " +
@@ -482,6 +578,16 @@ Status StoreReader::DecodeCatalogV2(const std::byte* base,
 
 Result<StoreReader> StoreReader::Open(const std::string& path,
                                       const OpenOptions& options) {
+  return OpenCommitted(path, options, /*assemble_db=*/true);
+}
+
+Result<StoreReader> StoreReader::OpenAppendBase(const std::string& path) {
+  return OpenCommitted(path, OpenOptions{}, /*assemble_db=*/false);
+}
+
+Result<StoreReader> StoreReader::OpenCommitted(const std::string& path,
+                                               const OpenOptions& options,
+                                               bool assemble_db) {
   if constexpr (std::endian::native != std::endian::little) {
     return Status::Internal(
         "FlipperStore requires a little-endian host (fixed LE format)");
@@ -503,7 +609,7 @@ Result<StoreReader> StoreReader::Open(const std::string& path,
         " bytes, file has " + std::to_string(file.size()) +
         " — run `flipper_cli repair` to truncate the torn tail");
   }
-  return OpenParsed(std::move(file), h, options, path);
+  return OpenParsed(std::move(file), h, options, assemble_db, path);
 }
 
 Result<StoreReader> StoreReader::OpenPrefix(const std::string& path,
@@ -559,7 +665,8 @@ Result<StoreReader> StoreReader::OpenPrefix(const std::string& path,
                        : "front header is torn but the commit trailer "
                          "is intact";
     }
-    return OpenParsed(std::move(file), tail, options, path);
+    return OpenParsed(std::move(file), tail, options, /*assemble_db=*/true,
+                      path);
   }
 
   if (front.ok()) {
@@ -569,14 +676,16 @@ Result<StoreReader> StoreReader::OpenPrefix(const std::string& path,
     if (h.file_size == physical) {
       out.recovery = PrefixInfo::Recovery::kClean;
       out.detail = "header spans the file exactly";
-      return OpenParsed(std::move(file), h, options, path);
+      return OpenParsed(std::move(file), h, options, /*assemble_db=*/true,
+                        path);
     }
     if (h.file_size < physical) {
       out.recovery = PrefixInfo::Recovery::kTruncateTail;
       out.detail = std::to_string(physical - h.file_size) +
                    " torn bytes past the committed store "
                    "(crashed append session)";
-      return OpenParsed(std::move(file), h, options, path);
+      return OpenParsed(std::move(file), h, options, /*assemble_db=*/true,
+                        path);
     }
     out.committed_size = 0;
     return Corrupt("header records " + std::to_string(h.file_size) +
@@ -594,6 +703,7 @@ Result<StoreReader> StoreReader::OpenPrefix(const std::string& path,
 Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
                                             const FileHeader& header,
                                             const OpenOptions& options,
+                                            bool assemble_db,
                                             const std::string& path) {
   StoreReader reader;
   reader.file_ = std::move(file);
@@ -766,11 +876,13 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
   std::span<const uint64_t> offsets;
   std::span<const ItemId> items;
   if (!v2) {
-    FLIPPER_RETURN_IF_ERROR(reader.LoadColumnsV1(
-        base, offsets_blocks, items_blocks, &offsets, &items));
+    std::vector<ColumnBlock> blocks;
+    FLIPPER_RETURN_IF_ERROR(reader.CheckColumnsV1(base, offsets_blocks,
+                                                  items_blocks, &blocks));
     if (options.validate) {
-      FLIPPER_RETURN_IF_ERROR(reader.ValidateItemsV1(offsets, items));
+      FLIPPER_RETURN_IF_ERROR(reader.ValidateItemsV1(blocks));
     }
+    if (assemble_db) reader.AssembleColumnsV1(blocks, &offsets, &items);
   } else {
     FLIPPER_RETURN_IF_ERROR(
         reader.DecodeColumnsV2(base, offsets_blocks, items_blocks));
@@ -803,8 +915,10 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
 
   // --- Borrowed views over the mapping / decode buffers. ---
   reader.dict_ = ItemDictionary::FromBorrowed(name_offsets, blob);
-  reader.db_ = TransactionDb::FromBorrowed(
-      offsets, items, h.alphabet_size, h.max_width);
+  if (assemble_db || v2) {  // v2 columns are always decoded
+    reader.db_ = TransactionDb::FromBorrowed(
+        offsets, items, h.alphabet_size, h.max_width);
+  }
 
   // --- The v2 segment catalog (validated against the decoded items,
   // then attached to the database). ---

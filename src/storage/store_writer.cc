@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 
+#include "storage/recovery.h"
 #include "storage/store_reader.h"
 
 namespace flipper {
@@ -13,6 +14,28 @@ namespace {
 
 /// Fresh stores are staged here and renamed into place on commit.
 std::string TempPathFor(const std::string& path) { return path + ".tmp"; }
+
+/// What to do about a base store that failed its open: repair restores
+/// a torn tail or a stale front header, but nothing else.
+std::string RepairHint(const std::string& path) {
+  const Result<RepairPlan> plan = AnalyzeStore(path);
+  if (!plan.ok()) return "";
+  switch (plan->action) {
+    case RepairPlan::Action::kTruncateTail:
+    case RepairPlan::Action::kRewriteFrontHeader:
+      return " — run `flipper_cli repair " + path +
+             "` to restore the last committed state";
+    case RepairPlan::Action::kUnrecoverable:
+      return plan->committed_size > 0
+                 ? " — the committed payload fails validation, so no "
+                   "repair can restore it"
+                 : " — no committed state survives, so no repair can "
+                   "restore it";
+    case RepairPlan::Action::kNone:
+      break;
+  }
+  return "";
+}
 
 }  // namespace
 
@@ -65,14 +88,14 @@ Result<StoreWriter> StoreWriter::OpenAppend(const std::string& path,
   {
     // Appending extends a *committed* store, so the base must open
     // under full validation; a torn tail from an earlier crash must be
-    // repaired away first.
-    auto base = StoreReader::Open(path);
+    // repaired away first. The columns are checked in place: no
+    // committed byte is copied.
+    auto base = StoreReader::OpenAppendBase(path);
     if (!base.ok()) {
       std::string msg =
           "cannot append to " + path + ": " + base.status().message();
       if (base.status().code() == StatusCode::kCorruptedData) {
-        msg += " — run `flipper_cli repair " + path +
-               "` to restore the last committed state";
+        msg += RepairHint(path);
       }
       return Status(base.status().code(), std::move(msg));
     }

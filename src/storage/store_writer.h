@@ -21,9 +21,10 @@
 // store intact (torn tails are removed by `flipper_cli repair`); a
 // failed append session truncates back to the base store before
 // returning. An append session writes O(batch) bytes and never
-// rewrites the committed columns; opening the base still validates
-// them like StoreReader::Open (and, for an already appended base,
-// concatenates its blocks), which reads O(store) bytes.
+// rewrites the committed columns. It validates its base like a
+// validated StoreReader::Open, but checks every column block in place
+// and copies no committed bytes. Reads stay O(store) by design: a base
+// must pass validation before it is extended.
 
 #ifndef FLIPPER_STORAGE_STORE_WRITER_H_
 #define FLIPPER_STORAGE_STORE_WRITER_H_
@@ -64,7 +65,9 @@ class StoreWriter {
 
   /// Starts an append session on an existing, fully committed
   /// version-1 store (legacy v2 stores are read-only; a torn file must
-  /// be repaired first — this validates like StoreReader::Open).
+  /// be repaired first — this validates like StoreReader::Open, and
+  /// its error suggests `flipper_cli repair` only when repair can
+  /// restore the file).
   /// Appended transactions go into new segments (existing segments
   /// are immutable) cut at the base store's segment size, its widest
   /// segment; Finish() commits them with the crash-safe trailer

@@ -10,8 +10,10 @@
 //     skipped) -> the appended store
 //
 // and the recovered store must mine identically to the oracle for its
-// state. A fresh-store crash must never leave anything at the final
-// path (temp file + rename). The kFailOp mode (recoverable I/O errors
+// state. The append sweep runs on a fresh base and on a base that
+// already holds two sessions, and after every repair one more append
+// session must commit. A fresh-store crash must never leave anything
+// at the final path (temp file + rename). The kFailOp mode (recoverable I/O errors
 // instead of a process crash) additionally requires the writer's own
 // cleanup to run: no stray temp file, append sessions rolled back to
 // the base bytes — unless the commit point already passed, in which
@@ -86,20 +88,29 @@ std::string MineCsv(const std::string& path) {
 struct Scenario {
   testutil::Dataset data;
   uint64_t base_txns = 0;
+  /// Where earlier append sessions cut the base: the base store is a
+  /// fresh write of its first `base_cuts[0]` transactions plus one
+  /// session per further cut (the last cut is base_txns).
+  std::vector<uint64_t> base_cuts;
   StoreWriter::Options base_options;
 
   Scenario() : data(testutil::RandomDataset(/*seed=*/77, 3, 2, 2, 48, 5)) {
     base_txns = 32;
+    base_cuts = {base_txns};
     base_options.segment_txns = 8;
   }
 
   void WriteBase(const std::string& path) const {
-    auto writer = StoreWriter::Create(path, base_options);
-    ASSERT_TRUE(writer.ok()) << writer.status();
-    for (uint64_t t = 0; t < base_txns; ++t) {
-      ASSERT_TRUE(writer->Append(data.db.Get(t)).ok());
+    for (size_t c = 0; c < base_cuts.size(); ++c) {
+      auto writer = c == 0 ? StoreWriter::Create(path, base_options)
+                           : StoreWriter::OpenAppend(path);
+      ASSERT_TRUE(writer.ok()) << writer.status();
+      for (uint64_t t = c == 0 ? 0 : base_cuts[c - 1]; t < base_cuts[c];
+           ++t) {
+        ASSERT_TRUE(writer->Append(data.db.Get(t)).ok());
+      }
+      ASSERT_TRUE(writer->Finish(data.dict, data.taxonomy).ok());
     }
-    ASSERT_TRUE(writer->Finish(data.dict, data.taxonomy).ok());
   }
 
   /// Runs the whole append session against `fault_fs`; returns the
@@ -126,12 +137,30 @@ void RepairAndVerify(const std::string& path) {
 
 // --- The headline sweep: crash at every byte of an append session. --
 
-TEST(CrashRecovery, AppendCrashAtEveryByteOffset) {
-  const Scenario scenario;
-  const std::string base_path = TempPath("crash_append_base.fdb");
-  const std::string work_path = TempPath("crash_append_work.fdb");
+/// One more append session after a repair: the first eight transactions
+/// again, through the real filesystem.
+void AppendFollowUp(const Scenario& scenario, const std::string& path) {
+  auto writer = StoreWriter::OpenAppend(path);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  for (TxnId t = 0; t < 8; ++t) {
+    ASSERT_TRUE(writer->Append(scenario.data.db.Get(t)).ok());
+  }
+  ASSERT_TRUE(writer->Finish(scenario.data.dict, scenario.data.taxonomy)
+                  .ok());
+}
+
+/// Crashes the scenario's append session after every byte it writes.
+/// After each crash, repair must restore exactly the base store (before
+/// the commit point) or the appended store (after it); then one more
+/// append session must commit on the repaired file, which must mine
+/// like the same session on a clean copy.
+void SweepAppendCrashes(const Scenario& scenario, const std::string& tag) {
+  const std::string base_path = TempPath(tag + "_base.fdb");
+  const std::string work_path = TempPath(tag + "_work.fdb");
   scenario.WriteBase(base_path);
   const std::string base_bytes = ReadFileBytes(base_path);
+  const uint64_t base_sections =
+      storage::kNumSectionsV1 + 2 * (scenario.base_cuts.size() - 1);
 
   // Clean run: measure the session's total write volume W and capture
   // the committed result (the oracle for post-commit faults).
@@ -148,12 +177,20 @@ TEST(CrashRecovery, AppendCrashAtEveryByteOffset) {
     auto committed = StoreReader::Open(work_path);
     ASSERT_TRUE(committed.ok()) << committed.status();
     ASSERT_EQ(committed->version(), storage::kFormatVersionV1);
-    ASSERT_EQ(committed->header().section_count,
-              storage::kNumSectionsV1 + 2);
+    ASSERT_EQ(committed->header().section_count, base_sections + 2);
   }
 
   const std::string base_csv = MineCsv(base_path);
   const std::string committed_csv = MineCsv(work_path);
+  // What either state holds and mines after the follow-up session.
+  std::string follow_bytes[2];
+  std::string follow_csv[2];
+  for (const bool committed : {false, true}) {
+    WriteFileBytes(work_path, committed ? committed_bytes : base_bytes);
+    AppendFollowUp(scenario, work_path);
+    follow_bytes[committed] = ReadFileBytes(work_path);
+    follow_csv[committed] = MineCsv(work_path);
+  }
 
   // The last 104 bytes of the session are the front-header rewrite;
   // everything before completes the commit trailer.
@@ -188,7 +225,25 @@ TEST(CrashRecovery, AppendCrashAtEveryByteOffset) {
     auto replan = storage::AnalyzeStore(work_path);
     ASSERT_TRUE(replan.ok());
     ASSERT_EQ(replan->action, RepairPlan::Action::kNone);
+
+    // And the repaired store takes the next session.
+    AppendFollowUp(scenario, work_path);
+    ASSERT_EQ(ReadFileBytes(work_path), follow_bytes[k >= commit_point]);
+    ASSERT_EQ(MineCsv(work_path), follow_csv[k >= commit_point]);
   }
+}
+
+TEST(CrashRecovery, AppendCrashAtEveryByteOffset) {
+  SweepAppendCrashes(Scenario(), "crash_append");
+}
+
+TEST(CrashRecovery, AppendCrashOnAnAppendedBaseAtEveryByteOffset) {
+  // The base already carries two sessions (three column block pairs),
+  // so OpenAppend checks several blocks in place before each crash and
+  // after each repair.
+  Scenario scenario;
+  scenario.base_cuts = {16, 24, scenario.base_txns};
+  SweepAppendCrashes(scenario, "crash_append_appended");
 }
 
 // --- Crash at every byte of a fresh-store write. ---------------------

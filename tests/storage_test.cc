@@ -11,8 +11,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <span>
 #include <string>
+#include <vector>
 
+#include "cli/cli.h"
 #include "core/flipper_miner.h"
 #include "core/pattern_io.h"
 #include "data/db_io.h"
@@ -80,9 +83,13 @@ storage::SectionEntry* SectionOf(std::string* bytes,
 
 /// Recomputes section, table and header checksums so a deliberately
 /// patched payload exercises the deep validation scan rather than the
-/// checksum gates.
+/// checksum gates. An appended file's commit trailer (the copy of the
+/// front header that ends the file) is rewritten to match, so that
+/// OpenPrefix and repair see the same committed state as Open.
 void FixChecksums(std::string* bytes) {
   auto* header = HeaderOf(bytes);
+  const bool has_trailer = header->table_offset != 0 &&
+                           bytes->size() >= 2 * sizeof(storage::FileHeader);
   auto* table = TableOf(bytes);
   for (uint32_t i = 0; i < header->section_count; ++i) {
     // A section the test pointed outside the file cannot be hashed;
@@ -98,6 +105,10 @@ void FixChecksums(std::string* bytes) {
   header->table_checksum = storage::Fnv1a64(
       table, header->section_count * sizeof(storage::SectionEntry));
   header->header_checksum = storage::HeaderChecksum(*header);
+  if (has_trailer) {
+    std::memcpy(bytes->data() + bytes->size() - sizeof(*header), header,
+                sizeof(*header));
+  }
 }
 
 /// Mines and serializes to the CSV export (the CLI's machine format);
@@ -1121,6 +1132,395 @@ TEST(StorageAppend, TornStoreRefusesAppendUntilRepaired) {
   ASSERT_FALSE(writer.ok());
   EXPECT_NE(writer.status().message().find("repair"), std::string::npos)
       << writer.status();
+}
+
+TEST(StorageAppend, RepairIsSuggestedOnlyWhenItCanRestoreTheStore) {
+  const std::string hint = "run `flipper_cli repair ";
+  const auto refusal = [](const std::string& path) {
+    auto writer = storage::StoreWriter::OpenAppend(path);
+    EXPECT_FALSE(writer.ok());
+    return writer.ok() ? std::string() : writer.status().message();
+  };
+  const auto repair_exit = [](const std::string& path) {
+    std::ostringstream out;
+    std::ostringstream err;
+    const char* argv[] = {"flipper_cli", "repair", path.c_str()};
+    return RunFlipperCli(3, argv, out, err);
+  };
+
+  // A torn tail: repair truncates it.
+  const std::string torn = MakeAppendedToyStore("hint_torn");
+  WriteFileBytes(torn, ReadFileBytes(torn) + std::string(21, 'x'));
+  EXPECT_NE(refusal(torn).find(hint + torn), std::string::npos);
+  EXPECT_EQ(repair_exit(torn), 0);
+
+  // A torn front header before an intact commit trailer: repair
+  // rewrites it.
+  const std::string stale = MakeAppendedToyStore("hint_front");
+  std::string bytes = ReadFileBytes(stale);
+  bytes[sizeof(storage::FileHeader) / 2] ^= 0x40;
+  WriteFileBytes(stale, bytes);
+  EXPECT_NE(refusal(stale).find(hint + stale), std::string::npos);
+  EXPECT_EQ(repair_exit(stale), 0);
+
+  // A zeroed item makes txn 1 unsorted in the committed payload itself:
+  // repair cannot help, so none is suggested.
+  const std::string flipped = MakeToyStore("hint_flipped");
+  bytes = ReadFileBytes(flipped);
+  const auto* items = SectionOf(&bytes, storage::SectionId::kTxnItems);
+  const uint32_t zero = 0;
+  std::memcpy(bytes.data() + items->offset + 5 * sizeof(ItemId), &zero,
+              sizeof(zero));  // txn 1 = {a11, a21, b11} -> {a11, 0, b11}
+  FixChecksums(&bytes);
+  WriteFileBytes(flipped, bytes);
+  const std::string message = refusal(flipped);
+  EXPECT_EQ(message.find(hint), std::string::npos) << message;
+  EXPECT_NE(message.find("items of txn 1 are not sorted and duplicate-free"
+                         " — the committed payload fails validation"),
+            std::string::npos)
+      << message;
+  EXPECT_EQ(repair_exit(flipped), 3);
+  EXPECT_EQ(ReadFileBytes(flipped), bytes);
+}
+
+
+// --- The v1 item check: exact texts, block edges, mutation sweep ------
+
+/// The v1 item check as one per-transaction loop over the whole column
+/// (the reader's check before it became a per-block pass). The mutation
+/// sweep holds the reader to it.
+Status ReferenceItemCheck(std::span<const uint64_t> offsets,
+                          std::span<const ItemId> items,
+                          ItemId alphabet_size) {
+  ItemId max_item = 0;
+  bool any_item = false;
+  for (size_t t = 0; t + 1 < offsets.size(); ++t) {
+    const uint64_t lo = offsets[t];
+    const uint64_t hi = offsets[t + 1];
+    for (uint64_t i = lo; i < hi; ++i) {
+      const ItemId item = items[i];
+      if (item >= alphabet_size) {
+        return Status::CorruptedData(
+            "store file: item id " + std::to_string(item) +
+            " out of range in txn " + std::to_string(t));
+      }
+      if (i > lo && items[i - 1] >= item) {
+        return Status::CorruptedData("store file: items of txn " +
+                                     std::to_string(t) +
+                                     " are not sorted and duplicate-free");
+      }
+      max_item = std::max(max_item, item);
+      any_item = true;
+    }
+  }
+  const ItemId actual_alphabet = any_item ? max_item + 1 : 0;
+  if (actual_alphabet != alphabet_size) {
+    return Status::CorruptedData(
+        "store file: alphabet_size mismatch: header records " +
+        std::to_string(alphabet_size) + ", data has " +
+        std::to_string(actual_alphabet));
+  }
+  return Status::OK();
+}
+
+/// The logical column of a v1 file: its offsets blocks and items blocks
+/// concatenated in table order.
+std::vector<uint64_t> ColumnOffsetsOf(std::string* bytes) {
+  std::vector<uint64_t> offsets;
+  for (const auto* block :
+       BlocksOf(bytes, storage::SectionId::kTxnOffsets)) {
+    const size_t count = block->size / sizeof(uint64_t);
+    for (size_t i = offsets.empty() ? 0 : 1; i < count; ++i) {
+      uint64_t value = 0;
+      std::memcpy(&value,
+                  bytes->data() + block->offset + i * sizeof(uint64_t),
+                  sizeof(value));
+      offsets.push_back(value);
+    }
+  }
+  return offsets;
+}
+
+std::vector<ItemId> ColumnItemsOf(std::string* bytes) {
+  std::vector<ItemId> items;
+  for (const auto* block : BlocksOf(bytes, storage::SectionId::kTxnItems)) {
+    const size_t count = block->size / sizeof(ItemId);
+    const size_t at = items.size();
+    items.resize(at + count);
+    std::memcpy(items.data() + at, bytes->data() + block->offset,
+                count * sizeof(ItemId));
+  }
+  return items;
+}
+
+/// Overwrites item `position` of the logical column (checksums are
+/// left stale; FixChecksums restores them).
+void SetColumnItem(std::string* bytes, uint64_t position, ItemId value) {
+  for (const auto* block : BlocksOf(bytes, storage::SectionId::kTxnItems)) {
+    const uint64_t count = block->size / sizeof(ItemId);
+    if (position < count) {
+      std::memcpy(bytes->data() + block->offset + position * sizeof(ItemId),
+                  &value, sizeof(value));
+      return;
+    }
+    position -= count;
+  }
+  FAIL() << "item position past the column";
+}
+
+/// Writes `txns` as a fresh store of its first `cuts[0]` transactions
+/// plus one append session per further cut (the last cut is the end),
+/// with `names`' dictionary and taxonomy.
+std::string WriteSessions(const std::string& tag,
+                          const std::vector<std::vector<ItemId>>& txns,
+                          const std::vector<size_t>& cuts,
+                          const testutil::Dataset& names) {
+  const std::string path = TempPath(tag + ".fdb");
+  for (size_t c = 0; c < cuts.size(); ++c) {
+    auto writer = c == 0 ? storage::StoreWriter::Create(path)
+                         : storage::StoreWriter::OpenAppend(path);
+    EXPECT_TRUE(writer.ok()) << writer.status();
+    if (!writer.ok()) return path;
+    for (size_t t = c == 0 ? 0 : cuts[c - 1]; t < cuts[c]; ++t) {
+      EXPECT_TRUE(writer->Append(txns[t]).ok());
+    }
+    EXPECT_TRUE(writer->Finish(names.dict, names.taxonomy).ok());
+  }
+  return path;
+}
+
+/// Transactions over the toy dictionary's leaves 6..12 (its last leaf,
+/// 13, stays unused so the header alphabet can be raised by one).
+/// Written as three blocks (a fresh store and two append sessions)
+/// whose edges are empty transactions. Adjacent items descend across
+/// transactions (9 >= 7; 10 >= 6 across an empty transaction; 12 >= 7),
+/// which the check must accept:
+///   block 0: txns 0-2  {6,9} {7,8,12} {}
+///   block 1: txns 3-7  {} {8,10} {} {6,11} {}
+///   block 2: txns 8-12 {} {} {9,12} {7} {6,8,10}
+std::string WriteEdgeStore(const std::string& tag) {
+  const std::vector<std::vector<ItemId>> txns = {
+      {6, 9}, {7, 8, 12}, {},                //
+      {}, {8, 10}, {}, {6, 11}, {},          //
+      {}, {}, {9, 12}, {7}, {6, 8, 10}};
+  return WriteSessions(tag, txns, {3, 8, 13}, testutil::PaperToyDataset());
+}
+
+/// Where a transaction's first item sits in the edge store's column.
+constexpr uint64_t kEdgeTxn1 = 2;    // {7,8,12}
+constexpr uint64_t kEdgeTxn4 = 5;    // {8,10}
+constexpr uint64_t kEdgeTxn6 = 7;    // {6,11}
+constexpr uint64_t kEdgeTxn10 = 9;   // {9,12}
+constexpr uint64_t kEdgeTxn12 = 12;  // {6,8,10}
+
+/// Writes `bytes` (checksums fixed) and requires every validated path
+/// to refuse it with exactly `message`: Open (mmap and heap),
+/// StoreWriter::OpenAppend (which must leave the file byte-identical
+/// and suggest no repair) and `flipper_cli validate`.
+void ExpectItemCheckFailure(const std::string& tag, std::string bytes,
+                            const std::string& message) {
+  SCOPED_TRACE(tag);
+  FixChecksums(&bytes);
+  const std::string path = TempPath(tag + "_corrupt.fdb");
+  WriteFileBytes(path, bytes);
+  for (const bool heap : {false, true}) {
+    storage::OpenOptions options;
+    options.force_heap = heap;
+    auto reader = storage::StoreReader::Open(path, options);
+    ASSERT_FALSE(reader.ok()) << "heap=" << heap;
+    EXPECT_EQ(reader.status().code(), StatusCode::kCorruptedData);
+    EXPECT_EQ(reader.status().message(), "store file: " + message)
+        << "heap=" << heap;
+  }
+
+  auto writer = storage::StoreWriter::OpenAppend(path);
+  ASSERT_FALSE(writer.ok());
+  EXPECT_EQ(writer.status().code(), StatusCode::kCorruptedData);
+  EXPECT_EQ(writer.status().message(),
+            "cannot append to " + path + ": store file: " + message +
+                " — the committed payload fails validation, so no repair "
+                "can restore it");
+  EXPECT_EQ(ReadFileBytes(path), bytes);
+
+  std::ostringstream cli_out;
+  std::ostringstream cli_err;
+  const char* argv[] = {"flipper_cli", "validate", path.c_str(), "--quiet"};
+  EXPECT_EQ(RunFlipperCli(4, argv, cli_out, cli_err), 3) << cli_err.str();
+  EXPECT_NE(cli_out.str().find("UNRECOVERABLE — store file: " + message),
+            std::string::npos)
+      << cli_out.str();
+}
+
+TEST(StorageItemCheck, EmptyTransactionsAtBlockEdgesPass) {
+  const std::string path = WriteEdgeStore("items_edges");
+  std::string bytes = ReadFileBytes(path);
+  ASSERT_EQ(BlocksOf(&bytes, storage::SectionId::kTxnItems).size(), 3u);
+  const std::vector<uint64_t> offsets = ColumnOffsetsOf(&bytes);
+  const std::vector<ItemId> items = ColumnItemsOf(&bytes);
+  ASSERT_EQ(offsets.size(), 14u);
+  ASSERT_TRUE(
+      ReferenceItemCheck(offsets, items, HeaderOf(&bytes)->alphabet_size)
+          .ok());
+  for (const bool heap : {false, true}) {
+    storage::OpenOptions options;
+    options.force_heap = heap;
+    auto reader = storage::StoreReader::Open(path, options);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    EXPECT_EQ(reader->db().size(), 13u);
+    EXPECT_EQ(reader->db().alphabet_size(), 13u);
+    EXPECT_TRUE(reader->db().Get(8).empty());
+    EXPECT_EQ(reader->db().Get(12).size(), 3u);
+  }
+  auto writer = storage::StoreWriter::OpenAppend(path);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+}
+
+TEST(StorageItemCheck, UnsortedPairNamesItsTransaction) {
+  std::string bytes = ReadFileBytes(WriteEdgeStore("items_unsorted"));
+  SetColumnItem(&bytes, kEdgeTxn1, 8);
+  SetColumnItem(&bytes, kEdgeTxn1 + 1, 7);  // {8,7,12}
+  ExpectItemCheckFailure("items_unsorted", bytes,
+                         "items of txn 1 are not sorted and "
+                         "duplicate-free");
+}
+
+TEST(StorageItemCheck, DuplicatePairAfterEmptyTransactionsAtABlockStart) {
+  std::string bytes = ReadFileBytes(WriteEdgeStore("items_duplicate"));
+  SetColumnItem(&bytes, kEdgeTxn4 + 1, 8);  // {8,8}
+  ExpectItemCheckFailure("items_duplicate", bytes,
+                         "items of txn 4 are not sorted and "
+                         "duplicate-free");
+}
+
+TEST(StorageItemCheck, DuplicatePairBeforeEmptyTransactionsAtABlockEnd) {
+  std::string bytes = ReadFileBytes(WriteEdgeStore("items_block_end"));
+  SetColumnItem(&bytes, kEdgeTxn6, 11);  // {11,11}
+  ExpectItemCheckFailure("items_block_end", bytes,
+                         "items of txn 6 are not sorted and "
+                         "duplicate-free");
+}
+
+TEST(StorageItemCheck, HeaderAlphabetAboveTheData) {
+  std::string bytes = ReadFileBytes(WriteEdgeStore("items_alpha_high"));
+  ASSERT_EQ(HeaderOf(&bytes)->alphabet_size, 13u);
+  ASSERT_GE(HeaderOf(&bytes)->dict_size, 14u);
+  HeaderOf(&bytes)->alphabet_size = 14;
+  ExpectItemCheckFailure("items_alpha_high", bytes,
+                         "alphabet_size mismatch: header records 14, "
+                         "data has 13");
+}
+
+TEST(StorageItemCheck, HeaderAlphabetBelowTheData) {
+  // Item 12 is now out of range; txn 1 is the first to hold it.
+  std::string bytes = ReadFileBytes(WriteEdgeStore("items_alpha_low"));
+  HeaderOf(&bytes)->alphabet_size = 12;
+  ExpectItemCheckFailure("items_alpha_low", bytes,
+                         "item id 12 out of range in txn 1");
+}
+
+TEST(StorageItemCheck, FailureInTheThirdBlockNamesTheGlobalTransaction) {
+  std::string out_of_range =
+      ReadFileBytes(WriteEdgeStore("items_third_range"));
+  SetColumnItem(&out_of_range, kEdgeTxn10 + 1, 40);  // {9,40}
+  ExpectItemCheckFailure("items_third_range", out_of_range,
+                         "item id 40 out of range in txn 10");
+
+  std::string unsorted = ReadFileBytes(WriteEdgeStore("items_third_sort"));
+  SetColumnItem(&unsorted, kEdgeTxn12 + 2, 8);  // {6,8,8}
+  ExpectItemCheckFailure("items_third_sort", unsorted,
+                         "items of txn 12 are not sorted and "
+                         "duplicate-free");
+
+  // The lowest failing transaction wins across blocks.
+  std::string both = ReadFileBytes(WriteEdgeStore("items_third_both"));
+  SetColumnItem(&both, kEdgeTxn12 + 2, 8);
+  SetColumnItem(&both, kEdgeTxn10 + 1, 9);  // {9,9}
+  ExpectItemCheckFailure("items_third_both", both,
+                         "items of txn 10 are not sorted and "
+                         "duplicate-free");
+}
+
+TEST(StorageItemCheck, MutationSweepMatchesThePerTransactionLoop) {
+  // A fresh store and three append sessions. Blocks 0 and 2 hold random
+  // transactions with an empty one after every fifth; blocks 1 and 3
+  // are staircases (every item above its predecessor, so no adjacent
+  // pair descends across transactions) of more than 64 items, so that
+  // both the chunked loop and its remainder see the mutations. Blocks
+  // start and end on empty transactions.
+  const testutil::Dataset data =
+      testutil::RandomDataset(515, 6, 4, 3, 25, 5);
+  ASSERT_GE(data.dict.size(), 100u);
+  std::vector<std::vector<ItemId>> txns;
+  const auto add_random = [&](TxnId from, TxnId to) {
+    for (TxnId t = from; t < to; ++t) {
+      const auto items = data.db.Get(t);
+      txns.emplace_back(items.begin(), items.end());
+      if (t % 5 == 4) txns.emplace_back();
+    }
+  };
+  add_random(0, 10);  // txns 0-11, ending on an empty one
+  const size_t cut0 = txns.size();
+  for (ItemId x = 0; x + 3 <= 99; x += 3) txns.push_back({x, x + 1, x + 2});
+  const size_t cut1 = txns.size();
+  txns.emplace_back();  // block 2 starts on an empty transaction
+  add_random(10, 25);
+  const size_t cut2 = txns.size();
+  for (ItemId x = 0; x + 2 <= 80; x += 2) {
+    txns.push_back({x, x + 1});
+    if (x % 8 == 6) txns.emplace_back();
+  }
+  ASSERT_TRUE(txns[cut0 - 1].empty() && txns[cut1].empty() &&
+              txns[cut2 - 1].empty() && txns.back().empty());
+  const std::string path =
+      WriteSessions("items_sweep", txns, {cut0, cut1, cut2, txns.size()},
+                    data);
+  const std::string clean = ReadFileBytes(path);
+  std::string bytes = clean;
+  ASSERT_EQ(BlocksOf(&bytes, storage::SectionId::kTxnItems).size(), 4u);
+  const std::vector<uint64_t> offsets = ColumnOffsetsOf(&bytes);
+  const std::vector<ItemId> items = ColumnItemsOf(&bytes);
+  const ItemId alphabet = HeaderOf(&bytes)->alphabet_size;
+  ASSERT_TRUE(ReferenceItemCheck(offsets, items, alphabet).ok());
+
+  const std::string work = TempPath("items_sweep_work.fdb");
+  size_t refused = 0;
+  for (uint64_t i = 0; i < items.size(); ++i) {
+    std::vector<ItemId> values = {alphabet};  // out of range
+    if (i > 0) {
+      values.push_back(items[i - 1]);  // equal to the predecessor
+      if (items[i - 1] > 0) values.push_back(items[i - 1] - 1);  // below
+    }
+    for (const ItemId value : values) {
+      SCOPED_TRACE("item " + std::to_string(i) + " := " +
+                   std::to_string(value));
+      std::vector<ItemId> mutated = items;
+      mutated[i] = value;
+      const Status expected = ReferenceItemCheck(offsets, mutated, alphabet);
+      bytes = clean;
+      SetColumnItem(&bytes, i, value);
+      FixChecksums(&bytes);
+      WriteFileBytes(work, bytes);
+      for (const bool heap : {false, true}) {
+        storage::OpenOptions options;
+        options.force_heap = heap;
+        auto reader = storage::StoreReader::Open(work, options);
+        ASSERT_EQ(reader.status().code(), expected.code())
+            << "heap=" << heap << ": " << reader.status();
+        ASSERT_EQ(reader.status().message(), expected.message())
+            << "heap=" << heap;
+      }
+      {
+        auto writer = storage::StoreWriter::OpenAppend(work);
+        ASSERT_EQ(writer.ok(), expected.ok()) << writer.status();
+        if (!writer.ok()) {
+          ++refused;
+          EXPECT_EQ(writer.status().code(), StatusCode::kCorruptedData);
+        }
+      }  // an accepted session is dropped unfinished
+      ASSERT_EQ(ReadFileBytes(work), bytes);
+    }
+  }
+  EXPECT_GT(refused, items.size());  // every out-of-range item, and more
 }
 
 }  // namespace

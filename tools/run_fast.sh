@@ -7,11 +7,14 @@
 # pipeline_metrics_test and stats_test, plus the
 # compare_bench_selftest tooling fixtures, are all in this run); the
 # `bench` label (the bench_micro smoke) stays in this run too — it is
-# CI-sized via FLIPPER_BENCH_SCALE.
+# CI-sized via FLIPPER_BENCH_SCALE — and so does the `fidelity` label
+# (fidelity_test: the paper's count claims on a 2,000-transaction
+# Quest store, about 2 s).
 #
 # Usage: tools/run_fast.sh [label]
 #   label — optional ctest label to restrict to (unit, storage,
-#           parallel, e2e, bench); default runs everything but fuzz.
+#           parallel, e2e, bench, fidelity); default runs everything
+#           but fuzz.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
