@@ -42,9 +42,8 @@
 namespace flipper {
 namespace {
 
-/// The per-level Apriori baseline behind --baseline, producing the
-/// same outcome shape as service::ExecuteMineRequest so the emission
-/// tail is one code path.
+/// The per-level Apriori baseline behind --baseline: NaiveMiner in
+/// place of MinePatterns, then the shared RenderRequest tail.
 Result<service::MineOutcome> RunBaselineMine(
     const TransactionDb& db, const Taxonomy& taxonomy,
     const ItemDictionary* dict, const service::MineRequest& request,
@@ -53,17 +52,9 @@ Result<service::MineOutcome> RunBaselineMine(
   config.metrics = metrics;
   FLIPPER_ASSIGN_OR_RETURN(MiningResult result,
                            NaiveMiner::Run(db, taxonomy, config));
-  std::vector<FlippingPattern> patterns = std::move(result.patterns);
-  if (request.topk > 0) {
-    patterns = TopKMostFlipping(std::move(patterns),
-                                static_cast<size_t>(request.topk));
-  }
-  std::ostringstream body;
-  FLIPPER_RETURN_IF_ERROR(service::RenderPatterns(
-      patterns, dict, request.format, body));
-  service::MineOutcome outcome;
-  outcome.body = std::move(body).str();
-  outcome.num_patterns = patterns.size();
+  FLIPPER_ASSIGN_OR_RETURN(
+      service::MineOutcome outcome,
+      service::RenderRequest(result.patterns, dict, request));
   outcome.stats_text = result.stats.ToString();
   return outcome;
 }
@@ -1236,9 +1227,10 @@ int QueryCommand(const std::vector<const char*>& argv, std::ostream& out,
   return 0;
 }
 
-/// The loadgen request mix: distinct output-affecting configs, so the
-/// daemon's cache cannot satisfy one variant from another, plus enough
-/// repetition per variant to guarantee cache hits.
+/// The loadgen request mix: distinct output-affecting configs, so no
+/// variant's body answers another's, plus enough repetition per variant
+/// to guarantee cache hits. Variants 1 and 2 share a mining spec, so
+/// the daemon mines it once and renders the other from its list.
 const std::vector<std::vector<std::pair<std::string, std::string>>>&
 LoadgenVariants() {
   static const std::vector<

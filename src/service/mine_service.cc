@@ -8,7 +8,6 @@
 
 #include "common/string_util.h"
 #include "core/flipper_miner.h"
-#include "core/mining_result.h"
 #include "core/pattern_io.h"
 #include "core/topk.h"
 
@@ -150,7 +149,7 @@ MiningConfig ToMiningConfig(const MineRequest& request) {
   return config;
 }
 
-std::string CanonicalCacheKey(const MineRequest& request) {
+std::string MiningSpecKey(const MineRequest& request) {
   std::string key = "gamma=" + KeyDouble(request.gamma) +
                     ";epsilon=" + KeyDouble(request.epsilon) +
                     ";minsup=";
@@ -161,9 +160,12 @@ std::string CanonicalCacheKey(const MineRequest& request) {
   key += ";measure=";
   key += MeasureKindToString(request.measure);
   key += ";pruning=" + request.pruning.ToString();
-  key += ";topk=" + std::to_string(request.topk);
-  key += ";format=" + request.format;
   return key;
+}
+
+std::string CanonicalCacheKey(const MineRequest& request) {
+  return MiningSpecKey(request) + ";topk=" + std::to_string(request.topk) +
+         ";format=" + request.format;
 }
 
 Status RenderPatterns(const std::vector<FlippingPattern>& patterns,
@@ -184,28 +186,44 @@ Status RenderPatterns(const std::vector<FlippingPattern>& patterns,
   return Status::OK();
 }
 
+Result<MiningResult> MinePatterns(const TransactionDb& db,
+                                  const Taxonomy& taxonomy,
+                                  const LevelViews* shared_views,
+                                  const MineRequest& request,
+                                  MetricsRegistry* metrics) {
+  MiningConfig config = ToMiningConfig(request);
+  config.metrics = metrics;
+  return FlipperMiner::Run(db, taxonomy, config, shared_views);
+}
+
+Result<MineOutcome> RenderRequest(
+    const std::vector<FlippingPattern>& patterns,
+    const ItemDictionary* dict, const MineRequest& request) {
+  std::vector<FlippingPattern> top;
+  if (request.topk > 0) {
+    top = TopKMostFlipping(patterns, static_cast<size_t>(request.topk));
+  }
+  const std::vector<FlippingPattern>& shown =
+      request.topk > 0 ? top : patterns;
+  std::ostringstream body;
+  FLIPPER_RETURN_IF_ERROR(RenderPatterns(shown, dict, request.format, body));
+  MineOutcome outcome;
+  outcome.body = std::move(body).str();
+  outcome.num_patterns = shown.size();
+  return outcome;
+}
+
 Result<MineOutcome> ExecuteMineRequest(const TransactionDb& db,
                                        const Taxonomy& taxonomy,
                                        const ItemDictionary* dict,
                                        const LevelViews* shared_views,
                                        const MineRequest& request,
                                        MetricsRegistry* metrics) {
-  MiningConfig config = ToMiningConfig(request);
-  config.metrics = metrics;
   FLIPPER_ASSIGN_OR_RETURN(
       MiningResult result,
-      FlipperMiner::Run(db, taxonomy, config, shared_views));
-  std::vector<FlippingPattern> patterns = std::move(result.patterns);
-  if (request.topk > 0) {
-    patterns = TopKMostFlipping(std::move(patterns),
-                                static_cast<size_t>(request.topk));
-  }
-  std::ostringstream body;
-  FLIPPER_RETURN_IF_ERROR(
-      RenderPatterns(patterns, dict, request.format, body));
-  MineOutcome outcome;
-  outcome.body = std::move(body).str();
-  outcome.num_patterns = patterns.size();
+      MinePatterns(db, taxonomy, shared_views, request, metrics));
+  FLIPPER_ASSIGN_OR_RETURN(MineOutcome outcome,
+                           RenderRequest(result.patterns, dict, request));
   outcome.stats_text = result.stats.ToString();
   return outcome;
 }

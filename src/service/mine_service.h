@@ -9,11 +9,11 @@
 // messages that always quote the offending token. Callers surface the
 // Status verbatim (the CLI exits 2 with usage).
 //
-// ExecuteMineRequest is the shared execution path: config assembly,
-// the miner run (over borrowed store views when given), top-k
-// selection and rendering. The daemon's response body for a request
-// is byte-identical to what a solo `flipper_cli mine` run with the
-// same options prints, because both are this one function.
+// A query is two steps: MinePatterns mines the request's mining spec
+// (MiningSpecKey) into its full pattern list, and RenderRequest applies
+// topk and format to it; ExecuteMineRequest runs both. The daemon's
+// body for a request is byte-identical to a solo `flipper_cli mine`
+// run's, because every path renders through RenderRequest.
 
 #ifndef FLIPPER_SERVICE_MINE_SERVICE_H_
 #define FLIPPER_SERVICE_MINE_SERVICE_H_
@@ -28,6 +28,7 @@
 #include "common/status.h"
 #include "core/config.h"
 #include "core/level_views.h"
+#include "core/mining_result.h"
 #include "core/pattern.h"
 #include "data/item_dictionary.h"
 #include "data/transaction_db.h"
@@ -39,12 +40,13 @@ namespace service {
 /// One mining query, fully parsed and range-checked. Defaults mirror
 /// the CLI's flag defaults.
 struct MineRequest {
-  // Output-affecting options (part of the result-cache key).
+  // The mining spec (MiningSpecKey): these decide the pattern list.
   double gamma = 0.3;
   double epsilon = 0.1;
   std::vector<double> min_support = {0.01, 0.001, 0.0005};
   MeasureKind measure = MeasureKind::kKulczynski;
   PruningOptions pruning = PruningOptions::Full();
+  // Presentation: with the spec, the full CanonicalCacheKey.
   int64_t topk = 0;  // 0 = keep everything
   std::string format = "text";  // text|csv|json
 
@@ -90,9 +92,13 @@ Result<MineRequest> MineRequestFromParams(
 /// caller attaches its per-query registry).
 MiningConfig ToMiningConfig(const MineRequest& request);
 
-/// Deterministic cache-key text of the request's output-affecting
-/// options. Two requests with equal keys produce byte-identical
-/// bodies over the same store contents.
+/// Deterministic key text of the options that decide the pattern list
+/// (gamma, epsilon, minsup, measure, pruning): equal spec keys mine the
+/// same list over the same store contents.
+std::string MiningSpecKey(const MineRequest& request);
+
+/// MiningSpecKey plus topk and format: equal keys produce
+/// byte-identical bodies over the same store contents.
 std::string CanonicalCacheKey(const MineRequest& request);
 
 /// Renders `patterns` in the request's format — the one emission path
@@ -110,10 +116,24 @@ struct MineOutcome {
   std::string stats_text;
 };
 
-/// Runs the full query: config assembly, FlipperMiner over
-/// `shared_views` when non-null (the daemon's borrowed store views;
-/// null = build owned views, the solo path), top-k, render. `metrics`
-/// (may be null) receives the run's pipeline metrics.
+/// The mine step: FlipperMiner over `shared_views` when non-null (the
+/// daemon's borrowed store views; null = build owned views, the solo
+/// path). Every pattern of the spec, in canonical order; `metrics` (may
+/// be null) receives the run's pipeline metrics.
+Result<MiningResult> MinePatterns(const TransactionDb& db,
+                                  const Taxonomy& taxonomy,
+                                  const LevelViews* shared_views,
+                                  const MineRequest& request,
+                                  MetricsRegistry* metrics);
+
+/// The present step: the request's top-k of `patterns` (all of them
+/// when topk is 0), rendered in its format. Leaves stats_text empty.
+Result<MineOutcome> RenderRequest(
+    const std::vector<FlippingPattern>& patterns,
+    const ItemDictionary* dict, const MineRequest& request);
+
+/// Runs the full query: MinePatterns, then RenderRequest, with the
+/// run's stats text.
 Result<MineOutcome> ExecuteMineRequest(const TransactionDb& db,
                                        const Taxonomy& taxonomy,
                                        const ItemDictionary* dict,

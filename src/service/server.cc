@@ -247,6 +247,7 @@ void Server::Loop() {
         ((running_.empty() && queue_.empty()) || now >= drain_deadline)) {
       closed_ = true;
       drain_token_.Cancel();
+      WakeWaiters();
       std::deque<std::unique_ptr<Query>> queued = std::move(queue_);
       queue_.clear();
       for (auto& query : queued) {
@@ -464,6 +465,7 @@ void Server::CloseConnection(Connection& conn) {
       // connection with this id and goes nowhere.
       query->hung_up = true;
       query->token.Cancel();
+      WakeWaiters();
     }
   }
   if (conn.shutdown_after_write) RequestShutdown();
@@ -725,20 +727,11 @@ Response Server::RunMine(Query& query) {
   MineRequest& mine = query.mine;
   mine.cancel = &query.token;
   mine.pool = &pool_;
-  // The query's own observability context: a trace session attached
-  // for the duration (so concurrent queries' span sites stay isolated)
-  // and a per-query registry the miner fills. Neither is read: the
-  // session is never enabled, and the registry is dropped when the
-  // query returns, so only the daemon counters and `query.latency_ms`
-  // below reach `stats`.
-  trace::Session session;
-  MetricsRegistry query_metrics;
-  Result<MineOutcome> outcome = [&] {
-    trace::SessionScope scope(&session);
-    return ExecuteMineRequest(e.reader.db(), e.reader.taxonomy(),
-                              &e.reader.dict(), &e.views, mine,
-                              &query_metrics);
-  }();
+  Result<ResultCache::PatternList> patterns =
+      query.use_cache ? SharedPatterns(query, e) : Mine(query, e);
+  Result<MineOutcome> outcome =
+      patterns.ok() ? RenderRequest(**patterns, &e.reader.dict(), mine)
+                    : Result<MineOutcome>(patterns.status());
   if (!outcome.ok()) {
     query.outcome = outcome.status();
     return ErrorResponse(query.outcome);
@@ -762,6 +755,93 @@ Response Server::RunMine(Query& query) {
   response.meta.emplace_back("latency_ms", FormatDouble(ms, 3));
   response.body = std::move(outcome->body);
   return response;
+}
+
+Result<ResultCache::PatternList> Server::SharedPatterns(
+    Query& query, const StoreEntry& entry) {
+  const std::string spec = entry.fingerprint + "|" + MiningSpecKey(query.mine);
+  std::unique_lock<std::mutex> lock(flights_mu_);
+  bool waited = false;
+  for (;;) {
+    // The cache is read under flights_mu_, so a leader's list is either
+    // cached or still in flight here, never in between.
+    const auto flying = flights_.find(spec);
+    if (flying == flights_.end()) {
+      if (ResultCache::PatternList cached = cache_.GetPatterns(spec)) {
+        metrics_.AddCounter("cache.pattern_hits", 1);
+        return cached;
+      }
+      break;  // nobody mines the spec: this query does
+    }
+    const std::shared_ptr<Flight> flight = flying->second;
+    if (!waited) metrics_.AddCounter("cache.pattern_waits", 1);
+    waited = true;
+    const auto landed = [&] { return flight->done || query.token.Fired(); };
+    if (query.token.has_deadline()) {
+      flights_cv_.wait_until(lock, query.token.deadline(), landed);
+    } else {
+      flights_cv_.wait(lock, landed);
+    }
+    if (flight->patterns != nullptr) {
+      metrics_.AddCounter("cache.pattern_hits", 1);
+      return flight->patterns;
+    }
+    if (query.token.Fired()) return query.token.ToStatus();
+    // The mine failed or was cancelled: look again, and lead if nobody
+    // else has taken over.
+  }
+  const auto flight = std::make_shared<Flight>();
+  flights_.emplace(spec, flight);
+  lock.unlock();
+  metrics_.AddCounter("cache.mines", 1);
+  Result<ResultCache::PatternList> mined = Status::Internal("not mined");
+  try {
+    mined = Mine(query, entry);
+  } catch (...) {
+    Land(spec, *flight, nullptr);  // no waiter stays on a mine that is gone
+    throw;
+  }
+  if (mined.ok()) cache_.PutPatterns(spec, *mined);
+  Land(spec, *flight, mined.ok() ? *mined : nullptr);
+  return mined;
+}
+
+void Server::Land(const std::string& spec, Flight& flight,
+                  ResultCache::PatternList patterns) {
+  {
+    std::lock_guard<std::mutex> lock(flights_mu_);
+    flight.done = true;
+    flight.patterns = std::move(patterns);
+    flights_.erase(spec);
+  }
+  flights_cv_.notify_all();
+}
+
+Result<ResultCache::PatternList> Server::Mine(Query& query,
+                                              const StoreEntry& entry) {
+  // The query's own observability context: a trace session attached
+  // for the duration (so concurrent queries' span sites stay isolated)
+  // and a per-query registry the miner fills. Neither is read: the
+  // session is never enabled, and the registry is dropped when the
+  // query returns, so only the daemon counters and `query.latency_ms`
+  // reach `stats`.
+  trace::Session session;
+  MetricsRegistry query_metrics;
+  trace::SessionScope scope(&session);
+  FLIPPER_ASSIGN_OR_RETURN(
+      MiningResult result,
+      MinePatterns(entry.reader.db(), entry.reader.taxonomy(), &entry.views,
+                   query.mine, &query_metrics));
+  return ResultCache::PatternList(
+      std::make_shared<const std::vector<FlippingPattern>>(
+          std::move(result.patterns)));
+}
+
+void Server::WakeWaiters() {
+  // Taking the lock orders this wake-up after a waiter's predicate
+  // check, so a token fired just before it blocks is not missed.
+  { std::lock_guard<std::mutex> lock(flights_mu_); }
+  flights_cv_.notify_all();
 }
 
 Response Server::HandlePing() {

@@ -2,7 +2,7 @@
 // stream socket, mmaps its configured stores once (StoreRegistry) and
 // serves framed requests (protocol.h): `mine` queries run through the
 // re-entrant miner over the shared store views, behind FIFO admission
-// control and a fingerprint-keyed result cache (ResultCache).
+// control and a fingerprint-keyed, two-tier result cache (ResultCache).
 //
 // Threading: one event-loop thread blocks in a single poll(2) over the
 // listen fd, a wake pipe and every connection; it accepts, assembles
@@ -23,6 +23,19 @@
 // queries never interleave spans or pool counts; the daemon folds
 // per-query latency and counters into one aggregate registry whose
 // JSON answers the `stats` verb.
+//
+// Miss path (a query thread): look the full key up again, then the
+// spec's pattern list (fingerprint|MiningSpecKey); render a cached
+// list, or mine the spec and cache its list first; cache the body.
+// `cache` meta: `hit` is a body copied on the loop, `miss` a body
+// rendered on a query thread, `off` a query that bypassed both tiers
+// and mined. Single-flight: a miss whose spec is being mined waits on a
+// condition variable for that mine, its own deadline, or the loop's
+// cancel (every cancel of a running query and the drain notify). A
+// failed or cancelled mine lands no list; a waiter then mines under
+// its own token. Counters: `cache.mines` (mines run to fill the cache),
+// `cache.pattern_waits` (misses that joined a mine in flight) and
+// `cache.pattern_hits` (misses answered from a list another mined).
 //
 // Robustness: every mine query runs under a CancelToken that fires
 // when its deadline (`deadline_ms`, clamped by ServerOptions) lapses,
@@ -84,7 +97,8 @@ struct ServerOptions {
   int max_concurrent = 8;
   /// Waiting-room size; arrivals beyond it get `error overloaded`.
   int max_queued = 64;
-  /// Result-cache budget over rendered body bytes (0 disables).
+  /// Result-cache budget over rendered bodies and mined pattern lists
+  /// together (0 disables).
   size_t cache_bytes = 64u << 20;
   /// Payload-validate stores on open/reload.
   bool validate_stores = true;
@@ -209,6 +223,20 @@ class Server {
                                      const WallTimer& timer);
   /// Runs a queued mine on its query thread.
   Response RunMine(Query& query);
+  /// The spec's pattern list: cached, landed by a mine in flight that
+  /// the query waits for, or mined by the query itself (single-flight).
+  Result<ResultCache::PatternList> SharedPatterns(Query& query,
+                                                  const StoreEntry& entry);
+  /// Mines the query's spec on the calling thread.
+  Result<ResultCache::PatternList> Mine(Query& query,
+                                        const StoreEntry& entry);
+  struct Flight;
+  /// Ends `flight` with `patterns` (null: failed) and wakes its waiters.
+  void Land(const std::string& spec, Flight& flight,
+            ResultCache::PatternList patterns);
+  /// Wakes every query waiting on a mine in flight, so one whose token
+  /// just fired returns.
+  void WakeWaiters();
   Response HandlePing();
   Response HandleStats();
   Response HandleList();
@@ -241,6 +269,16 @@ class Server {
   uint64_t timed_out_ = 0;
   /// accept() is not retried before this (it failed for lack of fds).
   Clock::time_point accept_paused_until_{};
+
+  /// A mine in flight for one spec key; misses on that spec wait on it.
+  struct Flight {
+    bool done = false;
+    /// The mined list; null when the mine failed or was cancelled.
+    ResultCache::PatternList patterns;
+  };
+  std::mutex flights_mu_;
+  std::condition_variable flights_cv_;
+  std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
 
   /// Queries whose threads have finished, for the loop to join.
   std::mutex finished_mu_;

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -65,14 +66,17 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
 }
 
 /// Deterministic mining result of a store file, as the CSV export.
+/// The thresholds find flipping patterns in both the base and the
+/// appended scenario stores, and different ones, so comparing CSVs
+/// tells the two states apart (checked in SweepAppendCrashes).
 std::string MineCsv(const std::string& path) {
   auto reader = StoreReader::Open(path);
   EXPECT_TRUE(reader.ok()) << reader.status();
   if (!reader.ok()) return "<open failed>";
   MiningConfig config;
-  config.gamma = 0.4;
-  config.epsilon = 0.15;
-  config.min_support = {0.08, 0.05, 0.05};
+  config.gamma = 0.3;
+  config.epsilon = 0.2;
+  config.min_support = {0.05, 0.05, 0.05};
   config.num_threads = 1;
   auto run = FlipperMiner::Run(reader->db(), reader->taxonomy(), config);
   EXPECT_TRUE(run.ok()) << run.status();
@@ -182,6 +186,14 @@ void SweepAppendCrashes(const Scenario& scenario, const std::string& tag) {
 
   const std::string base_csv = MineCsv(base_path);
   const std::string committed_csv = MineCsv(work_path);
+  // A header line plus at least one pattern row each, and different
+  // answers: otherwise the mining checks below could not tell a
+  // restored base from a kept append.
+  ASSERT_GE(std::count(base_csv.begin(), base_csv.end(), '\n'), 2)
+      << base_csv;
+  ASSERT_GE(std::count(committed_csv.begin(), committed_csv.end(), '\n'), 2)
+      << committed_csv;
+  ASSERT_NE(base_csv, committed_csv);
   // What either state holds and mines after the follow-up session.
   std::string follow_bytes[2];
   std::string follow_csv[2];

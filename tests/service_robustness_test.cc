@@ -11,8 +11,9 @@
 // hung-up query's late reply must never reach a connection that
 // reuses its fd number; pipelined requests must never read as a
 // hang-up; idle connections and queries must start no threads of
-// their own; and running out of fds must not stop the daemon
-// accepting.
+// their own; running out of fds must not stop the daemon accepting;
+// and concurrent misses on one mining spec must share one mine, which
+// outlives its leader's hang-up and never waits past a deadline.
 
 #include <gtest/gtest.h>
 
@@ -268,6 +269,82 @@ bool AwaitGauge(const Server& server, Client* client,
   ADD_FAILURE() << name << " never read " << value << " (last "
                 << server.metrics().gauge(name) << ")";
   return false;
+}
+
+/// Polls the daemon's `name` counter until it reads `value`; false on
+/// timeout.
+bool AwaitCounter(const Server& server, const std::string& name,
+                  int64_t value) {
+  for (WallTimer timer; timer.ElapsedMillis() < 10000;) {
+    if (server.metrics().counter(name) == value) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ADD_FAILURE() << name << " never read " << value << " (last "
+                << server.metrics().counter(name) << ")";
+  return false;
+}
+
+using Params = std::vector<std::pair<std::string, std::string>>;
+
+/// A mining spec of the slow-quest store that takes most of a second
+/// and still finds over a hundred flipping patterns: long enough for
+/// later misses to join it in flight, and rich enough that every top-k
+/// cut and format prints different bytes.
+Params SharedSpec() {
+  return {{"minsup", "0.001,0.0002,0.0001"},
+          {"gamma", "0.15"},
+          {"epsilon", "0.1"}};
+}
+
+/// Presentations of one spec: every query of a single-flight test
+/// differs from the others in topk or format only.
+std::vector<Params> Presentations() {
+  return {{{"topk", "0"}, {"format", "csv"}},
+          {{"topk", "1"}, {"format", "json"}},
+          {{"topk", "2"}, {"format", "text"}},
+          {{"topk", "3"}, {"format", "csv"}},
+          {{"topk", "1000"}, {"format", "json"}},
+          {{"topk", "5"}, {"format", "text"}},
+          {{"topk", "0"}, {"format", "json"}},
+          {{"topk", "7"}, {"format", "csv"}}};
+}
+
+/// The solo bodies of SharedSpec() in each presentation:
+/// ExecuteMineRequest's two steps, with the one mine shared.
+std::vector<std::string> SoloSpecBodies(
+    const std::string& path, const std::vector<Params>& presentations) {
+  auto reader = storage::StoreReader::Open(path);
+  EXPECT_TRUE(reader.ok()) << reader.status();
+  auto spec = MineRequestFromParams(SharedSpec());
+  EXPECT_TRUE(spec.ok()) << spec.status();
+  auto mined = MinePatterns(reader->db(), reader->taxonomy(), nullptr,
+                            *spec, nullptr);
+  EXPECT_TRUE(mined.ok()) << mined.status();
+  EXPECT_GT(mined->patterns.size(), 8u);
+  std::vector<std::string> bodies;
+  for (const Params& presentation : presentations) {
+    Params params = SharedSpec();
+    params.insert(params.end(), presentation.begin(), presentation.end());
+    auto request = MineRequestFromParams(params);
+    EXPECT_TRUE(request.ok()) << request.status();
+    auto rendered = RenderRequest(mined->patterns, &reader->dict(), *request);
+    EXPECT_TRUE(rendered.ok()) << rendered.status();
+    bodies.push_back(rendered->body);
+  }
+  return bodies;
+}
+
+/// A cached mine of SharedSpec() on store `slow` in `presentation`.
+Request SpecMine(const Params& presentation, int deadline_ms = 0) {
+  Request request;
+  request.verb = "mine";
+  request.params.emplace_back("store", "slow");
+  if (deadline_ms > 0) {
+    request.params.emplace_back("deadline_ms", std::to_string(deadline_ms));
+  }
+  for (const auto& param : SharedSpec()) request.params.push_back(param);
+  for (const auto& param : presentation) request.params.push_back(param);
+  return request;
 }
 
 // --- un-fired tokens are invisible ------------------------------------
@@ -1116,6 +1193,145 @@ TEST(ServerRobustnessTest, StopCancelsInFlightQueriesWithinTheGrace) {
   EXPECT_EQ(server.metrics().counter("queries.failed"), 0);
   ::close(victim);
   ::close(queued);
+  std::remove(quest_path.c_str());
+}
+
+// --- single-flight: one mine per spec in flight -------------------------
+
+TEST(SingleFlightTest, ConcurrentFirstSightsOfOneSpecMineOnce) {
+  const std::string quest_path = TempPath("flight_once.fdb");
+  WriteSlowQuest(quest_path);
+  const std::vector<Params> presentations = Presentations();
+  const std::vector<std::string> oracles =
+      SoloSpecBodies(quest_path, presentations);
+
+  ServerOptions options;
+  options.socket_path = TempPath("flight_once.sock");
+  options.max_concurrent = 8;
+  Server server(options);
+  ASSERT_TRUE(server.AddStore("slow", quest_path).ok());
+  ASSERT_TRUE(server.Start().ok());
+  {
+    auto ready = Client::ConnectWithRetry(options.socket_path, 10000);
+    ASSERT_TRUE(ready.ok()) << ready.status();
+  }
+
+  // Eight first sights at once, in eight presentations of one spec.
+  std::vector<int> fds;
+  for (const Params& presentation : presentations) {
+    const int fd = SendRaw(options.socket_path, SpecMine(presentation));
+    ASSERT_GE(fd, 0);
+    fds.push_back(fd);
+  }
+  for (size_t i = 0; i < fds.size(); ++i) {
+    auto response = ReadReply(fds[i], 60000);
+    ASSERT_TRUE(response.ok()) << "query " << i << ": " << response.status();
+    ASSERT_TRUE(response->ok) << "query " << i << ": " << response->error;
+    EXPECT_EQ(response->body, oracles[i]) << "query " << i;
+    EXPECT_EQ(response->Meta("cache"), "miss") << "query " << i;
+    ::close(fds[i]);
+  }
+  EXPECT_EQ(server.metrics().counter("cache.mines"), 1);
+  EXPECT_EQ(server.metrics().counter("cache.pattern_hits"), 7);
+  // The mine takes most of a second; the others arrived within it.
+  EXPECT_GE(server.metrics().counter("cache.pattern_waits"), 1);
+  EXPECT_EQ(server.metrics().counter("queries.ok"), 8);
+  EXPECT_EQ(server.metrics().counter("queries.failed"), 0);
+
+  server.Stop();
+  std::remove(quest_path.c_str());
+}
+
+TEST(SingleFlightTest, LeaderHangupHandsTheMineToAWaiter) {
+  const std::string quest_path = TempPath("flight_hangup.fdb");
+  WriteSlowQuest(quest_path);
+  const std::vector<Params> presentations = Presentations();
+  const std::vector<std::string> oracles =
+      SoloSpecBodies(quest_path, presentations);
+
+  ServerOptions options;
+  options.socket_path = TempPath("flight_hangup.sock");
+  Server server(options);
+  ASSERT_TRUE(server.AddStore("slow", quest_path).ok());
+  ASSERT_TRUE(server.Start().ok());
+  auto control = Client::ConnectWithRetry(options.socket_path, 10000);
+  ASSERT_TRUE(control.ok()) << control.status();
+
+  // The leader mines; three misses on its spec join it.
+  const int leader = SendRaw(options.socket_path, SpecMine(presentations[0]));
+  ASSERT_TRUE(AwaitCounter(server, "cache.mines", 1));
+  constexpr int kWaiters = 3;
+  std::vector<int> waiters;
+  for (int i = 1; i <= kWaiters; ++i) {
+    waiters.push_back(SendRaw(options.socket_path, SpecMine(presentations[i])));
+  }
+  ASSERT_TRUE(AwaitCounter(server, "cache.pattern_waits", kWaiters));
+
+  // The leader's client hangs up mid-mine: its mine is cancelled, one
+  // waiter mines under its own token and the others wait on that.
+  ::close(leader);
+  for (int i = 0; i < kWaiters; ++i) {
+    auto response = ReadReply(waiters[i], 60000);
+    ASSERT_TRUE(response.ok()) << "waiter " << i << ": " << response.status();
+    ASSERT_TRUE(response->ok) << "waiter " << i << ": " << response->error;
+    EXPECT_EQ(response->body, oracles[i + 1]) << "waiter " << i;
+    ::close(waiters[i]);
+  }
+  ASSERT_TRUE(AwaitCounter(server, "queries.disconnected", 1));
+  EXPECT_EQ(server.metrics().counter("cache.mines"), 2);
+  EXPECT_EQ(server.metrics().counter("cache.pattern_hits"), kWaiters - 1);
+  EXPECT_EQ(server.metrics().counter("queries.ok"), kWaiters);
+  EXPECT_EQ(server.metrics().counter("queries.failed"), 0);
+  ASSERT_TRUE(AwaitGauge(server, &*control, "scheduler.running", 0));
+
+  server.Stop();
+  std::remove(quest_path.c_str());
+}
+
+TEST(SingleFlightTest, WaiterDeadlineLapsesWithoutTouchingTheLeader) {
+  const std::string quest_path = TempPath("flight_deadline.fdb");
+  WriteSlowQuest(quest_path);
+  const std::vector<Params> presentations = Presentations();
+  const std::vector<std::string> oracles =
+      SoloSpecBodies(quest_path, presentations);
+
+  ServerOptions options;
+  options.socket_path = TempPath("flight_deadline.sock");
+  Server server(options);
+  ASSERT_TRUE(server.AddStore("slow", quest_path).ok());
+  ASSERT_TRUE(server.Start().ok());
+  auto control = Client::ConnectWithRetry(options.socket_path, 10000);
+  ASSERT_TRUE(control.ok()) << control.status();
+
+  const int leader = SendRaw(options.socket_path, SpecMine(presentations[0]));
+  ASSERT_TRUE(AwaitCounter(server, "cache.mines", 1));
+
+  // A waiter with a short deadline gets deadline_exceeded when it
+  // lapses, while the leader is still mining.
+  constexpr int kDeadlineMs = 150;
+  WallTimer timer;
+  auto waited = control->Call(SpecMine(presentations[1], kDeadlineMs));
+  const int64_t elapsed_ms = timer.ElapsedMillis();
+  ASSERT_TRUE(waited.ok()) << waited.status();
+  EXPECT_FALSE(waited->ok);
+  EXPECT_NE(waited->error.find("deadline_exceeded"), std::string::npos)
+      << waited->error;
+  EXPECT_GE(elapsed_ms, kDeadlineMs - 1);
+  pollfd leader_poll{leader, POLLIN, 0};
+  EXPECT_EQ(::poll(&leader_poll, 1, 0), 0)
+      << "the leader finished before the waiter's deadline";
+  EXPECT_EQ(server.metrics().counter("cache.pattern_waits"), 1);
+
+  auto response = ReadReply(leader, 60000);
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_TRUE(response->ok) << response->error;
+  EXPECT_EQ(response->body, oracles[0]);
+  EXPECT_EQ(server.metrics().counter("cache.mines"), 1);
+  EXPECT_EQ(server.metrics().counter("queries.deadline_exceeded"), 1);
+  EXPECT_EQ(server.metrics().counter("queries.failed"), 0);
+  ::close(leader);
+
+  server.Stop();
   std::remove(quest_path.c_str());
 }
 

@@ -1,9 +1,10 @@
-// Serve-daemon tests: protocol codec round trips, the LRU result
-// cache, stat-based store invalidation, and a live end-to-end daemon
-// over a real unix socket — N concurrent queries must each come back
-// byte-identical to a solo in-process mine, repeats must hit the
-// cache, a store rewrite must invalidate it, and a second daemon may
-// not take over a live daemon's socket. (The event loop's admission
+// Serve-daemon tests: protocol codec round trips, the two-tier LRU
+// result cache, stat-based store invalidation, and a live end-to-end
+// daemon over a real unix socket — N concurrent queries must each come
+// back byte-identical to a solo in-process mine, repeats must hit the
+// cache, every top-k and format of one spec must render from a single
+// mine, a store rewrite must invalidate both tiers, and a second daemon
+// may not take over a live daemon's socket. (The event loop's admission
 // FIFO is exercised in service_robustness_test.)
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -137,6 +139,68 @@ TEST(ResultCacheTest, OversizedBodyIsNotCached) {
   EXPECT_EQ(cache.stats().bytes, 0u);
 }
 
+/// `n` patterns, each with a chain of exactly `levels` LevelStats.
+std::vector<FlippingPattern> Patterns(size_t n, size_t levels) {
+  std::vector<FlippingPattern> patterns(n);
+  for (FlippingPattern& p : patterns) {
+    p.chain.reserve(levels);
+    p.chain.resize(levels);
+  }
+  return patterns;
+}
+
+TEST(ResultCacheTest, PatternListsAndBodiesShareOneByteCap) {
+  const auto list = std::make_shared<const std::vector<FlippingPattern>>(
+      Patterns(2, 3));
+  const size_t list_bytes = ResultCache::PatternBytes(*list);
+  EXPECT_EQ(list_bytes, sizeof(std::vector<FlippingPattern>) +
+                            2 * (sizeof(FlippingPattern) +
+                                 list->front().chain.capacity() *
+                                     sizeof(LevelStat)));
+  EXPECT_GE(list->front().chain.capacity(), 3u);
+
+  ResultCache cache(list_bytes + 8);
+  cache.PutPatterns("spec", list);
+  cache.Put("body", Body("bbbb"));
+  ResultCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.bytes, list_bytes + 4);
+  // The list is shared, not copied; each tier answers only its own kind.
+  EXPECT_EQ(cache.GetPatterns("spec"), list);  // bumps `spec` to MRU
+  EXPECT_FALSE(cache.Get("spec").has_value());
+  EXPECT_EQ(cache.GetPatterns("body"), nullptr);
+
+  // Five more body bytes pass the cap by one: the LRU body goes.
+  cache.Put("body2", Body("ccccc"));
+  EXPECT_FALSE(cache.Get("body").has_value());
+  EXPECT_EQ(cache.GetPatterns("spec"), list);
+  stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.bytes, list_bytes + 5);
+
+  // A body as large as the list evicts by bytes across both kinds:
+  // `body2`, then the list.
+  cache.Put("wide", Body(std::string(list_bytes, 'w')));
+  EXPECT_FALSE(cache.Get("body2").has_value());
+  EXPECT_EQ(cache.GetPatterns("spec"), nullptr);
+  stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 3u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.bytes, list_bytes);
+
+  // A list over the whole cap is not cached; nor is any list, even an
+  // empty one, at capacity 0.
+  ResultCache small(list_bytes - 1);
+  small.PutPatterns("spec", list);
+  EXPECT_EQ(small.GetPatterns("spec"), nullptr);
+  EXPECT_EQ(small.stats().bytes, 0u);
+  ResultCache off(0);
+  off.PutPatterns("empty",
+                  std::make_shared<const std::vector<FlippingPattern>>());
+  EXPECT_EQ(off.GetPatterns("empty"), nullptr);
+  EXPECT_EQ(off.stats().entries, 0u);
+}
+
 // --- cache key --------------------------------------------------------
 
 TEST(CanonicalCacheKeyTest, ExcludesExecutionKnobs) {
@@ -151,6 +215,11 @@ TEST(CanonicalCacheKeyTest, ExcludesExecutionKnobs) {
   MineRequest c = a;
   c.format = "csv";
   EXPECT_NE(CanonicalCacheKey(a), CanonicalCacheKey(c));
+  // topk and format only present the list: one mining spec.
+  c.topk = 3;
+  EXPECT_EQ(MiningSpecKey(a), MiningSpecKey(c));
+  EXPECT_NE(MiningSpecKey(a), MiningSpecKey(b));
+  EXPECT_EQ(CanonicalCacheKey(c).rfind(MiningSpecKey(c), 0), 0u);
 }
 
 TEST(ApplyMineOptionTest, RemovedKeysAreUnknown) {
@@ -245,8 +314,9 @@ void WriteGroceries(const std::string& path, uint32_t txns,
   ASSERT_TRUE(written.ok()) << written;
 }
 
-/// Distinct output-affecting configs: the daemon cannot satisfy one
-/// from another's cache entry, so each first run is a true miss. Every
+/// Distinct output-affecting configs: no config's body answers
+/// another's, so each first run is a miss (configs 0 and 1 share a
+/// mining spec, so one of them renders the other's list). Every
 /// variant still mines a non-empty answer set on the groceries data.
 std::vector<std::vector<std::pair<std::string, std::string>>>
 DistinctConfigs() {
@@ -375,6 +445,9 @@ TEST(ServerTest, StoreRewriteInvalidatesCacheAndReloads) {
   // The oracle body must carry patterns, not just the CSV header —
   // otherwise old-vs-new comparisons below would be vacuous.
   ASSERT_GT(std::count(before.begin(), before.end(), '\n'), 1);
+  const std::vector<std::pair<std::string, std::string>> top2 = {
+      {"format", "csv"}, {"topk", "2"}};
+  const std::string before_top2 = SoloBody(store_path, top2);
 
   ServerOptions options;
   options.socket_path = TempPath("server_reload.sock");
@@ -393,13 +466,67 @@ TEST(ServerTest, StoreRewriteInvalidatesCacheAndReloads) {
   WriteGroceries(store_path, 2500, 7);
   const std::string after = SoloBody(store_path, params);
   ASSERT_NE(before, after);
+  // A new top-k of the old spec first: its list must be mined from the
+  // new contents, never rendered from the old fingerprint's list.
+  const std::string after_top2 = SoloBody(store_path, top2);
+  ASSERT_NE(before_top2, after_top2);
+  auto top = MineOnce(options.socket_path, "d", top2);
+  ASSERT_TRUE(top.ok() && top->ok);
+  EXPECT_NE(top->Meta("fingerprint"), fp1);
+  EXPECT_EQ(top->Meta("cache"), "miss");
+  EXPECT_EQ(top->body, after_top2);
   auto second = MineOnce(options.socket_path, "d", params);
   ASSERT_TRUE(second.ok() && second->ok);
   EXPECT_NE(second->Meta("fingerprint"), fp1);
   EXPECT_EQ(second->Meta("cache"), "miss");
   EXPECT_EQ(second->body, after);
+  EXPECT_EQ(server.metrics().counter("cache.mines"), 2);
+  EXPECT_EQ(server.metrics().counter("cache.pattern_hits"), 1);
 
   server.Stop();
+  std::remove(store_path.c_str());
+}
+
+TEST(ServerTest, EveryTopkAndFormatOfASpecRendersFromOneMine) {
+  const std::string store_path = TempPath("server_spec.fdb");
+  WriteGroceries(store_path, 1500, 1);
+  std::vector<std::vector<std::pair<std::string, std::string>>> combos;
+  std::vector<std::string> expected;
+  for (const char* topk : {"0", "1", "2", "3", "1000"}) {
+    for (const char* format : {"csv", "json", "text"}) {
+      combos.push_back({{"topk", topk}, {"format", format}});
+      expected.push_back(SoloBody(store_path, combos.back()));
+    }
+  }
+  // Enough patterns that topk 1, 2 and 3 each cut the list.
+  ASSERT_GT(std::count(expected[0].begin(), expected[0].end(), '\n'), 4);
+
+  for (const bool warm : {false, true}) {
+    SCOPED_TRACE(warm ? "after a topk=0 csv warm-up" : "cold cache");
+    ServerOptions options;
+    options.socket_path = TempPath("server_spec.sock");
+    Server server(options);
+    ASSERT_TRUE(server.AddStore("d", store_path).ok());
+    ASSERT_TRUE(server.Start().ok());
+    if (warm) {
+      auto warmup = MineOnce(options.socket_path, "d", combos[0]);
+      ASSERT_TRUE(warmup.ok() && warmup->ok);
+    }
+    for (size_t i = 0; i < combos.size(); ++i) {
+      auto response = MineOnce(options.socket_path, "d", combos[i]);
+      ASSERT_TRUE(response.ok()) << response.status();
+      ASSERT_TRUE(response->ok) << response->error;
+      EXPECT_EQ(response->body, expected[i]) << "combo " << i;
+      EXPECT_EQ(response->Meta("cache"), warm && i == 0 ? "hit" : "miss")
+          << "combo " << i;
+    }
+    // One mine for the spec; every other first sight rendered its list.
+    EXPECT_EQ(server.metrics().counter("cache.mines"), 1);
+    EXPECT_EQ(server.metrics().counter("cache.pattern_hits"),
+              static_cast<int64_t>(combos.size()) - 1);
+    EXPECT_EQ(server.metrics().counter("cache.pattern_waits"), 0);
+    server.Stop();
+  }
   std::remove(store_path.c_str());
 }
 

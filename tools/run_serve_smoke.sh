@@ -10,7 +10,8 @@
 # fault-injected connections (`loadgen --chaos`) and requires the
 # daemon to stay healthy, checks that the idle daemon's thread count
 # stays within nproc + 2 (`/proc/<pid>/status`), parses the daemon's
-# `stats` JSON (latency percentiles included), asks for `shutdown`
+# `stats` JSON (latency percentiles included, and at most one mine per
+# mining spec), asks for `shutdown`
 # over the protocol and asserts the daemon exits cleanly with zero
 # failed queries and a removed pidfile. A second short-lived daemon then checks the other
 # shutdown path: SIGTERM must drain gracefully, write the same
@@ -170,12 +171,18 @@ counters = stats["counters"]
 assert counters["queries.total"] >= 48, counters
 assert counters.get("queries.failed", 0) == 0, counters
 assert counters["cache.hits"] >= 1, counters
+# loadgen's 4 variants are 3 mining specs (variant 2 differs from
+# variant 1 only in topk and threads): each spec is mined once, and
+# variant 2's first sight renders variant 1's list (or the reverse).
+assert counters.get("cache.mines", 0) <= 3, counters
+assert counters.get("cache.pattern_hits", 0) >= 1, counters
 latency = stats["histograms"]["query.latency_ms"]
 assert latency["count"] >= 48, latency
 assert 0 <= latency["p50_ms"] <= latency["p95_ms"] <= latency["max_ms"], \
     latency
 print(f"stats ok: {counters['queries.total']} queries, "
-      f"{counters['cache.hits']} cache hits, latency p50 "
+      f"{counters['cache.hits']} cache hits, "
+      f"{counters.get('cache.mines', 0)} mines, latency p50 "
       f"{latency['p50_ms']:.3f} ms / p95 {latency['p95_ms']:.3f} ms")
 EOF
 
