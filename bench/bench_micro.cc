@@ -544,12 +544,6 @@ void BenchMiner(std::vector<CaseResult>* results) {
   }
 }
 
-/// Dataset load paths on the groceries-sim dataset: basket-text
-/// parsing (the legacy ingestion, now block-buffered) vs FlipperStore
-/// open — v1 (zero-copy mmap) and v2 (varint decode + catalog), each
-/// with and without the payload validation scan. The fdb cases report
-/// their speedup over the parse baseline in the speedup column/JSON
-/// field.
 /// Scratch dir unique to this process: ctest runs bench_smoke and
 /// bench_record_smoke concurrently, and a shared fixed path would let
 /// one process rewrite a store while the other mmaps it.
@@ -561,6 +555,11 @@ std::filesystem::path UniqueScratchDir(const char* tag,
          (std::string(tag) + "_" + std::to_string(nonce));
 }
 
+/// Dataset load paths on the groceries-sim dataset: basket-text
+/// parsing (block-buffered) vs a FlipperStore open (zero-copy mmap),
+/// with and without the payload validation scan. The fdb cases report
+/// their speedup over the parse baseline in the speedup column/JSON
+/// field.
 void BenchStorage(std::vector<CaseResult>* results) {
   GroceriesParams params;
   params.num_transactions =

@@ -304,13 +304,13 @@ int MineCommand(const std::vector<const char*>& argv, std::ostream& out,
 
 // --- convert ----------------------------------------------------------
 
-/// Re-encodes `reader`'s dataset as a fresh v1 store (or fast-copies
-/// it when it already is one and no re-segmentation was requested)
-/// into `output`. Re-encoding upgrades legacy v2 stores and compacts
-/// appended ones. `same_file` says input and output are one file on disk
-/// (any spelling, symlink or hardlink): writing would truncate the
-/// store under the reader's live mapping, so it degrades the fast
-/// path to validate-only and refuses the re-encode outright.
+/// Re-encodes `reader`'s dataset as a fresh store (or fast-copies it
+/// when it already is one and no re-segmentation was requested) into
+/// `output`. Re-encoding compacts appended stores. `same_file` says
+/// input and output are one file on disk (any spelling, symlink or
+/// hardlink): writing would truncate the store under the reader's live
+/// mapping, so it degrades the fast path to validate-only and refuses
+/// the re-encode outright.
 int ConvertFromStore(const storage::StoreReader& reader,
                      const std::string& input, const std::string& output,
                      const storage::StoreWriter::Options& options,
@@ -326,10 +326,9 @@ int ConvertFromStore(const storage::StoreReader& reader,
     err << "error: " << checksums << "\n";
     return 1;
   }
-  const bool compact_v1 =
-      detected == storage::kFormatVersionV1 &&
+  const bool compact =
       reader.header().section_count == storage::kNumSectionsV1;
-  if (compact_v1 && !resegment) {
+  if (compact && !resegment) {
     // Already what a re-encode would write: the input has passed
     // Open()'s validation, so a byte copy is both faster and safer
     // than a decode/re-encode round trip.
@@ -398,8 +397,7 @@ int ConvertCommand(const std::vector<const char*>& argv,
   ArgParser args("flipper_cli convert",
                  "Convert basket + taxonomy text files into a binary "
                  "FlipperStore (.fdb), or re-encode an existing store "
-                 "via --from-fdb (upgrades legacy v2 stores to v1 and "
-                 "compacts appended ones).");
+                 "via --from-fdb (compacts appended ones).");
   if (!from_store) {
     args.AddPositional("basket",
                        "transactions, one per line (item names)");
@@ -709,22 +707,6 @@ int InspectCommand(const std::vector<const char*>& argv,
     out << "    " << storage::SectionIdName(storage::SectionId(e.id))
         << ": offset " << e.offset << ", "
         << FormatBytes(static_cast<int64_t>(e.size)) << "\n";
-  }
-  if (const SegmentCatalog* catalog = reader->catalog()) {
-    out << "  catalog: " << catalog->num_segments() << " segments, "
-        << catalog->tracked_ids().size() << " tracked items, "
-        << catalog->bitset_bits() << "-bit segment bitsets, mean fill "
-        << FormatDouble(catalog->MeanBitsetFill() * 100.0, 1) << "%\n";
-    if (!catalog->tracked_ids().empty()) {
-      out << "  tracked:";
-      for (ItemId id : catalog->tracked_ids()) {
-        out << " " << reader->dict().Name(id);
-      }
-      out << "\n";
-    }
-  } else {
-    out << "  catalog: none (v" << h.version
-        << " stores carry no segment catalog)\n";
   }
   Status checksums = reader->VerifyChecksums();
   if (!checksums.ok()) {

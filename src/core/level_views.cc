@@ -258,31 +258,15 @@ Result<LevelViews> LevelViews::Build(const TransactionDb& leaf_db,
     data.width_hist = std::move(hist);
   }
 
-  // Catalog boundaries: the leaf database's own segmentation (the
-  // store's shard layout) when it carries one, uniform ranges
-  // otherwise. Generalization preserves transaction indexes, so the
-  // same boundaries describe every level.
+  // Generalization preserves transaction indexes, so one set of uniform
+  // boundaries describes every level.
   if (options.build_catalogs && n > 0) {
-    std::vector<uint64_t> boundaries;
-    if (leaf_db.segment_catalog() != nullptr) {
-      const auto leaf_boundaries = leaf_db.segment_catalog()->boundaries();
-      boundaries.assign(leaf_boundaries.begin(), leaf_boundaries.end());
-    } else {
-      boundaries =
-          SegmentCatalog::UniformBoundaries(n, options.segment_txns);
-    }
+    const std::vector<uint64_t> boundaries =
+        SegmentCatalog::UniformBoundaries(n, options.segment_txns);
     for (LevelData& data : views.levels_) {
-      // The deepest view is the leaf database itself, so a
-      // store-provided catalog is reused as-is there.
-      if (data.level == height && leaf_db.segment_catalog() != nullptr) {
-        data.catalog = leaf_db.segment_catalog();
-      } else {
-        data.catalog = std::make_shared<SegmentCatalog>(
-            SegmentCatalog::Build(data.db, boundaries,
-                                  SegmentCatalog::kDefaultTrackedItems,
-                                  SegmentCatalog::kDefaultBitsetWords,
-                                  pool));
-      }
+      data.catalog = std::make_shared<SegmentCatalog>(SegmentCatalog::Build(
+          data.db, boundaries, SegmentCatalog::kDefaultTrackedItems,
+          SegmentCatalog::kDefaultBitsetWords, pool));
     }
   }
   return views;

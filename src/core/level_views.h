@@ -29,19 +29,19 @@ struct LevelData {
   std::vector<uint32_t> width_hist;
   /// Per-segment presence metadata of this level's generalized
   /// database; null unless BuildOptions::build_catalogs asked for it.
-  /// No mining path reads it.
+  /// No mining path reads it: it stays only for perfbench's driver,
+  /// which times the catalog pass, and goes when that call does.
   std::shared_ptr<const SegmentCatalog> catalog;
 };
 
 class LevelViews {
  public:
+  /// Kept only for perfbench's driver, which times the catalog pass;
+  /// it goes once that call stops asking for catalogs.
   struct BuildOptions {
-    /// Build a per-level SegmentCatalog (LevelData::catalog). Levels
-    /// reuse the leaf database's attached catalog boundaries (a
-    /// segmented store's shard layout) when present, and fall back to
-    /// uniform `segment_txns`-sized ranges otherwise. The miners do not
-    /// read catalogs; this exists for callers that time the catalog
-    /// pass.
+    /// Build a per-level SegmentCatalog (LevelData::catalog) over
+    /// uniform `segment_txns`-sized transaction ranges. The miners do
+    /// not read catalogs.
     bool build_catalogs = true;
     uint64_t segment_txns = SegmentCatalog::kDefaultSegmentTxns;
   };

@@ -1,12 +1,35 @@
 #include "data/segment_catalog.h"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
+#include <span>
 
 #include "data/transaction_db.h"
 
 namespace flipper {
+
+namespace {
+
+/// The `k` most frequent item ids of `freq` (frequency descending, id
+/// ascending tiebreak): Build's tracked set.
+std::vector<ItemId> TopKByFrequency(std::span<const uint32_t> freq,
+                                    uint32_t k) {
+  std::vector<ItemId> by_freq(freq.size());
+  std::iota(by_freq.begin(), by_freq.end(), 0);
+  std::sort(by_freq.begin(), by_freq.end(), [&](ItemId a, ItemId b) {
+    return freq[a] != freq[b] ? freq[a] > freq[b] : a < b;
+  });
+  by_freq.resize(std::min<size_t>(k, by_freq.size()));
+  return by_freq;
+}
+
+/// Bit index of `item` in a `num_bits`-wide segment bitset (a
+/// Fibonacci hash).
+uint32_t HashBit(ItemId item, uint32_t num_bits) {
+  return static_cast<uint32_t>((item * 2654435761u) % num_bits);
+}
+
+}  // namespace
 
 std::vector<uint64_t> SegmentCatalog::UniformBoundaries(
     uint64_t num_txns, uint64_t segment_txns) {
@@ -17,17 +40,6 @@ std::vector<uint64_t> SegmentCatalog::UniformBoundaries(
   }
   if (boundaries.back() != num_txns) boundaries.push_back(num_txns);
   return boundaries;
-}
-
-std::vector<ItemId> SegmentCatalog::TopKByFrequency(
-    std::span<const uint32_t> freq, uint32_t k) {
-  std::vector<ItemId> by_freq(freq.size());
-  std::iota(by_freq.begin(), by_freq.end(), 0);
-  std::sort(by_freq.begin(), by_freq.end(), [&](ItemId a, ItemId b) {
-    return freq[a] != freq[b] ? freq[a] > freq[b] : a < b;
-  });
-  by_freq.resize(std::min<size_t>(k, by_freq.size()));
-  return by_freq;
 }
 
 SegmentCatalog SegmentCatalog::Build(const TransactionDb& db,
@@ -68,7 +80,7 @@ SegmentCatalog SegmentCatalog::Build(const TransactionDb& db,
       for (ItemId item : db.Get(static_cast<TxnId>(t))) {
         lo = std::min(lo, item);
         hi = std::max(hi, item);
-        const uint32_t bit = catalog.BitIndex(item);
+        const uint32_t bit = HashBit(item, catalog.bitset_words_ * 64);
         bits[bit / 64] |= uint64_t{1} << (bit % 64);
         if (item < slot_of.size() && slot_of[item] != 0) {
           ++sups[slot_of[item] - 1];
@@ -89,42 +101,6 @@ SegmentCatalog SegmentCatalog::Build(const TransactionDb& db,
                 }
               });
   return catalog;
-}
-
-SegmentCatalog SegmentCatalog::FromParts(
-    std::vector<uint64_t> boundaries, uint32_t bitset_words,
-    std::vector<ItemId> tracked_ids, std::vector<ItemId> min_item,
-    std::vector<ItemId> max_item, std::vector<uint64_t> bits,
-    std::vector<uint32_t> tracked_supports) {
-  SegmentCatalog catalog;
-  catalog.boundaries_ = std::move(boundaries);
-  catalog.bitset_words_ = std::max(1u, bitset_words);
-  catalog.tracked_ids_ = std::move(tracked_ids);
-  catalog.min_item_ = std::move(min_item);
-  catalog.max_item_ = std::move(max_item);
-  catalog.bits_ = std::move(bits);
-  catalog.tracked_supports_ = std::move(tracked_supports);
-  return catalog;
-}
-
-double SegmentCatalog::MeanBitsetFill() const {
-  if (num_segments() == 0) return 0.0;
-  uint64_t set = 0;
-  for (uint64_t word : bits_) {
-    set += static_cast<uint64_t>(std::popcount(word));
-  }
-  return static_cast<double>(set) /
-         (static_cast<double>(num_segments()) * bitset_bits());
-}
-
-int64_t SegmentCatalog::MemoryBytes() const {
-  return static_cast<int64_t>(
-      boundaries_.capacity() * sizeof(uint64_t) +
-      tracked_ids_.capacity() * sizeof(ItemId) +
-      min_item_.capacity() * sizeof(ItemId) +
-      max_item_.capacity() * sizeof(ItemId) +
-      bits_.capacity() * sizeof(uint64_t) +
-      tracked_supports_.capacity() * sizeof(uint32_t));
 }
 
 }  // namespace flipper

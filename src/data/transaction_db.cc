@@ -1,7 +1,5 @@
 #include "data/transaction_db.h"
 
-#include "data/segment_catalog.h"
-
 #include <algorithm>
 
 namespace flipper {
@@ -16,7 +14,6 @@ constexpr uint64_t kEmptyOffsets[1] = {0};
 void TransactionDb::ResetToEmpty() noexcept {
   items_.clear();
   offsets_.clear();
-  catalog_.reset();
   items_view_ = {};
   offsets_view_ = std::span<const uint64_t>(kEmptyOffsets, 1);
   borrowed_ = true;
@@ -29,8 +26,7 @@ TransactionDb::TransactionDb(const TransactionDb& other)
       offsets_(other.offsets_),
       borrowed_(other.borrowed_),
       alphabet_size_(other.alphabet_size_),
-      max_width_(other.max_width_),
-      catalog_(other.catalog_) {
+      max_width_(other.max_width_) {
   if (borrowed_) {
     items_view_ = other.items_view_;
     offsets_view_ = other.offsets_view_;
@@ -46,7 +42,6 @@ TransactionDb& TransactionDb::operator=(const TransactionDb& other) {
     borrowed_ = other.borrowed_;
     alphabet_size_ = other.alphabet_size_;
     max_width_ = other.max_width_;
-    catalog_ = other.catalog_;
     if (borrowed_) {
       items_view_ = other.items_view_;
       offsets_view_ = other.offsets_view_;
@@ -62,8 +57,7 @@ TransactionDb::TransactionDb(TransactionDb&& other) noexcept
       offsets_(std::move(other.offsets_)),
       borrowed_(other.borrowed_),
       alphabet_size_(other.alphabet_size_),
-      max_width_(other.max_width_),
-      catalog_(std::move(other.catalog_)) {
+      max_width_(other.max_width_) {
   if (borrowed_) {
     items_view_ = other.items_view_;
     offsets_view_ = other.offsets_view_;
@@ -80,7 +74,6 @@ TransactionDb& TransactionDb::operator=(TransactionDb&& other) noexcept {
     borrowed_ = other.borrowed_;
     alphabet_size_ = other.alphabet_size_;
     max_width_ = other.max_width_;
-    catalog_ = std::move(other.catalog_);
     if (borrowed_) {
       items_view_ = other.items_view_;
       offsets_view_ = other.offsets_view_;
@@ -119,10 +112,8 @@ TransactionDb TransactionDb::FromOwned(Offsets offsets, Items items,
 }
 
 TransactionDb TransactionDb::Borrow() const {
-  TransactionDb db = FromBorrowed(offsets_view_, items_view_,
-                                  alphabet_size_, max_width_);
-  db.catalog_ = catalog_;
-  return db;
+  return FromBorrowed(offsets_view_, items_view_, alphabet_size_,
+                      max_width_);
 }
 
 void TransactionDb::EnsureOwned() {
@@ -135,7 +126,6 @@ void TransactionDb::EnsureOwned() {
 
 void TransactionDb::Add(std::span<const ItemId> items) {
   EnsureOwned();
-  catalog_.reset();  // boundaries/contents no longer describe this db
   const size_t start = items_.size();
   items_.insert(items_.end(), items.begin(), items.end());
   auto begin = items_.begin() + static_cast<ptrdiff_t>(start);

@@ -26,8 +26,6 @@
 
 namespace flipper {
 
-class SegmentCatalog;
-
 /// std::allocator whose value-less construct() default-initializes, so
 /// resize() leaves new trivial elements unwritten instead of zeroing
 /// them. A builder that then writes every element itself touches each
@@ -79,9 +77,9 @@ class TransactionDb {
   static TransactionDb FromOwned(Offsets offsets, Items items,
                                  ItemId alphabet_size, uint32_t max_width);
 
-  /// A borrowed db over this db's storage, without copying (the
-  /// segment catalog is shared). This db's storage must outlive the
-  /// result and every copy of it, and stay unmodified.
+  /// A borrowed db over this db's storage, without copying. This db's
+  /// storage must outlive the result and every copy of it, and stay
+  /// unmodified.
   TransactionDb Borrow() const;
 
   /// True while the CSR arrays point at external memory.
@@ -155,17 +153,6 @@ class TransactionDb {
     SyncViews();
   }
 
-  /// Attaches a segment catalog describing this database (its
-  /// boundaries must end at size()). The catalog is advisory metadata;
-  /// it is shared by copies and dropped by any
-  /// mutation that could invalidate it (Add).
-  void AttachSegmentCatalog(std::shared_ptr<const SegmentCatalog> catalog) {
-    catalog_ = std::move(catalog);
-  }
-  const std::shared_ptr<const SegmentCatalog>& segment_catalog() const {
-    return catalog_;
-  }
-
  private:
   /// Copies borrowed storage into the owned vectors (no-op when
   /// already owned).
@@ -187,8 +174,6 @@ class TransactionDb {
   bool borrowed_ = false;
   ItemId alphabet_size_ = 0;
   uint32_t max_width_ = 0;
-  /// Optional per-segment metadata (see AttachSegmentCatalog).
-  std::shared_ptr<const SegmentCatalog> catalog_;
 };
 
 }  // namespace flipper

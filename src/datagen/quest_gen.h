@@ -34,7 +34,7 @@ struct QuestParams {
   /// Temporal skew: with `phases` >= 2 the transaction stream is split
   /// into that many consecutive phases and phase p draws only from the
   /// p-th slice of the pattern pool, so item populations drift across
-  /// the file (the "skewed" scenario segment catalogs can skip into).
+  /// the file (a "skewed" store whose segments hold different items).
   /// 0 or 1 keeps the classic stationary generator — bit-identical to
   /// the pre-phases output for any seed.
   uint32_t phases = 0;

@@ -19,8 +19,6 @@ const char* SectionIdName(SectionId id) {
       return "tax_parents";
     case SectionId::kTaxRoots:
       return "tax_roots";
-    case SectionId::kSegCatalog:
-      return "seg_catalog";
   }
   return "unknown";
 }

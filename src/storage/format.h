@@ -11,10 +11,10 @@
 //                     files keep theirs in the commit trailer)
 //   [section payloads ...]  each 8-byte aligned, padded with zeros
 //
-// Version 1 — the layout this build writes (fresh files, append
-// sessions and `convert` output). A fresh file holds exactly these
-// seven sections, in any physical order (the table records where each
-// one lives):
+// Version 1 — the only layout this build reads and writes (fresh
+// files, append sessions and `convert` output). A fresh file holds
+// exactly these seven sections, in any physical order (the table
+// records where each one lives):
 //
 //   kTxnOffsets   (num_transactions + 1) x u64   CSR boundaries
 //   kTxnItems     num_items x u32                flattened sorted items
@@ -26,26 +26,6 @@
 //
 // Both columns are raw, so a single-block file opens as zero-copy
 // views over the mapping.
-//
-// Version 2 — legacy, read-only. Older builds wrote it; this build
-// still reads and validates it, but never writes or appends to it
-// (`flipper_cli convert --from-fdb` upgrades it to v1). It keeps the
-// container and the dictionary/taxonomy/segments sections, but
-// compresses the two columns and adds a segment catalog:
-//
-//   kTxnOffsets   num_transactions varints       per-txn width (delta
-//                                                of the CSR boundary)
-//   kTxnItems     per txn: varint first item,    sorted items as gaps
-//                 then varint gaps (>= 1)
-//   kSegCatalog   fixed-width catalog (below)    per-segment item metadata
-//
-// kSegCatalog payload:
-//
-//   u32 tracked_count K      top-frequency items with exact per-segment
-//   u32 bitset_words  W      supports; W 64-bit bitset words per segment
-//   K x u32 tracked item ids (global frequency desc, id asc)
-//   num_segments x { u32 min_item; u32 max_item;
-//                    W x u64 bits; K x u32 tracked supports }
 //
 // Segments partition the transactions into contiguous shards (the
 // writer cuts one every Options::segment_txns transactions) so
@@ -71,10 +51,9 @@
 // and readers concatenate the blocks, dropping each later offsets
 // block's repeated first value, into one logical column. section_count
 // therefore grows by 2 per session: 5 singletons plus equally many
-// offsets and items blocks. Legacy v2 files used the same block-pair
-// rule with varint blocks (6 singletons, the catalog included). The
-// superseded copies of the small sections become dead bytes
-// (reclaimed by `flipper_cli convert --from-fdb`, which compacts).
+// offsets and items blocks. The superseded copies of the small
+// sections become dead bytes (reclaimed by `flipper_cli convert
+// --from-fdb`, which compacts).
 //
 // Commit protocol: the trailer is [section table][FileHeader] with
 // header.table_offset pointing at that trailing table and
@@ -90,12 +69,14 @@
 // byte-exactly; `flipper_cli repair` applies exactly these two rules.
 //
 // Versioning rules: readers accept exactly the versions they know
-// (currently 1 and 2); any other layout or semantic change bumps the
-// version. Reserved fields are written as zero and ignored on read, so
-// compatible additions can reuse them without a bump. Appends reuse
-// one such field (table_offset) and grow section_count without a
-// bump: readers that predate them reject an appended file on its
-// section_count (v1 readers required exactly 7), never misread it.
+// (currently only 1; older builds also wrote a version 2, whose files
+// are refused and must be regenerated from their source files); any
+// other layout or semantic change bumps the version. Reserved fields
+// are written as zero and ignored on read, so compatible additions can
+// reuse them without a bump. Appends reuse one such field
+// (table_offset) and grow section_count without a bump: readers that
+// predate them reject an appended file on its section_count (they
+// required exactly 7), never misread it.
 
 #ifndef FLIPPER_STORAGE_FORMAT_H_
 #define FLIPPER_STORAGE_FORMAT_H_
@@ -108,12 +89,7 @@ namespace storage {
 
 inline constexpr char kMagic[8] = {'F', 'L', 'I', 'P', 'F', 'D', 'B', '\0'};
 inline constexpr uint32_t kFormatVersionV1 = 1;
-/// Legacy: read, validated and upgraded, never written.
-inline constexpr uint32_t kFormatVersionV2 = 2;
 inline constexpr uint64_t kSectionAlignment = 8;
-/// Upper bound on the per-segment catalog bitset (64-bit words) of a
-/// v2 file; larger values are corruption.
-inline constexpr uint32_t kMaxCatalogBitsetWords = 1024;
 
 enum class SectionId : uint32_t {
   kTxnOffsets = 1,
@@ -123,19 +99,15 @@ enum class SectionId : uint32_t {
   kDictBlob = 5,
   kTaxParents = 6,
   kTaxRoots = 7,
-  kSegCatalog = 8,  // v2 only
 };
 
 inline constexpr uint32_t kNumSectionsV1 = 7;
-inline constexpr uint32_t kNumSectionsV2 = 8;
 
-/// Section count a fresh file of `version` carries (0 for unknown
-/// versions). Appended files hold more: each append session adds one
-/// kTxnOffsets and one kTxnItems block.
+/// Section count a fresh file of `version` carries (0 for versions
+/// this build does not read). Appended files hold more: each append
+/// session adds one kTxnOffsets and one kTxnItems block.
 inline constexpr uint32_t SectionCountForVersion(uint32_t version) {
-  if (version == kFormatVersionV1) return kNumSectionsV1;
-  if (version == kFormatVersionV2) return kNumSectionsV2;
-  return 0;
+  return version == kFormatVersionV1 ? kNumSectionsV1 : 0;
 }
 
 /// Sanity bound on section_count before the reader sizes its table
@@ -164,8 +136,7 @@ struct FileHeader {
   uint32_t section_count = 0;
   uint64_t file_size = 0;  // total bytes; guards against truncation
   uint64_t num_transactions = 0;
-  uint64_t num_items = 0;     // total flattened items (logical count,
-                              // not encoded bytes)
+  uint64_t num_items = 0;     // total flattened items
   uint64_t num_segments = 0;  // shard count (>= 1 unless empty)
   uint32_t alphabet_size = 0;
   uint32_t max_width = 0;
@@ -186,22 +157,7 @@ struct FileHeader {
 };
 static_assert(sizeof(FileHeader) == 104);
 
-/// Fixed-width prefix of the kSegCatalog payload.
-struct SegCatalogHeader {
-  uint32_t tracked_count = 0;  // K
-  uint32_t bitset_words = 0;   // W (64-bit words per segment)
-};
-static_assert(sizeof(SegCatalogHeader) == 8);
-
 #pragma pack(pop)
-
-/// Bytes of one per-segment catalog record for K tracked items and W
-/// bitset words: min/max + bitset + tracked supports.
-inline constexpr uint64_t SegCatalogRecordBytes(uint64_t tracked_count,
-                                                uint64_t bitset_words) {
-  return 2 * sizeof(uint32_t) + bitset_words * sizeof(uint64_t) +
-         tracked_count * sizeof(uint32_t);
-}
 
 inline constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
 

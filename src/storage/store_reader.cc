@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 
-#include "storage/varint.h"
 #include "taxonomy/taxonomy_builder.h"
 
 namespace flipper {
@@ -58,9 +57,11 @@ Result<FileHeader> ParseHeaderAt(const std::byte* at, uint64_t avail,
   if (SectionCountForVersion(h.version) == 0) {
     return Status::InvalidArgument(
         "unsupported store version " + std::to_string(h.version) +
-        " (this build reads versions " +
-        std::to_string(kFormatVersionV1) + " and " +
-        std::to_string(kFormatVersionV2) + "): " + path);
+        " (this build reads only version " +
+        std::to_string(kFormatVersionV1) +
+        "; a store written by an older build must be regenerated from "
+        "its source files with `flipper_cli convert` or `flipper_cli "
+        "datagen`): " + path);
   }
   if (HeaderChecksum(h) != h.header_checksum) {
     return Corrupt("header checksum mismatch: " + path);
@@ -68,46 +69,10 @@ Result<FileHeader> ParseHeaderAt(const std::byte* at, uint64_t avail,
   return h;
 }
 
-/// Sequential varint reader over a chain of column blocks (table
-/// order). Blocks end on transaction boundaries, so a varint that
-/// would straddle two blocks is corruption and decodes as truncated.
-class BlockCursor {
- public:
-  BlockCursor(const std::byte* base,
-              std::span<const SectionEntry* const> blocks)
-      : base_(base), blocks_(blocks) {}
-
-  bool Get(uint64_t* value) {
-    SkipExhausted();
-    return GetVarint(&pos_, end_, value);
-  }
-
-  /// True when every block's bytes have been consumed.
-  bool Exhausted() {
-    SkipExhausted();
-    return pos_ == end_;
-  }
-
- private:
-  void SkipExhausted() {
-    while (pos_ == end_ && idx_ < blocks_.size()) {
-      const SectionEntry& e = *blocks_[idx_++];
-      pos_ = reinterpret_cast<const uint8_t*>(base_ + e.offset);
-      end_ = pos_ + e.size;
-    }
-  }
-
-  const std::byte* base_;
-  std::span<const SectionEntry* const> blocks_;
-  size_t idx_ = 0;
-  const uint8_t* pos_ = nullptr;
-  const uint8_t* end_ = nullptr;
-};
-
 /// Items per chunk of SummarizeItems' inner loop.
 constexpr size_t kSummaryChunk = 64;
 
-/// The branch-free part of the v1 item check.
+/// The branch-free part of the item check.
 struct ItemSummary {
   ItemId max_item = 0;
   /// Adjacent pairs with items[i-1] >= items[i], counted across
@@ -148,7 +113,7 @@ ItemSummary SummarizeItems(std::span<const ItemId> items) {
 /// The unordered pairs that straddle two transactions: one per
 /// distinct transaction start strictly inside the block (an empty
 /// transaction repeats its successor's start). The bounds must have
-/// passed CheckColumnsV1.
+/// passed CheckColumns.
 uint64_t CountUnorderedStarts(std::span<const uint64_t> bounds,
                               std::span<const ItemId> items) {
   const uint64_t first = bounds.front();
@@ -192,7 +157,7 @@ Status CheckItemsExactly(std::span<const uint64_t> bounds,
 
 }  // namespace
 
-Status StoreReader::CheckColumnsV1(
+Status StoreReader::CheckColumns(
     const std::byte* base,
     std::span<const SectionEntry* const> offsets_blocks,
     std::span<const SectionEntry* const> items_blocks,
@@ -275,9 +240,9 @@ Status StoreReader::CheckColumnsV1(
   return Status::OK();
 }
 
-void StoreReader::AssembleColumnsV1(std::span<const ColumnBlock> blocks,
-                                    std::span<const uint64_t>* offsets,
-                                    std::span<const ItemId>* items) {
+void StoreReader::AssembleColumns(std::span<const ColumnBlock> blocks,
+                                  std::span<const uint64_t>* offsets,
+                                  std::span<const ItemId>* items) {
   if (blocks.size() == 1) {
     // A fresh (never appended) store: zero-copy views over the file.
     *offsets = blocks.front().bounds;
@@ -303,7 +268,7 @@ void StoreReader::AssembleColumnsV1(std::span<const ColumnBlock> blocks,
   *items = column_items_;
 }
 
-Status StoreReader::ValidateItemsV1(
+Status StoreReader::ValidateItems(
     std::span<const ColumnBlock> blocks) const {
   const FileHeader& h = header_;
   // A block passes when its largest item is in range and every
@@ -331,248 +296,6 @@ Status StoreReader::ValidateItemsV1(
                    std::to_string(h.alphabet_size) + ", data has " +
                    std::to_string(actual_alphabet));
   }
-  return Status::OK();
-}
-
-Status StoreReader::DecodeColumnsV2(
-    const std::byte* base,
-    std::span<const SectionEntry* const> offsets_blocks,
-    std::span<const SectionEntry* const> items_blocks) {
-  const FileHeader& h = header_;
-
-  // Every varint occupies at least one byte, so the header counts are
-  // bounded by the section sizes. Checking first keeps the reserve()
-  // calls below from ballooning on a corrupt header (allocation
-  // failure would escape as bad_alloc, not a Status).
-  uint64_t offsets_bytes = 0;
-  for (const SectionEntry* e : offsets_blocks) offsets_bytes += e->size;
-  uint64_t items_bytes = 0;
-  for (const SectionEntry* e : items_blocks) items_bytes += e->size;
-  if (h.num_transactions > offsets_bytes) {
-    return Corrupt("txn_offsets section is too small for " +
-                   std::to_string(h.num_transactions) + " transactions");
-  }
-  if (h.num_items > items_bytes) {
-    return Corrupt("txn_items section is too small for " +
-                   std::to_string(h.num_items) + " items");
-  }
-
-  // --- Widths column -> CSR offsets. ---
-  column_offsets_.clear();
-  column_offsets_.reserve(h.num_transactions + 1);
-  column_offsets_.push_back(0);
-  {
-    BlockCursor cursor(base, offsets_blocks);
-    uint32_t max_width = 0;
-    for (uint64_t t = 0; t < h.num_transactions; ++t) {
-      uint64_t width = 0;
-      if (!cursor.Get(&width)) {
-        return Corrupt("truncated varint in txn_offsets at txn " +
-                       std::to_string(t));
-      }
-      if (width > std::numeric_limits<uint32_t>::max()) {
-        return Corrupt("transaction width overflows at txn " +
-                       std::to_string(t));
-      }
-      column_offsets_.push_back(column_offsets_.back() + width);
-      max_width = std::max(max_width, static_cast<uint32_t>(width));
-    }
-    if (!cursor.Exhausted()) {
-      return Corrupt("txn_offsets section has trailing bytes");
-    }
-    if (column_offsets_.back() != h.num_items) {
-      return Corrupt("transaction offsets do not span the items");
-    }
-    if (max_width != h.max_width) {
-      return Corrupt("max_width mismatch: header records " +
-                     std::to_string(h.max_width) + ", data has " +
-                     std::to_string(max_width));
-    }
-  }
-
-  // --- Delta-encoded items column. ---
-  column_items_.clear();
-  column_items_.reserve(h.num_items);
-  {
-    BlockCursor cursor(base, items_blocks);
-    uint64_t max_item = 0;
-    bool any_item = false;
-    for (uint64_t t = 0; t < h.num_transactions; ++t) {
-      const uint64_t width =
-          column_offsets_[t + 1] - column_offsets_[t];
-      uint64_t item = 0;
-      for (uint64_t i = 0; i < width; ++i) {
-        uint64_t delta = 0;
-        if (!cursor.Get(&delta)) {
-          return Corrupt("truncated varint in txn_items at txn " +
-                         std::to_string(t));
-        }
-        if (i == 0) {
-          item = delta;
-        } else {
-          if (delta == 0) {
-            return Corrupt("items of txn " + std::to_string(t) +
-                           " are not sorted and duplicate-free");
-          }
-          // In-range items make every true gap < alphabet_size; a
-          // larger delta is either out of range or a 64-bit wraparound
-          // crafted to decode as an unsorted transaction — reject it
-          // before the addition can wrap.
-          if (delta >= h.alphabet_size) {
-            return Corrupt("item gap " + std::to_string(delta) +
-                           " out of range in txn " + std::to_string(t));
-          }
-          item += delta;
-        }
-        if (item >= h.alphabet_size) {
-          return Corrupt("item id " + std::to_string(item) +
-                         " out of range in txn " + std::to_string(t));
-        }
-        column_items_.push_back(static_cast<ItemId>(item));
-        max_item = std::max(max_item, item);
-        any_item = true;
-      }
-    }
-    if (!cursor.Exhausted()) {
-      return Corrupt("txn_items section has trailing bytes");
-    }
-    const uint64_t actual_alphabet = any_item ? max_item + 1 : 0;
-    if (actual_alphabet != h.alphabet_size) {
-      return Corrupt("alphabet_size mismatch: header records " +
-                     std::to_string(h.alphabet_size) + ", data has " +
-                     std::to_string(actual_alphabet));
-    }
-  }
-  return Status::OK();
-}
-
-Status StoreReader::DecodeCatalogV2(const std::byte* base,
-                                    const SectionEntry& entry,
-                                    bool validate) {
-  const FileHeader& h = header_;
-  if (entry.size < sizeof(SegCatalogHeader)) {
-    return Corrupt("seg_catalog section is too small for its header");
-  }
-  SegCatalogHeader ch;
-  std::memcpy(&ch, base + entry.offset, sizeof(ch));
-  if (ch.bitset_words == 0 || ch.bitset_words > kMaxCatalogBitsetWords) {
-    return Corrupt("seg_catalog bitset length is invalid (" +
-                   std::to_string(ch.bitset_words) + " words)");
-  }
-  if (ch.tracked_count > h.alphabet_size) {
-    return Corrupt("seg_catalog tracks more items than the alphabet");
-  }
-  const uint64_t expected =
-      sizeof(SegCatalogHeader) +
-      uint64_t{ch.tracked_count} * sizeof(uint32_t) +
-      h.num_segments *
-          SegCatalogRecordBytes(ch.tracked_count, ch.bitset_words);
-  if (entry.size != expected) {
-    return Corrupt(
-        "seg_catalog section holds " + std::to_string(entry.size) +
-        " bytes, expected " + std::to_string(expected) + " for " +
-        std::to_string(h.num_segments) + " segments (bitset/tracked "
-        "length mismatch?)");
-  }
-
-  const auto* cursor = reinterpret_cast<const uint8_t*>(
-      base + entry.offset + sizeof(SegCatalogHeader));
-  const auto read_u32 = [&cursor]() {
-    uint32_t v;
-    std::memcpy(&v, cursor, sizeof(v));
-    cursor += sizeof(v);
-    return v;
-  };
-  const auto read_u64 = [&cursor]() {
-    uint64_t v;
-    std::memcpy(&v, cursor, sizeof(v));
-    cursor += sizeof(v);
-    return v;
-  };
-
-  std::vector<ItemId> tracked_ids(ch.tracked_count);
-  for (uint32_t i = 0; i < ch.tracked_count; ++i) {
-    tracked_ids[i] = read_u32();
-    if (tracked_ids[i] >= h.alphabet_size) {
-      return Corrupt("seg_catalog tracked item id out of range");
-    }
-  }
-
-  std::vector<ItemId> min_item(h.num_segments);
-  std::vector<ItemId> max_item(h.num_segments);
-  std::vector<uint64_t> bits;
-  bits.reserve(h.num_segments * ch.bitset_words);
-  std::vector<uint32_t> tracked_supports;
-  tracked_supports.reserve(h.num_segments * ch.tracked_count);
-  for (uint64_t seg = 0; seg < h.num_segments; ++seg) {
-    min_item[seg] = read_u32();
-    max_item[seg] = read_u32();
-    const bool empty_segment =
-        min_item[seg] == kInvalidItem && max_item[seg] == 0;
-    if (!empty_segment &&
-        (min_item[seg] > max_item[seg] ||
-         max_item[seg] >= h.alphabet_size)) {
-      return Corrupt("seg_catalog segment " + std::to_string(seg) +
-                     " has out-of-range item bounds");
-    }
-    for (uint32_t w = 0; w < ch.bitset_words; ++w) {
-      bits.push_back(read_u64());
-    }
-    const uint64_t seg_txns = segments_[seg + 1] - segments_[seg];
-    for (uint32_t i = 0; i < ch.tracked_count; ++i) {
-      const uint32_t support = read_u32();
-      if (support > seg_txns) {
-        return Corrupt("seg_catalog segment " + std::to_string(seg) +
-                       " records a support above its size");
-      }
-      tracked_supports.push_back(support);
-    }
-  }
-
-  auto catalog = std::make_shared<SegmentCatalog>(SegmentCatalog::FromParts(
-      std::vector<uint64_t>(segments_.begin(), segments_.end()),
-      ch.bitset_words, std::move(tracked_ids), std::move(min_item),
-      std::move(max_item), std::move(bits),
-      std::move(tracked_supports)));
-
-  if (validate) {
-    // Rebuild the catalog from the decoded transactions; any
-    // disagreement means the section misdescribes the payload, so it
-    // is rejected outright. (Bitwise equality
-    // holds because writer and rebuild share the top-K selection and
-    // the bit hash.)
-    const SegmentCatalog reference = SegmentCatalog::Build(
-        db_, std::vector<uint64_t>(segments_.begin(), segments_.end()),
-        ch.tracked_count, ch.bitset_words);
-    const auto mismatch = [&](const std::string& what) {
-      return Corrupt("seg_catalog disagrees with the items column (" +
-                     what + ")");
-    };
-    if (!std::equal(reference.tracked_ids().begin(),
-                    reference.tracked_ids().end(),
-                    catalog->tracked_ids().begin(),
-                    catalog->tracked_ids().end())) {
-      return mismatch("tracked items");
-    }
-    for (size_t seg = 0; seg < catalog->num_segments(); ++seg) {
-      if (catalog->min_item(seg) != reference.min_item(seg) ||
-          catalog->max_item(seg) != reference.max_item(seg)) {
-        return mismatch("segment item bounds");
-      }
-      const auto a = catalog->segment_bits(seg);
-      const auto b = reference.segment_bits(seg);
-      if (!std::equal(a.begin(), a.end(), b.begin(), b.end())) {
-        return mismatch("segment bitsets");
-      }
-      const auto sa = catalog->segment_tracked_supports(seg);
-      const auto sb = reference.segment_tracked_supports(seg);
-      if (!std::equal(sa.begin(), sa.end(), sb.begin(), sb.end())) {
-        return mismatch("tracked supports");
-      }
-    }
-  }
-
-  catalog_ = std::move(catalog);
   return Status::OK();
 }
 
@@ -718,14 +441,11 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
       static_cast<uint64_t>(std::numeric_limits<TxnId>::max())) {
     return Corrupt("transaction count exceeds the TxnId range");
   }
-  const bool v2 = h.version == kFormatVersionV2;
 
   // --- Section table. ---
-  const uint32_t fresh_sections = SectionCountForVersion(h.version);
-  if (h.section_count < fresh_sections) {
-    return Corrupt("version-" + std::to_string(h.version) +
-                   " files carry at least " +
-                   std::to_string(fresh_sections) + " sections, found " +
+  if (h.section_count < kNumSectionsV1) {
+    return Corrupt("version-1 files carry at least " +
+                   std::to_string(kNumSectionsV1) + " sections, found " +
                    std::to_string(h.section_count));
   }
   if (h.section_count > kMaxSectionCount) {
@@ -752,15 +472,13 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
 
   // Singleton sections are unique; the two transaction columns may
   // appear as several blocks (one pair per append session).
-  const uint32_t max_id = v2 ? kNumSectionsV2 : kNumSectionsV1;
-  const SectionEntry* by_id[kNumSectionsV2] = {};
+  const SectionEntry* by_id[kNumSectionsV1] = {};
   std::vector<const SectionEntry*> offsets_blocks;
   std::vector<const SectionEntry*> items_blocks;
   for (const SectionEntry& e : reader.sections_) {
-    if (e.id < 1 || e.id > max_id) {
+    if (e.id < 1 || e.id > kNumSectionsV1) {
       return Corrupt("unknown section id " + std::to_string(e.id) +
-                     " for a version-" + std::to_string(h.version) +
-                     " file");
+                     " for a version-1 file");
     }
     if (e.offset % kSectionAlignment != 0) {
       return Corrupt(std::string(SectionIdName(SectionId(e.id))) +
@@ -787,7 +505,7 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
     by_id[e.id - 1] = &e;
   }
   for (uint32_t id = static_cast<uint32_t>(SectionId::kSegments);
-       id <= max_id; ++id) {
+       id <= kNumSectionsV1; ++id) {
     if (by_id[id - 1] == nullptr) {
       return Corrupt(std::string("missing section ") +
                      SectionIdName(SectionId(id)));
@@ -873,21 +591,11 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
   reader.segments_ = segments;
 
   // --- The transaction columns. ---
-  std::span<const uint64_t> offsets;
-  std::span<const ItemId> items;
-  if (!v2) {
-    std::vector<ColumnBlock> blocks;
-    FLIPPER_RETURN_IF_ERROR(reader.CheckColumnsV1(base, offsets_blocks,
-                                                  items_blocks, &blocks));
-    if (options.validate) {
-      FLIPPER_RETURN_IF_ERROR(reader.ValidateItemsV1(blocks));
-    }
-    if (assemble_db) reader.AssembleColumnsV1(blocks, &offsets, &items);
-  } else {
-    FLIPPER_RETURN_IF_ERROR(
-        reader.DecodeColumnsV2(base, offsets_blocks, items_blocks));
-    offsets = reader.column_offsets_;
-    items = reader.column_items_;
+  std::vector<ColumnBlock> blocks;
+  FLIPPER_RETURN_IF_ERROR(
+      reader.CheckColumns(base, offsets_blocks, items_blocks, &blocks));
+  if (options.validate) {
+    FLIPPER_RETURN_IF_ERROR(reader.ValidateItems(blocks));
   }
 
   // --- Reconstruct the taxonomy (canonical: children end up sorted,
@@ -913,19 +621,14 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
     return Corrupt("taxonomy has nodes but no roots");
   }
 
-  // --- Borrowed views over the mapping / decode buffers. ---
+  // --- Borrowed views over the mapping / column buffers. ---
   reader.dict_ = ItemDictionary::FromBorrowed(name_offsets, blob);
-  if (assemble_db || v2) {  // v2 columns are always decoded
+  if (assemble_db) {
+    std::span<const uint64_t> offsets;
+    std::span<const ItemId> items;
+    reader.AssembleColumns(blocks, &offsets, &items);
     reader.db_ = TransactionDb::FromBorrowed(
         offsets, items, h.alphabet_size, h.max_width);
-  }
-
-  // --- The v2 segment catalog (validated against the decoded items,
-  // then attached to the database). ---
-  if (v2) {
-    FLIPPER_RETURN_IF_ERROR(reader.DecodeCatalogV2(
-        base, section(SectionId::kSegCatalog), options.validate));
-    reader.db_.AttachSegmentCatalog(reader.catalog_);
   }
   return reader;
 }

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <string_view>
 
 #include "storage/recovery.h"
 #include "storage/store_reader.h"
@@ -100,12 +101,6 @@ Result<StoreWriter> StoreWriter::OpenAppend(const std::string& path,
       return Status(base.status().code(), std::move(msg));
     }
     const StoreReader& reader = *base;
-    if (reader.version() != kFormatVersionV1) {
-      return Status::FailedPrecondition(
-          "v" + std::to_string(reader.version()) +
-          " stores are read-only (no append): " + path +
-          " — rewrite as v1 with `flipper_cli convert --from-fdb`");
-    }
     const FileHeader& h = reader.header();
     if (AlignUp(h.file_size) != h.file_size) {
       return Status::Internal(
@@ -144,10 +139,13 @@ Result<StoreWriter> StoreWriter::OpenAppend(const std::string& path,
 
     // Snapshot the dictionary and taxonomy so Finish() can enforce
     // that the session only extended them (committed ids must keep
-    // their meaning).
-    writer.base_names_.reserve(h.dict_size);
+    // their meaning). The names are kept as the two committed
+    // sections, offsets and blob, not one string per name.
+    writer.base_name_offsets_.reserve(uint64_t{h.dict_size} + 1);
+    writer.base_name_offsets_.push_back(0);
     for (ItemId id = 0; id < h.dict_size; ++id) {
-      writer.base_names_.emplace_back(reader.dict().Name(id));
+      writer.base_name_blob_ += reader.dict().Name(id);
+      writer.base_name_offsets_.push_back(writer.base_name_blob_.size());
     }
     writer.base_parents_.resize(h.taxonomy_id_space);
     for (size_t id = 0; id < writer.base_parents_.size(); ++id) {
@@ -306,19 +304,24 @@ Status StoreWriter::FinishImpl(const ItemDictionary& dict,
   if (append_mode_) {
     // Committed ids must keep their meaning: the session's dictionary
     // and taxonomy may only extend what is already on disk.
-    if (dict.size() < base_names_.size()) {
+    const size_t base_dict_size = base_name_offsets_.size() - 1;
+    if (dict.size() < base_dict_size) {
       return Status::InvalidArgument(
           "append sessions may only extend the dictionary: it shrank "
-          "from " + std::to_string(base_names_.size()) + " to " +
+          "from " + std::to_string(base_dict_size) + " to " +
           std::to_string(dict.size()) + " names: " + final_path_);
     }
-    for (ItemId id = 0; id < base_names_.size(); ++id) {
-      if (dict.Name(id) != base_names_[id]) {
+    for (ItemId id = 0; id < base_dict_size; ++id) {
+      const std::string_view base_name =
+          std::string_view(base_name_blob_)
+              .substr(base_name_offsets_[id],
+                      base_name_offsets_[id + 1] - base_name_offsets_[id]);
+      if (dict.Name(id) != base_name) {
         return Status::InvalidArgument(
             "append sessions may only extend the dictionary: the name "
             "of id " + std::to_string(id) + " changed from \"" +
-            base_names_[id] + "\" to \"" + std::string(dict.Name(id)) +
-            "\": " + final_path_);
+            std::string(base_name) + "\" to \"" +
+            std::string(dict.Name(id)) + "\": " + final_path_);
       }
     }
     if (taxonomy.id_space() < base_parents_.size()) {

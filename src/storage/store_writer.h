@@ -63,11 +63,10 @@ class StoreWriter {
     return Create(path, Options());
   }
 
-  /// Starts an append session on an existing, fully committed
-  /// version-1 store (legacy v2 stores are read-only; a torn file must
-  /// be repaired first — this validates like StoreReader::Open, and
-  /// its error suggests `flipper_cli repair` only when repair can
-  /// restore the file).
+  /// Starts an append session on an existing, fully committed store
+  /// (a torn file must be repaired first — this validates like
+  /// StoreReader::Open, and its error suggests `flipper_cli repair`
+  /// only when repair can restore the file).
   /// Appended transactions go into new segments (existing segments
   /// are immutable) cut at the base store's segment size, its widest
   /// segment; Finish() commits them with the crash-safe trailer
@@ -148,7 +147,10 @@ class StoreWriter {
   uint64_t base_txns_ = 0;
   std::vector<SectionEntry> base_offsets_blocks_;  // table order
   std::vector<SectionEntry> base_items_blocks_;
-  std::vector<std::string> base_names_;   // dictionary prefix to honor
+  /// The committed dictionary (its offsets and name blob sections),
+  /// the prefix the session must honor.
+  std::vector<uint64_t> base_name_offsets_;
+  std::string base_name_blob_;
   std::vector<ItemId> base_parents_;      // taxonomy prefix to honor
   std::vector<ItemId> base_roots_;
 };

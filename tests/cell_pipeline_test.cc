@@ -1,9 +1,9 @@
 // Pipeline equivalence: the cell pipeline must produce a bit-identical
 // MiningResult — patterns (with chain supports and correlations),
 // per-cell stats and run-level counters — at 1/2/4/hardware threads
-// and through v1/v2 store round trips, on the datagen scenarios
-// (groceries, census, quest), including a quest profile that pushes
-// cells into the scan-driven strategy.
+// and through fresh and appended store round trips, on the datagen
+// scenarios (groceries, census, quest), including a quest profile that
+// pushes cells into the scan-driven strategy.
 
 #include <gtest/gtest.h>
 
@@ -144,19 +144,20 @@ void RunScenario(Scenario s) {
     EXPECT_EQ(Fingerprint(*run), reference_fp) << "threads=" << threads;
   }
 
-  // The same scenario through both FlipperStore round trips: a v1
-  // store (raw columns, no catalog) and a legacy v2 store (varint
-  // columns + segment catalog, small segments) must reproduce the
+  // The same scenario through both FlipperStore round trips: a fresh
+  // store (zero-copy columns over the mapping) and one grown by two
+  // append sessions (multi-block columns the reader concatenates into
+  // buffers of its own), both with small segments, must reproduce the
   // reference fingerprint at 1 and 4 threads.
-  for (uint32_t version :
-       {storage::kFormatVersionV1, storage::kFormatVersionV2}) {
+  for (const bool appended : {false, true}) {
     const std::string path = ::testing::TempDir() + "pipeline_" +
-                             s.name + "_v" + std::to_string(version) +
+                             s.name + (appended ? "_appended" : "_v1") +
                              ".fdb";
-    if (version == storage::kFormatVersionV2) {
-      testutil::V2StoreOptions options;
-      options.segment_txns = 256;
-      testutil::WriteV2Store(path, s.db, s.dict, s.taxonomy, options);
+    if (appended) {
+      const uint64_t n = s.db.size();
+      testutil::WriteAppendedStore(path, s.db, s.dict, s.taxonomy,
+                                   {n / 2, 3 * n / 4},
+                                   /*segment_txns=*/256);
     } else {
       storage::StoreWriter::Options options;
       options.segment_txns = 256;
@@ -166,13 +167,16 @@ void RunScenario(Scenario s) {
     }
     auto reader = storage::StoreReader::Open(path);
     ASSERT_TRUE(reader.ok()) << reader.status();
+    EXPECT_EQ(reader->header().section_count,
+              storage::kNumSectionsV1 + (appended ? 4 : 0));
     for (int threads : {1, 4}) {
       config.num_threads = threads;
       auto run = FlipperMiner::Run(reader->db(), reader->taxonomy(),
                                    config);
       ASSERT_TRUE(run.ok()) << run.status();
       EXPECT_EQ(Fingerprint(*run), reference_fp)
-          << "store v" << version << " threads=" << threads;
+          << (appended ? "appended" : "fresh") << " store threads="
+          << threads;
     }
   }
 }

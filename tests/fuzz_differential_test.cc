@@ -8,21 +8,19 @@
 //   - FlipperMiner over a fresh (raw, v1) FlipperStore round trip,
 //   - FlipperMiner over a raw store grown with 1-3 random append
 //     sessions (base prefix + OpenAppend batches, commit trailer in
-//     play, one column block pair per session),
-//   - FlipperMiner over a legacy v2 store (varint columns + segment
-//     catalog, small shard-misaligned segments), and
-//   - FlipperMiner over the legacy v2 file with one varint block pair
-//     per session over the same cuts
+//     play, one column block pair per session, small shard-misaligned
+//     segments), and
+//   - four FlipperMiners at once over one shared LevelViews of that
+//     appended store (the daemon's serving shape)
 //
 // are all byte-identical to the NaiveMiner oracle's CSV export, at 1
-// and 4 threads. This is the guard rail for the block concatenation,
-// the v2 decode and the append path: a mis-written block pair or a
-// wrongly decoded transaction
-// shows up as a support (and usually a pattern-set) difference against
-// the oracle. The oracle counts with the trie layout only, so the
-// comparison also pits the miners' dense layout against the trie; each
-// round also counts random batches on both sides of the layout bound
-// directly against the reference scan.
+// and 4 threads. This is the guard rail for the block concatenation
+// and the append path: a mis-written block pair or a wrongly
+// concatenated transaction shows up as a support (and usually a
+// pattern-set) difference against the oracle. The oracle counts with
+// the trie layout only, so the comparison also pits the miners' dense
+// layout against the trie; each round also counts random batches on
+// both sides of the layout bound directly against the reference scan.
 //
 // Reproducing a failure: every round prints its seed into the assert
 // message; rerun that exact round with
@@ -72,7 +70,6 @@ struct RoundInputs {
   Taxonomy taxonomy;
   TransactionDb db;
   std::string v1_path;
-  std::string v2_path;
 };
 
 RoundInputs MakeRoundInputs(uint64_t seed, const testutil::Dataset& data,
@@ -92,71 +89,32 @@ RoundInputs MakeRoundInputs(uint64_t seed, const testutil::Dataset& data,
   inputs.db = std::move(loaded_db).value();
 
   inputs.v1_path = TempPath(tag + "_v1.fdb");
-  inputs.v2_path = TempPath(tag + "_v2.fdb");
   storage::StoreWriter::Options options;
   options.segment_txns = segment_txns;
   EXPECT_TRUE(storage::WriteStoreFile(inputs.v1_path, inputs.db,
                                       inputs.dict, inputs.taxonomy,
                                       options)
                   .ok());
-  testutil::V2StoreOptions v2_options;
-  v2_options.segment_txns = segment_txns;
-  testutil::WriteV2Store(inputs.v2_path, inputs.db, inputs.dict,
-                         inputs.taxonomy, v2_options);
   return inputs;
 }
 
-/// The incrementally grown stores of one round.
-struct AppendedStores {
-  std::string raw_path;  // Create() + OpenAppend() sessions (v1)
-  std::string v2_path;   // legacy v2 with one block pair per session
-};
-
 /// Writes `inputs.db` grown incrementally over random split points: a
-/// base prefix via Create() plus `num_batches` OpenAppend() sessions,
-/// and the legacy v2 file those sessions would have left (one varint
-/// block pair per session). Both must mine exactly like the
-/// bulk-written store.
-AppendedStores WriteAppendedStores(const RoundInputs& inputs,
-                                   const std::string& tag,
-                                   uint32_t segment_txns,
-                                   uint32_t num_batches, Rng* rng) {
-  AppendedStores out;
-  out.raw_path = TempPath(tag + "_appended.fdb");
-  out.v2_path = TempPath(tag + "_v2_appended.fdb");
-  const std::string& path = out.raw_path;
-  const uint64_t total = inputs.db.size();
-  std::vector<uint64_t> cuts = {0, total};
+/// base prefix via Create() plus `num_batches` OpenAppend() sessions
+/// (empty batches exercise the zero-size block pair). It must mine
+/// exactly like the bulk-written store. Returns its path.
+std::string WriteAppendedStore(const RoundInputs& inputs,
+                               const std::string& tag,
+                               uint32_t segment_txns, uint32_t num_batches,
+                               Rng* rng) {
+  const std::string path = TempPath(tag + "_appended.fdb");
+  std::vector<uint64_t> starts;
   for (uint32_t b = 0; b < num_batches; ++b) {
-    cuts.push_back(rng->Below(total + 1));
+    starts.push_back(rng->Below(inputs.db.size() + 1));
   }
-  std::sort(cuts.begin(), cuts.end());
-  {
-    storage::StoreWriter::Options options;
-    options.segment_txns = segment_txns;
-    auto writer = storage::StoreWriter::Create(path, options);
-    EXPECT_TRUE(writer.ok()) << writer.status();
-    for (uint64_t t = 0; t < cuts[1]; ++t) {
-      EXPECT_TRUE(writer->Append(inputs.db.Get(t)).ok());
-    }
-    EXPECT_TRUE(writer->Finish(inputs.dict, inputs.taxonomy).ok());
-  }
-  // Each batch is one commit (empty batches exercise the zero-size
-  // block pair).
-  for (size_t cut = 1; cut + 1 < cuts.size(); ++cut) {
-    auto writer = storage::StoreWriter::OpenAppend(path);
-    EXPECT_TRUE(writer.ok()) << writer.status();
-    for (uint64_t t = cuts[cut]; t < cuts[cut + 1]; ++t) {
-      EXPECT_TRUE(writer->Append(inputs.db.Get(t)).ok());
-    }
-    EXPECT_TRUE(writer->Finish(inputs.dict, inputs.taxonomy).ok());
-  }
-  testutil::V2StoreOptions v2_options;
-  v2_options.segment_txns = segment_txns;
-  v2_options.block_starts.assign(cuts.begin() + 1, cuts.end() - 1);
-  testutil::WriteV2Store(out.v2_path, inputs.db, inputs.dict,
-                         inputs.taxonomy, v2_options);
-  return out;
+  std::sort(starts.begin(), starts.end());
+  testutil::WriteAppendedStore(path, inputs.db, inputs.dict,
+                               inputs.taxonomy, starts, segment_txns);
+  return path;
 }
 
 /// Random but valid mining configuration; the whole pruning stack is
@@ -304,7 +262,7 @@ size_t RunRound(uint64_t seed) {
       "\n  config: " + DescribeConfig(config);
   SCOPED_TRACE(repro);
 
-  const AppendedStores appended_paths = WriteAppendedStores(
+  const std::string appended_path = WriteAppendedStore(
       inputs, "fuzz_" + std::to_string(seed), segment_txns, num_batches,
       &rng);
 
@@ -319,27 +277,16 @@ size_t RunRound(uint64_t seed) {
   const std::string expected = ToCsv(oracle->patterns, inputs.dict);
 
   auto v1 = storage::StoreReader::Open(inputs.v1_path);
-  auto v2 = storage::StoreReader::Open(inputs.v2_path);
-  auto appended = storage::StoreReader::Open(appended_paths.raw_path);
-  auto v2_appended = storage::StoreReader::Open(appended_paths.v2_path);
+  auto appended = storage::StoreReader::Open(appended_path);
   EXPECT_TRUE(v1.ok()) << v1.status();
-  EXPECT_TRUE(v2.ok()) << v2.status();
   EXPECT_TRUE(appended.ok()) << appended.status();
-  EXPECT_TRUE(v2_appended.ok()) << v2_appended.status();
-  if (!v1.ok() || !v2.ok() || !appended.ok() || !v2_appended.ok()) {
-    return 0;
-  }
+  if (!v1.ok() || !appended.ok()) return 0;
   EXPECT_EQ(v1->version(), storage::kFormatVersionV1);
-  EXPECT_EQ(v2->version(), storage::kFormatVersionV2);
-  EXPECT_NE(v2->catalog(), nullptr);
-  EXPECT_LE(v2->file_size(), v1->file_size());
   EXPECT_TRUE(appended->VerifyChecksums().ok());
   EXPECT_EQ(appended->version(), storage::kFormatVersionV1);
   EXPECT_EQ(appended->header().section_count,
             storage::kNumSectionsV1 + 2 * num_batches);
   EXPECT_EQ(appended->db().size(), inputs.db.size());
-  EXPECT_EQ(v2_appended->header().section_count,
-            storage::kNumSectionsV2 + 2 * num_batches);
 
   struct Source {
     const char* name;
@@ -350,11 +297,8 @@ size_t RunRound(uint64_t seed) {
   const Source sources[] = {
       {"text", &inputs.db, &inputs.taxonomy, &inputs.dict},
       {"v1-store", &v1->db(), &v1->taxonomy(), &v1->dict()},
-      {"v2-store", &v2->db(), &v2->taxonomy(), &v2->dict()},
       {"v1-appended", &appended->db(), &appended->taxonomy(),
        &appended->dict()},
-      {"v2-appended", &v2_appended->db(), &v2_appended->taxonomy(),
-       &v2_appended->dict()},
   };
   for (const int threads : {1, 4}) {
     for (const Source& source : sources) {
@@ -374,11 +318,12 @@ size_t RunRound(uint64_t seed) {
   }
 
   // Concurrency dimension: the daemon's serving shape. Several miners
-  // run AT ONCE over one shared LevelViews instance of the v2 store
-  // (each run brings its own pool), and every one must still match the
-  // oracle byte for byte.
+  // run AT ONCE over one shared LevelViews instance of the appended
+  // store, whose columns the reader owns (each run brings its own
+  // pool), and every one must still match the oracle byte for byte.
   {
-    auto shared_views = LevelViews::Build(v2->db(), v2->taxonomy());
+    auto shared_views =
+        LevelViews::Build(appended->db(), appended->taxonomy());
     EXPECT_TRUE(shared_views.ok()) << shared_views.status();
     if (!shared_views.ok()) return 0;
     constexpr int kConcurrent = 4;
@@ -389,11 +334,11 @@ size_t RunRound(uint64_t seed) {
         MiningConfig run_config = config;
         run_config.num_threads = 1 + i % 3;
         run_config.cancel = run_token;
-        auto run = FlipperMiner::Run(v2->db(), v2->taxonomy(),
+        auto run = FlipperMiner::Run(appended->db(), appended->taxonomy(),
                                      run_config, &*shared_views);
         ASSERT_TRUE(run.ok())
             << "concurrent run " << i << ": " << run.status();
-        bodies[i] = ToCsv(run->patterns, v2->dict());
+        bodies[i] = ToCsv(run->patterns, appended->dict());
       });
     }
     for (std::thread& t : threads) t.join();

@@ -1,8 +1,8 @@
 // FlipperStore tests: byte-level round trips (basket -> .fdb -> mine
 // is bit-identical to mining the text inputs, serial and parallel),
 // the streaming writer against the bulk path, borrowed-view semantics,
-// raw (v1) append sessions, the legacy v2 reader (files from
-// testutil::WriteV2Store), and a corruption battery — every malformed
+// raw (v1) append sessions and their prefix rule, the refusal of any
+// other format version, and a corruption battery — every malformed
 // file must come back as a Status error, never a crash.
 
 #include <gtest/gtest.h>
@@ -22,7 +22,7 @@
 #include "storage/format.h"
 #include "storage/store_reader.h"
 #include "storage/store_writer.h"
-#include "storage/varint.h"
+#include "taxonomy/taxonomy_builder.h"
 #include "taxonomy/taxonomy_io.h"
 #include "test_util.h"
 
@@ -266,17 +266,12 @@ TEST(StorageBorrowed, MutationMaterializesTheViews) {
 
 // --- Corruption battery ----------------------------------------------
 
-std::string MakeToyStore(const std::string& tag,
-                         uint32_t version = storage::kFormatVersionV1) {
+std::string MakeToyStore(const std::string& tag) {
   testutil::Dataset data = testutil::PaperToyDataset();
   const std::string path = TempPath(tag + ".fdb");
-  if (version == storage::kFormatVersionV2) {
-    testutil::WriteV2Store(path, data.db, data.dict, data.taxonomy);
-  } else {
-    EXPECT_TRUE(storage::WriteStoreFile(path, data.db, data.dict,
-                                        data.taxonomy)
-                    .ok());
-  }
+  EXPECT_TRUE(
+      storage::WriteStoreFile(path, data.db, data.dict, data.taxonomy)
+          .ok());
   return path;
 }
 
@@ -312,6 +307,27 @@ TEST(StorageCorruption, UnsupportedVersionFails) {
   EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(reader.status().message().find("version"),
             std::string::npos);
+}
+
+/// The refusal every open path gives a file of format version 2.
+std::string VersionTwoRefusal(const std::string& path) {
+  return "unsupported store version 2 (this build reads only version 1; "
+         "a store written by an older build must be regenerated from its "
+         "source files with `flipper_cli convert` or `flipper_cli "
+         "datagen`): " +
+         path;
+}
+
+/// A copy of the v1 store at `path` whose headers claim version 2
+/// (checksums fixed, so only the version is wrong).
+std::string MakeVersionTwoStore(const std::string& path,
+                                const std::string& tag) {
+  std::string bytes = ReadFileBytes(path);
+  HeaderOf(&bytes)->version = 2;
+  FixChecksums(&bytes);
+  const std::string out = TempPath(tag + "_version2.fdb");
+  WriteFileBytes(out, bytes);
+  return out;
 }
 
 TEST(StorageCorruption, HeaderBitFlipFailsTheChecksum) {
@@ -450,251 +466,25 @@ TEST(StorageCorruption, VerifyChecksumsCatchesPayloadBitrot) {
   EXPECT_NE(verified.message().find("dict_blob"), std::string::npos);
 }
 
-// --- v2: round trips, catalog semantics, corruption battery ---------
-
-TEST(StorageV2, RoundTripMatchesV1AndTextAtAnyThreadCount) {
-  // MakeConverted writes the v1 store; the v2 copy comes from the
-  // legacy encoder.
-  ConvertedDataset data = MakeConverted("v2_roundtrip");
-  const std::string v2_path = TempPath("v2_roundtrip_v2.fdb");
-  testutil::WriteV2Store(v2_path, data.db, data.dict, data.taxonomy);
-
-  auto v2 = storage::StoreReader::Open(v2_path);
-  auto v1 = storage::StoreReader::Open(data.store_path);
-  ASSERT_TRUE(v2.ok()) << v2.status();
-  ASSERT_TRUE(v1.ok()) << v1.status();
-  EXPECT_EQ(v2->version(), storage::kFormatVersionV2);
-  EXPECT_EQ(v1->version(), storage::kFormatVersionV1);
-  EXPECT_LT(v2->file_size(), v1->file_size());  // varint columns shrink
-
-  for (int threads : {1, 4}) {
-    const std::string from_text =
-        MineToCsv(data.db, data.taxonomy, data.dict, threads);
-    EXPECT_FALSE(from_text.empty());
-    EXPECT_EQ(from_text,
-              MineToCsv(v1->db(), v1->taxonomy(), v1->dict(), threads))
-        << "v1 threads=" << threads;
-    EXPECT_EQ(from_text,
-              MineToCsv(v2->db(), v2->taxonomy(), v2->dict(), threads))
-        << "v2 threads=" << threads;
-  }
-}
-
-TEST(StorageV2, CatalogIsExposedAndExact) {
-  testutil::Dataset data = testutil::RandomDataset(77, 4, 2, 3, 400, 7);
-  const std::string path = TempPath("v2_catalog.fdb");
-  testutil::V2StoreOptions options;
-  options.segment_txns = 64;
-  testutil::WriteV2Store(path, data.db, data.dict, data.taxonomy,
-                         options);
-  auto reader = storage::StoreReader::Open(path);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  const SegmentCatalog* catalog = reader->catalog();
-  ASSERT_NE(catalog, nullptr);
-  EXPECT_EQ(reader->db().segment_catalog().get(), catalog);
-  ASSERT_EQ(catalog->num_segments(), reader->segments().size() - 1);
-  ASSERT_TRUE(std::equal(catalog->boundaries().begin(),
-                         catalog->boundaries().end(),
-                         reader->segments().begin(),
-                         reader->segments().end()));
-
-  // One-sided exactness: an item the catalog rules out must truly be
-  // absent; every present item must be possible. Tracked supports are
-  // exact per construction.
-  for (size_t seg = 0; seg < catalog->num_segments(); ++seg) {
-    std::vector<uint32_t> present(reader->db().alphabet_size(), 0);
-    for (uint64_t t = catalog->boundaries()[seg];
-         t < catalog->boundaries()[seg + 1]; ++t) {
-      for (ItemId item : reader->db().Get(static_cast<TxnId>(t))) {
-        ++present[item];
-      }
-    }
-    for (ItemId item = 0; item < present.size(); ++item) {
-      if (present[item] > 0) {
-        EXPECT_TRUE(catalog->MayContain(seg, item))
-            << "seg " << seg << " item " << item;
-      } else {
-        // MayContain may report false positives, never negatives;
-        // nothing to assert for absent items.
-      }
-      const auto tracked = catalog->TrackedSupport(seg, item);
-      if (tracked.has_value()) {
-        EXPECT_EQ(*tracked, present[item])
-            << "seg " << seg << " item " << item;
-      }
-    }
-  }
-}
-
-TEST(StorageV2, V1StoreCarriesNoCatalog) {
-  const std::string path = MakeToyStore("v1_no_catalog");
-  auto reader = storage::StoreReader::Open(path);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  EXPECT_EQ(reader->catalog(), nullptr);
-  EXPECT_EQ(reader->db().segment_catalog(), nullptr);
-}
-
-TEST(StorageV2, HeapFallbackMatchesMmap) {
-  ConvertedDataset data = MakeConverted("v2_heap");
-  const std::string v2_path = TempPath("v2_heap_v2.fdb");
-  testutil::WriteV2Store(v2_path, data.db, data.dict, data.taxonomy);
-  storage::OpenOptions heap_options;
-  heap_options.force_heap = true;
-  auto mapped = storage::StoreReader::Open(v2_path);
-  auto heap = storage::StoreReader::Open(v2_path, heap_options);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  ASSERT_TRUE(heap.ok()) << heap.status();
-  EXPECT_FALSE(heap->mapped());
-  EXPECT_EQ(
-      MineToCsv(mapped->db(), mapped->taxonomy(), mapped->dict(), 1),
-      MineToCsv(heap->db(), heap->taxonomy(), heap->dict(), 1));
-}
-
-TEST(StorageV2, EmptyDatabaseRoundTrips) {
+TEST(StorageRoundTrip, EmptyDatabaseRoundTrips) {
   testutil::Dataset data = testutil::PaperToyDataset();
-  TransactionDb empty_db;
-  for (uint32_t version :
-       {storage::kFormatVersionV1, storage::kFormatVersionV2}) {
-    const std::string path =
-        TempPath("empty_v" + std::to_string(version) + ".fdb");
-    if (version == storage::kFormatVersionV2) {
-      testutil::WriteV2Store(path, empty_db, data.dict, data.taxonomy);
-    } else {
-      ASSERT_TRUE(storage::WriteStoreFile(path, empty_db, data.dict,
-                                          data.taxonomy)
-                      .ok());
-    }
-    auto reader = storage::StoreReader::Open(path);
-    ASSERT_TRUE(reader.ok()) << "v" << version << ": " << reader.status();
-    EXPECT_EQ(reader->db().size(), 0u);
-    EXPECT_EQ(reader->dict().size(), data.dict.size());
-    EXPECT_TRUE(reader->VerifyChecksums().ok());
-  }
-}
-
-/// Byte offset of the first per-segment record inside the catalog
-/// payload (past the catalog header and the tracked-id table).
-size_t CatalogRecordsOffset(std::string* bytes) {
-  const auto* entry = SectionOf(bytes, storage::SectionId::kSegCatalog);
-  EXPECT_NE(entry, nullptr);
-  storage::SegCatalogHeader ch;
-  std::memcpy(&ch, bytes->data() + entry->offset, sizeof(ch));
-  return static_cast<size_t>(entry->offset) + sizeof(ch) +
-         ch.tracked_count * sizeof(uint32_t);
-}
-
-TEST(StorageV2Corruption, TruncatedVarintMidColumnFails) {
-  const std::string path =
-      MakeToyStore("v2_trunc_varint", storage::kFormatVersionV2);
-  std::string bytes = ReadFileBytes(path);
-  const auto* items = SectionOf(&bytes, storage::SectionId::kTxnItems);
-  ASSERT_NE(items, nullptr);
-  ASSERT_GT(items->size, 0u);
-  // Setting the continuation bit on the column's last byte makes the
-  // final varint run off the end of the section.
-  bytes[items->offset + items->size - 1] |= '\x80';
-  FixChecksums(&bytes);
-  WriteFileBytes(path, bytes);
+  const std::string path = TempPath("empty_v1.fdb");
+  ASSERT_TRUE(storage::WriteStoreFile(path, TransactionDb(), data.dict,
+                                      data.taxonomy)
+                  .ok());
   auto reader = storage::StoreReader::Open(path);
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kCorruptedData);
-  EXPECT_NE(reader.status().message().find("truncated varint"),
-            std::string::npos);
-
-  // The decode is always bounds-checked: trusted mode must fail too,
-  // never crash or mis-read.
-  storage::OpenOptions trusting;
-  trusting.validate = false;
-  EXPECT_FALSE(storage::StoreReader::Open(path, trusting).ok());
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  EXPECT_EQ(reader->db().size(), 0u);
+  EXPECT_EQ(reader->dict().size(), data.dict.size());
+  EXPECT_TRUE(reader->VerifyChecksums().ok());
 }
 
-TEST(StorageV2Corruption, CatalogSegmentBoundsOutOfRangeFails) {
-  const std::string path =
-      MakeToyStore("v2_catalog_bounds", storage::kFormatVersionV2);
-  std::string bytes = ReadFileBytes(path);
-  const size_t record = CatalogRecordsOffset(&bytes);
-  const uint32_t bogus_min = 0;
-  const uint32_t bogus_max = HeaderOf(&bytes)->alphabet_size + 9;
-  std::memcpy(bytes.data() + record, &bogus_min, sizeof(bogus_min));
-  std::memcpy(bytes.data() + record + sizeof(uint32_t), &bogus_max,
-              sizeof(bogus_max));
-  FixChecksums(&bytes);
-  WriteFileBytes(path, bytes);
-  auto reader = storage::StoreReader::Open(path);
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kCorruptedData);
-  EXPECT_NE(reader.status().message().find("out-of-range item bounds"),
-            std::string::npos);
-}
-
-TEST(StorageV2Corruption, CatalogBitsetLengthMismatchFails) {
-  const std::string path =
-      MakeToyStore("v2_bitset_len", storage::kFormatVersionV2);
-  std::string bytes = ReadFileBytes(path);
-  const auto* entry = SectionOf(&bytes, storage::SectionId::kSegCatalog);
-  ASSERT_NE(entry, nullptr);
-  storage::SegCatalogHeader ch;
-  std::memcpy(&ch, bytes.data() + entry->offset, sizeof(ch));
-  ch.bitset_words += 1;  // section size no longer matches the layout
-  std::memcpy(bytes.data() + entry->offset, &ch, sizeof(ch));
-  FixChecksums(&bytes);
-  WriteFileBytes(path, bytes);
-  auto reader = storage::StoreReader::Open(path);
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kCorruptedData);
-  EXPECT_NE(reader.status().message().find("mismatch"),
-            std::string::npos);
-}
-
-TEST(StorageV2Corruption, V2HeaderWithV1SectionTableFails) {
-  // A v1 file whose header claims version 2: the seven-section table
-  // cannot satisfy the v2 layout and must be rejected before any
-  // varint decoding is attempted.
-  const std::string path =
-      MakeToyStore("v2_header_v1_table", storage::kFormatVersionV1);
-  std::string bytes = ReadFileBytes(path);
-  HeaderOf(&bytes)->version = storage::kFormatVersionV2;
-  FixChecksums(&bytes);
-  WriteFileBytes(path, bytes);
-  auto reader = storage::StoreReader::Open(path);
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kCorruptedData);
-  EXPECT_NE(reader.status().message().find("8 sections"),
-            std::string::npos);
-}
-
-TEST(StorageV2Corruption, LyingCatalogIsRejectedByValidation) {
-  // Zero a segment's bitset: the structural checks still pass, but a
-  // scan consulting it would wrongly skip the segment, so validation
-  // must catch the disagreement with the items column.
-  const std::string path =
-      MakeToyStore("v2_lying_catalog", storage::kFormatVersionV2);
-  std::string bytes = ReadFileBytes(path);
-  const size_t record = CatalogRecordsOffset(&bytes);
-  storage::SegCatalogHeader ch;
-  std::memcpy(&ch,
-              bytes.data() +
-                  SectionOf(&bytes, storage::SectionId::kSegCatalog)
-                      ->offset,
-              sizeof(ch));
-  std::memset(bytes.data() + record + 2 * sizeof(uint32_t), 0,
-              ch.bitset_words * sizeof(uint64_t));
-  FixChecksums(&bytes);
-  WriteFileBytes(path, bytes);
-  auto reader = storage::StoreReader::Open(path);
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kCorruptedData);
-  EXPECT_NE(reader.status().message().find("disagrees"),
-            std::string::npos);
-}
-
-TEST(StorageV2Corruption, HugeClaimedCountsFailBeforeAllocating) {
+TEST(StorageCorruption, HugeClaimedCountsFailBeforeAllocating) {
   // A corrupt header claiming 2^32-1 transactions (with the segments
-  // section patched to agree) must be rejected by the cheap
-  // size-vs-section bound, not by a multi-gigabyte reserve() that
+  // section patched to agree) must be rejected by comparing it with
+  // the column blocks, not by a multi-gigabyte column buffer that
   // escapes as bad_alloc.
-  const std::string path =
-      MakeToyStore("v2_huge_counts", storage::kFormatVersionV2);
+  const std::string path = MakeToyStore("huge_counts");
   std::string bytes = ReadFileBytes(path);
   const uint64_t huge = 0xFFFFFFFFull;
   HeaderOf(&bytes)->num_transactions = huge;
@@ -707,81 +497,10 @@ TEST(StorageV2Corruption, HugeClaimedCountsFailBeforeAllocating) {
   auto reader = storage::StoreReader::Open(path);
   ASSERT_FALSE(reader.ok());
   EXPECT_EQ(reader.status().code(), StatusCode::kCorruptedData);
-  EXPECT_NE(reader.status().message().find("too small"),
-            std::string::npos);
-}
-
-TEST(StorageV2Corruption, WraparoundGapFailsEvenTrusted) {
-  // A 10-byte varint gap of 2^64-1 makes `item += delta` wrap to
-  // item-1: in range, nonzero gap — but the decoded transaction is
-  // unsorted. The decoder must reject oversized gaps outright, in
-  // trusted mode too (this is the "never mis-mine" guarantee).
-  const std::string path =
-      MakeToyStore("v2_wrap_gap", storage::kFormatVersionV2);
-  std::string bytes = ReadFileBytes(path);
-
-  // Re-encode the whole items column with txn 0's first gap replaced
-  // by the wraparound value, append it as a fresh section payload (so
-  // no other offsets move), and point the section entry at it.
-  std::vector<uint8_t> encoded;
-  {
-    auto reader = storage::StoreReader::Open(path);
-    ASSERT_TRUE(reader.ok()) << reader.status();
-    for (TxnId t = 0; t < reader->db().size(); ++t) {
-      const auto txn = reader->db().Get(t);
-      for (size_t i = 0; i < txn.size(); ++i) {
-        if (t == 0 && i == 1) {
-          storage::PutVarint(~uint64_t{0}, &encoded);  // txn[0] - 1
-        } else {
-          storage::PutVarint(i == 0 ? txn[i] : txn[i] - txn[i - 1],
-                             &encoded);
-        }
-      }
-    }
-  }
-
-  const uint64_t new_offset = storage::AlignUp(bytes.size());
-  bytes.resize(new_offset, '\0');
-  bytes.append(reinterpret_cast<const char*>(encoded.data()),
-               encoded.size());
-  auto* items = SectionOf(&bytes, storage::SectionId::kTxnItems);
-  ASSERT_NE(items, nullptr);
-  items->offset = new_offset;
-  items->size = encoded.size();
-  HeaderOf(&bytes)->file_size = bytes.size();
-  FixChecksums(&bytes);
-  WriteFileBytes(path, bytes);
-
-  auto validated = storage::StoreReader::Open(path);
-  ASSERT_FALSE(validated.ok());
-  EXPECT_EQ(validated.status().code(), StatusCode::kCorruptedData);
-  storage::OpenOptions trusting;
-  trusting.validate = false;
-  auto trusted = storage::StoreReader::Open(path, trusting);
-  ASSERT_FALSE(trusted.ok());
-  EXPECT_EQ(trusted.status().code(), StatusCode::kCorruptedData);
-  EXPECT_NE(trusted.status().message().find("gap"), std::string::npos)
-      << trusted.status();
-}
-
-TEST(StorageV2Corruption, NonCanonicalGapFails) {
-  // A zero gap inside a transaction means duplicate/unsorted items.
-  const std::string path =
-      MakeToyStore("v2_zero_gap", storage::kFormatVersionV2);
-  std::string bytes = ReadFileBytes(path);
-  const auto* items = SectionOf(&bytes, storage::SectionId::kTxnItems);
-  ASSERT_NE(items, nullptr);
-  // The toy store's first transaction has four items; its second
-  // varint is the first gap. Every toy item id fits one byte, so the
-  // gap byte sits at offset 1.
-  bytes[items->offset + 1] = '\x00';
-  FixChecksums(&bytes);
-  WriteFileBytes(path, bytes);
-  auto reader = storage::StoreReader::Open(path);
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kCorruptedData);
-  EXPECT_NE(reader.status().message().find("not sorted"),
-            std::string::npos);
+  EXPECT_NE(reader.status().message().find("column blocks hold 10 "
+                                           "transactions"),
+            std::string::npos)
+      << reader.status();
 }
 
 TEST(StorageCorruption, EmptyAndGarbageFilesFailCleanly) {
@@ -847,14 +566,12 @@ TEST(StorageAppend, AppendThenMineEqualsRebuildThenMine) {
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
   EXPECT_TRUE(appended->VerifyChecksums().ok());
 
-  // Layout: one extra raw block pair, table relocated to the trailer,
-  // no catalog.
+  // Layout: one extra raw block pair, table relocated to the trailer.
   EXPECT_EQ(appended->version(), storage::kFormatVersionV1);
   EXPECT_EQ(appended->header().section_count,
             storage::kNumSectionsV1 + 2);
   EXPECT_NE(appended->header().table_offset, 0u);
   EXPECT_EQ(appended->db().size(), 90u);
-  EXPECT_EQ(appended->catalog(), nullptr);
   // The appended transactions land in fresh segments after the base's
   // [0,16,32,48,60]; the 30 new ones cut at 16 -> [76, 90].
   const std::vector<uint64_t> boundaries(appended->segments().begin(),
@@ -955,20 +672,80 @@ TEST(StorageAppend, MutatedDictionaryIsRejectedAndRolledBack) {
   EXPECT_FALSE(writer->Append(data.db.Get(0)).ok());
 }
 
-TEST(StorageAppend, V2StoresAreReadOnly) {
-  const std::string path =
-      MakeToyStore("append_v2", storage::kFormatVersionV2);
-  const std::string before = ReadFileBytes(path);
+/// Runs one append session on `path` (one transaction of `data`) that
+/// finishes with `dict` and `taxonomy`, and requires Finish to refuse
+/// it with exactly `message` and roll the file back byte for byte.
+void ExpectPrefixRefusal(const std::string& path,
+                         const testutil::Dataset& data,
+                         const ItemDictionary& dict,
+                         const Taxonomy& taxonomy,
+                         const std::string& message) {
+  const std::string base_bytes = ReadFileBytes(path);
   auto writer = storage::StoreWriter::OpenAppend(path);
-  ASSERT_FALSE(writer.ok());
-  EXPECT_EQ(writer.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(writer.status().message().find("read-only"),
-            std::string::npos)
-      << writer.status();
-  EXPECT_NE(writer.status().message().find("convert --from-fdb"),
-            std::string::npos)
-      << writer.status();
-  EXPECT_EQ(ReadFileBytes(path), before);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  ASSERT_TRUE(writer->Append(data.db.Get(0)).ok());
+  const Status finished = writer->Finish(dict, taxonomy);
+  ASSERT_FALSE(finished.ok());
+  EXPECT_EQ(finished.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(finished.message(), message + ": " + path);
+  EXPECT_EQ(ReadFileBytes(path), base_bytes);
+}
+
+TEST(StorageAppend, ShrunkDictionaryIsRejected) {
+  // The base commits one name beyond the taxonomy and the items, so a
+  // session can drop it without failing the earlier size checks.
+  const testutil::Dataset data = testutil::PaperToyDataset();
+  const std::string path = TempPath("append_dict_shrunk.fdb");
+  ItemDictionary grown = data.dict;
+  grown.Intern("zz_committed_name");
+  {
+    auto writer = storage::StoreWriter::Create(path);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    for (TxnId t = 0; t < data.db.size(); ++t) {
+      ASSERT_TRUE(writer->Append(data.db.Get(t)).ok());
+    }
+    ASSERT_TRUE(writer->Finish(grown, data.taxonomy).ok());
+  }
+  ExpectPrefixRefusal(path, data, data.dict, data.taxonomy,
+                      "append sessions may only extend the dictionary: "
+                      "it shrank from 15 to 14 names");
+}
+
+TEST(StorageAppend, RenamedLastCommittedNameIsRejected) {
+  const testutil::Dataset data = testutil::PaperToyDataset();
+  const std::string path = TempPath("append_dict_last.fdb");
+  WriteBaseStore(path, data, data.db.size(), /*segment_txns=*/4);
+  ItemDictionary renamed;
+  for (ItemId id = 0; id + 1 < data.dict.size(); ++id) {
+    renamed.Intern(data.dict.Name(id));
+  }
+  renamed.Intern("b22_renamed");
+  ExpectPrefixRefusal(path, data, renamed, data.taxonomy,
+                      "append sessions may only extend the dictionary: "
+                      "the name of id 13 changed from \"b22\" to "
+                      "\"b22_renamed\"");
+}
+
+TEST(StorageAppend, ChangedTaxonomyParentIsRejected) {
+  const testutil::Dataset data = testutil::PaperToyDataset();
+  const std::string path = TempPath("append_tax_parent.fdb");
+  WriteBaseStore(path, data, data.db.size(), /*segment_txns=*/4);
+  // The toy taxonomy with a12 (id 7) moved from a1 to a2.
+  const ItemId a12 = *data.dict.Find("a12");
+  const ItemId a2 = *data.dict.Find("a2");
+  TaxonomyBuilder builder;
+  for (const ItemId root : data.taxonomy.Level1()) builder.AddRoot(root);
+  for (ItemId id = 0; id < data.taxonomy.id_space(); ++id) {
+    const ItemId parent = id == a12 ? a2 : data.taxonomy.ParentOf(id);
+    if (parent != kInvalidItem) {
+      ASSERT_TRUE(builder.AddEdge(parent, id).ok());
+    }
+  }
+  auto moved = builder.Build();
+  ASSERT_TRUE(moved.ok()) << moved.status();
+  ExpectPrefixRefusal(path, data, data.dict, *moved,
+                      "append sessions may only extend the taxonomy: the "
+                      "parent of id 7 changed");
 }
 
 TEST(StorageAppend, ThreeSessionsOpenToTheBulkWrittenDb) {
@@ -1083,41 +860,40 @@ TEST(StorageAppendCorruption, BlockCutInsideATransactionFails) {
                       "does not end on a transaction boundary");
 }
 
-TEST(StorageV2, MultiBlockFilesDecodeAsOneColumn) {
-  // Legacy v2 append sessions left one varint block pair each; the
-  // reader concatenates them in table order.
-  const testutil::Dataset data =
-      testutil::RandomDataset(4321, 4, 2, 3, 90, 6);
-  const std::string single_path = TempPath("v2_single_block.fdb");
-  const std::string multi_path = TempPath("v2_multi_block.fdb");
-  testutil::V2StoreOptions options;
-  options.segment_txns = 16;
-  testutil::WriteV2Store(single_path, data.db, data.dict, data.taxonomy,
-                         options);
-  options.block_starts = {60, 75, 90};  // the last pair is empty
-  testutil::WriteV2Store(multi_path, data.db, data.dict, data.taxonomy,
-                         options);
+TEST(StorageVersion, VersionTwoIsRefusedByEveryOpen) {
+  // A fresh store and an appended one (whose commit trailer claims the
+  // version too): Open (mmap and heap), OpenPrefix and OpenAppend each
+  // refuse it with the one version text and leave the file as it was.
+  const std::string sources[] = {MakeToyStore("refuse_fresh"),
+                                 MakeAppendedToyStore("refuse_appended")};
+  for (const std::string& source : sources) {
+    const std::string path =
+        MakeVersionTwoStore(source, fs::path(source).stem().string());
+    SCOPED_TRACE(path);
+    const std::string bytes = ReadFileBytes(path);
+    const std::string refusal = VersionTwoRefusal(path);
+    for (const bool heap : {false, true}) {
+      storage::OpenOptions options;
+      options.force_heap = heap;
+      auto reader = storage::StoreReader::Open(path, options);
+      ASSERT_FALSE(reader.ok()) << "heap=" << heap;
+      EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(reader.status().message(), refusal) << "heap=" << heap;
+    }
 
-  auto single = storage::StoreReader::Open(single_path);
-  auto multi = storage::StoreReader::Open(multi_path);
-  ASSERT_TRUE(single.ok()) << single.status();
-  ASSERT_TRUE(multi.ok()) << multi.status();
-  EXPECT_EQ(multi->header().section_count, storage::kNumSectionsV2 + 6);
-  EXPECT_TRUE(multi->VerifyChecksums().ok());
-  ASSERT_NE(multi->catalog(), nullptr);
-  const std::vector<uint64_t> boundaries(multi->segments().begin(),
-                                         multi->segments().end());
-  EXPECT_EQ(boundaries,
-            (std::vector<uint64_t>{0, 16, 32, 48, 60, 75, 90}));
-  for (const int threads : {1, 4}) {
-    const std::string expected =
-        MineToCsv(data.db, data.taxonomy, data.dict, threads);
-    EXPECT_EQ(MineToCsv(single->db(), single->taxonomy(), single->dict(),
-                        threads),
-              expected);
-    EXPECT_EQ(MineToCsv(multi->db(), multi->taxonomy(), multi->dict(),
-                        threads),
-              expected);
+    storage::PrefixInfo info;
+    auto prefix = storage::StoreReader::OpenPrefix(path, &info);
+    ASSERT_FALSE(prefix.ok());
+    EXPECT_EQ(prefix.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(prefix.status().message().find(refusal), std::string::npos)
+        << prefix.status();
+
+    auto writer = storage::StoreWriter::OpenAppend(path);
+    ASSERT_FALSE(writer.ok());
+    EXPECT_EQ(writer.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(writer.status().message(),
+              "cannot append to " + path + ": " + refusal);
+    EXPECT_EQ(ReadFileBytes(path), bytes);
   }
 }
 

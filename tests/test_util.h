@@ -1,13 +1,11 @@
 // Shared fixtures: the paper's Figure-4 toy dataset, randomized
 // dataset construction for differential tests, a quest profile that
-// drives cells into the scan-driven route, and a writer for the legacy
-// v2 store layout (which the library reads but no longer writes).
+// drives cells into the scan-driven route, and a writer for stores
+// grown by append sessions.
 
 #ifndef FLIPPER_TESTS_TEST_UTIL_H_
 #define FLIPPER_TESTS_TEST_UTIL_H_
 
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -15,12 +13,10 @@
 #include "common/rng.h"
 #include "core/config.h"
 #include "data/item_dictionary.h"
-#include "data/segment_catalog.h"
 #include "data/transaction_db.h"
 #include "datagen/quest_gen.h"
 #include "datagen/taxonomy_gen.h"
-#include "storage/format.h"
-#include "storage/varint.h"
+#include "storage/store_writer.h"
 #include "taxonomy/taxonomy.h"
 #include "taxonomy/taxonomy_builder.h"
 
@@ -173,165 +169,37 @@ inline MiningConfig QuestScanConfig() {
   return config;
 }
 
-/// Layout knobs of WriteV2Store.
-struct V2StoreOptions {
-  /// Transactions per segment, counted from each block's start.
-  uint32_t segment_txns = 1u << 16;
-  /// Transactions at which a new column block pair starts
-  /// (non-decreasing, within [0, db.size()]), the way each append
-  /// session started one; empty = one block pair. Repeated starts, or
-  /// a start at 0 or db.size(), write empty pairs.
-  std::vector<uint64_t> block_starts;
-};
-
-/// Writes `db` as a legacy version-2 store (format.h): delta+varint
-/// columns, one block pair per entry of `options.block_starts` plus
-/// one, and a segment catalog from SegmentCatalog::Build. Segments are
-/// cut every `segment_txns` transactions of a block and at every block
-/// start. The section table follows the header, listing the items
-/// blocks, the offsets blocks, then the singletons; a single-block
-/// file has the section order and bytes older builds wrote.
-inline void WriteV2Store(const std::string& path, const TransactionDb& db,
-                         const ItemDictionary& dict,
-                         const Taxonomy& taxonomy,
-                         const V2StoreOptions& options = {}) {
-  using storage::SectionEntry;
-  using storage::SectionId;
-  const uint64_t n = db.size();
-  std::vector<uint64_t> starts = {0};
-  starts.insert(starts.end(), options.block_starts.begin(),
-                options.block_starts.end());
-  starts.push_back(n);
-
-  std::vector<uint64_t> segments = {0};
-  std::vector<std::vector<uint8_t>> items_blocks;
-  std::vector<std::vector<uint8_t>> offsets_blocks;
-  ItemId alphabet = 0;
-  uint32_t max_width = 0;
-  for (size_t b = 0; b + 1 < starts.size(); ++b) {
-    FLIPPER_CHECK(starts[b] <= starts[b + 1]);
-    std::vector<uint8_t> items;
-    std::vector<uint8_t> widths;
-    for (uint64_t t = starts[b]; t < starts[b + 1]; ++t) {
-      const auto txn = db.Get(static_cast<TxnId>(t));
-      storage::PutVarint(txn.size(), &widths);
-      for (size_t i = 0; i < txn.size(); ++i) {
-        storage::PutVarint(i == 0 ? txn[i] : txn[i] - txn[i - 1], &items);
-      }
-      max_width = std::max(max_width, static_cast<uint32_t>(txn.size()));
-      if (!txn.empty()) alphabet = std::max(alphabet, txn.back() + 1);
-      if ((t + 1 - starts[b]) % options.segment_txns == 0 ||
-          t + 1 == starts[b + 1]) {
-        segments.push_back(t + 1);
-      }
+/// Writes `db` the way a store grown by append sessions is written: a
+/// fresh store (StoreWriter::Create, `segment_txns` per segment) of the
+/// transactions before `session_starts[0]`, then one OpenAppend
+/// session from each start to the next (the last runs to db.size()).
+/// Starts are non-decreasing within [0, db.size()]; a repeated start,
+/// or one at db.size(), commits an empty session. Every session adds
+/// a column block pair, so a reader concatenates the blocks into
+/// columns of its own instead of borrowing the mapping.
+inline void WriteAppendedStore(const std::string& path,
+                               const TransactionDb& db,
+                               const ItemDictionary& dict,
+                               const Taxonomy& taxonomy,
+                               const std::vector<uint64_t>& session_starts,
+                               uint32_t segment_txns = 1u << 16) {
+  std::vector<uint64_t> cuts = {0};
+  cuts.insert(cuts.end(), session_starts.begin(), session_starts.end());
+  cuts.push_back(db.size());
+  for (size_t c = 0; c + 1 < cuts.size(); ++c) {
+    FLIPPER_CHECK(cuts[c] <= cuts[c + 1]);
+    storage::StoreWriter::Options options;
+    options.segment_txns = segment_txns;
+    auto writer = c == 0 ? storage::StoreWriter::Create(path, options)
+                         : storage::StoreWriter::OpenAppend(path);
+    FLIPPER_CHECK(writer.ok()) << writer.status();
+    for (uint64_t t = cuts[c]; t < cuts[c + 1]; ++t) {
+      const Status appended = writer->Append(db.Get(static_cast<TxnId>(t)));
+      FLIPPER_CHECK(appended.ok()) << appended;
     }
-    items_blocks.push_back(std::move(items));
-    offsets_blocks.push_back(std::move(widths));
+    const Status finished = writer->Finish(dict, taxonomy);
+    FLIPPER_CHECK(finished.ok()) << finished;
   }
-
-  const SegmentCatalog catalog = SegmentCatalog::Build(
-      db, segments, SegmentCatalog::kDefaultTrackedItems,
-      SegmentCatalog::kDefaultBitsetWords);
-  std::vector<uint8_t> catalog_bytes;
-  const auto put = [&catalog_bytes](const void* data, size_t size) {
-    const auto* p = static_cast<const uint8_t*>(data);
-    catalog_bytes.insert(catalog_bytes.end(), p, p + size);
-  };
-  storage::SegCatalogHeader catalog_header;
-  catalog_header.tracked_count =
-      static_cast<uint32_t>(catalog.tracked_ids().size());
-  catalog_header.bitset_words = SegmentCatalog::kDefaultBitsetWords;
-  put(&catalog_header, sizeof(catalog_header));
-  put(catalog.tracked_ids().data(), catalog.tracked_ids().size_bytes());
-  for (size_t seg = 0; seg < catalog.num_segments(); ++seg) {
-    const ItemId lo = catalog.min_item(seg);
-    const ItemId hi = catalog.max_item(seg);
-    put(&lo, sizeof(lo));
-    put(&hi, sizeof(hi));
-    put(catalog.segment_bits(seg).data(),
-        catalog.segment_bits(seg).size_bytes());
-    put(catalog.segment_tracked_supports(seg).data(),
-        catalog.segment_tracked_supports(seg).size_bytes());
-  }
-
-  std::vector<uint64_t> name_offsets = {0};
-  std::string blob;
-  for (ItemId id = 0; id < dict.size(); ++id) {
-    blob += dict.Name(id);
-    name_offsets.push_back(blob.size());
-  }
-  std::vector<ItemId> parents(taxonomy.id_space());
-  for (size_t id = 0; id < parents.size(); ++id) {
-    parents[id] = taxonomy.ParentOf(static_cast<ItemId>(id));
-  }
-  const std::vector<ItemId>& roots = taxonomy.Level1();
-
-  // Payloads in file order, each with its table slot.
-  struct Payload {
-    SectionId id;
-    const void* data;
-    size_t size;
-    size_t slot;
-  };
-  const size_t blocks = items_blocks.size();
-  std::vector<Payload> payloads;
-  for (size_t b = 0; b < blocks; ++b) {
-    payloads.push_back({SectionId::kTxnItems, items_blocks[b].data(),
-                        items_blocks[b].size(), b});
-    payloads.push_back({SectionId::kTxnOffsets, offsets_blocks[b].data(),
-                        offsets_blocks[b].size(), blocks + b});
-  }
-  size_t slot = 2 * blocks;
-  payloads.push_back({SectionId::kSegments, segments.data(),
-                      segments.size() * sizeof(uint64_t), slot++});
-  payloads.push_back({SectionId::kDictOffsets, name_offsets.data(),
-                      name_offsets.size() * sizeof(uint64_t), slot++});
-  payloads.push_back(
-      {SectionId::kDictBlob, blob.data(), blob.size(), slot++});
-  payloads.push_back({SectionId::kTaxParents, parents.data(),
-                      parents.size() * sizeof(ItemId), slot++});
-  payloads.push_back({SectionId::kTaxRoots, roots.data(),
-                      roots.size() * sizeof(ItemId), slot++});
-  payloads.push_back({SectionId::kSegCatalog, catalog_bytes.data(),
-                      catalog_bytes.size(), slot++});
-
-  std::vector<SectionEntry> table(payloads.size());
-  std::string bytes(sizeof(storage::FileHeader) +
-                        table.size() * sizeof(SectionEntry),
-                    '\0');
-  for (const Payload& p : payloads) {
-    SectionEntry& e = table[p.slot];
-    e.id = static_cast<uint32_t>(p.id);
-    e.offset = bytes.size();
-    e.size = p.size;
-    e.checksum = storage::Fnv1a64(p.data, p.size);
-    bytes.append(static_cast<const char*>(p.data), p.size);
-    bytes.resize(storage::AlignUp(bytes.size()), '\0');
-  }
-
-  storage::FileHeader h;
-  std::memcpy(h.magic, storage::kMagic, sizeof(storage::kMagic));
-  h.version = storage::kFormatVersionV2;
-  h.section_count = static_cast<uint32_t>(table.size());
-  h.file_size = bytes.size();
-  h.num_transactions = n;
-  h.num_items = db.total_items();
-  h.num_segments = segments.size() - 1;
-  h.alphabet_size = alphabet;
-  h.max_width = max_width;
-  h.dict_size = dict.size();
-  h.taxonomy_id_space = static_cast<uint32_t>(taxonomy.id_space());
-  h.taxonomy_num_roots = static_cast<uint32_t>(roots.size());
-  h.table_checksum =
-      storage::Fnv1a64(table.data(), table.size() * sizeof(SectionEntry));
-  h.header_checksum = storage::HeaderChecksum(h);
-  std::memcpy(bytes.data(), &h, sizeof(h));
-  std::memcpy(bytes.data() + sizeof(h), table.data(),
-              table.size() * sizeof(SectionEntry));
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  FLIPPER_CHECK(out.good()) << "cannot write " << path;
 }
 
 }  // namespace testutil

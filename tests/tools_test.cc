@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -15,6 +16,7 @@
 #include "core/flipper_miner.h"
 #include "core/pattern_io.h"
 #include "data/db_io.h"
+#include "storage/format.h"
 #include "storage/store_reader.h"
 #include "storage/store_writer.h"
 #include "taxonomy/taxonomy_io.h"
@@ -211,14 +213,14 @@ TEST_F(FlipperCliEndToEnd, ConvertInspectAndMineAreBitIdentical) {
   ASSERT_EQ(RunCli({"convert", basket_, taxonomy_, store_}, &out_, &err_),
             0)
       << err_;
-  EXPECT_NE(out_.find("wrote " + store_), std::string::npos);
+  EXPECT_NE(out_.find("wrote " + store_ + " (v1)"), std::string::npos)
+      << out_;
 
   ASSERT_EQ(RunCli({"inspect", store_}, &out_, &err_), 0) << err_;
   EXPECT_NE(out_.find("FlipperStore v1"), std::string::npos);
   EXPECT_NE(out_.find("(mmap)"), std::string::npos);
   EXPECT_NE(out_.find("checksums: OK"), std::string::npos);
   EXPECT_NE(out_.find("txn_items"), std::string::npos);
-  EXPECT_NE(out_.find("catalog: none"), std::string::npos);
 
   const std::vector<std::string> mining_flags = {
       "--gamma=0.6", "--epsilon=0.35", "--minsup=0.1,0.1,0.1",
@@ -260,56 +262,46 @@ TEST_F(FlipperCliEndToEnd, ConvertInspectAndMineAreBitIdentical) {
   }
 }
 
-TEST_F(FlipperCliEndToEnd, ConvertUpgradesLegacyV2Stores) {
-  // Conversion writes v1 (raw columns, no catalog).
+TEST_F(FlipperCliEndToEnd, VersionTwoStoresAreRefusedUntouched) {
+  // A store whose header claims format version 2 (checksum fixed), the
+  // version older builds wrote: every command that opens it exits
+  // non-zero naming the version and the way to regenerate it, never
+  // suggests repair, and leaves the file as it was.
   ASSERT_EQ(RunCli({"convert", basket_, taxonomy_, store_}, &out_, &err_),
             0)
       << err_;
-  EXPECT_NE(out_.find("(v1)"), std::string::npos) << out_;
+  std::string bytes = SlurpFile(store_);
+  auto* header = reinterpret_cast<storage::FileHeader*>(bytes.data());
+  header->version = 2;
+  header->header_checksum = storage::HeaderChecksum(*header);
+  const std::string old_store = ::testing::TempDir() + "cli_e2e_v2.fdb";
+  DumpFile(old_store, bytes);
+  const std::string refusal =
+      "unsupported store version 2 (this build reads only version 1; a "
+      "store written by an older build must be regenerated from its "
+      "source files with `flipper_cli convert` or `flipper_cli datagen`): " +
+      old_store;
 
-  // A legacy v2 store of the same inputs (ids assigned as the CLI's
-  // text readers assign them).
-  ItemDictionary dict;
-  auto taxonomy = ReadTaxonomyFile(taxonomy_, &dict);
-  ASSERT_TRUE(taxonomy.ok()) << taxonomy.status();
-  auto db = ReadBasketFile(basket_, &dict);
-  ASSERT_TRUE(db.ok()) << db.status();
-  const std::string v2_store = ::testing::TempDir() + "cli_e2e_v2.fdb";
-  testutil::WriteV2Store(v2_store, *db, dict, *taxonomy);
-  ASSERT_EQ(RunCli({"inspect", v2_store}, &out_, &err_), 0) << err_;
-  EXPECT_NE(out_.find("FlipperStore v2"), std::string::npos);
-  EXPECT_NE(out_.find("catalog: 1 segments"), std::string::npos) << out_;
-
-  // Upgrade it; the result is a compact v1 store.
-  const std::string upgraded = ::testing::TempDir() + "cli_e2e_up.fdb";
-  ASSERT_EQ(RunCli({"convert", "--from-fdb", v2_store, upgraded},
-                   &out_, &err_),
-            0)
-      << err_;
-  EXPECT_NE(out_.find("v2 -> v1"), std::string::npos) << out_;
-  ASSERT_EQ(RunCli({"inspect", upgraded}, &out_, &err_), 0) << err_;
-  EXPECT_NE(out_.find("FlipperStore v1"), std::string::npos);
-  EXPECT_NE(out_.find("catalog: none"), std::string::npos);
-
-  const std::vector<std::string> mining_flags = {
-      "--gamma=0.6", "--epsilon=0.35", "--minsup=0.1,0.1,0.1",
-      "--format=csv"};
-  const auto mine_store = [&](const std::string& path) {
-    std::vector<std::string> cmd = {"mine", "--input", path};
-    cmd.insert(cmd.end(), mining_flags.begin(), mining_flags.end());
-    std::string csv;
-    EXPECT_EQ(RunCli(cmd, &csv, &err_), 0) << err_;
-    return csv;
+  const std::string converted = ::testing::TempDir() + "cli_e2e_v2_out.fdb";
+  std::remove(converted.c_str());
+  const std::vector<std::vector<std::string>> commands = {
+      {"inspect", old_store},
+      {"validate", old_store},
+      {"repair", old_store, "--apply"},
+      {"convert", "--from-fdb", old_store, converted},
   };
-  const std::string v1_csv = mine_store(store_);
-  EXPECT_FALSE(v1_csv.empty());
-  EXPECT_EQ(v1_csv, mine_store(v2_store));
-  EXPECT_EQ(v1_csv, mine_store(upgraded));
-  // The upgrade is exactly what a fresh conversion writes.
-  EXPECT_EQ(SlurpFile(upgraded), SlurpFile(store_));
+  for (const std::vector<std::string>& command : commands) {
+    SCOPED_TRACE(command.front());
+    EXPECT_NE(RunCli(command, &out_, &err_), 0);
+    const std::string said = out_ + err_;
+    EXPECT_NE(said.find(refusal), std::string::npos) << said;
+    EXPECT_EQ(said.find("flipper_cli repair"), std::string::npos) << said;
+    EXPECT_EQ(SlurpFile(old_store), bytes);
+  }
+  EXPECT_FALSE(std::ifstream(converted).good());
 
   // The version flag is gone: an unknown flag is a usage error.
-  EXPECT_EQ(RunCli({"convert", "--from-fdb", v2_store, upgraded,
+  EXPECT_EQ(RunCli({"convert", "--from-fdb", store_, converted,
                     "--store-version=2"},
                    &out_, &err_),
             2);

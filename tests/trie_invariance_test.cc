@@ -1,6 +1,6 @@
 // Dedicated invariance grid for the counting fast paths: mined output
-// must be byte-identical across {1, 4 threads} × {text, v1 store,
-// v2 store} inputs, across every probe kernel the host can force
+// must be byte-identical across {1, 4 threads} × {text, fresh store,
+// appended store} inputs, across every probe kernel the host can force
 // (avx2/sse2/portable/scalar), and the counter's trie/buffer reuse
 // across consecutive counts (the row seam) must reproduce
 // fresh-counter supports exactly.
@@ -46,7 +46,7 @@ TEST(TrieInvariance, MinedOutputIdenticalAcrossTrieModes) {
   const std::string basket = dir + "trie_invariance.basket";
   const std::string taxonomy_path = dir + "trie_invariance.taxonomy";
   const std::string v1_path = dir + "trie_invariance_v1.fdb";
-  const std::string v2_path = dir + "trie_invariance_v2.fdb";
+  const std::string appended_path = dir + "trie_invariance_appended.fdb";
   ASSERT_TRUE(WriteTaxonomyFile(generated->taxonomy, generated->dict,
                                 taxonomy_path)
                   .ok());
@@ -64,13 +64,16 @@ TEST(TrieInvariance, MinedOutputIdenticalAcrossTrieModes) {
   ASSERT_TRUE(storage::WriteStoreFile(v1_path, *db, dict, *taxonomy,
                                       store_options)
                   .ok());
-  testutil::V2StoreOptions v2_options;
-  v2_options.segment_txns = 256;
-  testutil::WriteV2Store(v2_path, *db, dict, *taxonomy, v2_options);
+  // Three sessions: multi-block columns the reader concatenates into
+  // buffers of its own (a non-borrowed column).
+  testutil::WriteAppendedStore(appended_path, *db, dict, *taxonomy,
+                               {1'500, 3'200}, /*segment_txns=*/256);
   auto v1 = storage::StoreReader::Open(v1_path);
-  auto v2 = storage::StoreReader::Open(v2_path);
+  auto appended = storage::StoreReader::Open(appended_path);
   ASSERT_TRUE(v1.ok()) << v1.status();
-  ASSERT_TRUE(v2.ok()) << v2.status();
+  ASSERT_TRUE(appended.ok()) << appended.status();
+  ASSERT_EQ(appended->header().section_count,
+            storage::kNumSectionsV1 + 4);
 
   const MiningConfig config = generated->paper_config;
 
@@ -93,7 +96,8 @@ TEST(TrieInvariance, MinedOutputIdenticalAcrossTrieModes) {
   const Source sources[] = {
       {"text", &*db, &*taxonomy, &dict},
       {"v1-store", &v1->db(), &v1->taxonomy(), &v1->dict()},
-      {"v2-store", &v2->db(), &v2->taxonomy(), &v2->dict()},
+      {"v1-appended", &appended->db(), &appended->taxonomy(),
+       &appended->dict()},
   };
   for (const int threads : {1, 4}) {
     for (const Source& source : sources) {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Memory-checks the storage and recovery paths (mmap'd reader views,
-# the varint block cursor, the fault-injected crash sweeps) and the
-# support-counting index arithmetic under AddressSanitizer + UBSan. Uses the `asan` CMake preset when
-# available, falling back to explicit -D flags on older CMake.
+# the in-place column block checks, the fault-injected crash sweeps)
+# and the support-counting index arithmetic under AddressSanitizer +
+# UBSan. Uses the `asan` CMake preset when available, falling back to
+# explicit -D flags on older CMake.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -12,8 +13,8 @@ BUILD_DIR=build-asan
 # tables and multi-block columns, crash_recovery_test replays every
 # torn prefix a crash can leave (each one is a fresh parse of attacker-
 # shaped bytes), tools_test drives validate/repair over corrupt files,
-# and the fuzz harness stirs random datasets through every store
-# format including append sessions. The service suites push network-
+# and the fuzz harness stirs random datasets through fresh and
+# appended stores. The service suites push network-
 # shaped bytes instead: protocol_fuzz_test mutates wire payloads and
 # torn frames, service_test runs the daemon end to end, and
 # service_robustness_test adds deadline unwinds, mid-mine hangups and
@@ -34,7 +35,7 @@ SUITES=(storage_test crash_recovery_test tools_test
         scan_counter_test cell_pipeline_test thread_pool_test)
 
 # Instrumented fuzz rounds are slower; a few are enough to cover the
-# decode paths (override by exporting FLIPPER_FUZZ_ITERS).
+# store paths (override by exporting FLIPPER_FUZZ_ITERS).
 export FLIPPER_FUZZ_ITERS="${FLIPPER_FUZZ_ITERS:-3}"
 
 if cmake --preset asan >/dev/null 2>&1; then

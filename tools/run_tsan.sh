@@ -13,7 +13,8 @@ BUILD_DIR=build-tsan
 # view build and its per-level compaction at 1/2/4/hw threads;
 # cell_pipeline_test mines at 1/2/4/hw threads; storage_test mines
 # borrowed mmap views at 4 threads; the fuzz harness drives the
-# sharded scans over text, v1, v2 and appended stores;
+# sharded scans over text, fresh and appended stores, and four
+# concurrent miners over one appended store's shared views;
 # trie_invariance_test exercises the thread × input grid, every forced
 # probe kernel, and the counter's pooled trie reuse across async
 # counts; trace_test and pipeline_metrics_test
