@@ -18,59 +18,53 @@ std::vector<Itemset> GeneratePairs(std::span<const ItemId> items) {
   return out;
 }
 
-std::vector<Itemset> AprioriJoin(std::span<const Itemset> prev_frequent,
-                                 const Cell& prev, size_t max_out,
-                                 bool* truncated) {
-  std::vector<Itemset> out;
-  if (truncated != nullptr) *truncated = false;
-  for (size_t i = 0; i < prev_frequent.size(); ++i) {
-    if (out.size() >= max_out) {
-      if (truncated != nullptr) *truncated = true;
-      return out;
-    }
-    for (size_t j = i + 1; j < prev_frequent.size(); ++j) {
-      std::optional<Itemset> joined =
-          Itemset::PrefixJoin(prev_frequent[i], prev_frequent[j]);
-      if (!joined.has_value()) {
-        // The list is sorted lexicographically, so once the prefix of
-        // j diverges from i's no later j will share it.
-        break;
-      }
-      // Subset pruning: every (k-1)-subset must be frequent in the
-      // complete previous cell. The two join operands are subsets by
-      // construction; check the remaining k-1 subsets.
-      bool all_frequent = true;
-      for (int drop = 0; drop + 2 < joined->size() && all_frequent;
-           ++drop) {
-        const ItemsetRecord* rec = prev.Find(joined->WithoutIndex(drop));
-        if (rec == nullptr || !rec->frequent) all_frequent = false;
-      }
-      if (all_frequent) out.push_back(*joined);
-    }
+namespace {
+
+/// Calls `fn(child)` for each effective child of `node` at level `h`
+/// that `usable` admits.
+template <typename Fn>
+void ForEachUsableChild(ItemId node, const Taxonomy& taxonomy, int h,
+                        std::span<const uint8_t> usable, const Fn& fn) {
+  if (taxonomy.IsLeaf(node) && taxonomy.LevelOf(node) < h) {
+    // Shallow leaf: represents itself at level h (Figure-3[B]).
+    if (usable[node] != 0) fn(node);
+    return;
   }
-  return out;
+  for (ItemId child : taxonomy.ChildrenOf(node)) {
+    if (usable[child] != 0) fn(child);
+  }
 }
 
-void VerticalExpand(const Itemset& parent, const Taxonomy& taxonomy,
-                    int h, const std::function<bool(ItemId)>& child_ok,
+}  // namespace
+
+double ChildCombinations(std::span<const ItemId> parent,
+                         const Taxonomy& taxonomy, int h,
+                         std::span<const uint8_t> usable) {
+  double product = 1.0;
+  for (ItemId node : parent) {
+    double count = 0.0;
+    ForEachUsableChild(node, taxonomy, h, usable,
+                       [&](ItemId) { count += 1.0; });
+    product *= count;
+    if (product == 0.0) break;
+  }
+  return product;
+}
+
+void VerticalExpand(std::span<const ItemId> parent,
+                    const Taxonomy& taxonomy, int h,
+                    std::span<const uint8_t> usable,
                     std::vector<Itemset>* out, size_t max_out,
                     bool* truncated) {
-  const int k = parent.size();
+  const int k = static_cast<int>(parent.size());
   assert(k >= 1);
 
   // Effective children per parent item.
   std::array<std::vector<ItemId>, kMaxItemsetSize> options;
   for (int i = 0; i < k; ++i) {
-    const ItemId node = parent[i];
     std::vector<ItemId>& opts = options[static_cast<size_t>(i)];
-    if (taxonomy.IsLeaf(node) && taxonomy.LevelOf(node) < h) {
-      // Shallow leaf: represents itself at level h (Figure-3[B]).
-      if (child_ok(node)) opts.push_back(node);
-    } else {
-      for (ItemId child : taxonomy.ChildrenOf(node)) {
-        if (child_ok(child)) opts.push_back(child);
-      }
-    }
+    ForEachUsableChild(parent[static_cast<size_t>(i)], taxonomy, h, usable,
+                       [&](ItemId child) { opts.push_back(child); });
     if (opts.empty()) return;  // no viable combination
   }
 
@@ -82,13 +76,12 @@ void VerticalExpand(const Itemset& parent, const Taxonomy& taxonomy,
       if (truncated != nullptr) *truncated = true;
       return;
     }
-    Itemset candidate;
+    Itemset& candidate = out->emplace_back();
     for (int i = 0; i < k; ++i) {
       candidate.Insert(options[static_cast<size_t>(i)]
                               [idx[static_cast<size_t>(i)]]);
     }
     assert(candidate.size() == k);
-    out->push_back(candidate);
 
     int pos = k - 1;
     while (pos >= 0) {
@@ -104,9 +97,10 @@ void VerticalExpand(const Itemset& parent, const Taxonomy& taxonomy,
 bool HasKnownInfrequentSubset(const Itemset& candidate,
                               const Cell& prev_in_row) {
   for (int drop = 0; drop < candidate.size(); ++drop) {
-    const ItemsetRecord* rec =
-        prev_in_row.Find(candidate.WithoutIndex(drop));
-    if (rec != nullptr && !rec->frequent) return true;
+    const uint32_t row = prev_in_row.Find(candidate.WithoutIndex(drop));
+    if (row != Cell::kNoRow && !prev_in_row.has(row, Cell::kFrequent)) {
+      return true;
+    }
   }
   return false;
 }

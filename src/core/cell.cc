@@ -1,79 +1,110 @@
 #include "core/cell.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace flipper {
 
 Cell& Cell::operator=(Cell&& other) noexcept {
   if (this != &other) {
     Release();
-    h_ = other.h_;
     k_ = other.k_;
     tracker_ = other.tracker_;
-    records_ = std::move(other.records_);
-    other.records_.clear();
+    items_ = std::move(other.items_);
+    support_ = std::move(other.support_);
+    corr_ = std::move(other.corr_);
+    label_ = std::move(other.label_);
+    flags_ = std::move(other.flags_);
+    parent_ = std::move(other.parent_);
+    other.support_.clear();
     other.tracker_ = nullptr;
   }
   return *this;
 }
 
-void Cell::Put(const Itemset& itemset, const ItemsetRecord& record) {
-  auto [it, inserted] = records_.insert_or_assign(itemset, record);
-  (void)it;
-  if (inserted && tracker_ != nullptr) tracker_->Add(kBytesPerRecord);
-}
-
-const ItemsetRecord* Cell::Find(const Itemset& itemset) const {
-  auto it = records_.find(itemset);
-  return it == records_.end() ? nullptr : &it->second;
-}
-
-void Cell::ForEach(const std::function<void(const Itemset&,
-                                            const ItemsetRecord&)>& fn)
-    const {
-  for (const auto& [itemset, record] : records_) fn(itemset, record);
-}
-
-std::vector<Itemset> Cell::Select(
-    const std::function<bool(const ItemsetRecord&)>& pred) const {
-  std::vector<Itemset> out;
-  for (const auto& [itemset, record] : records_) {
-    if (pred(record)) out.push_back(itemset);
-  }
-  std::sort(out.begin(), out.end());
+Itemset Cell::itemset(size_t row) const {
+  Itemset out;
+  for (ItemId item : items(row)) out.PushBack(item);
   return out;
 }
 
-size_t Cell::Retain(
-    const std::function<bool(const ItemsetRecord&)>& pred) {
-  size_t dropped = 0;
-  for (auto it = records_.begin(); it != records_.end();) {
-    if (pred(it->second)) {
-      ++it;
+uint32_t Cell::Find(const Itemset& itemset) const {
+  if (itemset.size() != k_) return kNoRow;
+  size_t lo = 0;
+  size_t hi = size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    const std::span<const ItemId> row = items(mid);
+    if (std::lexicographical_compare(row.begin(), row.end(),
+                                     itemset.begin(), itemset.end())) {
+      lo = mid + 1;
     } else {
-      it = records_.erase(it);
-      ++dropped;
+      hi = mid;
     }
   }
-  if (tracker_ != nullptr && dropped > 0) {
-    tracker_->Sub(static_cast<int64_t>(dropped) * kBytesPerRecord);
+  if (lo == size() ||
+      !std::equal(itemset.begin(), itemset.end(), items(lo).begin())) {
+    return kNoRow;
+  }
+  return static_cast<uint32_t>(lo);
+}
+
+void Cell::Resize(size_t n) {
+  if (tracker_ != nullptr) {
+    tracker_->Add((static_cast<int64_t>(n) - static_cast<int64_t>(size())) *
+                  BytesPerRow(k_));
+  }
+  items_.resize(n * static_cast<size_t>(k_));
+  support_.resize(n);
+  corr_.resize(n);
+  label_.resize(n);
+  flags_.resize(n);
+  parent_.resize(n);
+}
+
+void Cell::Set(size_t row, const Itemset& itemset, uint32_t support,
+               double corr, Label label, uint8_t flags, uint32_t parent) {
+  assert(itemset.size() == k_);
+  std::copy(itemset.begin(), itemset.end(),
+            items_.begin() + static_cast<ptrdiff_t>(row) * k_);
+  support_[row] = support;
+  corr_[row] = corr;
+  label_[row] = label;
+  flags_[row] = flags;
+  parent_[row] = parent;
+}
+
+size_t Cell::Retain(Flag flag, Cell* child) {
+  const size_t k = static_cast<size_t>(k_);
+  std::vector<uint32_t> moved_to(child != nullptr ? size() : 0, kNoRow);
+  size_t out = 0;
+  for (size_t row = 0; row < size(); ++row) {
+    if ((flags_[row] & flag) == 0) continue;
+    if (child != nullptr) moved_to[row] = static_cast<uint32_t>(out);
+    std::copy_n(items_.begin() + static_cast<ptrdiff_t>(row * k), k,
+                items_.begin() + static_cast<ptrdiff_t>(out * k));
+    support_[out] = support_[row];
+    corr_[out] = corr_[row];
+    label_[out] = label_[row];
+    flags_[out] = flags_[row];
+    parent_[out] = parent_[row];
+    ++out;
+  }
+  const size_t dropped = size() - out;
+  Resize(out);
+  if (child != nullptr) {
+    for (uint32_t& link : child->parent_) {
+      if (link != kNoRow) link = moved_to[link];
+    }
   }
   return dropped;
 }
 
 bool Cell::AllNonPositive() const {
-  for (const auto& [itemset, record] : records_) {
-    (void)itemset;
-    if (record.label == Label::kPositive) return false;
-  }
-  return true;
+  return std::find(label_.begin(), label_.end(), Label::kPositive) ==
+         label_.end();
 }
 
-void Cell::Release() {
-  if (tracker_ != nullptr && !records_.empty()) {
-    tracker_->Sub(static_cast<int64_t>(records_.size()) * kBytesPerRecord);
-  }
-  records_.clear();
-}
+void Cell::Release() { Resize(0); }
 
 }  // namespace flipper

@@ -1,6 +1,8 @@
 #include "core/cell_evaluator.h"
 
 #include <algorithm>
+#include <array>
+#include <numeric>
 #include <utility>
 
 #include "common/cancellation.h"
@@ -16,6 +18,38 @@ namespace {
 /// evaluation runs for hundreds of milliseconds on the driver thread.
 constexpr size_t kCancelCheckStride = 1024;
 
+/// The permutation that sorts `candidates` (all of size k)
+/// lexicographically: a stable LSD radix sort over their items, last
+/// item first, in 11-bit digits up to the batch's largest id.
+std::vector<uint32_t> LexicographicOrder(std::span<const Itemset> candidates,
+                                         int k) {
+  constexpr int kDigitBits = 11;
+  constexpr uint32_t kBuckets = 1u << kDigitBits;
+  const size_t n = candidates.size();
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  ItemId max_id = 0;
+  for (const Itemset& c : candidates) max_id = std::max(max_id, c.back());
+  std::vector<uint32_t> next(n);
+  std::vector<ItemId> keys(n);
+  std::array<uint32_t, kBuckets + 1> start{};
+  for (int pos = k - 1; pos >= 0; --pos) {
+    for (size_t i = 0; i < n; ++i) keys[i] = candidates[i][pos];
+    for (int shift = 0; shift < 32; shift += kDigitBits) {
+      if (shift > 0 && (max_id >> shift) == 0) break;
+      auto digit = [&](uint32_t i) {
+        return (keys[i] >> shift) & (kBuckets - 1);
+      };
+      start.fill(0);
+      for (uint32_t i : order) ++start[digit(i) + 1];
+      for (uint32_t b = 1; b <= kBuckets; ++b) start[b] += start[b - 1];
+      for (uint32_t i : order) next[start[digit(i)]++] = i;
+      order.swap(next);
+    }
+  }
+  return order;
+}
+
 }  // namespace
 
 CellEvaluator::CellEvaluator(
@@ -28,13 +62,18 @@ CellEvaluator::CellEvaluator(
       tracker_(tracker),
       num_txns_(num_txns) {
   const auto slots = static_cast<size_t>(tax_.height()) + 1;
+  const size_t ids = tax_.id_space();
   sibp_order_.assign(slots, {});
   sibp_qualified_col_.assign(slots, {});
-  banned_.assign(slots, {});
-  chains_.assign(slots, {});
+  usable_.assign(slots, {});
+  max_corr_.assign(ids, 0.0);
   for (int h = 1; h <= tax_.height(); ++h) {
+    const auto& items = freq_items[static_cast<size_t>(h)];
+    usable_[static_cast<size_t>(h)].assign(ids, 0);
+    for (ItemId item : items) usable_[static_cast<size_t>(h)][item] = 1;
+    sibp_qualified_col_[static_cast<size_t>(h)].assign(ids, 0);
     auto& order = sibp_order_[static_cast<size_t>(h)];
-    order = freq_items[static_cast<size_t>(h)];
+    order = items;
     std::sort(order.begin(), order.end(), [&](ItemId a, ItemId b) {
       const uint32_t sa = views_.ItemSupport(h, a);
       const uint32_t sb = views_.ItemSupport(h, b);
@@ -46,130 +85,124 @@ CellEvaluator::CellEvaluator(
 Cell CellEvaluator::Evaluate(int h, int k,
                              std::span<const Itemset> candidates,
                              std::span<const uint32_t> supports,
+                             std::span<const uint32_t> parents,
                              const Cell* parent_cell, CellStats* cs,
                              MiningStats* stats) {
   const uint32_t min_count = config_.MinCount(h, num_txns_);
-  Cell cell(h, k, tracker_);
-  ChainMap& chains = chains_[static_cast<size_t>(h)];
-  const ChainMap& parent_chains =
-      chains_[static_cast<size_t>(h > 1 ? h - 1 : h)];
-  std::vector<uint32_t> item_sups;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (i % kCancelCheckStride == 0 && config_.cancel != nullptr &&
+  const size_t n = candidates.size();
+  // Rows are stored in itemset order.
+  const std::vector<uint32_t> order = LexicographicOrder(candidates, k);
+  Cell cell(k, tracker_);
+  cell.Resize(n);
+  std::array<uint32_t, kMaxItemsetSize> item_sups{};
+  for (size_t row = 0; row < n; ++row) {
+    if (row % kCancelCheckStride == 0 && config_.cancel != nullptr &&
         config_.cancel->Fired()) {
       break;
     }
+    const uint32_t i = order[row];
     const Itemset& itemset = candidates[i];
     const uint32_t sup = supports[i];
-    ItemsetRecord record;
-    record.support = sup;
-    record.frequent = sup >= min_count;
-    item_sups.clear();
-    for (ItemId item : itemset) {
-      item_sups.push_back(views_.ItemSupport(h, item));
+    const bool frequent = sup >= min_count;
+    for (int j = 0; j < k; ++j) {
+      item_sups[static_cast<size_t>(j)] = views_.ItemSupport(h, itemset[j]);
     }
-    record.corr = Correlation(config_.measure, sup, item_sups);
-    record.label = LabelOf(record.corr, config_.gamma, config_.epsilon,
-                           record.frequent);
+    const double corr = Correlation(
+        config_.measure, sup, {item_sups.data(), static_cast<size_t>(k)});
+    const Label label =
+        LabelOf(corr, config_.gamma, config_.epsilon, frequent);
 
-    const ItemsetRecord* parent_record = nullptr;
-    Itemset parent_itemset;
-    if (h > 1) {
-      parent_itemset = itemset.Map([&](ItemId item) {
+    uint32_t parent = Cell::kNoRow;
+    if (!parents.empty()) {
+      parent = parents[i];
+    } else if (parent_cell != nullptr) {
+      parent = parent_cell->Find(itemset.Map([&](ItemId item) {
         return tax_.AncestorAtLevel(item, h - 1);
-      });
-      if (parent_cell != nullptr) {
-        parent_record = parent_cell->Find(parent_itemset);
-      }
+      }));
     }
-    if (h == 1) {
-      record.chain_alive =
-          record.frequent && record.label != Label::kNone;
-    } else {
-      record.chain_alive = record.frequent &&
-                           record.label != Label::kNone &&
-                           parent_record != nullptr &&
-                           parent_record->chain_alive &&
-                           Flips(parent_record->label, record.label);
+    bool alive = frequent && label != Label::kNone;
+    if (h > 1) {
+      alive = alive && parent != Cell::kNoRow &&
+              parent_cell->has(parent, Cell::kChainAlive) &&
+              Flips(parent_cell->label(parent), label);
     }
 
-    if (record.frequent) ++cs->frequent;
-    if (record.label != Label::kNone) ++cs->labeled;
-    if (record.label == Label::kPositive) ++stats->num_positive;
-    if (record.label == Label::kNegative) ++stats->num_negative;
-    if (record.chain_alive) {
-      ++cs->alive;
-      std::vector<LevelStat> chain;
-      if (h > 1) {
-        auto it = parent_chains.find(parent_itemset);
-        FLIPPER_CHECK(it != parent_chains.end())
-            << "alive itemset without parent chain";
-        chain = it->second;
-      }
-      chain.push_back({h, itemset, sup, record.corr, record.label});
-      chains.emplace(itemset, std::move(chain));
-    }
-    cell.Put(itemset, record);
+    if (frequent) ++cs->frequent;
+    if (label != Label::kNone) ++cs->labeled;
+    if (label == Label::kPositive) ++stats->num_positive;
+    if (label == Label::kNegative) ++stats->num_negative;
+    if (alive) ++cs->alive;
+    const uint8_t flags = (frequent ? Cell::kFrequent : 0) |
+                          (alive ? Cell::kChainAlive : 0);
+    cell.Set(row, itemset, sup, corr, label, flags, parent);
   }
   return cell;
 }
 
 void CellEvaluator::SibpUpdate(int h, int k, const Cell& cell) {
   if (!config_.pruning.sibp) return;
-  // Max Corr per item over the cell's counted itemsets.
-  std::unordered_map<ItemId, double> max_corr;
-  cell.ForEach([&](const Itemset& itemset, const ItemsetRecord& record) {
-    for (ItemId item : itemset) {
-      auto [it, inserted] = max_corr.try_emplace(item, record.corr);
-      if (!inserted && record.corr > it->second) it->second = record.corr;
+  // Max Corr per item over the cell's counted itemsets (an item the
+  // cell lacks reads 0; gamma > 0, so a max below 0 walks alike).
+  for (size_t row = 0; row < cell.size(); ++row) {
+    for (ItemId item : cell.items(row)) {
+      max_corr_[item] = std::max(max_corr_[item], cell.corr(row));
     }
-  });
+  }
   // Walk L_h from the smallest support; an item qualifies while its max
   // Corr stays below gamma; the first failure stops the walk
   // (Corollary 2 requires the smallest-support prefix). Banned items
   // count as removed from the database.
   auto& qualified = sibp_qualified_col_[static_cast<size_t>(h)];
-  const auto& banned = banned_[static_cast<size_t>(h)];
+  const auto& usable = usable_[static_cast<size_t>(h)];
   for (ItemId item : sibp_order_[static_cast<size_t>(h)]) {
-    if (banned.find(item) != banned.end()) continue;
-    auto it = max_corr.find(item);
-    const double mc = it == max_corr.end() ? 0.0 : it->second;
-    if (mc >= config_.gamma) break;
-    qualified.try_emplace(item, k);
+    if (usable[item] == 0) continue;
+    if (max_corr_[item] >= config_.gamma) break;
+    if (qualified[item] == 0) qualified[item] = k;
+  }
+  for (size_t row = 0; row < cell.size(); ++row) {
+    for (ItemId item : cell.items(row)) max_corr_[item] = 0.0;
   }
 }
 
 void CellEvaluator::SibpBan(int h, int k, MiningStats* stats) {
   if (!config_.pruning.sibp || h < 2) return;
-  auto& banned = banned_[static_cast<size_t>(h)];
+  auto& usable = usable_[static_cast<size_t>(h)];
   const auto& qualified = sibp_qualified_col_[static_cast<size_t>(h)];
   const auto& parent_qualified =
       sibp_qualified_col_[static_cast<size_t>(h - 1)];
-  for (const auto& [item, col] : qualified) {
-    if (col > k || banned.find(item) != banned.end()) continue;
-    const ItemId parent = tax_.AncestorAtLevel(item, h - 1);
-    auto it = parent_qualified.find(parent);
-    if (it != parent_qualified.end() && it->second <= k) {
-      banned.insert(item);
+  for (ItemId item : sibp_order_[static_cast<size_t>(h)]) {
+    const int col = qualified[item];
+    if (col == 0 || col > k || usable[item] == 0) continue;
+    const int parent_col = parent_qualified[tax_.AncestorAtLevel(item, h - 1)];
+    if (parent_col != 0 && parent_col <= k) {
+      usable[item] = 0;
       ++stats->sibp_banned_items;
     }
   }
 }
 
-void CellEvaluator::AssemblePatterns(const std::vector<Cell>& last_row,
-                                     MiningResult* result) const {
-  const ChainMap& chains = chains_[static_cast<size_t>(tax_.height())];
-  for (const Cell& cell : last_row) {
-    cell.ForEach([&](const Itemset& itemset, const ItemsetRecord& record) {
-      if (!record.chain_alive) return;
-      auto it = chains.find(itemset);
-      FLIPPER_CHECK(it != chains.end())
-          << "alive leaf itemset without chain";
+void AssemblePatterns(const std::vector<CellRow>& table,
+                      MiningResult* result) {
+  const size_t height = table.size() - 1;
+  for (const Cell& leaf_cell : table[height]) {
+    const auto column = static_cast<size_t>(leaf_cell.k() - 2);
+    for (size_t leaf_row = 0; leaf_row < leaf_cell.size(); ++leaf_row) {
+      if (!leaf_cell.has(leaf_row, Cell::kChainAlive)) continue;
       FlippingPattern pattern;
-      pattern.leaf_itemset = itemset;
-      pattern.chain = it->second;
+      pattern.leaf_itemset = leaf_cell.itemset(leaf_row);
+      pattern.chain.resize(height);
+      auto row = static_cast<uint32_t>(leaf_row);
+      for (size_t h = height; h >= 1; --h) {
+        FLIPPER_CHECK(row != Cell::kNoRow)
+            << "alive itemset without a parent row";
+        const Cell& cell = table[h][column];
+        pattern.chain[h - 1] = {static_cast<int>(h), cell.itemset(row),
+                                cell.support(row), cell.corr(row),
+                                cell.label(row)};
+        row = cell.parent(row);
+      }
       result->patterns.push_back(std::move(pattern));
-    });
+    }
   }
   SortPatterns(&result->patterns);
 }

@@ -1,17 +1,16 @@
 // CellEvaluator: the evaluation stage of the cell pipeline. Turns a
-// counted candidate batch into a Cell of ItemsetRecords (correlation,
-// label, chain-alive flag), carries the pattern chains of alive
-// itemsets forward level by level, and owns the SIBP bookkeeping
-// (per-level qualification walk + ban set, §4.3.2). The pipeline calls
-// Evaluate / SibpUpdate / SibpBan in the paper's cell order, and the
-// planner reads banned(h) when it grows the next cell of level h.
+// counted candidate batch into a Cell (correlation, label, flags and
+// the parent link that makes a pattern chain), and owns the SIBP
+// bookkeeping (per-level qualification walk + bans, §4.3.2). The
+// pipeline calls Evaluate / SibpUpdate / SibpBan in the paper's cell
+// order, and the planner reads usable(h) when it grows the next cell of
+// level h. AssemblePatterns walks the parent links of the finished
+// table into the output patterns.
 
 #ifndef FLIPPER_CORE_CELL_EVALUATOR_H_
 #define FLIPPER_CORE_CELL_EVALUATOR_H_
 
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/memory_tracker.h"
@@ -35,14 +34,17 @@ class CellEvaluator {
                 const std::vector<std::vector<ItemId>>& freq_items,
                 uint32_t num_txns);
 
-  /// Builds cell Q(h,k) from the counted batch: support/correlation/
-  /// label per record, the flip check against `parent_cell` (null for
-  /// row 1), chain extension for alive itemsets. Updates cs->frequent/
-  /// labeled/alive and stats->num_positive/num_negative. Stops early
-  /// when config.cancel fires, leaving the cell (and the chains and
-  /// counts above) partial: callers check the token before using it.
+  /// Builds cell Q(h,k) from the counted batch, in itemset order:
+  /// support/correlation/label per row, the parent link into
+  /// `parent_cell` (null for row 1) and the flip check against it.
+  /// `parents` holds each candidate's parent row, or is empty to have
+  /// Evaluate look each one up. Updates cs->frequent/labeled/alive and
+  /// stats->num_positive/num_negative. Stops early when config.cancel
+  /// fires, leaving the cell and the counts partial: callers check the
+  /// token before using them.
   Cell Evaluate(int h, int k, std::span<const Itemset> candidates,
                 std::span<const uint32_t> supports,
+                std::span<const uint32_t> parents,
                 const Cell* parent_cell, CellStats* cs,
                 MiningStats* stats);
 
@@ -55,23 +57,13 @@ class CellEvaluator {
   /// excluded from all wider candidate itemsets.
   void SibpBan(int h, int k, MiningStats* stats);
 
-  /// Level h's current ban set.
-  const std::unordered_set<ItemId>& banned(int h) const {
-    return banned_[static_cast<size_t>(h)];
+  /// Level h's items that may still enter a candidate — frequent at
+  /// level h and not SIBP-banned — as a bitmap indexed by item id.
+  std::span<const uint8_t> usable(int h) const {
+    return usable_[static_cast<size_t>(h)];
   }
 
-  /// Drops the chains of a retired row.
-  void ReleaseChains(int h) { chains_[static_cast<size_t>(h)].clear(); }
-
-  /// Emits patterns for the alive records of the final row (sorted).
-  void AssemblePatterns(const std::vector<Cell>& last_row,
-                        MiningResult* result) const;
-
  private:
-  /// Pattern chains of the alive itemsets of one row.
-  using ChainMap =
-      std::unordered_map<Itemset, std::vector<LevelStat>, ItemsetHash>;
-
   const Taxonomy& tax_;
   const MiningConfig& config_;
   const LevelViews& views_;
@@ -80,13 +72,20 @@ class CellEvaluator {
 
   /// SIBP's L_h: frequent items sorted by ascending support.
   std::vector<std::vector<ItemId>> sibp_order_;
-  /// First column at which an item entered R_h.
-  std::vector<std::unordered_map<ItemId, int>> sibp_qualified_col_;
-  /// Items banned from further candidates at their level.
-  std::vector<std::unordered_set<ItemId>> banned_;
-  /// chains_[h]: generalization chains of row h's alive itemsets.
-  std::vector<ChainMap> chains_;
+  /// First column at which an item entered R_h, indexed by item id
+  /// (0: not yet).
+  std::vector<std::vector<int>> sibp_qualified_col_;
+  std::vector<std::vector<uint8_t>> usable_;
+  /// SibpUpdate's per-item max Corr, indexed by item id; all zero
+  /// between calls.
+  std::vector<double> max_corr_;
 };
+
+/// Emits one pattern per chain-alive row of the leaf row `table[H]`,
+/// sorted, walking each row's parent links up through the retired rows
+/// `table[H-1]` … `table[1]` (table[h] is row h; table[0] is unused).
+void AssemblePatterns(const std::vector<CellRow>& table,
+                      MiningResult* result);
 
 }  // namespace flipper
 

@@ -94,7 +94,7 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
       }
     }
     planner_ = std::make_unique<CellPlanner>(tax_, config_, *views_,
-                                             freq_items_, num_txns_);
+                                             freq_items_);
     evaluator_ = std::make_unique<CellEvaluator>(
         tax_, config_, *views_, &tracker_, freq_items_, num_txns_);
   }
@@ -112,17 +112,17 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
   FLIPPER_RETURN_IF_ERROR(CheckCancel());
 
   // --- Phase 1: the two ceiling rows, zigzag (lines 2-7). ---
-  Row row1;
-  Row row2;
+  // table[h] is row h of M. A retired row keeps its chain-alive rows
+  // only: the leaf row's parent links walk up through them.
+  std::vector<CellRow> table(static_cast<size_t>(height_) + 1);
+  CellRow& row1 = table[1];
+  CellRow& row2 = table[2];
   for (int k = 2; k <= max_k_; ++k) {
     FLIPPER_RETURN_IF_ERROR(CheckCancel());
     const Cell* prev1 =
         k == 2 ? nullptr : &row1[static_cast<size_t>(k - 3)];
     FLIPPER_ASSIGN_OR_RETURN(Cell q1, RunCell(1, k, nullptr, prev1));
-    const bool q1_has_frequent = !q1.Select([](const ItemsetRecord& r) {
-                                     return r.frequent;
-                                   }).empty();
-    if (!q1_has_frequent) {
+    if (stats_.cells.back().frequent == 0) {  // q1's committed stats
       // Support termination: no frequent (1,k)-itemsets means no
       // frequent (1,k')-itemsets for k' >= k, so every deeper chain is
       // broken from column k on.
@@ -153,17 +153,15 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
   }
   {
     StageScope stage(metrics_, "evict");
-    // Line 7: eliminate non-flipping patterns in rows 1 and 2. Row 1
-    // is no longer needed at all (chains carry its data forward).
-    row1.clear();
-    evaluator_->ReleaseChains(1);
+    // Line 7: eliminate non-flipping patterns in rows 1 and 2.
+    RetireRow(&row1, &row2);
     EvictCompletedRow(&row2);
   }
 
   // --- Phase 2: rows 3..H, row-wise (lines 8-15). ---
-  Row prev_row = std::move(row2);
   for (int h = 3; h <= height_; ++h) {
-    Row cur_row;
+    const CellRow& prev_row = table[static_cast<size_t>(h - 1)];
+    CellRow& cur_row = table[static_cast<size_t>(h)];
     for (int k = 2; k <= max_k_; ++k) {
       FLIPPER_RETURN_IF_ERROR(CheckCancel());
       // Row h-1 holds every column up to max_k_: the cap only
@@ -190,16 +188,14 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
     }
     // Line 14: eliminate non-flipping patterns; row h-1 retires.
     StageScope stage(metrics_, "evict");
-    prev_row.clear();
-    evaluator_->ReleaseChains(h - 1);
+    RetireRow(&table[static_cast<size_t>(h - 1)], &cur_row);
     EvictCompletedRow(&cur_row);
-    prev_row = std::move(cur_row);
   }
 
   {
     StageScope stage(metrics_, "assemble");
     // Line 16: report the alive itemsets of the deepest row.
-    evaluator_->AssemblePatterns(prev_row, &result);
+    AssemblePatterns(table, &result);
 
     // Counter scans + the initial singleton scan, which counts item
     // supports densely by id.
@@ -268,22 +264,23 @@ Result<Cell> CellPipeline::RunCell(int h, int k, const Cell* parent,
   CellStats cs;
   cs.h = h;
   cs.k = k;
-  const auto& banned = evaluator_->banned(h);
   CellPlan plan;
   {
     StageScope stage(metrics_, "plan", h, k);
     plan = h == 1 ? planner_->PlanRow1(k, prev_in_row)
-                  : planner_->PlanVertical(h, k, *parent, banned);
+                  : planner_->PlanVertical(h, k, *parent,
+                                           evaluator_->usable(h));
   }
   const bool scan = plan.strategy == CellStrategy::kScan;
   std::vector<Itemset> candidates;
   std::vector<uint32_t> supports;
+  std::vector<uint32_t> parents = std::move(plan.parents);
   if (!scan) {
     cs.generated = plan.candidates.size();
     candidates = std::move(plan.candidates);
     if (h >= 2 && prev_in_row != nullptr) {
       StageScope stage(metrics_, "subset_filter", h, k);
-      RetainCandidates(&candidates, nullptr, config_.cancel,
+      RetainCandidates(&candidates, &parents, config_.cancel,
                        [&](const Itemset& candidate) {
                          return !HasKnownInfrequentSubset(candidate,
                                                           *prev_in_row);
@@ -314,14 +311,15 @@ Result<Cell> CellPipeline::RunCell(int h, int k, const Cell* parent,
     // generalize to fewer than k items, so they find no parent.)
     cs.generated = candidates.size();
     StageScope stage(metrics_, "subset_filter", h, k);
+    const Cell::Flag eligible = ParentFlag(config_);
     RetainCandidates(&candidates, &supports, config_.cancel,
                      [&](const Itemset& combo) {
-                       const ItemsetRecord* record =
+                       const uint32_t row =
                            parent->Find(combo.Map([&](ItemId item) {
                              return tax_.AncestorAtLevel(item, h - 1);
                            }));
-                       return record != nullptr &&
-                              ParentEligible(config_, *record) &&
+                       return row != Cell::kNoRow &&
+                              parent->has(row, eligible) &&
                               (prev_in_row == nullptr ||
                                !HasKnownInfrequentSubset(combo,
                                                          *prev_in_row));
@@ -334,8 +332,8 @@ Result<Cell> CellPipeline::RunCell(int h, int k, const Cell* parent,
   // token implies complete, exact supports.)
   FLIPPER_RETURN_IF_ERROR(CheckCancel());
   StageScope stage(metrics_, "evaluate", h, k);
-  Cell cell = evaluator_->Evaluate(h, k, candidates, supports, parent,
-                                   &cs, &stats_);
+  Cell cell = evaluator_->Evaluate(h, k, candidates, supports, parents,
+                                   parent, &cs, &stats_);
   // Evaluate stops early on a fired token; the partial cell is dropped.
   FLIPPER_RETURN_IF_ERROR(CheckCancel());
   cs.seconds = timer.ElapsedSeconds();
@@ -350,13 +348,16 @@ Status CellPipeline::TruncatedError(int h, int k) const {
       std::to_string(config_.max_candidates_per_cell) + ")");
 }
 
-void CellPipeline::EvictCompletedRow(Row* row) {
-  for (Cell& cell : *row) {
-    if (config_.pruning.flipping) {
-      cell.Retain([](const ItemsetRecord& r) { return r.chain_alive; });
-    } else {
-      cell.Retain([](const ItemsetRecord& r) { return r.frequent; });
-    }
+void CellPipeline::EvictCompletedRow(CellRow* row) {
+  for (Cell& cell : *row) cell.Retain(ParentFlag(config_), nullptr);
+}
+
+void CellPipeline::RetireRow(CellRow* row, CellRow* child_row) {
+  // A column the child row never reached holds no chain's parent.
+  row->erase(row->begin() + static_cast<ptrdiff_t>(child_row->size()),
+             row->end());
+  for (size_t col = 0; col < row->size(); ++col) {
+    (*row)[col].Retain(Cell::kChainAlive, &(*child_row)[col]);
   }
 }
 

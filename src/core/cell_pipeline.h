@@ -10,10 +10,12 @@
 //                             for a scan-driven cell, of every
 //                             occurring k-combination of its
 //                             participating items
-//   evaluate (CellEvaluator)  correlation, labels, chains, SIBP
+//   evaluate (CellEvaluator)  correlation, labels, parent links
 //
-// after which the driver applies SIBP and the TPG stop test. Only two
-// rows are resident, and completed rows evict chain-dead itemsets.
+// after which the driver applies SIBP and the TPG stop test. Two rows
+// are resident in full, completed rows evict chain-dead itemsets, and
+// a retired row keeps only the chain-alive rows the patterns' parent
+// links walk through.
 // The count stage is the only parallel one: its shards run on the
 // pool, so mining output is bit-identical for any thread count. A
 // subset filter drops candidates with a known-infrequent subset:
@@ -67,9 +69,6 @@ class CellPipeline {
                                const LevelViews* shared_views);
 
  private:
-  /// A row of the search-space table: row[k - 2] is Q(h, k).
-  using Row = std::vector<Cell>;
-
   /// Runs Q(h,k) through plan, count and evaluate, and commits its
   /// stats. `parent` is Q(h-1,k) (null for row 1) and `prev_in_row` is
   /// Q(h,k-1) (null at k == 2).
@@ -92,10 +91,15 @@ class CellPipeline {
            lower.AllNonPositive();
   }
 
-  /// Evicts records a completed row no longer needs: chain-dead ones
+  /// Evicts rows a completed row of M no longer needs: chain-dead ones
   /// under flipping pruning ("eliminate non-flipping patterns"),
   /// infrequent ones always.
-  void EvictCompletedRow(Row* row);
+  void EvictCompletedRow(CellRow* row);
+
+  /// Retires `row` once its child row is complete: keeps only the
+  /// chain-alive rows (the chains' upper links) of the columns the
+  /// child row reached, and moves the child's parent links with them.
+  void RetireRow(CellRow* row, CellRow* child_row);
 
   /// Absorbs the run's counters, stage histograms and pool
   /// utilization into config_.metrics (no-op when null).

@@ -1,7 +1,6 @@
 #include "core/cell_planner.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "core/candidate_gen.h"
@@ -39,56 +38,41 @@ CellPlan CellPlanner::PlanRow1(int k, const Cell* prev_in_row) const {
         plan.candidates.size() > config_.max_candidates_per_cell;
   } else {
     plan.strategy = CellStrategy::kAprioriJoin;
-    std::vector<Itemset> prev_frequent = prev_in_row->Select(
-        [](const ItemsetRecord& r) { return r.frequent; });
-    plan.candidates =
-        AprioriJoin(prev_frequent, *prev_in_row,
-                    config_.max_candidates_per_cell, &plan.truncated);
+    const Cell& prev = *prev_in_row;
+    std::vector<Itemset> frequent;
+    for (size_t row = 0; row < prev.size(); ++row) {
+      if (prev.has(row, Cell::kFrequent)) frequent.push_back(prev.itemset(row));
+    }
+    plan.candidates = AprioriJoin(
+        frequent,
+        [&](const Itemset& subset) {
+          const uint32_t row = prev.Find(subset);
+          return row != Cell::kNoRow && prev.has(row, Cell::kFrequent);
+        },
+        config_.max_candidates_per_cell, &plan.truncated);
   }
   return plan;
 }
 
-CellPlan CellPlanner::PlanVertical(
-    int h, int k, const Cell& parent_cell,
-    const std::unordered_set<ItemId>& banned) const {
+CellPlan CellPlanner::PlanVertical(int h, int k, const Cell& parent_cell,
+                                   std::span<const uint8_t> usable) const {
   CellPlan plan;
-  const uint32_t min_count = config_.MinCount(h, num_txns_);
-  auto child_ok = [&](ItemId child) {
-    if (views_.ItemSupport(h, child) < min_count) return false;
-    return banned.find(child) == banned.end();
-  };
-  std::vector<Itemset> parents = parent_cell.Select(
-      [this](const ItemsetRecord& r) { return ParentEligible(config_, r); });
+  const Cell::Flag eligible = ParentFlag(config_);
 
   // Strategy selection: the cartesian children product can vastly
   // exceed the number of k-subsets actually present in the data
   // (every absent combination has support 0 and can never be
   // frequent). Estimate both and take the cheaper route.
   double cartesian_total = 0.0;
-  std::unordered_map<ItemId, double> eligible_children;
-  for (const Itemset& parent : parents) {
-    double product = 1.0;
-    for (ItemId node : parent) {
-      auto [it, inserted] = eligible_children.try_emplace(node, 0.0);
-      if (inserted) {
-        double count = 0.0;
-        if (tax_.IsLeaf(node) && tax_.LevelOf(node) < h) {
-          count = child_ok(node) ? 1.0 : 0.0;
-        } else {
-          for (ItemId child : tax_.ChildrenOf(node)) {
-            if (child_ok(child)) count += 1.0;
-          }
-        }
-        it->second = count;
-      }
-      product *= it->second;
-      if (product == 0.0) break;
-    }
-    cartesian_total += product;
+  bool any_parent = false;
+  for (size_t row = 0; row < parent_cell.size(); ++row) {
+    if (!parent_cell.has(row, eligible)) continue;
+    any_parent = true;
+    cartesian_total +=
+        ChildCombinations(parent_cell.items(row), tax_, h, usable);
     if (cartesian_total > 1e15) break;
   }
-  if (config_.enable_scan_cells && !parents.empty() &&
-      cartesian_total > 65536) {
+  if (config_.enable_scan_cells && any_parent && cartesian_total > 65536) {
     // The scan cell enumerates k-subsets of *filtered* transactions
     // (participating items only), so the raw width histogram
     // overestimates its cost. Scale widths by the participating
@@ -100,7 +84,7 @@ CellPlan CellPlanner::PlanVertical(
     for (ItemId node : tax_.NodesAtLevel(h)) {
       if (views_.ItemSupport(h, node) == 0) continue;
       ++vocab;
-      if (child_ok(node)) live.push_back(node);
+      if (usable[node] != 0) live.push_back(node);
     }
     const double live_fraction =
         vocab > 0 ? static_cast<double>(live.size()) /
@@ -115,10 +99,17 @@ CellPlan CellPlanner::PlanVertical(
   }
 
   plan.strategy = CellStrategy::kVerticalExpand;
-  for (const Itemset& parent : parents) {
-    VerticalExpand(parent, tax_, h, child_ok, &plan.candidates,
-                   config_.max_candidates_per_cell, &plan.truncated);
-    if (plan.truncated) break;
+  const auto expected = static_cast<size_t>(std::min(
+      cartesian_total,
+      static_cast<double>(config_.max_candidates_per_cell)));
+  plan.candidates.reserve(expected);
+  plan.parents.reserve(expected);
+  for (size_t row = 0; row < parent_cell.size() && !plan.truncated; ++row) {
+    if (!parent_cell.has(row, eligible)) continue;
+    VerticalExpand(parent_cell.items(row), tax_, h, usable,
+                   &plan.candidates, config_.max_candidates_per_cell,
+                   &plan.truncated);
+    plan.parents.resize(plan.candidates.size(), static_cast<uint32_t>(row));
   }
   return plan;
 }

@@ -14,14 +14,14 @@
 //                     participating items
 //                     (SupportCounter::StartCountOccurring).
 //
-// Planning is a pure function of completed cells plus the SIBP ban set
-// of level h.
+// Planning is a pure function of completed cells plus the level's
+// usable-item bitmap (frequent and not SIBP-banned).
 
 #ifndef FLIPPER_CORE_CELL_PLANNER_H_
 #define FLIPPER_CORE_CELL_PLANNER_H_
 
 #include <cstdint>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
 #include "core/cell.h"
@@ -32,10 +32,9 @@
 
 namespace flipper {
 
-/// Predicate selecting parents eligible for vertical growth.
-inline bool ParentEligible(const MiningConfig& config,
-                           const ItemsetRecord& record) {
-  return config.pruning.flipping ? record.chain_alive : record.frequent;
+/// The flag of the parents eligible for vertical growth.
+inline Cell::Flag ParentFlag(const MiningConfig& config) {
+  return config.pruning.flipping ? Cell::kChainAlive : Cell::kFrequent;
 }
 
 enum class CellStrategy { kPairs, kAprioriJoin, kVerticalExpand, kScan };
@@ -57,6 +56,8 @@ double ScanEnumerationCost(const LevelViews& views, int h, int k,
 struct CellPlan {
   CellStrategy strategy = CellStrategy::kVerticalExpand;
   std::vector<Itemset> candidates;
+  /// kVerticalExpand only: each candidate's parent row in Q(h-1,k).
+  std::vector<uint32_t> parents;
   /// kScan only: the participating items (frequent at level h, not
   /// SIBP-banned), ascending.
   std::vector<ItemId> items;
@@ -70,13 +71,11 @@ class CellPlanner {
   /// level h's frequent single items sorted by id.
   CellPlanner(const Taxonomy& taxonomy, const MiningConfig& config,
               const LevelViews& views,
-              const std::vector<std::vector<ItemId>>& freq_items,
-              uint32_t num_txns)
+              const std::vector<std::vector<ItemId>>& freq_items)
       : tax_(taxonomy),
         config_(config),
         views_(views),
-        freq_items_(freq_items),
-        num_txns_(num_txns) {}
+        freq_items_(freq_items) {}
 
   /// Row-1 generation: pairs at k == 2, Apriori prefix join from the
   /// completed Q(1,k-1) otherwise. Row 1 ignores the ban set (SIBP
@@ -85,17 +84,17 @@ class CellPlanner {
 
   /// Rows >= 2: estimates the cartesian children product against the
   /// scan-enumeration cost, picks the strategy, and runs the vertical
-  /// expansion for the cartesian route. Pure — reads only completed
-  /// cells and `banned`.
+  /// expansion for the cartesian route. `usable` is level h's item
+  /// bitmap (CellEvaluator::usable). Pure — reads only completed
+  /// cells and `usable`.
   CellPlan PlanVertical(int h, int k, const Cell& parent_cell,
-                        const std::unordered_set<ItemId>& banned) const;
+                        std::span<const uint8_t> usable) const;
 
  private:
   const Taxonomy& tax_;
   const MiningConfig& config_;
   const LevelViews& views_;
   const std::vector<std::vector<ItemId>>& freq_items_;
-  uint32_t num_txns_ = 0;
 };
 
 }  // namespace flipper

@@ -10,7 +10,7 @@
 //                       batches, and the scan-driven cell's occurring
 //                       combinations in per-shard hash tables);
 //   cell_evaluator.h  — correlation, labels, chain-alive flags,
-//                       pattern chains, SIBP bookkeeping;
+//                       parent links, SIBP bookkeeping;
 //   cell_pipeline.h   — the driver walking the Q(h,k) table, one
 //                       cell at a time: plan, count, evaluate.
 //
@@ -30,10 +30,11 @@
 //              and whose parent item qualified one level up are banned
 //              from wider itemsets (Theorem 2 + Corollary 2).
 //
-// Memory: only two rows are resident at any time; pattern chains are
-// carried forward separately. A MemoryTracker records the candidate
-// store's peak footprint (Figure 9(b)). Mining output is bit-identical
-// for any thread count.
+// Memory: two rows are resident in full at any time; a retired row
+// keeps only its chain-alive rows, which the leaf row's parent links
+// walk to build each pattern's chain. A MemoryTracker records the
+// table's peak column bytes (Figure 9(b)). Mining output is
+// bit-identical for any thread count.
 
 #ifndef FLIPPER_CORE_FLIPPER_MINER_H_
 #define FLIPPER_CORE_FLIPPER_MINER_H_

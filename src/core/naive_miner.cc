@@ -1,13 +1,13 @@
 #include "core/naive_miner.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <vector>
 
 #include "common/memory_tracker.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/candidate_gen.h"
-#include "core/cell.h"
 #include "core/label.h"
 #include "core/level_views.h"
 #include "core/support_counting.h"
@@ -16,9 +16,26 @@
 namespace flipper {
 namespace {
 
+/// What the oracle keeps of one frequent itemset.
+struct Record {
+  uint32_t support = 0;
+  double corr = 0.0;
+  Label label = Label::kNone;
+};
+
+/// One cell of the oracle's own table: the frequent k-itemsets of a
+/// level. A hash map, independent of the miner's columnar Cell, so the
+/// oracle never checks that layout against itself.
+using FrequentCell = std::unordered_map<Itemset, Record, ItemsetHash>;
+
 /// All cells of one level, indexed by k (cells[k - 2] holds the
 /// k-itemsets).
-using LevelCells = std::vector<Cell>;
+using LevelCells = std::vector<FrequentCell>;
+
+/// Tracked bytes per stored record (itemset + record + hash node
+/// overhead estimate).
+constexpr int64_t kBytesPerRecord =
+    static_cast<int64_t>(sizeof(Itemset) + sizeof(Record) + 32);
 
 }  // namespace
 
@@ -68,12 +85,14 @@ Result<MiningResult> NaiveMiner::Run(const TransactionDb& db,
         candidates = GeneratePairs(freq_items);
         truncated = candidates.size() > config.max_candidates_per_cell;
       } else {
-        const Cell& prev = cells[static_cast<size_t>(k - 3)];
-        std::vector<Itemset> prev_frequent = prev.Select(
-            [](const ItemsetRecord& r) { return r.frequent; });
-        candidates = AprioriJoin(prev_frequent, prev,
-                                 config.max_candidates_per_cell,
-                                 &truncated);
+        const FrequentCell& prev = cells[static_cast<size_t>(k - 3)];
+        std::vector<Itemset> frequent;
+        for (const auto& [itemset, record] : prev) frequent.push_back(itemset);
+        std::sort(frequent.begin(), frequent.end());
+        candidates = AprioriJoin(
+            frequent,
+            [&](const Itemset& subset) { return prev.count(subset) != 0; },
+            config.max_candidates_per_cell, &truncated);
       }
       if (truncated) {
         return Status::ResourceExhausted(
@@ -89,7 +108,7 @@ Result<MiningResult> NaiveMiner::Run(const TransactionDb& db,
           views.Level(h).db, candidates, &pool, supports, &scratch));
       ++db_scans;
 
-      Cell cell(h, k, &tracker);
+      FrequentCell cell;
       CellStats cs;
       cs.h = h;
       cs.k = k;
@@ -105,13 +124,13 @@ Result<MiningResult> NaiveMiner::Run(const TransactionDb& db,
         for (ItemId item : itemset) {
           item_sups.push_back(views.ItemSupport(h, item));
         }
-        ItemsetRecord record;
+        Record record;
         record.support = sup;
         record.corr = Correlation(config.measure, sup, item_sups);
-        record.frequent = true;
         record.label =
             LabelOf(record.corr, config.gamma, config.epsilon, true);
-        cell.Put(itemset, record);
+        cell.emplace(itemset, record);
+        tracker.Add(kBytesPerRecord);
         ++cs.frequent;
         if (record.label != Label::kNone) ++cs.labeled;
         if (record.label == Label::kPositive) ++result.stats.num_positive;
@@ -131,36 +150,37 @@ Result<MiningResult> NaiveMiner::Run(const TransactionDb& db,
   // labeled, and the labels alternate (Definition 2).
   if (height >= 2) {
     const LevelCells& leaf_cells = levels[static_cast<size_t>(height)];
-    for (const Cell& leaf_cell : leaf_cells) {
-      const int k = leaf_cell.k();
-      leaf_cell.ForEach([&](const Itemset& leaf, const ItemsetRecord&) {
+    for (size_t col = 0; col < leaf_cells.size(); ++col) {
+      const int k = static_cast<int>(col) + 2;
+      for (const auto& [leaf, leaf_record] : leaf_cells[col]) {
         // Distinct level-1 roots.
         Itemset roots = leaf.Map(
             [&](ItemId item) { return taxonomy.RootOf(item); });
-        if (roots.size() != k) return;
+        if (roots.size() != k) continue;
 
         FlippingPattern pattern;
         pattern.leaf_itemset = leaf;
-        Label prev_label = Label::kNone;
-        for (int h = 1; h <= height; ++h) {
-          const Itemset gen = leaf.Map([&](ItemId item) {
-            return taxonomy.AncestorAtLevel(item, h);
-          });
-          const LevelCells& cells = levels[static_cast<size_t>(h)];
-          if (static_cast<size_t>(k - 2) >= cells.size()) return;
-          const ItemsetRecord* rec =
-              cells[static_cast<size_t>(k - 2)].Find(gen);
-          if (rec == nullptr || !rec->frequent ||
-              rec->label == Label::kNone) {
-            return;
+        const bool flips = [&] {
+          Label prev_label = Label::kNone;
+          for (int h = 1; h <= height; ++h) {
+            const Itemset gen = leaf.Map([&](ItemId item) {
+              return taxonomy.AncestorAtLevel(item, h);
+            });
+            const LevelCells& cells = levels[static_cast<size_t>(h)];
+            if (col >= cells.size()) return false;
+            auto it = cells[col].find(gen);
+            if (it == cells[col].end()) return false;  // infrequent
+            const Record& rec = it->second;
+            if (rec.label == Label::kNone) return false;
+            if (h > 1 && !Flips(prev_label, rec.label)) return false;
+            prev_label = rec.label;
+            pattern.chain.push_back(
+                {h, gen, rec.support, rec.corr, rec.label});
           }
-          if (h > 1 && !Flips(prev_label, rec->label)) return;
-          prev_label = rec->label;
-          pattern.chain.push_back(
-              {h, gen, rec->support, rec->corr, rec->label});
-        }
-        result.patterns.push_back(std::move(pattern));
-      });
+          return true;
+        }();
+        if (flips) result.patterns.push_back(std::move(pattern));
+      }
     }
   }
   SortPatterns(&result.patterns);

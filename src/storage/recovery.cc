@@ -51,8 +51,10 @@ Result<RepairPlan> AnalyzeStore(const std::string& path) {
   plan.physical_size = info.physical_size;
   if (!reader.ok()) {
     const StatusCode code = reader.status().code();
-    if (code == StatusCode::kIoError || code == StatusCode::kNotFound) {
-      return reader.status();  // unreadable, not corrupt
+    if (code == StatusCode::kIoError || code == StatusCode::kNotFound ||
+        code == StatusCode::kInvalidArgument) {
+      // Unreadable, or intact in another format version: not corrupt.
+      return reader.status();
     }
     // Either no committed header survives, or one does but its payload
     // fails validation — both are beyond what repair can restore.
@@ -238,9 +240,7 @@ Result<Diagnosis> DiagnoseStore(const std::string& path) {
       d.findings.push_back({"payload", 0, limit, false, d.plan.detail});
     }
   } else if (d.plan.action == RepairPlan::Action::kUnrecoverable) {
-    d.findings.push_back(
-        {"payload", 0, phys, false,
-         "no committed state found: " + d.plan.detail});
+    d.findings.push_back({"payload", 0, phys, false, d.plan.detail});
   }
   return d;
 }

@@ -417,6 +417,11 @@ Result<StoreReader> StoreReader::OpenPrefix(const std::string& path,
                    " — the committed data itself is incomplete: " + path);
   }
 
+  // A header of another format version is intact, not damage: its
+  // refusal stands as it is.
+  if (front.status().code() == StatusCode::kInvalidArgument) {
+    return front.status();
+  }
   return Status(front.status().code(),
                 "no committed state found (front header: " +
                     front.status().message() +

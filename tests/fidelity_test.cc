@@ -16,6 +16,9 @@
 // is asserted from the same counts: BASIC counts every frequent
 // itemset whatever gamma and epsilon are, and each pruning stack counts
 // no more candidates as gamma grows.
+//
+// Figure 9(b) (candidate memory) is asserted from the miners' tracked
+// table-M bytes: the full stack peaks strictly below FLIPPING alone.
 
 #include <gtest/gtest.h>
 
@@ -36,6 +39,7 @@ struct RunCounts {
   uint64_t counted = 0;
   uint64_t negatives = 0;
   size_t patterns = 0;
+  int64_t peak_bytes = 0;
   std::string csv;
 };
 
@@ -44,6 +48,7 @@ RunCounts Summarize(const MiningResult& result) {
   run.counted = result.stats.total_counted;
   run.negatives = result.stats.num_negative;
   run.patterns = result.patterns.size();
+  run.peak_bytes = result.stats.peak_candidate_bytes;
   std::ostringstream csv;
   EXPECT_TRUE(WritePatternsCsv(result.patterns, nullptr, csv).ok());
   run.csv = csv.str();
@@ -119,6 +124,23 @@ TEST_F(Fidelity, QuestThr10PruningCountClaims) {
   EXPECT_EQ(flipping.csv, basic.csv);
   EXPECT_EQ(tpg.csv, basic.csv);
   EXPECT_EQ(full.csv, basic.csv);
+}
+
+TEST_F(Fidelity, QuestThr10Figure9bPeakCandidateMemory) {
+  // Peak bytes of table M: the miner's columnar cells (k items plus one
+  // support, corr, label, flags and parent link per row) and BASIC's
+  // hash-map records.
+  const MiningConfig config = Config();
+  const RunCounts flipping = Mine(config, PruningOptions::FlippingOnly());
+  const RunCounts full = Mine(config, PruningOptions::Full());
+  ASSERT_GT(full.peak_bytes, 0);
+  std::cout << "fidelity fig9b: peak candidate bytes: BASIC "
+            << basic_.peak_bytes << ", FLIPPING " << flipping.peak_bytes
+            << ", full " << full.peak_bytes << " (full/FLIPPING "
+            << static_cast<double>(full.peak_bytes) /
+                   static_cast<double>(flipping.peak_bytes)
+            << ")\n";
+  EXPECT_LT(full.peak_bytes, flipping.peak_bytes);
 }
 
 TEST_F(Fidelity, QuestThr10Figure8dCountsAcrossGamma) {

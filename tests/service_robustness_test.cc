@@ -180,8 +180,9 @@ void WriteSlowQuest(const std::string& path) {
   ASSERT_TRUE(written.ok()) << written;
 }
 
-/// Mine options that push the quest store's run into multi-second
-/// territory: near-floor supports make almost every pair a candidate.
+/// Mine options that make the quest store's run slow (most of a second
+/// in a Release build at 4 threads): near-floor supports make almost
+/// every pair a candidate.
 std::vector<std::pair<std::string, std::string>> SlowQuestParams() {
   return {{"minsup", "0.00005,0.00003,0.00003"},
           {"gamma", "0.02"},
@@ -417,6 +418,9 @@ TEST(ServerRobustnessTest, DeadlineFiresMidCountWhileHealthyQueryMatches) {
     }
     request.params.emplace_back("deadline_ms",
                                 std::to_string(kDeadlineMs));
+    // FLIPPING-only pruning keeps this mine multi-second (about 3 s in
+    // a Release build at 4 threads), well past the deadline.
+    request.params.emplace_back("pruning", "flipping");
     WallTimer timer;
     auto response = client->Call(request);
     deadline_elapsed_ms = timer.ElapsedMillis();
@@ -980,12 +984,17 @@ TEST(ServerRobustnessTest, AcceptSurvivesRunningOutOfFds) {
   // Use the fds up with held connections, fill what is left, then free
   // exactly one for a last connection: its client end takes it, so the
   // daemon's accept() fails with EMFILE.
+  constexpr int kHeld = 8;
   std::vector<int> held;
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < kHeld; ++i) {
     auto fd = Client::ConnectRawFd(options.socket_path);
     ASSERT_TRUE(fd.ok()) << fd.status();
     held.push_back(*fd);
   }
+  // The daemon accepts every held connection (and the ready check's)
+  // before the fill: one still in the listen backlog could take the
+  // slot freed below before this test's last connect does.
+  ASSERT_TRUE(AwaitCounter(server, "connections.opened", 1 + kHeld));
   std::vector<int> fillers;
   for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) {
     fillers.push_back(fd);

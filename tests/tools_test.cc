@@ -284,18 +284,23 @@ TEST_F(FlipperCliEndToEnd, VersionTwoStoresAreRefusedUntouched) {
 
   const std::string converted = ::testing::TempDir() + "cli_e2e_v2_out.fdb";
   std::remove(converted.c_str());
-  const std::vector<std::vector<std::string>> commands = {
-      {"inspect", old_store},
-      {"validate", old_store},
-      {"repair", old_store, "--apply"},
-      {"convert", "--from-fdb", old_store, converted},
+  // validate and repair report an intact store of another version as
+  // an error (exit 2), not as corruption (exit 3, "unrecoverable").
+  const std::vector<std::pair<std::vector<std::string>, int>> commands = {
+      {{"inspect", old_store}, 1},
+      {{"validate", old_store}, 2},
+      {{"repair", old_store, "--apply"}, 2},
+      {{"convert", "--from-fdb", old_store, converted}, 1},
   };
-  for (const std::vector<std::string>& command : commands) {
+  for (const auto& [command, exit_code] : commands) {
     SCOPED_TRACE(command.front());
-    EXPECT_NE(RunCli(command, &out_, &err_), 0);
+    EXPECT_EQ(RunCli(command, &out_, &err_), exit_code);
     const std::string said = out_ + err_;
     EXPECT_NE(said.find(refusal), std::string::npos) << said;
     EXPECT_EQ(said.find("flipper_cli repair"), std::string::npos) << said;
+    EXPECT_EQ(said.find("nrecoverable"), std::string::npos) << said;
+    EXPECT_EQ(said.find("UNRECOVERABLE"), std::string::npos) << said;
+    EXPECT_EQ(said.find("no committed state"), std::string::npos) << said;
     EXPECT_EQ(SlurpFile(old_store), bytes);
   }
   EXPECT_FALSE(std::ifstream(converted).good());
@@ -516,6 +521,13 @@ TEST_F(FlipperCliEndToEnd, ValidateAndRepairRefuseGarbage) {
   DumpFile(garbage, std::string(4096, '\x5a'));
   EXPECT_EQ(RunCli({"validate", garbage}, &out_, &err_), 3);
   EXPECT_NE(out_.find("UNRECOVERABLE"), std::string::npos);
+  // The payload finding carries the open error's own text, prefix once.
+  EXPECT_NE(out_.find("BAD payload @ [0, 4096): no committed state found "
+                      "(front header: "),
+            std::string::npos)
+      << out_;
+  EXPECT_EQ(out_.find("no committed state found: "), std::string::npos)
+      << out_;
   EXPECT_EQ(RunCli({"repair", garbage, "--apply"}, &out_, &err_), 3);
   EXPECT_NE(err_.find("unrecoverable"), std::string::npos);
   // Refusal never modifies the file.

@@ -13,8 +13,12 @@ BUILD_DIR=build-tsan
 # view build and its per-level compaction at 1/2/4/hw threads;
 # cell_pipeline_test mines at 1/2/4/hw threads; storage_test mines
 # borrowed mmap views at 4 threads; the fuzz harness drives the
-# sharded scans over text, fresh and appended stores, and four
-# concurrent miners over one appended store's shared views;
+# sharded scans over text, fresh and appended stores at 1 and 4
+# threads, and four concurrent miners over one appended store's shared
+# views, each with its own table M (the columnar cells and their
+# parent links are per run and driver-only: plan, evaluate, SIBP and
+# eviction run serially on the driver, so the pooled count shards are
+# the only work that races with them);
 # trie_invariance_test exercises the thread × input grid, every forced
 # probe kernel, and the counter's pooled trie reuse across async
 # counts; trace_test and pipeline_metrics_test
